@@ -61,7 +61,8 @@ fn main() {
         stats.scenarios
     );
     eprintln!(
-        "[session] scenarios: {}, simulations: {} ({} shared via the session memo)",
-        stats.scenarios, stats.simulations, stats.sim_memo_hits
+        "[session] scenarios: {}, simulations: {} ({} shared via the session memo), \
+         trace opens: {}",
+        stats.scenarios, stats.simulations, stats.sim_memo_hits, stats.trace_opens
     );
 }

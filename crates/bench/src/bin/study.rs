@@ -589,10 +589,11 @@ fn main() {
     if caching {
         let stats = session.stats();
         eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}",
+            "[cache] hits: {}, computed: {}, simulations: {}, trace opens: {}, entries: {}",
             stats.cache_hits,
             stats.evaluations,
             stats.simulations,
+            stats.trace_opens,
             session.result_cache().map(|c| c.len()).unwrap_or(0)
         );
     }
@@ -1013,10 +1014,11 @@ fn optimize_main(args: &[String]) {
     if caching {
         let stats = session.stats();
         eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, entries: {}",
+            "[cache] hits: {}, computed: {}, simulations: {}, trace opens: {}, entries: {}",
             stats.cache_hits,
             stats.evaluations,
             stats.simulations,
+            stats.trace_opens,
             session.result_cache().map(|c| c.len()).unwrap_or(0)
         );
     }

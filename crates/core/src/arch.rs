@@ -166,14 +166,30 @@ impl PartitionedCache {
 
     /// Builds the fully configured per-level [`Simulator`]: geometry,
     /// replacement policy (the `lru` default takes the simulator's
-    /// historic built-in path, byte-for-byte) and bank mapping.
-    fn build_simulator(&self) -> Result<Simulator, CoreError> {
+    /// historic built-in path, byte-for-byte) and bank mapping — one
+    /// [`SimTarget::Level`] for [`simulate_fanout`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates configuration and policy construction errors.
+    pub fn simulator(&self) -> Result<Simulator, CoreError> {
         let mut config = SimConfig::new(self.geometry)?;
         if self.replacement_name != DEFAULT_REPLACEMENT {
             let policy = self.replacement_registry.resolve(&self.replacement_name)?;
             config = config.with_replacement(Some(policy));
         }
         Ok(Simulator::new(config, self.build_mapping()?)?)
+    }
+
+    /// Builds an L1+L2 [`CacheHierarchy`] with `self` as the L1 — one
+    /// [`SimTarget::Hierarchy`] for [`simulate_fanout`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates construction errors from either level, including an
+    /// L2 smaller than the L1.
+    pub fn hierarchy(&self, l2: &PartitionedCache) -> Result<CacheHierarchy, CoreError> {
+        Ok(CacheHierarchy::new(self.simulator()?, l2.simulator()?)?)
     }
 
     /// Sizes the Block Control for this geometry (counter widths etc.).
@@ -210,7 +226,7 @@ impl PartitionedCache {
         trace: impl IntoIterator<Item = Access>,
         update: UpdateSchedule,
     ) -> Result<SimOutcome, CoreError> {
-        let mut sim = self.build_simulator()?;
+        let mut sim = self.simulator()?;
         for access in trace {
             sim.step(access);
             if let UpdateSchedule::EveryCycles(n) = update {
@@ -242,7 +258,7 @@ impl PartitionedCache {
     /// Streams a [`TraceSource`] through the batched fast path in
     /// constant memory: accesses are pulled in chunks of at most
     /// [`BATCH_ACCESSES`], so multi-gigabyte trace files never
-    /// materialize in RAM.
+    /// materialize in RAM. A one-target [`simulate_fanout`].
     ///
     /// `limit` caps the number of accesses consumed (mandatory for
     /// infinite synthetic sources); `None` runs the source dry.
@@ -259,57 +275,18 @@ impl PartitionedCache {
         limit: Option<u64>,
         update: UpdateSchedule,
     ) -> Result<SimOutcome, CoreError> {
-        let mut sim = self.build_simulator()?;
-        let mut buf: Vec<Access> = Vec::with_capacity(BATCH_ACCESSES);
-        let mut remaining = limit;
-        loop {
-            let mut room = BATCH_ACCESSES as u64;
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 {
-                    room = room.min(n - sim.cycles() % n);
-                }
-            }
-            if let Some(rem) = remaining {
-                room = room.min(rem);
-            }
-            if room == 0 {
-                break;
-            }
-            buf.clear();
-            let got = source.next_batch(&mut buf, room as usize)?;
-            if got == 0 {
-                break;
-            }
-            // `max` is a hard contract: an overshooting source would
-            // wrap the remaining-access budget and fire mapping updates
-            // on the wrong cycles, so reject it instead of trusting it.
-            if got as u64 > room || got != buf.len() {
-                return Err(CoreError::Report {
-                    message: format!(
-                        "trace source violated next_batch contract: \
-                         appended {got} accesses (buffer {}) for max {room}",
-                        buf.len()
-                    ),
-                });
-            }
-            sim.step_batch(&buf);
-            if let Some(rem) = &mut remaining {
-                *rem -= got as u64;
-            }
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 && sim.cycles() % n == 0 {
-                    sim.update_mapping()?;
-                }
-            }
-        }
-        Ok(sim.finish())
+        let mut target = [SimTarget::Level(self.simulator()?)];
+        simulate_fanout(source, &mut target, limit, update)?;
+        let [target] = target;
+        Ok(target.finish().0)
     }
 
     /// Streams a [`TraceSource`] through a two-level hierarchy built
     /// from `self` (the L1) and `l2`, on the batched fast path: the L2
     /// access stream is exactly the L1 miss stream
     /// ([`CacheHierarchy`]), and the composition is bitwise-identical
-    /// to stepping the hierarchy scalar access by access.
+    /// to stepping the hierarchy scalar access by access. A one-target
+    /// [`simulate_fanout`].
     ///
     /// Each level keeps its own policy, seed and replacement; updates
     /// fire on both levels at the same cycle boundaries.
@@ -325,50 +302,136 @@ impl PartitionedCache {
         limit: Option<u64>,
         update: UpdateSchedule,
     ) -> Result<HierarchyOutcome, CoreError> {
-        let mut hier = CacheHierarchy::new(self.build_simulator()?, l2.build_simulator()?)?;
-        let mut buf: Vec<Access> = Vec::with_capacity(BATCH_ACCESSES);
-        let mut remaining = limit;
-        loop {
-            let mut room = BATCH_ACCESSES as u64;
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 {
-                    room = room.min(n - hier.l1().cycles() % n);
-                }
+        let mut target = [SimTarget::Hierarchy(self.hierarchy(l2)?)];
+        simulate_fanout(source, &mut target, limit, update)?;
+        let [SimTarget::Hierarchy(hier)] = target else {
+            unreachable!("built as a hierarchy above")
+        };
+        Ok(hier.finish())
+    }
+}
+
+/// One consumer of a fanned-out trace (see [`simulate_fanout`]): a
+/// single-level [`Simulator`] or an L1+L2 [`CacheHierarchy`], owned
+/// until the stream ends and then [`finish`](SimTarget::finish)ed.
+// Targets live for one stream each, so variant size does not matter.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum SimTarget {
+    /// One cache level.
+    Level(Simulator),
+    /// Two levels; the L2 sees the L1 miss stream.
+    Hierarchy(CacheHierarchy),
+}
+
+impl SimTarget {
+    /// Finishes the target: the outcome of its single level (or of its
+    /// L1), plus the L2's outcome for a hierarchy.
+    pub fn finish(self) -> (SimOutcome, Option<SimOutcome>) {
+        match self {
+            SimTarget::Level(sim) => (sim.finish(), None),
+            SimTarget::Hierarchy(hier) => {
+                let out = hier.finish();
+                debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
+                (out.l1, Some(out.l2))
             }
-            if let Some(rem) = remaining {
-                room = room.min(rem);
+        }
+    }
+
+    fn cycles(&self) -> u64 {
+        match self {
+            SimTarget::Level(sim) => sim.cycles(),
+            SimTarget::Hierarchy(hier) => hier.l1().cycles(),
+        }
+    }
+
+    fn step_batch(&mut self, batch: &[Access]) {
+        match self {
+            SimTarget::Level(sim) => sim.step_batch(batch),
+            SimTarget::Hierarchy(hier) => hier.step_batch(batch),
+        }
+    }
+
+    fn update_mapping(&mut self) -> Result<(), CoreError> {
+        match self {
+            SimTarget::Level(sim) => sim.update_mapping()?,
+            SimTarget::Hierarchy(hier) => hier.update_mapping()?,
+        }
+        Ok(())
+    }
+}
+
+/// Streams one [`TraceSource`] through every target in lockstep: each
+/// chunk is pulled once and fed to all of them, so a trace that several
+/// geometries need is synthesized (or decoded) once instead of once per
+/// geometry. Memory stays constant: one chunk of at most
+/// [`BATCH_ACCESSES`] plus the targets themselves.
+///
+/// Every target sees exactly the chunk sequence it would see alone, and
+/// the batched path is chunking-invariant, so each outcome is
+/// bitwise-identical to simulating that target by itself. `limit` and
+/// `update` behave as in [`PartitionedCache::simulate_source`]; chunks
+/// are clipped at the update boundaries of every target.
+///
+/// # Errors
+///
+/// Propagates update errors and trace decode errors, and rejects a
+/// source that appends more than it was asked for.
+pub fn simulate_fanout(
+    source: &mut dyn TraceSource,
+    targets: &mut [SimTarget],
+    limit: Option<u64>,
+    update: UpdateSchedule,
+) -> Result<(), CoreError> {
+    let period = match update {
+        UpdateSchedule::EveryCycles(n) if n > 0 => Some(n),
+        _ => None,
+    };
+    let mut buf: Vec<Access> = Vec::with_capacity(BATCH_ACCESSES);
+    let mut remaining = limit;
+    loop {
+        let mut room = BATCH_ACCESSES as u64;
+        if let Some(n) = period {
+            for target in targets.iter() {
+                room = room.min(n - target.cycles() % n);
             }
-            if room == 0 {
-                break;
-            }
-            buf.clear();
-            let got = source.next_batch(&mut buf, room as usize)?;
-            if got == 0 {
-                break;
-            }
-            // Same hard contract as `simulate_source`: an overshooting
-            // source would fire updates on the wrong cycles.
-            if got as u64 > room || got != buf.len() {
-                return Err(CoreError::Report {
-                    message: format!(
-                        "trace source violated next_batch contract: \
-                         appended {got} accesses (buffer {}) for max {room}",
-                        buf.len()
-                    ),
-                });
-            }
-            hier.step_batch(&buf);
-            if let Some(rem) = &mut remaining {
-                *rem -= got as u64;
-            }
-            if let UpdateSchedule::EveryCycles(n) = update {
-                if n > 0 && hier.l1().cycles() % n == 0 {
-                    hier.update_mapping()?;
+        }
+        if let Some(rem) = remaining {
+            room = room.min(rem);
+        }
+        if room == 0 {
+            break;
+        }
+        buf.clear();
+        let got = source.next_batch(&mut buf, room as usize)?;
+        if got == 0 {
+            break;
+        }
+        // `max` is a hard contract: an overshooting source would wrap
+        // the remaining-access budget and fire mapping updates on the
+        // wrong cycles, so reject it instead of trusting it.
+        if got as u64 > room || got != buf.len() {
+            return Err(CoreError::Report {
+                message: format!(
+                    "trace source violated next_batch contract: \
+                     appended {got} accesses (buffer {}) for max {room}",
+                    buf.len()
+                ),
+            });
+        }
+        for target in targets.iter_mut() {
+            target.step_batch(&buf);
+            if let Some(n) = period {
+                if target.cycles() % n == 0 {
+                    target.update_mapping()?;
                 }
             }
         }
-        Ok(hier.finish())
+        if let Some(rem) = &mut remaining {
+            *rem -= got as u64;
+        }
     }
+    Ok(())
 }
 
 #[cfg(test)]

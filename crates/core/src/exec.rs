@@ -310,6 +310,17 @@ impl ExecOptions {
         self
     }
 
+    /// How many of `count` tasks the built executor runs at once.
+    pub(crate) fn workers(&self, count: usize) -> usize {
+        match self.backend {
+            ExecBackend::Sequential => 1,
+            ExecBackend::Threaded | ExecBackend::Process => ThreadedExecutor {
+                threads: self.threads,
+            }
+            .workers(count),
+        }
+    }
+
     /// Builds the configured executor.
     pub fn build(&self) -> Box<dyn Executor> {
         match self.backend {

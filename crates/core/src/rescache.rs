@@ -279,6 +279,22 @@ pub trait ResultCache: Send + Sync {
     /// Returns [`CoreError::Cache`] on backend failures.
     fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError>;
 
+    /// Whether a measurement is cached, without side effects: unlike a
+    /// decorator's `lookup`, this never claims the fingerprint or waits
+    /// on one. The session probes peer scenarios with it when it plans
+    /// a trace group. The default answers through `lookup`, so it is
+    /// only correct for caches whose `lookup` has no side effects: a
+    /// decorator whose `lookup` claims, waits or records must override
+    /// it (as [`MemoryCache`], [`JsonlCache`] and the serving layer's
+    /// coalescing cache do with a direct probe).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Cache`] on backend failures.
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        Ok(self.lookup(fingerprint)?.is_some())
+    }
+
     /// Stores a measurement (no-op if the fingerprint is present).
     ///
     /// # Errors
@@ -328,7 +344,7 @@ pub struct MemoryCache {
 /// step under these locks leaves the map/file pair valid (an
 /// interrupted `store` at worst re-appends an identical line), so
 /// recovering beats cascading the panic into every later caller.
-fn relock<T>(
+pub(crate) fn relock<T>(
     r: std::sync::LockResult<std::sync::MutexGuard<'_, T>>,
 ) -> std::sync::MutexGuard<'_, T> {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -346,6 +362,10 @@ impl ResultCache for MemoryCache {
         Ok(relock(self.entries.lock())
             .get(fingerprint.canonical())
             .cloned())
+    }
+
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        Ok(relock(self.entries.lock()).contains_key(fingerprint.canonical()))
     }
 
     fn store(
@@ -619,6 +639,12 @@ impl ResultCache for JsonlCache {
             .index
             .get(fingerprint.canonical())
             .cloned())
+    }
+
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        Ok(relock(self.inner.lock())
+            .index
+            .contains_key(fingerprint.canonical()))
     }
 
     fn store(

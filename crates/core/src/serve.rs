@@ -249,6 +249,12 @@ impl ResultCache for CoalesceCache {
         }
     }
 
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        // Never claims: a trace group probing its peers must not block
+        // behind, or take over, another worker's cell.
+        self.inner.contains(fingerprint)
+    }
+
     fn store(
         &self,
         fingerprint: &Fingerprint,
@@ -1210,6 +1216,7 @@ fn session_stats_json(stats: &crate::session::SessionStats) -> Json {
     Json::obj(vec![
         ("scenarios", Json::Num(stats.scenarios as f64)),
         ("simulations", Json::Num(stats.simulations as f64)),
+        ("trace_opens", Json::Num(stats.trace_opens as f64)),
         ("sim_memo_hits", Json::Num(stats.sim_memo_hits as f64)),
         ("evaluations", Json::Num(stats.evaluations as f64)),
         ("cache_hits", Json::Num(stats.cache_hits as f64)),

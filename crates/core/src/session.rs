@@ -13,7 +13,19 @@
 //! * the **simulation memo** outlives each run, so grids that share
 //!   `(geometry, workload, seed, horizon)` points — `repro_all`'s
 //!   Tables I–IV, a preset re-run with one widened axis — simulate
-//!   each distinct trace exactly once per session;
+//!   each distinct (geometry, trace) pair exactly once per session;
+//! * **trace groups** synthesize each trace once per run: the first
+//!   scenario to miss the memo marks every geometry of the run that
+//!   streams the same trace — and is neither memoized, in flight, nor
+//!   fully cached — as in flight, then streams the trace once through
+//!   all of them ([`simulate_fanout`]). A group carries at most
+//!   `ceil(pairs / workers)` geometries, so a grid with fewer traces
+//!   than workers still keeps every worker busy.
+//!   Scenarios whose key is in flight wait for it; a group that fails
+//!   clears its in-flight entries, so they recompute instead of
+//!   hanging. No task waits on the memo while it holds an in-flight
+//!   group, and a group computation never waits, so waiting cannot
+//!   deadlock;
 //! * the **[`ResultCache`]** (in-memory or on-disk JSONL) skips
 //!   simulation *and* model evaluation for any scenario measured
 //!   before, in this process or a previous one: a warm re-run
@@ -22,9 +34,9 @@
 //! * **[`ExecOptions`]** select the executor backend; an
 //!   **[`ExecObserver`]** streams per-record progress;
 //! * [`StudySession::stats`] exposes the counters behind all of the
-//!   above — simulations actually run, memo hits, cache hits/stores,
-//!   model evaluations — so "the cache worked" is an assertable fact,
-//!   not a hope.
+//!   above — simulations actually run, trace streams opened, memo
+//!   hits, cache hits/stores, model evaluations — so "the cache
+//!   worked" is an assertable fact, not a hope.
 //!
 //! # Examples
 //!
@@ -67,18 +79,18 @@
 //! # }
 //! ```
 
-use crate::arch::{PartitionedCache, UpdateSchedule};
+use crate::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use crate::error::CoreError;
 use crate::exec::{ExecObserver, ExecOptions, RecordOrigin};
 use crate::model::{CalibratedModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
-use crate::rescache::{workload_identity, CachedMeasurement, Fingerprint, ResultCache};
+use crate::rescache::{relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache};
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
 use crate::workload::{Workload, WorkloadRegistry};
 use cache_sim::CacheGeometry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Measured simulation outputs shared by scenarios that differ only in
 /// policy, model or update period.
@@ -94,19 +106,39 @@ pub(crate) struct SimMeasurement {
 }
 
 /// `(cache_bytes, line_bytes, banks, ways, replacement, l2_cache_bytes,
-/// l2_ways, workload identity, trace_seed, trace_cycles)` → memoized
-/// simulation. The workload identity string (name, or format + content
-/// hash for files — see [`workload_identity`]) replaces the historic
-/// per-grid workload *index*, so the memo is meaningful across grids
-/// within a session. Seed-independent workloads (files, pinned
-/// profiles) key seed 0.
-type SimKey = (u64, u32, u32, u32, String, u64, u32, String, u64, u64);
+/// l2_ways)`: every property of a scenario's cache that its simulation
+/// depends on.
+type GeomKey = (u64, u32, u32, u32, String, u64, u32);
 
-/// The session-scoped simulation memo. Shared across workers and runs;
-/// a racing double-compute always stores the same value, so
-/// first-writer-wins stays deterministic.
-// aging-lint: allow(no-unordered-iter) keyed memo, only ever probed per scenario; never iterated
-pub(crate) type SimMemo = Mutex<HashMap<SimKey, Arc<SimMeasurement>>>;
+/// `(workload identity, trace_seed, trace_cycles)`: the stream a
+/// scenario simulates. The workload identity string (name, or format +
+/// content hash for files — see [`workload_identity`]) replaces the
+/// historic per-grid workload *index*, so the memo is meaningful across
+/// grids within a session. Seed-independent workloads (files, pinned
+/// profiles) key seed 0.
+type TraceKey = (String, u64, u64);
+
+/// Geometry × trace → memoized simulation.
+type SimKey = (GeomKey, TraceKey);
+
+/// One memo slot: a finished measurement, or a marker that some task's
+/// trace group is computing it right now.
+enum MemoEntry {
+    Ready(Arc<SimMeasurement>),
+    InFlight,
+}
+
+/// The session-scoped simulation memo, shared across workers and runs.
+/// Every (geometry, trace) pair is simulated at most once per session:
+/// a task that finds its key in flight waits on `resolved` instead of
+/// recomputing.
+#[derive(Default)]
+struct SimMemo {
+    // aging-lint: allow(no-unordered-iter) keyed memo, only ever probed by key; never iterated
+    entries: Mutex<HashMap<SimKey, MemoEntry>>,
+    /// Signalled whenever in-flight entries resolve or are abandoned.
+    resolved: Condvar,
+}
 
 /// Cumulative execution counters, snapshot by [`StudySession::stats`].
 ///
@@ -117,13 +149,20 @@ pub(crate) type SimMemo = Mutex<HashMap<SimKey, Arc<SimMeasurement>>>;
 /// the right-hand side.) `simulations` and `sim_memo_hits` need not
 /// sum to anything: pinned-profile scenarios measure without
 /// simulating, and scenarios sharing a trace split between the two.
+/// In error-free runs `trace_opens <= simulations`: one opened stream
+/// feeds every geometry of its trace group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Scenario records produced (computed or replayed).
     pub scenarios: usize,
-    /// Trace simulations actually executed.
+    /// (geometry, trace) pairs actually simulated.
     pub simulations: usize,
-    /// Scenarios whose simulation was replayed from the session memo.
+    /// Trace streams actually opened: one per trace group, however
+    /// many geometries the group fans the stream out to.
+    pub trace_opens: usize,
+    /// Scenarios whose simulation was replayed from the session memo,
+    /// including scenarios whose geometry a peer's trace group
+    /// simulated.
     pub sim_memo_hits: usize,
     /// Device-model evaluations actually executed.
     pub evaluations: usize,
@@ -138,6 +177,7 @@ pub struct SessionStats {
 pub(crate) struct Counters {
     scenarios: AtomicUsize,
     simulations: AtomicUsize,
+    trace_opens: AtomicUsize,
     sim_memo_hits: AtomicUsize,
     evaluations: AtomicUsize,
     cache_hits: AtomicUsize,
@@ -149,6 +189,7 @@ impl Counters {
         SessionStats {
             scenarios: self.scenarios.load(Ordering::Relaxed),
             simulations: self.simulations.load(Ordering::Relaxed),
+            trace_opens: self.trace_opens.load(Ordering::Relaxed),
             sim_memo_hits: self.sim_memo_hits.load(Ordering::Relaxed),
             evaluations: self.evaluations.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
@@ -218,7 +259,7 @@ impl StudySession {
             policies: PolicyRegistry::builtin(),
             workloads: WorkloadRegistry::builtin(),
             replacements: cache_sim::ReplacementRegistry::global().clone(),
-            memo: Mutex::new(HashMap::new()), // aging-lint: allow(no-unordered-iter) keyed memo
+            memo: SimMemo::default(),
             cache: None,
             exec: ExecOptions::default(),
             observer: None,
@@ -386,7 +427,7 @@ pub(crate) fn run_grid_oneshot(
         grid,
         &ExecEnv {
             ctx,
-            memo: &Mutex::new(HashMap::new()), // aging-lint: allow(no-unordered-iter) keyed memo
+            memo: &SimMemo::default(),
             cache: None,
             exec: ExecOptions::default(),
             observer: None,
@@ -428,25 +469,6 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     let slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let done = AtomicUsize::new(0);
-    let task = |i: usize| {
-        // Catch panics so one bad scenario surfaces as a first-class
-        // error — with its id and message — instead of tearing down
-        // the whole process at scope join.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one(grid, &grid.scenarios()[i], models, env)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(CoreError::ScenarioPanicked {
-                scenario: i,
-                message: panic_message(payload),
-            })
-        });
-        if let (Some(obs), Ok((record, origin))) = (env.observer, &outcome) {
-            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-            obs.on_record(record, *origin, finished, n);
-        }
-        *slots[i].lock().expect("slot poisoned") = Some(outcome.map(|(record, _)| record));
-    };
 
     // The spec-level worker cap overrides the session's (threads(1)
     // still forces an in-thread sequential loop, as it always did).
@@ -485,19 +507,39 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
             if let Some(threads) = grid.threads_cap() {
                 exec = exec.with_threads(threads);
             }
-            exec.build().execute(n, &task);
-            return assemble(grid, slots, env);
+        } else {
+            let Some(cache) = env.cache else {
+                return Err(CoreError::Report {
+                    message: "process backend requires a result cache over the shared directory \
+                              (attach JsonlCache::in_dir on the same dir)"
+                        .into(),
+                });
+            };
+            crate::distrib::distribute(grid, cache, env.observer, &popts)?;
+            cache.refresh()?;
         }
-        let Some(cache) = env.cache else {
-            return Err(CoreError::Report {
-                message: "process backend requires a result cache over the shared directory \
-                          (attach JsonlCache::in_dir on the same dir)"
-                    .into(),
-            });
-        };
-        crate::distrib::distribute(grid, cache, env.observer, &popts)?;
-        cache.refresh()?;
     }
+
+    let plan = TracePlan::new(&exec, n);
+    let task = |i: usize| {
+        // Catch panics so one bad scenario surfaces as a first-class
+        // error — with its id and message — instead of tearing down
+        // the whole process at scope join.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_one(grid, i, models, &plan, env)
+        }))
+        .unwrap_or_else(|payload| {
+            Err(CoreError::ScenarioPanicked {
+                scenario: i,
+                message: panic_message(payload),
+            })
+        });
+        if let (Some(obs), Ok((record, origin))) = (env.observer, &outcome) {
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            obs.on_record(record, *origin, finished, n);
+        }
+        *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
+    };
     exec.build().execute(n, &task);
     assemble(grid, slots, env)
 }
@@ -511,7 +553,7 @@ fn assemble(
 ) -> Result<StudyReport, CoreError> {
     let mut records = Vec::with_capacity(slots.len());
     for slot in slots {
-        match slot.into_inner().expect("slot poisoned") {
+        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
             Some(Ok(record)) => records.push(record),
             Some(Err(e)) => return Err(e),
             None => return Err(CoreError::WorkerPanicked),
@@ -524,17 +566,19 @@ fn assemble(
     Ok(report)
 }
 
-/// Executes one scenario: replay it whole from the result cache if
-/// possible; otherwise simulate (or re-use the session memo) and hand
-/// the measured sleep fractions to the scenario's calibrated device
-/// model.
+/// Executes scenario `index`: replay it whole from the result cache if
+/// possible; otherwise measure it (from the session memo, or by leading
+/// its trace group) and hand the measured sleep fractions to the
+/// scenario's calibrated device model.
 fn run_one(
     grid: &ScenarioGrid,
-    scenario: &Scenario,
+    index: usize,
     models: &HashMap<&str, Arc<dyn CalibratedModel>>, // aging-lint: allow(no-unordered-iter) keyed memo
+    plan: &TracePlan<'_>,
     env: &ExecEnv<'_>,
 ) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {
     env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+    let scenario = &grid.scenarios()[index];
     let workload = &grid.workloads()[scenario.workload_index];
     let fingerprint = env
         .cache
@@ -546,12 +590,7 @@ fn run_one(
         }
     }
 
-    let measured = simulate(
-        scenario,
-        workload.as_ref(),
-        grid.replacement_registry(),
-        env,
-    )?;
+    let measured = measure(grid, index, plan, env)?;
     let model = &models[scenario.model.as_str()];
     let policy_builder = || {
         grid.policy_registry()
@@ -618,19 +657,120 @@ fn run_one(
     Ok((record, RecordOrigin::Computed))
 }
 
-/// Simulates a scenario's trace, or reuses a memoized run: the
-/// simulation executes under the identity mapping with no mid-trace
-/// updates, so its outcome depends only on the geometry, workload and
-/// trace parameters — not on the policy, model or update-period axes.
-/// Pinned-profile workloads skip simulation entirely: their sleep
-/// fractions *are* the measurement, and the trace-derived metrics are
-/// honestly absent (`NaN` / zero cycles).
-fn simulate(
-    scenario: &Scenario,
-    workload: &dyn Workload,
-    replacements: &cache_sim::ReplacementRegistry,
+/// For each trace, the distinct geometries that stream it in
+/// first-seen grid order, each with the ids of the scenarios that need
+/// it.
+type TraceMembers = BTreeMap<TraceKey, Vec<(GeomKey, Vec<usize>)>>;
+
+/// A run's trace groups.
+struct TracePlan<'a> {
+    /// The run's executor and task count, which bound a group's size.
+    exec: &'a ExecOptions,
+    tasks: usize,
+    /// Built on the run's first memo miss, so a warm replay never pays
+    /// for it.
+    traces: OnceLock<TraceMembers>,
+}
+
+impl<'a> TracePlan<'a> {
+    fn new(exec: &'a ExecOptions, tasks: usize) -> Self {
+        Self {
+            exec,
+            tasks,
+            traces: OnceLock::new(),
+        }
+    }
+
+    fn traces(&self, grid: &ScenarioGrid) -> &TraceMembers {
+        self.traces.get_or_init(|| {
+            let mut traces = TraceMembers::new();
+            for (id, scenario) in grid.scenarios().iter().enumerate() {
+                let workload = grid.workloads()[scenario.workload_index].as_ref();
+                if workload.pinned_profile().is_some() {
+                    continue;
+                }
+                let (geom, trace) = sim_key(scenario, workload);
+                let members = traces.entry(trace).or_default();
+                match members.iter_mut().find(|(g, _)| *g == geom) {
+                    Some((_, ids)) => ids.push(id),
+                    None => members.push((geom, vec![id])),
+                }
+            }
+            traces
+        })
+    }
+
+    /// The other geometries of `key`'s trace in its group: a trace's
+    /// geometries split into strided classes of at most
+    /// `ceil(pairs / workers)` each, where `pairs` counts every
+    /// (geometry, trace) pair of the run. A grid with fewer traces
+    /// than workers thus still spreads its simulations over every
+    /// worker, and the stride sends neighbouring geometries in grid
+    /// order to different groups, so consecutive scenarios lead
+    /// separate groups on separate workers. Table II on two workers
+    /// keeps one group, and one stream, per trace.
+    fn group_peers<'p>(
+        &'p self,
+        grid: &ScenarioGrid,
+        key: &SimKey,
+    ) -> impl Iterator<Item = &'p (GeomKey, Vec<usize>)> {
+        let traces = self.traces(grid);
+        let pairs: usize = traces.values().map(Vec::len).sum();
+        let cap = pairs.div_ceil(self.exec.workers(self.tasks)).max(1);
+        let members = traces.get(&key.1).map_or(&[][..], Vec::as_slice);
+        let classes = members.len().div_ceil(cap).max(1);
+        let own = members.iter().position(|(g, _)| *g == key.0);
+        members
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| own.is_some_and(|own| *i != own && i % classes == own % classes))
+            .map(|(_, member)| member)
+    }
+}
+
+fn sim_key(scenario: &Scenario, workload: &dyn Workload) -> SimKey {
+    let (identity, seeded) = workload_identity(workload);
+    (
+        (
+            scenario.cache_bytes,
+            scenario.line_bytes,
+            scenario.banks,
+            scenario.ways,
+            scenario.replacement.clone(),
+            scenario.l2_cache_bytes,
+            scenario.l2_ways,
+        ),
+        (
+            identity,
+            if seeded { scenario.trace_seed } else { 0 },
+            scenario.trace_cycles,
+        ),
+    )
+}
+
+/// Measures scenario `index`'s trace under its geometry: the simulation
+/// executes under the identity mapping with no mid-trace updates, so
+/// its outcome depends only on the geometry and trace keys — not on
+/// the policy, model or update-period axes. Pinned-profile workloads
+/// skip simulation entirely: their sleep fractions *are* the
+/// measurement, and the trace-derived metrics are honestly absent
+/// (`NaN` / zero cycles).
+///
+/// A memo hit replays; a key in flight waits for its group. A miss
+/// makes this task the leader of a trace group: in one memo critical
+/// section it claims its own key plus every peer geometry from
+/// [`needed_peers`] that nobody holds, then streams the trace once
+/// through all of them ([`simulate_group`]). Deadlock freedom: a task
+/// only waits here before it claims anything, and a group computation
+/// never waits (its cache probes never claim).
+fn measure(
+    grid: &ScenarioGrid,
+    index: usize,
+    plan: &TracePlan<'_>,
     env: &ExecEnv<'_>,
 ) -> Result<Arc<SimMeasurement>, CoreError> {
+    let scenario = &grid.scenarios()[index];
+    let workload = grid.workloads()[scenario.workload_index].as_ref();
     if let Some(profile) = workload.pinned_profile() {
         return Ok(Arc::new(SimMeasurement {
             cycles: 0,
@@ -641,86 +781,201 @@ fn simulate(
             l2_sleep_fractions: None,
         }));
     }
-    let (identity, seeded) = workload_identity(workload);
-    let key = (
-        scenario.cache_bytes,
-        scenario.line_bytes,
-        scenario.banks,
-        scenario.ways,
-        scenario.replacement.clone(),
-        scenario.l2_cache_bytes,
-        scenario.l2_ways,
-        identity,
-        if seeded { scenario.trace_seed } else { 0 },
-        scenario.trace_cycles,
-    );
-    if let Some(hit) = env.memo.lock().expect("memo poisoned").get(&key) {
-        env.counters.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(hit));
-    }
-    let geom = CacheGeometry::new(
-        scenario.cache_bytes,
-        scenario.line_bytes,
-        scenario.ways,
-        scenario.banks,
-    )?;
-    let arch = PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())?
-        .with_replacement(&scenario.replacement, replacements.clone())?;
-    // Stream the workload through the batched fast path: synthetic
-    // generators and multi-GB trace files both run in constant
-    // memory, with bitwise-identical outcomes to the scalar loop.
-    let mut source = workload.open(scenario.trace_seed)?;
-    let (out, l2_out) = if scenario.l2_cache_bytes > 0 {
-        let l2_geom = CacheGeometry::new(
-            scenario.l2_cache_bytes,
-            scenario.line_bytes,
-            scenario.l2_ways,
-            scenario.banks,
-        )?;
-        let l2 =
-            PartitionedCache::new_named(l2_geom, "identity", PolicyRegistry::global().clone())?
-                .with_replacement(&scenario.replacement, replacements.clone())?;
-        let out = arch.simulate_hierarchy_source(
-            &l2,
-            source.as_mut(),
-            Some(scenario.trace_cycles),
-            UpdateSchedule::Never,
-        )?;
-        debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-        (out.l1, Some(out.l2))
-    } else {
-        let out = arch.simulate_source(
-            source.as_mut(),
-            Some(scenario.trace_cycles),
-            UpdateSchedule::Never,
-        )?;
-        (out, None)
+    let key = sim_key(scenario, workload);
+    let mut peers = None;
+    let mut entries = relock(env.memo.entries.lock());
+    let claimed = loop {
+        match entries.get(&key) {
+            Some(MemoEntry::Ready(hit)) => {
+                env.counters.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(hit));
+            }
+            Some(MemoEntry::InFlight) => entries = relock(env.memo.resolved.wait(entries)),
+            None => match peers.take() {
+                // Probe the cache outside the memo lock, then re-check.
+                None => {
+                    drop(entries);
+                    peers = Some(needed_peers(grid, &key, plan, env)?);
+                    entries = relock(env.memo.entries.lock());
+                }
+                Some(peers) => {
+                    entries.insert(key.clone(), MemoEntry::InFlight);
+                    let mut claimed = vec![(key.clone(), index)];
+                    for (geom, ids) in peers {
+                        let peer = (geom.clone(), key.1.clone());
+                        if !entries.contains_key(&peer) {
+                            entries.insert(peer.clone(), MemoEntry::InFlight);
+                            claimed.push((peer, ids[0]));
+                        }
+                    }
+                    break claimed;
+                }
+            },
+        }
     };
-    if out.accesses == 0 {
-        return Err(CoreError::Report {
-            message: format!(
-                "workload `{}` produced no accesses (empty trace?)",
-                scenario.workload
-            ),
-        });
+    drop(entries);
+    let guard = InFlightGuard {
+        memo: env.memo,
+        keys: claimed.iter().map(|(key, _)| key.clone()).collect(),
+    };
+    simulate_group(grid, &claimed, guard, env)
+}
+
+/// The peer geometries a group led from `key` should carry: every other
+/// geometry of its class ([`TracePlan::group_peers`]) that still has a
+/// scenario the result cache lacks (without a cache, every one). The
+/// probes never claim, so this never waits.
+fn needed_peers<'p>(
+    grid: &ScenarioGrid,
+    key: &SimKey,
+    plan: &'p TracePlan<'_>,
+    env: &ExecEnv<'_>,
+) -> Result<Vec<&'p (GeomKey, Vec<usize>)>, CoreError> {
+    let mut peers = Vec::new();
+    for member in plan.group_peers(grid, key) {
+        if lacks_any(grid, &member.1, env)? {
+            peers.push(member);
+        }
     }
-    debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-    env.counters.simulations.fetch_add(1, Ordering::Relaxed);
-    let measured = Arc::new(SimMeasurement {
-        cycles: out.cycles,
-        esav: out.energy_saving(),
-        miss_rate: out.miss_rate(),
-        useful_idleness: out.useful_idleness_all(),
-        sleep_fractions: out.sleep_fraction_all(),
-        l2_sleep_fractions: l2_out.map(|l2| l2.sleep_fraction_all()),
-    });
-    // A racing worker may have inserted meanwhile; identical inputs
-    // give identical outputs, so either value is fine to keep.
-    env.memo
-        .lock()
-        .expect("memo poisoned")
-        .insert(key, Arc::clone(&measured));
-    Ok(measured)
+    Ok(peers)
+}
+
+fn lacks_any(grid: &ScenarioGrid, ids: &[usize], env: &ExecEnv<'_>) -> Result<bool, CoreError> {
+    let Some(cache) = env.cache else {
+        return Ok(true);
+    };
+    for &id in ids {
+        let scenario = &grid.scenarios()[id];
+        let workload = grid.workloads()[scenario.workload_index].as_ref();
+        if !cache.contains(&Fingerprint::for_scenario(scenario, workload))? {
+            return Ok(true);
+        }
+    }
+    Ok(false)
+}
+
+/// The memo entries a group computation holds in flight. Dropping the
+/// guard unresolved — an error or a panic mid-stream — removes them,
+/// and every waiter wakes to recompute on its own.
+struct InFlightGuard<'a> {
+    memo: &'a SimMemo,
+    keys: Vec<SimKey>,
+}
+
+impl InFlightGuard<'_> {
+    /// Resolves every claimed key — those in `results` become ready,
+    /// the rest leave the memo — and wakes every waiter.
+    fn resolve(&mut self, results: &[(SimKey, Arc<SimMeasurement>)]) {
+        if self.keys.is_empty() {
+            return;
+        }
+        let mut entries = relock(self.memo.entries.lock());
+        for key in self.keys.drain(..) {
+            entries.remove(&key);
+        }
+        for (key, measured) in results {
+            entries.insert(key.clone(), MemoEntry::Ready(Arc::clone(measured)));
+        }
+        drop(entries);
+        self.memo.resolved.notify_all();
+    }
+}
+
+impl Drop for InFlightGuard<'_> {
+    fn drop(&mut self) {
+        self.resolve(&[]);
+    }
+}
+
+/// Builds scenario's single-level cache, or its L1+L2 hierarchy.
+fn build_target(
+    scenario: &Scenario,
+    replacements: &cache_sim::ReplacementRegistry,
+) -> Result<SimTarget, CoreError> {
+    let level = |bytes: u64, ways: u32| -> Result<PartitionedCache, CoreError> {
+        let geom = CacheGeometry::new(bytes, scenario.line_bytes, ways, scenario.banks)?;
+        PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())?
+            .with_replacement(&scenario.replacement, replacements.clone())
+    };
+    let l1 = level(scenario.cache_bytes, scenario.ways)?;
+    Ok(if scenario.l2_cache_bytes > 0 {
+        let l2 = level(scenario.l2_cache_bytes, scenario.l2_ways)?;
+        SimTarget::Hierarchy(l1.hierarchy(&l2)?)
+    } else {
+        SimTarget::Level(l1.simulator()?)
+    })
+}
+
+impl SimMeasurement {
+    /// Finishes a streamed target of `workload`'s trace.
+    fn of(target: SimTarget, workload: &str) -> Result<Self, CoreError> {
+        let (out, l2_out) = target.finish();
+        if out.accesses == 0 {
+            return Err(CoreError::Report {
+                message: format!("workload `{workload}` produced no accesses (empty trace?)"),
+            });
+        }
+        debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
+        Ok(SimMeasurement {
+            cycles: out.cycles,
+            esav: out.energy_saving(),
+            miss_rate: out.miss_rate(),
+            useful_idleness: out.useful_idleness_all(),
+            sleep_fractions: out.sleep_fraction_all(),
+            l2_sleep_fractions: l2_out.map(|l2| l2.sleep_fraction_all()),
+        })
+    }
+}
+
+/// Computes a trace group: opens the trace once and streams it, chunk
+/// by chunk, through the cache of every claimed `(key, representative
+/// scenario)` pair — the leader's own first — then publishes every
+/// measurement to the memo and returns the leader's. A peer whose
+/// cache fails to build is left out; its own task will report the
+/// error when it leads.
+fn simulate_group(
+    grid: &ScenarioGrid,
+    claimed: &[(SimKey, usize)],
+    mut guard: InFlightGuard<'_>,
+    env: &ExecEnv<'_>,
+) -> Result<Arc<SimMeasurement>, CoreError> {
+    let leader = &grid.scenarios()[claimed[0].1];
+    let mut keys = Vec::with_capacity(claimed.len());
+    let mut targets = Vec::with_capacity(claimed.len());
+    for (i, (key, id)) in claimed.iter().enumerate() {
+        match build_target(&grid.scenarios()[*id], grid.replacement_registry()) {
+            Ok(target) => {
+                keys.push(key);
+                targets.push(target);
+            }
+            Err(e) if i == 0 => return Err(e),
+            Err(_) => {}
+        }
+    }
+    // Stream the workload through the batched fast path: synthetic
+    // generators and multi-GB trace files both run in constant memory,
+    // with bitwise-identical outcomes to the scalar loop.
+    let mut source = grid.workloads()[leader.workload_index].open(leader.trace_seed)?;
+    env.counters.trace_opens.fetch_add(1, Ordering::Relaxed);
+    simulate_fanout(
+        source.as_mut(),
+        &mut targets,
+        Some(leader.trace_cycles),
+        UpdateSchedule::Never,
+    )?;
+    drop(source);
+    let mut results = Vec::with_capacity(targets.len());
+    for (key, target) in keys.into_iter().zip(targets) {
+        results.push((
+            key.clone(),
+            Arc::new(SimMeasurement::of(target, &leader.workload)?),
+        ));
+    }
+    env.counters
+        .simulations
+        .fetch_add(results.len(), Ordering::Relaxed);
+    guard.resolve(&results);
+    Ok(Arc::clone(&results[0].1))
 }
 
 #[cfg(test)]

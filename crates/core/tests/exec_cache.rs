@@ -137,6 +137,18 @@ fn reopened_journal_replays_without_simulating() {
         4,
         "only the new 32 kB column computes"
     );
+    // Trace groups skip peer geometries whose every scenario is
+    // journaled: the 32 kB column's groups carry no 8 or 16 kB target.
+    assert_eq!(
+        after.simulations - before.simulations,
+        2,
+        "only the 32 kB geometry simulates, once per workload"
+    );
+    assert_eq!(
+        after.trace_opens - before.trace_opens,
+        2,
+        "one stream per workload, opened for the 32 kB column alone"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -199,7 +199,14 @@ impl WorkloadProfile {
             rng: SplitMix64::new(seed).derive(0x7261_6365),
             cursors,
             cycle: 0,
-            epoch_cycles: self.schedule.period_cycles(),
+            burst_prob: (self.leak_through * self.burst_period as f64 / self.burst_len as f64)
+                .min(1.0),
+            slot_cycles: self.schedule.slots()[0].cycles as u64,
+            slot_idx: 0,
+            in_slot: 0,
+            in_period: 0,
+            active_segment: 0,
+            in_burst_period: 0,
         }
     }
 }
@@ -280,19 +287,64 @@ impl WorkloadProfileBuilder {
 ///
 /// Produced by [`WorkloadProfile::trace`]; bound it with
 /// [`Iterator::take`].
+///
+/// The schedule position, macro epoch and burst phase advance as running
+/// counters rather than being re-derived from the cycle by division on
+/// every access; the stream is identical to the division form
+/// (`tests/stream_pin.rs` pins it).
 #[derive(Debug, Clone)]
 pub struct TraceGen {
     profile: WorkloadProfile,
     rng: SplitMix64,
     cursors: [Vec<RegionCursor>; REF_BANKS],
     cycle: u64,
-    epoch_cycles: u64,
+    /// Per-burst-cycle probability of lingering traffic, a profile
+    /// constant.
+    burst_prob: f64,
+    /// Length of every schedule slot.
+    slot_cycles: u64,
+    /// `(cycle % period) / slot_cycles`.
+    slot_idx: usize,
+    /// `(cycle % period) % slot_cycles`.
+    in_slot: u64,
+    /// `cycle % period`.
+    in_period: u64,
+    /// `(cycle / period) % segments`: one epoch is one schedule period.
+    active_segment: u32,
+    /// `cycle % burst_period`.
+    in_burst_period: u64,
 }
 
 impl TraceGen {
     /// Cycles generated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Moves every position counter on by one cycle.
+    fn advance(&mut self) {
+        let p = &self.profile;
+        self.cycle += 1;
+        self.in_burst_period += 1;
+        if self.in_burst_period == p.burst_period {
+            self.in_burst_period = 0;
+        }
+        self.in_period += 1;
+        if self.in_period == p.schedule.period_cycles() {
+            self.in_period = 0;
+            self.slot_idx = 0;
+            self.in_slot = 0;
+            self.active_segment += 1;
+            if self.active_segment == p.segments {
+                self.active_segment = 0;
+            }
+        } else {
+            self.in_slot += 1;
+            if self.in_slot == self.slot_cycles {
+                self.in_slot = 0;
+                self.slot_idx += 1;
+            }
+        }
     }
 }
 
@@ -301,21 +353,20 @@ impl Iterator for TraceGen {
 
     fn next(&mut self) -> Option<Access> {
         let p = &self.profile;
-        let slot = p.schedule.slot_at(self.cycle);
+        let slots = p.schedule.slots();
+        let slot = &slots[self.slot_idx.min(slots.len() - 1)];
         let bank = self.rng.pick_weighted(&slot.weights);
 
         // Macro phase: which segment does this access target? Lingering
         // traffic to the inactive segment comes in *bursts* (real programs
         // touch cold data in clusters — a stack spill, a table refresh),
         // which preserves long idle gaps on the inactive segment's banks.
-        let epoch = self.cycle / self.epoch_cycles;
-        let active_segment = (epoch % p.segments as u64) as u32;
-        let in_burst = self.cycle % p.burst_period < p.burst_len;
-        let burst_prob = (p.leak_through * p.burst_period as f64 / p.burst_len as f64).min(1.0);
+        let active_segment = self.active_segment;
+        let in_burst = self.in_burst_period < p.burst_len;
         let segment = if bank == p.resident_bank {
             // Resident data (stack/globals) lives in segment 0 for good.
             0
-        } else if p.segments > 1 && in_burst && self.rng.next_bool(burst_prob) {
+        } else if p.segments > 1 && in_burst && self.rng.next_bool(self.burst_prob) {
             let other = self.rng.next_below(p.segments as u64 - 1) as u32;
             (active_segment + 1 + other) % p.segments
         } else {
@@ -336,7 +387,7 @@ impl Iterator for TraceGen {
         } else {
             AccessKind::Read
         };
-        self.cycle += 1;
+        self.advance();
         Some(Access { addr, kind })
     }
 }

@@ -3,13 +3,15 @@
 //! study pipeline stream batches without changing a single published
 //! number.
 
-use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
+use nbti_cache_repro::arch::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use nbti_cache_repro::arch::PolicyRegistry;
 use nbti_cache_repro::sim::{
-    CacheGeometry, CacheHierarchy, IdentityMapping, SimConfig, SimOutcome, Simulator,
+    Access, CacheGeometry, CacheHierarchy, IdentityMapping, ReplacementRegistry, SimConfig,
+    SimOutcome, Simulator,
 };
 use nbti_cache_repro::traces::formats::{write_csv, write_din, write_lackey, TraceFormat};
-use nbti_cache_repro::traces::suite;
+use nbti_cache_repro::traces::source::SliceSource;
+use nbti_cache_repro::traces::{suite, TraceError, TraceSource};
 
 const CYCLES: usize = 30_000;
 
@@ -171,5 +173,89 @@ fn file_backed_sources_match_the_in_memory_stream() {
             .simulate_source(source.as_mut(), None, UpdateSchedule::Never)
             .unwrap();
         assert_identical(&reference, &from_file, format.key());
+    }
+}
+
+/// Hands out the accesses in a repeating cycle of odd chunk sizes
+/// (clipped to what the caller asks for), so the fan-out loop sees
+/// chunk boundaries no target would pick on its own.
+struct OddChunks<'a> {
+    rest: &'a [Access],
+    turn: usize,
+}
+
+impl TraceSource for OddChunks<'_> {
+    fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError> {
+        const SIZES: [usize; 4] = [1, 7, 997, 4093];
+        let n = SIZES[self.turn % SIZES.len()].min(max).min(self.rest.len());
+        self.turn += 1;
+        let (head, tail) = self.rest.split_at(n);
+        buf.extend_from_slice(head);
+        self.rest = tail;
+        Ok(n)
+    }
+}
+
+#[test]
+fn one_source_fanned_out_equals_each_target_simulated_alone() {
+    // The session's trace groups stream one source through every
+    // geometry that needs it. Each target must land on the same bits
+    // as simulating it by itself — scalar and batched — including
+    // under mid-trace updates and an access budget.
+    let profile = suite::by_name("dijkstra").unwrap();
+    let accesses: Vec<_> = profile.trace(21).take(CYCLES).collect();
+    let level = |kb: u64, ways: u32| {
+        let geom = CacheGeometry::new(kb * 1024, 16, ways, 4).unwrap();
+        PartitionedCache::new_named(geom, "probing", PolicyRegistry::builtin()).unwrap()
+    };
+    let levels = [
+        level(8, 1),
+        level(16, 1),
+        level(32, 1),
+        level(16, 4)
+            .with_replacement("lru", ReplacementRegistry::global().clone())
+            .unwrap(),
+    ];
+    let (l1, l2) = (level(16, 1), level(64, 4));
+    for (update, limit) in [
+        (UpdateSchedule::Never, None),
+        (UpdateSchedule::EveryCycles(7_000), Some(25_000u64)),
+    ] {
+        let context = format!("{update:?}/{limit:?}");
+        let mut targets: Vec<SimTarget> = levels
+            .iter()
+            .map(|c| SimTarget::Level(c.simulator().unwrap()))
+            .collect();
+        targets.push(SimTarget::Hierarchy(l1.hierarchy(&l2).unwrap()));
+        let mut source = OddChunks {
+            rest: &accesses,
+            turn: 0,
+        };
+        simulate_fanout(&mut source, &mut targets, limit, update).unwrap();
+        let mut outcomes: Vec<_> = targets.into_iter().map(SimTarget::finish).collect();
+        let (fanned_l1, fanned_l2) = outcomes.pop().unwrap();
+        let fanned_l2 = fanned_l2.expect("the last target is the hierarchy");
+
+        let taken = limit.map_or(accesses.len(), |n| n as usize);
+        for (cache, (fanned, l2)) in levels.iter().zip(outcomes) {
+            assert!(l2.is_none());
+            let scalar = cache
+                .simulate(accesses[..taken].iter().copied(), update)
+                .unwrap();
+            let batched = cache
+                .simulate_source(&mut SliceSource::new(&accesses), limit, update)
+                .unwrap();
+            let name = format!("{context}/{:?}", cache.geometry());
+            assert_identical(&scalar, &fanned, &format!("{name}/scalar"));
+            assert_identical(&batched, &fanned, &format!("{name}/batched"));
+        }
+        let alone = l1
+            .simulate_hierarchy_source(&l2, &mut SliceSource::new(&accesses), limit, update)
+            .unwrap();
+        assert_identical(&alone.l1, &fanned_l1, &format!("{context}/L1"));
+        assert_identical(&alone.l2, &fanned_l2, &format!("{context}/L2"));
+        if limit.is_some() {
+            assert_eq!(fanned_l1.updates, 25_000 / 7_000, "{context}");
+        }
     }
 }
