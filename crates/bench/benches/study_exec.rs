@@ -1,19 +1,17 @@
 //! Execution-layer benchmark: the Table II preset, cold vs warm
-//! result cache — and a cold *multi-process* run sharded across two
-//! worker processes — through the `StudySession` front door.
+//! result cache, through the `StudySession` front door.
 //!
 //! Unlike the micro-benches, the unit of work here is a whole study
 //! (54 scenarios at the harness trace horizon), so this bench times
 //! single runs instead of looping a closure — and writes the
 //! machine-readable baseline `BENCH_study.json` (scenarios/sec plus
-//! cold, warm-cache and multi-process wall times) next to the working
-//! directory, via [`repro_bench::harness::write_baseline`].
+//! cold and warm-cache wall times) next to the working directory, via
+//! [`repro_bench::harness::write_baseline`].
 //!
 //! `cargo bench -p repro-bench --bench study_exec`
 
-use aging_cache::exec::{ExecOptions, ProcessOptions, WorkerCommand};
 use aging_cache::presets;
-use aging_cache::rescache::{JsonlCache, MemoryCache};
+use aging_cache::rescache::MemoryCache;
 use repro_bench::harness::write_baseline;
 use repro_bench::{default_config, session};
 use std::time::Instant;
@@ -43,45 +41,11 @@ fn main() {
     let stats = session.stats();
     assert_eq!(stats.cache_hits, scenarios, "warm run must be all hits");
 
-    // Multi-process cold: the same grid sharded across two worker
-    // processes (the `study` binary in `--worker` mode) coordinated
-    // through a fresh on-disk journal, then replayed by the
-    // coordinator. Byte-identical, like every other backend.
-    let dir = std::env::temp_dir().join(format!("nbti-bench-mp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create bench cache dir");
-    // Pin the small-grid fallback off: this row *measures* the
-    // process-backend overhead the fallback exists to avoid.
-    let mut mp_popts =
-        ProcessOptions::new(&dir, 2, WorkerCommand::new(env!("CARGO_BIN_EXE_study"), []));
-    mp_popts.fallback_threshold = 0;
-    let mp_session = repro_bench::session()
-        .cache(JsonlCache::in_dir(&dir).expect("open bench journal"))
-        .exec(ExecOptions::process(mp_popts));
-    let t = Instant::now();
-    let mp_report = mp_session.run(&spec).expect("multi-process cold run");
-    let mp_cold_s = t.elapsed().as_secs_f64();
-    assert_eq!(
-        mp_report.to_json(),
-        cold_report.to_json(),
-        "a multi-process run must be byte-identical"
-    );
-    assert_eq!(
-        mp_session.stats().evaluations,
-        0,
-        "the coordinator must replay, not compute"
-    );
-    std::fs::remove_dir_all(&dir).expect("remove bench cache dir");
-
     println!();
     println!("benchmark group: study_exec (Table II preset, {scenarios} scenarios)");
     println!("{:<32} {:>12} {:>18}", "name", "wall", "throughput");
     println!("{}", "-".repeat(64));
-    for (name, secs) in [
-        ("cold", cold_s),
-        ("warm-cache", warm_s),
-        ("mp-cold-2-workers", mp_cold_s),
-    ] {
+    for (name, secs) in [("cold", cold_s), ("warm-cache", warm_s)] {
         println!(
             "{:<32} {:>9.3} s {:>14.1} scen/s",
             format!("study_exec/{name}"),
@@ -103,8 +67,6 @@ fn main() {
             ("cold_scenarios_per_s", scenarios as f64 / cold_s),
             ("warm_scenarios_per_s", scenarios as f64 / warm_s),
             ("warm_speedup", cold_s / warm_s),
-            ("mp_cold_wall_s", mp_cold_s),
-            ("mp_cold_scenarios_per_s", scenarios as f64 / mp_cold_s),
             ("simulations_cold", stats.simulations as f64),
         ],
     )

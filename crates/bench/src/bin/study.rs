@@ -92,16 +92,10 @@
 //!   finish (`cached` marks scenarios replayed from the journal).
 //! * `--sequential` forces the single-threaded executor backend
 //!   (`--threads N` caps the threaded one, as before).
-//! * `--workers N` shards the sweep across `N` worker *processes*
-//!   (this binary re-spawned in `--worker` mode), coordinated through
-//!   the `--cache-dir` journal with crash-tolerant shard leases: a
-//!   killed worker's lease goes stale and is stolen, and whatever
-//!   nobody finished is computed in-process at the end — the report is
-//!   byte-identical to a sequential run regardless. `--lease-ttl-ms`
-//!   tunes the staleness threshold. Requires `--cache-dir`. Grids
-//!   below `--mp-threshold` scenarios (default 128, 0 disables) fall
-//!   back to the threaded backend with a notice — process sharding
-//!   only pays for itself on large sweeps.
+//! * Two runs — or a run and `study serve` — may share one
+//!   `--cache-dir`: the journal's locked appends keep each scenario on
+//!   exactly one line, and whichever process finishes a cell first
+//!   journals it.
 //!
 //! The serving layer is on the command line too:
 //!
@@ -118,8 +112,7 @@
 //!   the server without `curl`.
 
 use aging_cache::analysis::{self, Axis, ReportDiff};
-use aging_cache::distrib::{run_worker, WorkerConfig};
-use aging_cache::exec::{ExecObserver, ExecOptions, ProcessOptions, RecordOrigin, WorkerCommand};
+use aging_cache::exec::{ExecObserver, ExecOptions, RecordOrigin};
 use aging_cache::model::ModelRegistry;
 use aging_cache::render::{self, Format};
 use aging_cache::rescache::{JsonlCache, MemoryCache, ResultCache};
@@ -153,38 +146,6 @@ impl ExecObserver for Progress {
                 ""
             }
         );
-    }
-
-    fn on_worker(&self, worker: &str, computed: usize, cached: usize) {
-        eprintln!("[worker {worker}] computed: {computed}, cached: {cached}");
-    }
-
-    fn on_notice(&self, message: &str) {
-        eprintln!("[study] {message}");
-    }
-}
-
-/// Installed for `--workers` runs without `--progress`: backend
-/// notices (e.g. the small-grid fallback to the threaded executor)
-/// must reach the user either way.
-struct Notices;
-
-impl ExecObserver for Notices {
-    fn on_notice(&self, message: &str) {
-        eprintln!("[study] {message}");
-    }
-}
-
-/// `study --worker <cache-dir> --coord <dir> …`: the worker half of a
-/// `--workers N` run — the coordinator re-spawns this binary with the
-/// lease-protocol flags. Exits 0 when the worker ran its shards to
-/// completion (scenario errors are reported through the coordination
-/// directory, not the exit code).
-fn worker_main(args: &[String]) {
-    let run = WorkerConfig::parse(args).and_then(|config| run_worker(&config, StudySession::new()));
-    if let Err(e) = run {
-        eprintln!("study --worker: {e}");
-        std::process::exit(1);
     }
 }
 
@@ -345,10 +306,6 @@ fn main() {
         fetch_main(&args[1..]);
         return;
     }
-    if args.iter().any(|a| a == "--worker") {
-        worker_main(&args);
-        return;
-    }
     let mut spec_args = SpecArgs::new(REPORT_NAME);
     let mut format = Format::Text;
     let mut cache_dir: Option<String> = None;
@@ -357,10 +314,6 @@ fn main() {
     let mut resume = false;
     let mut progress = false;
     let mut sequential = false;
-    let mut workers = 0usize;
-    let mut lease_ttl_ms: Option<u64> = None;
-    let mut mp_threshold: Option<usize> = None;
-    let mut kill_workers: Vec<(usize, usize)> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -426,39 +379,6 @@ fn main() {
         }
         match flag {
             "--cache-dir" => cache_dir = Some(value.clone()),
-            "--workers" => {
-                workers = value.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid value `{value}` for --workers");
-                    std::process::exit(2);
-                });
-            }
-            "--lease-ttl-ms" => {
-                lease_ttl_ms = Some(value.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid value `{value}` for --lease-ttl-ms");
-                    std::process::exit(2);
-                }));
-            }
-            // Below this many scenarios a --workers run falls back to
-            // the threaded backend (0 = never fall back).
-            "--mp-threshold" => {
-                mp_threshold = Some(value.parse().unwrap_or_else(|_| {
-                    eprintln!("invalid value `{value}` for --mp-threshold");
-                    std::process::exit(2);
-                }));
-            }
-            // Undocumented fault-injection hook for the CI smoke and
-            // crash drills: `--kill-worker <i>:<n>` makes worker `i`
-            // SIGKILL itself after journaling `n` records.
-            "--kill-worker" => {
-                let parsed = value
-                    .split_once(':')
-                    .and_then(|(i, n)| Some((i.trim().parse().ok()?, n.trim().parse().ok()?)));
-                let Some(pair) = parsed else {
-                    eprintln!("invalid value `{value}` for --kill-worker (expected <i>:<n>)");
-                    std::process::exit(2);
-                };
-                kill_workers.push(pair);
-            }
             "--format" => {
                 format = Format::parse(value).unwrap_or_else(|e| {
                     eprintln!("{e}");
@@ -486,7 +406,6 @@ fn main() {
                      --model --temp --vlow --fail \
                      --trace-cycles --seed --threads --sequential \
                      --cache-dir <dir> --resume --progress \
-                     --workers <n> --lease-ttl-ms <ms> --mp-threshold <n> \
                      --format <text|md|csv|json> --group-by <axes> --baseline <policy> \
                      --json --list-policies --list-workloads --list-models \
                      (or: study compare <left> <right> [--tol <abs>], \
@@ -515,43 +434,12 @@ fn main() {
         eprintln!("--resume needs --cache-dir <dir> (there is no journal to resume from)");
         std::process::exit(2);
     }
-    if workers > 0 && cache_dir.is_none() {
-        eprintln!("--workers needs --cache-dir <dir> (the workers coordinate through the journal)");
-        std::process::exit(2);
-    }
     let mut session = StudySession::new();
     if sequential {
         session = session.exec(ExecOptions::sequential());
     }
-    if workers > 0 {
-        let dir = cache_dir.clone().expect("checked above");
-        let exe = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("--workers: cannot locate own executable: {e}");
-            std::process::exit(1);
-        });
-        let mut popts = ProcessOptions::new(dir, workers, WorkerCommand::new(exe, []));
-        if let Some(ttl) = lease_ttl_ms {
-            popts.lease_ttl_ms = ttl;
-        }
-        if let Some(threshold) = mp_threshold {
-            popts.fallback_threshold = threshold;
-        }
-        if !kill_workers.is_empty() {
-            popts.worker_extra_args = vec![Vec::new(); workers];
-            for (i, n) in kill_workers {
-                if i >= workers {
-                    eprintln!("--kill-worker: worker {i} is out of range (0..{workers})");
-                    std::process::exit(2);
-                }
-                popts.worker_extra_args[i].extend(["--die-after".to_string(), n.to_string()]);
-            }
-        }
-        session = session.exec(ExecOptions::process(popts));
-    }
     if progress {
         session = session.observer(Progress);
-    } else if workers > 0 {
-        session = session.observer(Notices);
     }
     let caching = cache_dir.is_some();
     if let Some(dir) = cache_dir {

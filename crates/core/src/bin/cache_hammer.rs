@@ -1,4 +1,6 @@
-//! Multi-process journal stress tool.
+//! Shared-journal stress tool: stands in for two processes — two
+//! `study` runs, or a `study` run next to `study serve` — appending
+//! to one `--cache-dir` at once.
 //!
 //! Appends a deterministic run of synthetic measurements to a shared
 //! [`JsonlCache`] directory:
@@ -12,9 +14,10 @@
 //! a pure function of `i` — so two hammers racing over *overlapping*
 //! ranges attempt to journal identical lines for the shared keys, and
 //! the journal is correct iff each key ends up on exactly one line.
-//! `tests/journal_hammer.rs` and the CI smoke drive two of these
-//! concurrently and then hold the reopened journal to
-//! `study check --journal` (zero duplicate or corrupt findings).
+//! `tests/journal_hammer.rs` drives two of these concurrently and then
+//! holds the reopened journal to `check_journal` (zero duplicate or
+//! corrupt findings); the CI shared-cache-dir smoke races two real
+//! `study` runs the same way.
 
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, ResultCache};
 

@@ -8,12 +8,10 @@
 //! call. The execution layer splits that loop into replaceable parts:
 //!
 //! * an [`Executor`] decides *where* scenario tasks run — in the
-//!   calling thread ([`SequentialExecutor`]), across a
+//!   calling thread ([`SequentialExecutor`]) or across a
 //!   self-scheduling worker pool ([`ThreadedExecutor`]) whose idle
 //!   workers steal the next unclaimed scenario from a shared atomic
-//!   counter, or across worker *processes* coordinated through a
-//!   shared cache directory ([`ProcessExecutor`] +
-//!   [`crate::distrib`]);
+//!   counter;
 //! * [`ExecOptions`] is the declarative knob a caller hands to a
 //!   [`StudySession`](crate::session::StudySession): backend choice
 //!   plus an optional worker cap;
@@ -23,18 +21,14 @@
 //!   `on_finish` with the assembled report and the session's counters.
 //!
 //! Determinism is unaffected by the backend: records land in
-//! scenario-id slots, so sequential, threaded, multi-process and
-//! cache-warm runs emit byte-identical reports (pinned by
-//! `tests/exec_cache.rs` — including runs where a worker process is
-//! killed mid-sweep, see `tests/worker_crash.rs`).
+//! scenario-id slots, so sequential, threaded and cache-warm runs emit
+//! byte-identical reports (pinned by `tests/exec_cache.rs`).
 //!
 //! [`ScenarioGrid::run`]: crate::study::ScenarioGrid::run
 
 use crate::session::SessionStats;
 use crate::study::{ScenarioRecord, StudyReport};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Where a task pool runs scenario tasks.
 ///
@@ -124,124 +118,6 @@ impl Executor for ThreadedExecutor {
     }
 }
 
-/// The finish-line half of the multi-process backend.
-///
-/// The *distribution* phase of a process-sharded run — writing the
-/// grid manifest, spawning `--worker` processes, leasing shards,
-/// waiting for the journals to merge — happens inside the session
-/// before any executor runs (see [`crate::distrib`]): an `Executor`
-/// only ever sees opaque index tasks, which is too late to shard a
-/// grid across processes. What remains for this executor is the
-/// coordinator's replay pass over the merged journal: every task is
-/// expected to be a cache hit (zero recomputation), and any scenario a
-/// crashed worker left behind is computed here, in-process. Replay is
-/// cheap and leftovers are rare, so it delegates to the threaded pool.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProcessExecutor {
-    threads: Option<usize>,
-}
-
-impl ProcessExecutor {
-    /// A replay pass at available parallelism.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Executor for ProcessExecutor {
-    fn name(&self) -> &'static str {
-        "process"
-    }
-
-    fn execute(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        ThreadedExecutor {
-            threads: self.threads,
-        }
-        .execute(count, task);
-    }
-}
-
-/// How a coordinator re-spawns itself (or a dedicated worker binary)
-/// as a `--worker` process.
-///
-/// `program` is invoked with `args` first, then the protocol flags the
-/// coordinator appends (`--worker <cache-dir> --coord <dir> --id <id>
-/// --lease <a>..<b> --ttl-ms <n> --poll-ms <n>`), then any per-worker
-/// extras from [`ProcessOptions::worker_extra_args`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerCommand {
-    /// The executable to spawn.
-    pub program: PathBuf,
-    /// Arguments placed before the protocol flags (e.g. a subcommand).
-    pub args: Vec<String>,
-}
-
-impl WorkerCommand {
-    /// A worker command line.
-    pub fn new(program: impl Into<PathBuf>, args: impl IntoIterator<Item = String>) -> Self {
-        Self {
-            program: program.into(),
-            args: args.into_iter().collect(),
-        }
-    }
-}
-
-/// Configuration of a process-sharded run: the shared cache directory
-/// the workers coordinate through, how many to spawn, and the lease
-/// protocol's timing knobs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProcessOptions {
-    /// The shared cache directory — the [`JsonlCache`] journal all
-    /// workers append to, and the home of the run's coordination
-    /// state (`coord-<digest>/`).
-    ///
-    /// [`JsonlCache`]: crate::rescache::JsonlCache
-    pub dir: PathBuf,
-    /// Worker processes to spawn.
-    pub workers: usize,
-    /// How to spawn one.
-    pub command: WorkerCommand,
-    /// Lease staleness threshold: a lease whose heartbeat (file
-    /// mtime) is older than this is considered abandoned and may be
-    /// stolen. Default 10 000 ms.
-    pub lease_ttl_ms: u64,
-    /// How long an idle worker sleeps before re-scanning for claimable
-    /// shards. Default 250 ms.
-    pub poll_ms: u64,
-    /// Shard granularity: the grid is split into
-    /// `workers × shards_per_worker` shards (clamped to the scenario
-    /// count), finer than one-per-worker so a stolen crashed share
-    /// redistributes in pieces. Default 4.
-    pub shards_per_worker: usize,
-    /// Extra argv appended to worker `i`'s command line — the fault
-    /// injection hook the crash tests use (e.g. `--die-after 2`).
-    pub worker_extra_args: Vec<Vec<String>>,
-    /// Grids smaller than this run on the threaded backend instead of
-    /// sharding across processes (with an
-    /// [`ExecObserver::on_notice`]): process spawn + lease-poll
-    /// overhead dominates small sweeps — the 54-scenario reference
-    /// grid is ~2× *slower* sharded than sequential. `0` disables the
-    /// fallback (the crash drills pin it off to test real process
-    /// execution on small grids). Default 128.
-    pub fallback_threshold: usize,
-}
-
-impl ProcessOptions {
-    /// Options with default protocol timing.
-    pub fn new(dir: impl Into<PathBuf>, workers: usize, command: WorkerCommand) -> Self {
-        Self {
-            dir: dir.into(),
-            workers,
-            command,
-            lease_ttl_ms: 10_000,
-            poll_ms: 250,
-            shards_per_worker: 4,
-            worker_extra_args: Vec::new(),
-            fallback_threshold: 128,
-        }
-    }
-}
-
 /// Which executor a session builds, plus its worker cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
@@ -250,12 +126,6 @@ pub enum ExecBackend {
     Threaded,
     /// [`SequentialExecutor`].
     Sequential,
-    /// [`ProcessExecutor`]: the grid is sharded across worker
-    /// *processes* coordinated through a shared cache directory, then
-    /// replayed in-process from the merged journal. Requires
-    /// [`ExecOptions::process`] configuration and a session with an
-    /// on-disk result cache over the same directory.
-    Process,
 }
 
 /// Declarative executor selection for a
@@ -272,10 +142,6 @@ pub struct ExecOptions {
     /// Worker cap for the threaded backend (`None` = available
     /// parallelism; ignored by the sequential backend).
     pub threads: Option<usize>,
-    /// Process-sharding configuration; required by (and only read by)
-    /// [`ExecBackend::Process`]. Behind an `Arc` so cloning the
-    /// options stays cheap.
-    pub process: Option<Arc<ProcessOptions>>,
 }
 
 impl ExecOptions {
@@ -292,17 +158,6 @@ impl ExecOptions {
         }
     }
 
-    /// The multi-process backend: shard the grid across
-    /// `options.workers` worker processes coordinated through
-    /// `options.dir`, then replay the merged journal.
-    pub fn process(options: ProcessOptions) -> Self {
-        Self {
-            backend: ExecBackend::Process,
-            threads: None,
-            process: Some(Arc::new(options)),
-        }
-    }
-
     /// Caps the threaded backend's worker count.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -314,7 +169,7 @@ impl ExecOptions {
     pub(crate) fn workers(&self, count: usize) -> usize {
         match self.backend {
             ExecBackend::Sequential => 1,
-            ExecBackend::Threaded | ExecBackend::Process => ThreadedExecutor {
+            ExecBackend::Threaded => ThreadedExecutor {
                 threads: self.threads,
             }
             .workers(count),
@@ -326,9 +181,6 @@ impl ExecOptions {
         match self.backend {
             ExecBackend::Sequential => Box::new(SequentialExecutor),
             ExecBackend::Threaded => Box::new(ThreadedExecutor {
-                threads: self.threads,
-            }),
-            ExecBackend::Process => Box::new(ProcessExecutor {
                 threads: self.threads,
             }),
         }
@@ -372,25 +224,6 @@ pub trait ExecObserver: Send + Sync {
     fn on_finish(&self, report: &StudyReport, stats: &SessionStats) {
         let _ = (report, stats);
     }
-
-    /// A worker *process* of a distributed run exited and reported its
-    /// counters: scenarios it computed and scenarios it replayed from
-    /// the shared journal. Fires once per surviving worker, after the
-    /// workers finish and before the coordinator's replay pass (a
-    /// worker that crashed reports nothing — its finished work is
-    /// still in the journal).
-    fn on_worker(&self, worker: &str, computed: usize, cached: usize) {
-        let _ = (worker, computed, cached);
-    }
-
-    /// The session changed how it will execute and the user should
-    /// know why — e.g. a small grid fell back from the process backend
-    /// to the threaded one ([`ProcessOptions::fallback_threshold`]).
-    /// Never fires on the result path: a notice changes *where* work
-    /// runs, not what it produces.
-    fn on_notice(&self, message: &str) {
-        let _ = message;
-    }
 }
 
 #[cfg(test)]
@@ -425,19 +258,11 @@ mod tests {
     fn options_build_the_named_backend() {
         assert_eq!(ExecOptions::sequential().build().name(), "sequential");
         assert_eq!(ExecOptions::threaded().build().name(), "threaded");
-        let process = ExecOptions::process(ProcessOptions::new(
-            "/tmp/grid",
-            2,
-            WorkerCommand::new("study", ["--quiet".to_string()]),
-        ));
-        assert_eq!(process.build().name(), "process");
-        assert_eq!(process.process.as_ref().unwrap().workers, 2);
         assert_eq!(
             ExecOptions::threaded().with_threads(2),
             ExecOptions {
                 backend: ExecBackend::Threaded,
                 threads: Some(2),
-                process: None,
             }
         );
     }

@@ -125,7 +125,6 @@ pub mod arch;
 pub mod check;
 pub mod control;
 pub mod decoder;
-pub mod distrib;
 pub mod error;
 pub mod exec;
 pub mod experiment;

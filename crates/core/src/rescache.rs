@@ -320,8 +320,9 @@ pub trait ResultCache: Send + Sync {
     ///
     /// Purely in-memory caches have nothing to absorb; the default is
     /// a no-op. [`JsonlCache`] re-reads the journal's growth so a
-    /// coordinator can replay measurements that worker processes
-    /// appended concurrently.
+    /// long-lived handle — `study serve`'s coverage checks and
+    /// `/compare` — sees cells another process (a CLI run on the same
+    /// `--cache-dir`) appended since it opened.
     ///
     /// # Errors
     ///
@@ -436,14 +437,15 @@ impl Drop for JournalLock<'_> {
 /// append mode, so concurrent writers never interleave and an
 /// interrupted run leaves a valid journal of every completed line.
 ///
-/// The journal is safe to share between *processes*: every append
+/// The journal is safe to share between *processes* — two CLI runs on
+/// one `--cache-dir`, or a CLI run next to `study serve`: every append
 /// takes an OS-level advisory lock on the file, absorbs lines other
 /// writers appended since this handle last looked (deduplicating by
 /// fingerprint, so each measurement is journaled exactly once), and
 /// only then writes its own line. [`JsonlCache::refresh`]
 /// (via [`ResultCache::refresh`]) runs the same absorb step without
-/// writing — the multi-process coordinator calls it to replay worker
-/// results with zero recomputation.
+/// writing — the server calls it so cells another process journaled
+/// become visible without a restart.
 pub struct JsonlCache {
     path: PathBuf,
     inner: Mutex<JsonlInner>,

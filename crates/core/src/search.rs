@@ -38,9 +38,8 @@
 //! * [`Search`] — the front door: space + objective + constraints +
 //!   driver + probe budget, run through an ordinary
 //!   [`StudySession`]. Every probe
-//!   batch goes through [`StudySession::run_grid`] — threaded or
-//!   process-sharded, journaled in the content-addressed result
-//!   cache — so a warm re-run of the same search replays the
+//!   batch goes through [`StudySession::run_grid`] — sequential or
+//!   threaded, journaled in the content-addressed result cache — so a warm re-run of the same search replays the
 //!   identical [`SearchReport`] with **zero** simulations, and probes
 //!   land in the same journal plain sweeps use: search and grids
 //!   compound.

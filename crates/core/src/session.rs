@@ -305,8 +305,7 @@ impl StudySession {
     }
 
     /// Replaces the session's replacement-policy registry (used by
-    /// [`StudySession::spec`] and by distribution workers rebuilding
-    /// manifest subgrids).
+    /// [`StudySession::spec`]).
     #[must_use]
     pub fn replacement_registry(mut self, registry: cache_sim::ReplacementRegistry) -> Self {
         self.replacements = registry;
@@ -324,22 +323,10 @@ impl StudySession {
         self.cache.as_deref()
     }
 
-    /// The session's policy registry (the distribution layer resolves
-    /// manifest scenarios against it).
-    pub(crate) fn policy_registry_ref(&self) -> &PolicyRegistry {
-        &self.policies
-    }
-
-    /// The session's workload registry (the distribution layer
-    /// resolves manifest workload keys against it).
+    /// The session's workload registry (the server resolves request
+    /// workload keys against it).
     pub(crate) fn workload_registry_ref(&self) -> &WorkloadRegistry {
         &self.workloads
-    }
-
-    /// The session's replacement-policy registry (the distribution
-    /// layer resolves manifest replacement names against it).
-    pub(crate) fn replacement_registry_ref(&self) -> &cache_sim::ReplacementRegistry {
-        &self.replacements
     }
 
     /// A new [`StudySpec`] pre-wired with the session's policy,
@@ -475,49 +462,6 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     let mut exec = env.exec.clone();
     if let Some(threads) = grid.threads_cap() {
         exec = exec.with_threads(threads);
-    }
-    // The process backend runs its distribution phase first: shard the
-    // grid across worker processes over the shared journal, then
-    // refresh this process's cache handle so the executor pass below
-    // replays the merged journal instead of recomputing (it computes
-    // only what crashed workers left unfinished).
-    if exec.backend == crate::exec::ExecBackend::Process {
-        let Some(popts) = exec.process.clone() else {
-            return Err(CoreError::Report {
-                message:
-                    "process backend selected without process options (use ExecOptions::process)"
-                        .into(),
-            });
-        };
-        // Small grids are faster in-process: spawn + lease-poll
-        // overhead dominates below the threshold (~2× slower than
-        // sequential at the 54-scenario reference grid), so fall back
-        // to the threaded backend and say so. The report is
-        // byte-identical either way — backends only move work around.
-        if grid.len() < popts.fallback_threshold {
-            if let Some(obs) = env.observer {
-                obs.on_notice(&format!(
-                    "process backend: {} scenarios is below the fallback threshold ({}); \
-                     running threaded instead",
-                    grid.len(),
-                    popts.fallback_threshold
-                ));
-            }
-            exec = crate::exec::ExecOptions::threaded();
-            if let Some(threads) = grid.threads_cap() {
-                exec = exec.with_threads(threads);
-            }
-        } else {
-            let Some(cache) = env.cache else {
-                return Err(CoreError::Report {
-                    message: "process backend requires a result cache over the shared directory \
-                              (attach JsonlCache::in_dir on the same dir)"
-                        .into(),
-                });
-            };
-            crate::distrib::distribute(grid, cache, env.observer, &popts)?;
-            cache.refresh()?;
-        }
     }
 
     let plan = TracePlan::new(&exec, n);

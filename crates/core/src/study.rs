@@ -856,10 +856,10 @@ impl std::fmt::Debug for ScenarioGrid {
 }
 
 impl ScenarioGrid {
-    /// A grid assembled from pre-expanded parts — the distribution
-    /// layer's path for rebuilding worker subgrids from a manifest.
-    /// Scenarios keep whatever ids they carry (worker subgrids keep
-    /// *global* ids so errors name the right grid point), and the full
+    /// A grid assembled from pre-expanded parts — the search layer's
+    /// path for expanded spaces and probe batches. Scenarios keep
+    /// whatever ids they carry (a probe batch keeps its members' ids
+    /// in the full space, offset per ensemble replica), and the full
     /// workload axis rides along so `workload_index` stays valid.
     pub(crate) fn from_parts(
         name: String,

@@ -1,4 +1,6 @@
-//! Two OS processes hammering one shared journal concurrently.
+//! Two OS processes hammering one shared journal concurrently — the
+//! case of two `study` runs, or a `study` run and `study serve`,
+//! sharing one `--cache-dir`.
 //!
 //! The `cache_hammer` binary appends deterministic measurements for a
 //! key range; two hammers race over *overlapping* ranges, so both

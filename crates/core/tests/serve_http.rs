@@ -1,8 +1,9 @@
 //! The serving layer over real TCP: concurrent identical requests
 //! must cost exactly one simulation per cell, served bytes must match
 //! the CLI renderers for every format, cold cells must 409 instead of
-//! computing on a GET, and a token-gated shutdown must drain and
-//! flush the journal.
+//! computing on a GET, cells another journal handle appended must
+//! turn warm without a restart, and a token-gated shutdown must drain
+//! and flush the journal.
 
 use aging_cache::analysis::{self, Axis};
 use aging_cache::render::{self, Format};
@@ -217,6 +218,45 @@ fn cold_cells_answer_409_with_coverage_not_computation() {
             "a GET never computes"
         );
     });
+}
+
+#[test]
+fn cells_another_handle_journaled_turn_warm_without_a_restart() {
+    let dir = std::env::temp_dir().join(format!("nbti-serve-refresh-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let server =
+        StudyServer::bind(JsonlCache::in_dir(&dir).unwrap(), ServeOptions::default()).unwrap();
+    with_server(&server, |addr| {
+        let (status, _, body) = get(addr, &format!("/render?{SPEC_QUERY}"));
+        assert_eq!(status, 409, "{}", String::from_utf8_lossy(&body));
+
+        // A second process, in effect: its own session and its own
+        // handle on the same journal directory runs the grid.
+        let cli = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
+        let report = reference_report(&cli);
+        assert_eq!(cli.stats().cache_stores, 4);
+
+        // The server refreshes its handle before checking coverage, so
+        // the appended cells are warm and render the CLI's bytes.
+        let expected = format!(
+            "{}\n",
+            render::table(
+                &analysis::summary_table(&report, &[], None).unwrap(),
+                Format::Text
+            )
+        );
+        let (status, _, body) = get(addr, &format!("/render?{SPEC_QUERY}"));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(String::from_utf8(body).unwrap(), expected);
+        assert_eq!(
+            server.session().stats().simulations,
+            0,
+            "the server replayed the other handle's cells"
+        );
+    });
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
