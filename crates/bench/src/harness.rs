@@ -48,12 +48,12 @@ impl Harness {
     }
 
     /// Benchmarks a closure that processes `elems` elements per call and
-    /// reports element throughput.
-    pub fn bench_throughput<R>(&mut self, name: &str, elems: u64, f: impl FnMut() -> R) {
-        self.run(name, Some(elems), f);
+    /// reports element throughput. Returns the mean ns per call.
+    pub fn bench_throughput<R>(&mut self, name: &str, elems: u64, f: impl FnMut() -> R) -> f64 {
+        self.run(name, Some(elems), f)
     }
 
-    fn run<R>(&mut self, name: &str, elems: Option<u64>, mut f: impl FnMut() -> R) {
+    fn run<R>(&mut self, name: &str, elems: Option<u64>, mut f: impl FnMut() -> R) -> f64 {
         // Warm-up: also calibrates the per-iteration cost.
         let warm_start = Instant::now();
         let mut warm_iters = 0u64;
@@ -92,6 +92,7 @@ impl Harness {
             iters,
             throughput
         );
+        mean
     }
 }
 

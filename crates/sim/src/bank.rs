@@ -139,110 +139,41 @@ impl BankPower {
         ev
     }
 
-    /// Batched equivalent of calling [`BankPower::cycle`] once per
-    /// element of `accessed` (one accessed bank per cycle).
-    ///
-    /// Instead of sweeping every bank every cycle (`O(banks)` per
-    /// access), this walks *events*: counter resets on access, and
-    /// scheduled drowse points exactly `breakeven` cycles after each
-    /// reset, kept in a due-ordered queue with lazy invalidation. Work
-    /// is `O(accesses + banks)` per call, and the controller's
-    /// observable state (states, counters, sleep cycles, wakes) is
-    /// settled to exactly what the per-cycle path would produce before
-    /// returning — the two paths are interchangeable mid-simulation.
-    ///
-    /// `on_cycle(i, woke, active)` fires once per cycle, in order:
-    /// `i` indexes into `accessed`, `woke` reports a wake of the
-    /// accessed bank this cycle, and `active` is the number of
-    /// non-drowsy banks at the end of the cycle (what leakage charging
-    /// needs).
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if an accessed bank index is out of
-    /// range.
-    pub fn cycle_batch(&mut self, accessed: &[u32], mut on_cycle: impl FnMut(usize, bool, u32)) {
-        let banks = self.states.len();
-        let be = self.breakeven as u64;
-        let c0 = self.cycles;
-        // Virtual last-reset cycle per bank, reconstructed from the
-        // saturating counters (exact for counters below saturation; for
-        // saturated/drowsy banks only `gap >= breakeven` matters).
-        let mut last_reset: Vec<u64> = (0..banks).map(|b| c0 - self.counters[b] as u64).collect();
-        let mut drowsy: Vec<bool> = self
-            .states
-            .iter()
-            .map(|s| *s == BankState::Drowsy)
-            .collect();
-        // First cycle whose sleep has not been credited yet (valid only
-        // while `drowsy[b]`). Banks already drowsy at entry have been
-        // credited through cycle c0 by the per-cycle path.
-        let mut sleep_from: Vec<u64> = vec![0; banks];
-        let mut active = 0u32;
-        for b in 0..banks {
-            if drowsy[b] {
-                sleep_from[b] = c0 + 1;
-            } else {
-                active += 1;
-            }
-        }
-        // Due-ordered drowse queue. Entry banks drowse (unless re-reset)
-        // at `last_reset + breakeven`; those dues all precede any due
-        // scheduled inside the batch, so sorting the entry set keeps the
-        // whole queue monotone with plain push_back.
-        let mut pending: Vec<(u64, u32)> = (0..banks)
-            .filter(|&b| !drowsy[b])
-            .map(|b| (last_reset[b] + be, b as u32))
-            .collect();
-        pending.sort_unstable();
-        let mut pending: std::collections::VecDeque<(u64, u32)> = pending.into();
+    /// Cycles of the idle run after an access at cycle `last` that the
+    /// bank spends drowsy within `(from, until]`: the run drowses from
+    /// cycle `last + breakeven` on.
+    fn slept(&self, last: u64, from: u64, until: u64) -> u64 {
+        (until + 1).saturating_sub((last + u64::from(self.breakeven)).max(from + 1))
+    }
 
-        for (i, &bank) in accessed.iter().enumerate() {
-            debug_assert!((bank as usize) < banks, "bank {bank} out of range");
-            let c = c0 + i as u64 + 1;
-            let bi = bank as usize;
-            let mut woke = false;
-            if drowsy[bi] {
-                drowsy[bi] = false;
-                self.wakes[bi] += 1;
-                // Sleep accrued over [sleep_from, c - 1].
-                self.sleep_cycles[bi] += c - sleep_from[bi];
-                active += 1;
-                woke = true;
-            }
-            last_reset[bi] = c;
-            pending.push_back((c + be, bank));
-            while let Some(&(due, db)) = pending.front() {
-                if due > c {
-                    break;
-                }
-                pending.pop_front();
-                let dbi = db as usize;
-                // Stale entries (bank re-reset since scheduling, or
-                // already drowsy via an earlier entry) are skipped.
-                if !drowsy[dbi] && last_reset[dbi] + be == due {
-                    drowsy[dbi] = true;
-                    sleep_from[dbi] = due;
-                    active -= 1;
-                }
-            }
-            on_cycle(i, woke, active);
-        }
+    /// Batched-kernel hook: `bank`, last accessed at cycle `last`, is
+    /// accessed drowsy at cycle `now` and wakes. Counts the wake and
+    /// credits the run's sleep after cycle `from` (the cycles up to
+    /// `from` were credited when they ran).
+    pub(crate) fn wake(&mut self, bank: usize, last: u64, from: u64, now: u64) {
+        self.wakes[bank] += 1;
+        self.sleep_cycles[bank] += self.slept(last, from, now - 1);
+    }
 
-        // Settle the controller state to end-of-batch.
-        let cn = c0 + accessed.len() as u64;
-        self.cycles = cn;
-        for b in 0..banks {
-            let gap = cn - last_reset[b];
-            self.counters[b] = gap.min(be) as u32;
-            if drowsy[b] {
-                self.states[b] = BankState::Drowsy;
-                // Sleep accrued over [sleep_from, cn].
-                self.sleep_cycles[b] += (cn + 1).saturating_sub(sleep_from[b]);
+    /// Batched-kernel hook: settles the controller at cycle `now` from
+    /// each bank's last-access cycle, as [`BankPower::cycle`] would have
+    /// left it, crediting open runs' sleep after cycle `from`.
+    ///
+    /// Exact because a bank's counter is its idle run capped at the
+    /// breakeven time and it is drowsy exactly when the cap is reached.
+    pub(crate) fn settle(&mut self, from: u64, now: u64, last: &[u64]) {
+        let be = u64::from(self.breakeven);
+        for (b, &l) in last.iter().enumerate() {
+            let run = now - l;
+            self.counters[b] = run.min(be) as u32;
+            self.states[b] = if run >= be {
+                BankState::Drowsy
             } else {
-                self.states[b] = BankState::Active;
-            }
+                BankState::Active
+            };
+            self.sleep_cycles[b] += self.slept(l, from, now);
         }
+        self.cycles = now;
     }
 
     /// Fraction of elapsed time `bank` spent asleep.
@@ -330,64 +261,5 @@ mod tests {
     #[should_panic(expected = "breakeven")]
     fn zero_breakeven_panics() {
         let _ = BankPower::new(1, 0);
-    }
-
-    /// Drives a per-cycle and a batched controller over the same access
-    /// stream (split into ragged batches) and asserts identical
-    /// observable state plus identical per-cycle events.
-    fn assert_batch_matches(banks: u32, breakeven: u32, accesses: &[u32], batch_sizes: &[usize]) {
-        let mut reference = BankPower::new(banks, breakeven);
-        let mut events = Vec::new();
-        for &b in accesses {
-            let ev = reference.cycle(Some(b));
-            let active = (0..banks)
-                .filter(|&x| reference.state(x) == BankState::Active)
-                .count() as u32;
-            events.push((ev.woke_bank.is_some(), active));
-        }
-
-        let mut batched = BankPower::new(banks, breakeven);
-        let mut got = Vec::new();
-        let mut rest = accesses;
-        let mut sizes = batch_sizes.iter().cycle();
-        while !rest.is_empty() {
-            let n = (*sizes.next().unwrap()).clamp(1, rest.len());
-            let (head, tail) = rest.split_at(n);
-            batched.cycle_batch(head, |_, woke, active| got.push((woke, active)));
-            rest = tail;
-        }
-
-        assert_eq!(got, events, "per-cycle events diverged");
-        assert_eq!(batched.cycles, reference.cycles);
-        assert_eq!(batched.counters, reference.counters);
-        assert_eq!(batched.states, reference.states);
-        assert_eq!(batched.sleep_cycles, reference.sleep_cycles);
-        assert_eq!(batched.wakes, reference.wakes);
-    }
-
-    #[test]
-    fn cycle_batch_matches_per_cycle_on_random_traffic() {
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for &(banks, be) in &[(2u32, 3u32), (4, 7), (8, 64), (3, 5)] {
-            let accesses: Vec<u32> = (0..5000)
-                .map(|_| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    // Skewed traffic so some banks actually drowse.
-                    let r = (x >> 33) % (banks as u64 * 4);
-                    (r % banks as u64) as u32 * u32::from(r < banks as u64 * 2)
-                })
-                .collect();
-            assert_batch_matches(banks, be, &accesses, &[1, 2, 3, 64, 4096]);
-        }
-    }
-
-    #[test]
-    fn cycle_batch_matches_on_phase_traffic() {
-        // Long single-bank phases: maximal drowse/wake churn.
-        let accesses: Vec<u32> = (0..4000u64).map(|i| ((i / 100) % 4) as u32).collect();
-        assert_batch_matches(4, 10, &accesses, &[7]);
-        assert_batch_matches(4, 10, &accesses, &[4000]);
     }
 }

@@ -133,55 +133,63 @@ impl CacheArray {
         self.clock += 1;
         let ways = self.geometry.ways() as usize;
         let base = set as usize * ways;
-        let slots = &mut self.ways[base..base + ways];
-
-        // Hit?
-        for w in slots.iter_mut() {
-            if w.valid && w.tag == tag {
-                w.stamp = self.clock;
-                if kind == AccessKind::Write {
-                    w.dirty = true;
-                }
-                return AccessResult {
-                    hit: true,
-                    set,
-                    evicted_tag: None,
-                    writeback: false,
-                };
-            }
-        }
-        // Miss: fill the first invalid way, else ask the policy (the
-        // built-in LRU path keeps its historic one-expression form).
-        let victim = match &self.replacement {
-            None => slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| if w.valid { w.stamp + 1 } else { 0 })
-                .map(|(i, _)| i)
-                .expect("at least one way"),
-            Some(policy) => match slots.iter().position(|w| !w.valid) {
-                Some(invalid) => invalid,
-                None => {
-                    self.stamp_buf.clear();
-                    self.stamp_buf.extend(slots.iter().map(|w| w.stamp));
-                    policy.victim(&self.stamp_buf).min(ways - 1)
-                }
-            },
-        };
-        let evicted_tag = slots[victim].valid.then_some(slots[victim].tag);
-        let writeback = slots[victim].valid && slots[victim].dirty;
-        slots[victim] = Way {
-            tag,
-            valid: true,
-            dirty: kind == AccessKind::Write,
-            stamp: self.clock,
-        };
-        AccessResult {
-            hit: false,
+        let Self {
+            ways: lines,
+            clock,
+            replacement,
+            stamp_buf,
+            ..
+        } = self;
+        // A miss fills the first invalid way, else the policy's victim;
+        // the built-in LRU's single scan (`lru_victim`) does both.
+        fill_or_hit(
+            &mut lines[base..base + ways],
+            *clock,
             set,
-            evicted_tag,
-            writeback,
-        }
+            tag,
+            kind,
+            |slots| match replacement {
+                None => lru_victim(slots),
+                Some(policy) => match slots.iter().position(|w| !w.valid) {
+                    Some(invalid) => invalid,
+                    None => {
+                        stamp_buf.clear();
+                        stamp_buf.extend(slots.iter().map(|w| w.stamp));
+                        policy.victim(stamp_buf).min(ways - 1)
+                    }
+                },
+            },
+        )
+    }
+
+    /// Whether the built-in LRU (no registered policy) picks victims,
+    /// the precondition of [`CacheArray::access_lru`].
+    pub(crate) fn is_builtin_lru(&self) -> bool {
+        self.replacement.is_none()
+    }
+
+    /// [`CacheArray::access`] specialized for a built-in-LRU array of
+    /// exactly `W` ways: the set's slice length and victim scan are
+    /// compile-time constants, and no policy dispatch is compiled in.
+    /// Same state transitions, same result.
+    #[inline(always)]
+    pub(crate) fn access_lru<const W: usize>(
+        &mut self,
+        set: u64,
+        tag: u64,
+        kind: AccessKind,
+    ) -> AccessResult {
+        debug_assert!(self.is_builtin_lru() && self.geometry.ways() as usize == W);
+        self.clock += 1;
+        let base = set as usize * W;
+        fill_or_hit(
+            &mut self.ways[base..base + W],
+            self.clock,
+            set,
+            tag,
+            kind,
+            lru_victim,
+        )
     }
 
     /// Convenience: access by address (identity bank mapping).
@@ -222,6 +230,60 @@ impl CacheArray {
         self.ways[base..base + ways]
             .iter()
             .any(|w| w.valid && w.tag == tag)
+    }
+}
+
+/// The built-in LRU victim: the first invalid way, else the way with
+/// the oldest stamp.
+fn lru_victim(slots: &[Way]) -> usize {
+    slots
+        .iter()
+        .enumerate()
+        .min_by_key(|(_, w)| if w.valid { w.stamp + 1 } else { 0 })
+        .map_or(0, |(i, _)| i)
+}
+
+/// One access to a set's `slots` at time `clock`: a hit refreshes the
+/// way's stamp (and dirties it on a write); a miss fills the way
+/// `victim` picks, reporting the evicted tag and any write-back.
+#[inline(always)]
+fn fill_or_hit(
+    slots: &mut [Way],
+    clock: u64,
+    set: u64,
+    tag: u64,
+    kind: AccessKind,
+    victim: impl FnOnce(&[Way]) -> usize,
+) -> AccessResult {
+    for w in slots.iter_mut() {
+        if w.valid && w.tag == tag {
+            w.stamp = clock;
+            if kind == AccessKind::Write {
+                w.dirty = true;
+            }
+            return AccessResult {
+                hit: true,
+                set,
+                evicted_tag: None,
+                writeback: false,
+            };
+        }
+    }
+    let way = victim(slots);
+    let line = &mut slots[way];
+    let evicted_tag = line.valid.then_some(line.tag);
+    let writeback = line.valid && line.dirty;
+    *line = Way {
+        tag,
+        valid: true,
+        dirty: kind == AccessKind::Write,
+        stamp: clock,
+    };
+    AccessResult {
+        hit: false,
+        set,
+        evicted_tag,
+        writeback,
     }
 }
 

@@ -16,12 +16,14 @@
 //! bank mapping, power-state machine, idle tracker and energy ledger —
 //! so the per-level outcomes feed the aging model independently.
 //!
-//! The batched path ([`CacheHierarchy::step_batch`]) runs the L1 on the
-//! batched hot path and replays the recorded per-position hit/miss
-//! flags into the L2 in batch order. Because the L1 is independent of
-//! the L2 and the L2 sees a position-identical access/idle sequence,
-//! the composition is **bitwise identical** to the scalar one (the
-//! `batched_equivalence` integration tests pin this).
+//! The batched path ([`CacheHierarchy::step_batch`]) runs both levels
+//! on the simulator's fused batched kernel: the L1 records per-position
+//! miss flags, and the L2 replays the batch with those flags as a mask,
+//! so a position where the L1 hit is an idle cycle of the L2's loop.
+//! Because the L1 is independent of the L2 and the L2 sees a
+//! position-identical access/idle sequence, the composition is
+//! **bitwise identical** to the scalar one (the `batched_equivalence`
+//! integration tests and the `props` suite pin this).
 
 use crate::error::SimError;
 use crate::run::{Access, Simulator};
@@ -161,11 +163,12 @@ impl CacheHierarchy {
         self.l2.idle_cycle();
     }
 
-    /// Executes a batch of accesses — the hot path. The L1 runs its
-    /// batched pipeline; the recorded per-position miss flags then
-    /// drive the L2 through the identical access/idle sequence the
-    /// scalar composition would produce, so the result is bitwise
-    /// identical to calling [`CacheHierarchy::step`] per element.
+    /// Executes a batch of accesses — the hot path. The L1 runs the
+    /// batched kernel and records per-position miss flags; the L2 then
+    /// runs the same kernel over the batch masked by those flags, the
+    /// access/idle sequence the scalar composition would produce, so
+    /// the result is bitwise identical to calling
+    /// [`CacheHierarchy::step`] per element.
     pub fn step_batch(&mut self, batch: &[Access]) {
         let Self { l1, l2, miss_flags } = self;
         miss_flags.clear();
@@ -175,13 +178,7 @@ impl CacheHierarchy {
                 *flag = !hit;
             }
         });
-        for (access, &miss) in batch.iter().zip(miss_flags.iter()) {
-            if miss {
-                l2.step(*access);
-            } else {
-                l2.idle_cycle();
-            }
-        }
+        l2.step_batch_masked(batch, miss_flags);
     }
 
     /// Applies one dynamic-indexing update to **both** levels: each

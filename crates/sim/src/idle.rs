@@ -106,50 +106,42 @@ impl IdleTracker {
         }
     }
 
+    /// Closes an idle interval of `run` cycles; `run == 0` (an access
+    /// right after an access) closes nothing. Branch-free, because on
+    /// the batched kernel whether a bank's run is empty is as random as
+    /// the trace's bank sequence.
     fn close(stats: &mut IdleStats, run: u64, breakeven: u32) {
-        stats.intervals += 1;
+        let closed = u64::from(run > 0);
+        let long = u64::from(run > u64::from(breakeven));
+        stats.intervals += closed;
         stats.idle_cycles += run;
-        if run > breakeven as u64 {
-            stats.long_intervals += 1;
-            stats.long_idle_cycles += run;
-        }
-        let bucket = (63 - run.leading_zeros()) as usize;
-        stats.histogram[bucket.min(BUCKETS - 1)] += 1;
+        stats.long_intervals += long;
+        stats.long_idle_cycles += run * long;
+        let bucket = (63 - (run | 1).leading_zeros()) as usize;
+        stats.histogram[bucket.min(BUCKETS - 1)] += closed;
     }
 
-    /// Batched equivalent of calling [`IdleTracker::record`] once per
-    /// element of `accessed` (one accessed bank per cycle).
-    ///
-    /// Intervals only close on accesses, so the tracker needs no
-    /// per-cycle bank sweep at all: it keeps a virtual last-access
-    /// timestamp per bank and closes the interval of the accessed bank
-    /// in `O(1)`. Work is `O(accesses + banks)` per call and the
-    /// tracker state is settled to exactly what the per-cycle path
-    /// would produce.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if an accessed bank index is out of
-    /// range.
-    pub fn record_batch(&mut self, accessed: &[u32]) {
-        let banks = self.open_run.len();
-        let c0 = self.cycles;
-        let mut last: Vec<u64> = (0..banks).map(|b| c0 - self.open_run[b]).collect();
-        for (i, &bank) in accessed.iter().enumerate() {
-            debug_assert!((bank as usize) < banks, "bank {bank} out of range");
-            let c = c0 + i as u64 + 1;
-            let bi = bank as usize;
-            let run = c - 1 - last[bi];
-            if run > 0 {
-                Self::close(&mut self.stats[bi], run, self.breakeven);
-            }
-            last[bi] = c;
+    /// Batched-kernel hook: writes each bank's last-access cycle into
+    /// `last` (0 for a bank not accessed yet).
+    pub(crate) fn last_access(&self, last: &mut Vec<u64>) {
+        last.clear();
+        last.extend(self.open_run.iter().map(|&run| self.cycles - run));
+    }
+
+    /// Batched-kernel hook: closes `bank`'s idle interval of `run`
+    /// cycles (none if `run == 0`), as an access after it would in
+    /// [`IdleTracker::record`].
+    pub(crate) fn close_run(&mut self, bank: usize, run: u64) {
+        Self::close(&mut self.stats[bank], run, self.breakeven);
+    }
+
+    /// Batched-kernel hook: settles the tracker at cycle `now` from each
+    /// bank's last-access cycle.
+    pub(crate) fn settle(&mut self, now: u64, last: &[u64]) {
+        for (open, &l) in self.open_run.iter_mut().zip(last) {
+            *open = now - l;
         }
-        let cn = c0 + accessed.len() as u64;
-        self.cycles = cn;
-        for (open, &l) in self.open_run.iter_mut().zip(&last) {
-            *open = cn - l;
-        }
+        self.cycles = now;
     }
 
     /// Closes all open intervals and returns the per-bank statistics.
@@ -251,28 +243,6 @@ mod tests {
         t.record(Some(0));
         let s = t.finish();
         assert_eq!(s[0].long_intervals, 0, "len == breakeven is not 'longer'");
-    }
-
-    #[test]
-    fn record_batch_matches_per_cycle() {
-        let mut x = 0xdead_beef_1234u64;
-        let accesses: Vec<u32> = (0..6000)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 40) % 4) as u32
-            })
-            .collect();
-        let mut reference = IdleTracker::new(4, 9);
-        for &b in &accesses {
-            reference.record(Some(b));
-        }
-        let mut batched = IdleTracker::new(4, 9);
-        for chunk in accesses.chunks(113) {
-            batched.record_batch(chunk);
-        }
-        assert_eq!(batched.cycles, reference.cycles);
-        assert_eq!(batched.open_run, reference.open_run);
-        assert_eq!(batched.finish(), reference.finish());
     }
 
     #[test]

@@ -38,6 +38,46 @@ impl Access {
     }
 }
 
+/// A geometry's address split as shifts and masks, computed once per
+/// simulator: the same fields as the [`CacheGeometry`] accessors.
+#[derive(Debug, Clone, Copy)]
+struct AddressSplit {
+    offset: u32,
+    set_mask: u64,
+    tag_shift: u32,
+    /// Position of the bank-select bits (the index MSBs) in a set.
+    bank_shift: u32,
+    slot_mask: u64,
+}
+
+impl AddressSplit {
+    fn new(geom: &CacheGeometry) -> Self {
+        Self {
+            offset: geom.offset_bits(),
+            set_mask: geom.sets() - 1,
+            tag_shift: geom.offset_bits() + geom.index_bits(),
+            bank_shift: geom.index_bits() - geom.bank_bits(),
+            slot_mask: geom.sets_per_bank() - 1,
+        }
+    }
+}
+
+/// The active-bank count at the end of cycle `now`, given each bank's
+/// last-access cycle, and the earliest later cycle at which an active
+/// bank drowses (`u64::MAX` if none is active).
+fn drowse_watermark(last: &[u64], breakeven: u64, now: u64) -> (u32, u64) {
+    let mut active = 0;
+    let mut next = u64::MAX;
+    for &l in last {
+        let due = l + breakeven;
+        if due > now {
+            active += 1;
+            next = next.min(due);
+        }
+    }
+    (active, next)
+}
+
 /// Everything a [`Simulator`] needs besides the mapping policy.
 #[derive(Clone)]
 pub struct SimConfig {
@@ -170,11 +210,13 @@ pub struct Simulator {
     misses: u64,
     writebacks: u64,
     updates: u64,
-    // Scratch buffers reused across step_batch calls.
-    phys: Vec<u32>,
-    phys_sets: Vec<u64>,
+    split: AddressSplit,
+    /// Logical → physical bank, refreshed whenever the mapping updates.
     lut: Vec<u32>,
+    /// Per-cycle leakage indexed by the active-bank count.
     leak_lut: Vec<f64>,
+    /// Each bank's last-access cycle during a batch (kernel scratch).
+    last: Vec<u64>,
     // Pre-computed per-event energies (fJ).
     access_fj: f64,
     access_overhead_fj: f64,
@@ -222,7 +264,14 @@ impl Simulator {
             Some(policy) => CacheArray::with_replacement(*config.geometry(), Arc::clone(policy)),
             None => CacheArray::new(*config.geometry()),
         };
-        Ok(Self {
+        let leak_lut = (0..=banks)
+            .map(|active| {
+                let drowsy = banks - active;
+                // Exactly charge_leakage's expression, per possible count.
+                active as f64 * leak_active_fj + drowsy as f64 * leak_drowsy_fj
+            })
+            .collect();
+        let mut sim = Self {
             cache,
             power: BankPower::new(banks, breakeven),
             idle: IdleTracker::new(banks, breakeven),
@@ -233,10 +282,10 @@ impl Simulator {
             misses: 0,
             writebacks: 0,
             updates: 0,
-            phys: Vec::new(),
-            phys_sets: Vec::new(),
-            lut: Vec::new(),
-            leak_lut: Vec::new(),
+            split: AddressSplit::new(config.geometry()),
+            lut: Vec::with_capacity(banks as usize),
+            leak_lut,
+            last: Vec::with_capacity(banks as usize),
             access_fj,
             access_overhead_fj,
             wake_fj,
@@ -244,7 +293,16 @@ impl Simulator {
             leak_drowsy_fj,
             leak_overhead_factor,
             config,
-        })
+        };
+        sim.refresh_lut();
+        Ok(sim)
+    }
+
+    fn refresh_lut(&mut self) {
+        let banks = self.config.geometry().banks();
+        self.lut.clear();
+        self.lut
+            .extend((0..banks).map(|l| self.mapping.map_bank(l, banks)));
     }
 
     /// The configuration in use.
@@ -302,17 +360,23 @@ impl Simulator {
     ///
     /// Produces **bitwise-identical** state to calling
     /// [`Simulator::step`] once per element (the `batched_equivalence`
-    /// integration tests enforce this on every built-in workload), but
-    /// amortizes the per-access overheads the scalar path pays:
+    /// integration tests and the `props` suite enforce this), but runs
+    /// one fused, allocation-free pass per access instead of the scalar
+    /// path's `O(banks)` sweeps:
     ///
-    /// * the virtual `map_bank` dispatch collapses to one logical→
-    ///   physical bank LUT per batch (the mapping can only change via
-    ///   [`Simulator::update_mapping`], never mid-batch);
-    /// * the `O(banks)` per-cycle sweeps in [`BankPower`] and
-    ///   [`IdleTracker`] become event-driven batch walks
-    ///   ([`BankPower::cycle_batch`], [`IdleTracker::record_batch`]);
-    /// * per-cycle leakage becomes a table lookup indexed by the live
-    ///   active-bank count (same arithmetic, precomputed).
+    /// * the address split uses shifts and masks fixed at construction,
+    ///   and the virtual `map_bank` dispatch is a logical→physical bank
+    ///   table refreshed only by [`Simulator::update_mapping`];
+    /// * the Block Control and the idle tracker share one last-access
+    ///   cycle per bank: an access closes its bank's idle interval and
+    ///   settles its wake in `O(1)`, and banks are swept only when the
+    ///   clock reaches the earliest cycle at which one can drowse;
+    /// * the tag lookup is chosen once per batch: a built-in-LRU kernel
+    ///   specialized for 1 or 4 ways, else [`CacheArray::access`]
+    ///   (registered policies, other widths);
+    /// * per-cycle leakage is a table lookup by active-bank count, and
+    ///   every energy accumulator receives its terms in the scalar
+    ///   path's per-cycle order.
     ///
     /// The two paths are interchangeable: scalar `step` calls may
     /// precede or follow batches on the same simulator.
@@ -325,33 +389,47 @@ impl Simulator {
     /// element's index and whether it hit. This is the hook a cache
     /// *hierarchy* needs — the observer lets the caller reconstruct the
     /// exact miss stream without leaving the batched hot path.
-    pub fn step_batch_map(&mut self, batch: &[Access], mut on_access: impl FnMut(usize, bool)) {
-        let geom = *self.config.geometry();
-        let banks = geom.banks();
-        self.lut.clear();
-        self.lut
-            .extend((0..banks).map(|l| self.mapping.map_bank(l, banks)));
-        self.leak_lut.clear();
-        for active in 0..=banks {
-            let drowsy = banks - active;
-            // Exactly charge_leakage's expression, per possible count.
-            self.leak_lut
-                .push(active as f64 * self.leak_active_fj + drowsy as f64 * self.leak_drowsy_fj);
-        }
-        self.phys.clear();
-        self.phys.reserve(batch.len());
-        self.phys_sets.clear();
-        self.phys_sets.reserve(batch.len());
-        for access in batch {
-            let set = geom.set_of(access.addr);
-            let physical = self.lut[geom.bank_of_set(set) as usize];
-            debug_assert!(physical < banks, "mapping out of range");
-            self.phys.push(physical);
-            self.phys_sets
-                .push(geom.set_from_bank_slot(physical, geom.slot_in_bank(set)));
-        }
-        self.idle.record_batch(&self.phys);
+    pub fn step_batch_map(&mut self, batch: &[Access], on_access: impl FnMut(usize, bool)) {
+        self.run_batch(batch.iter().map(|&access| Some(access)), on_access);
+    }
 
+    /// [`Simulator::step_batch`] over `batch` where only the positions
+    /// with `present[i]` access the cache; the others are
+    /// [`Simulator::idle_cycle`]s. This is how an L2 runs the L1's miss
+    /// stream on the batched path.
+    pub(crate) fn step_batch_masked(&mut self, batch: &[Access], present: &[bool]) {
+        let cycles = batch
+            .iter()
+            .zip(present)
+            .map(|(&access, &present)| present.then_some(access));
+        self.run_batch(cycles, |_, _| {});
+    }
+
+    /// Picks the tag-lookup kernel once for the whole batch.
+    fn run_batch(
+        &mut self,
+        cycles: impl Iterator<Item = Option<Access>>,
+        on_access: impl FnMut(usize, bool),
+    ) {
+        match (self.cache.is_builtin_lru(), self.config.geometry().ways()) {
+            (true, 1) => self.run_cycles::<1>(cycles, on_access),
+            (true, 4) => self.run_cycles::<4>(cycles, on_access),
+            _ => self.run_cycles::<0>(cycles, on_access),
+        }
+    }
+
+    /// The fused batched kernel: one item of `cycles` per cycle, an
+    /// access or `None` for an idle cycle. `W` is the way count of the
+    /// specialized built-in-LRU lookup, or 0 for [`CacheArray::access`].
+    fn run_cycles<const W: usize>(
+        &mut self,
+        cycles: impl Iterator<Item = Option<Access>>,
+        mut on_access: impl FnMut(usize, bool),
+    ) {
+        let start = self.power.cycles();
+        let be = u64::from(self.power.breakeven());
+        self.idle.last_access(&mut self.last);
+        let split = self.split;
         let access_fj = self.access_fj;
         let access_overhead_fj = self.access_overhead_fj;
         let wake_fj = self.wake_fj;
@@ -359,45 +437,67 @@ impl Simulator {
         let Self {
             cache,
             power,
+            idle,
             ledger,
             bank_accesses,
             hits,
             misses,
             writebacks,
-            phys,
-            phys_sets,
+            lut,
             leak_lut,
+            last,
             ..
         } = self;
-        let phys: &[u32] = phys;
-        let phys_sets: &[u64] = phys_sets;
-        power.cycle_batch(phys, |i, woke, active| {
-            let access = batch[i];
-            let physical_bank = phys[i];
-            let result = cache.access(phys_sets[i], geom.tag_of(access.addr), access.kind);
-            on_access(i, result.hit);
-            if result.hit {
-                *hits += 1;
-            } else {
-                *misses += 1;
-                ledger.dynamic_fj += access_fj;
-                ledger.overhead_fj += access_overhead_fj;
-                if result.writeback {
-                    *writebacks += 1;
+        let (mut active, mut next_drowse) = drowse_watermark(last, be, start);
+        let mut now = start;
+        for (i, cycle) in cycles.enumerate() {
+            now += 1;
+            if let Some(access) = cycle {
+                let set = (access.addr >> split.offset) & split.set_mask;
+                let bank = lut[(set >> split.bank_shift) as usize];
+                let physical_set = (u64::from(bank) << split.bank_shift) | (set & split.slot_mask);
+                let tag = access.addr >> split.tag_shift;
+                let result = if W == 0 {
+                    cache.access(physical_set, tag, access.kind)
+                } else {
+                    cache.access_lru::<W>(physical_set, tag, access.kind)
+                };
+                on_access(i, result.hit);
+                if result.hit {
+                    *hits += 1;
+                } else {
+                    *misses += 1;
                     ledger.dynamic_fj += access_fj;
                     ledger.overhead_fj += access_overhead_fj;
+                    if result.writeback {
+                        *writebacks += 1;
+                        ledger.dynamic_fj += access_fj;
+                        ledger.overhead_fj += access_overhead_fj;
+                    }
                 }
+                let b = bank as usize;
+                bank_accesses[b] += 1;
+                let run = now - 1 - last[b];
+                idle.close_run(b, run);
+                if run >= be {
+                    power.wake(b, last[b], start, now);
+                    ledger.wake_fj += wake_fj;
+                    active += 1;
+                }
+                last[b] = now;
+                next_drowse = next_drowse.min(now + be);
+                ledger.dynamic_fj += access_fj;
+                ledger.overhead_fj += access_overhead_fj;
             }
-            bank_accesses[physical_bank as usize] += 1;
-            if woke {
-                ledger.wake_fj += wake_fj;
+            if now >= next_drowse {
+                (active, next_drowse) = drowse_watermark(last, be, now);
             }
-            ledger.dynamic_fj += access_fj;
-            ledger.overhead_fj += access_overhead_fj;
             let leak = leak_lut[active as usize];
             ledger.leakage_fj += leak;
             ledger.overhead_fj += leak * leak_overhead_factor;
-        });
+        }
+        power.settle(start, now, last);
+        idle.settle(now, last);
     }
 
     /// Advances one cycle with no cache access (a processor stall or
@@ -439,6 +539,7 @@ impl Simulator {
     /// being a bijection (a buggy custom policy).
     pub fn update_mapping(&mut self) -> Result<(), SimError> {
         self.mapping.update();
+        self.refresh_lut();
         if !is_bijective(self.mapping.as_ref(), self.config.geometry().banks()) {
             return Err(SimError::InvalidConfig {
                 name: "mapping",

@@ -2,10 +2,13 @@
 
 use cache_sim::cache::ReferenceCache;
 use cache_sim::{
-    Access, AccessKind, BankPower, CacheArray, CacheGeometry, IdentityMapping, IdleTracker,
-    SimConfig, Simulator,
+    Access, AccessKind, BankMapping, BankPower, CacheArray, CacheGeometry, CacheHierarchy,
+    IdentityMapping, IdleTracker, ReplacementPolicy, ReplacementRegistry, SimConfig, SimOutcome,
+    Simulator,
 };
 use quickprop::Gen;
+use sram_power::BreakevenAnalysis;
+use std::sync::Arc;
 
 const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 64 };
 
@@ -167,5 +170,219 @@ fn idle_partition_of_time() {
         for (b, s) in idle.finish().iter().enumerate() {
             assert_eq!(s.idle_cycles + touches[b], cycles);
         }
+    });
+}
+
+/// A mapping that rotates the banks by one on every update, so the
+/// batched kernel's bank table must follow `update_mapping`.
+struct Rotate(u32);
+
+impl BankMapping for Rotate {
+    fn map_bank(&self, logical: u32, banks: u32) -> u32 {
+        (logical + self.0) % banks
+    }
+
+    fn update(&mut self) {
+        self.0 += 1;
+    }
+}
+
+/// A random geometry over the kernel's axes: ways in {1, 2, 4, 8} and
+/// 2 to 16 banks (capped by the set count), of `2^min_log` bytes or more.
+fn kernel_geometry(g: &mut Gen, min_log: u32) -> CacheGeometry {
+    let size_log = g.u32_in(min_log..min_log + 4);
+    let line_log = g.u32_in(4..6);
+    let ways_log = g.u32_in(0..4);
+    let bank_log = g.u32_in(1..5).min(size_log - line_log - ways_log);
+    CacheGeometry::new(
+        1u64 << size_log,
+        1u32 << line_log,
+        1u32 << ways_log,
+        1u32 << bank_log,
+    )
+    .expect("constructed geometry is valid")
+}
+
+/// The built-in LRU (`None`), the registered `lru` and `mru`, or a
+/// closure-registered policy — so both the specialized built-in-LRU
+/// lookup and the general path run.
+fn replacement(g: &mut Gen) -> Option<Arc<dyn ReplacementPolicy>> {
+    let mut registry = ReplacementRegistry::builtin();
+    registry
+        .register_fn("second-oldest", "evict the second-oldest way", |stamps| {
+            let oldest = stamps.iter().min().copied().unwrap_or(0);
+            stamps
+                .iter()
+                .enumerate()
+                .filter(|&(_, &s)| s != oldest)
+                .min_by_key(|&(_, &s)| s)
+                .map_or(0, |(i, _)| i)
+        })
+        .expect("fresh name");
+    let name = *g.pick(&["builtin", "lru", "mru", "second-oldest"]);
+    registry.resolve(name).ok()
+}
+
+/// A simulator with a random breakeven time (down to one cycle, so
+/// drowse and wake fire constantly) and the rotating mapping.
+fn kernel_sim(
+    geom: CacheGeometry,
+    breakeven: u32,
+    repl: Option<Arc<dyn ReplacementPolicy>>,
+) -> Simulator {
+    let config = SimConfig::new(geom)
+        .expect("config")
+        .with_breakeven(BreakevenAnalysis::from_cycles(breakeven).expect("positive"))
+        .with_replacement(repl);
+    Simulator::new(config, Box::new(Rotate(0))).expect("rotation is a bijection")
+}
+
+/// Phased traffic: runs of accesses inside one region (so some banks
+/// drowse and wake), with reads and writes mixed.
+fn access(g: &mut Gen, span: u64, region: &mut u64) -> Access {
+    if g.u64_in(0..64) == 0 {
+        *region = g.u64_in(0..8);
+    }
+    let addr = (*region * span / 8 + g.u64_in(0..span / 4)) % span;
+    if g.u64_in(0..3) == 0 {
+        Access::write(addr)
+    } else {
+        Access::read(addr)
+    }
+}
+
+/// A ragged batch length: empty, one, short or long.
+fn batch_len(g: &mut Gen) -> usize {
+    match g.u32_in(0..4) {
+        0 => 0,
+        1 => 1,
+        2 => g.usize_in(2..40),
+        _ => g.usize_in(40..3_000),
+    }
+}
+
+fn assert_bitwise(a: &SimOutcome, b: &SimOutcome, context: &str) {
+    assert_eq!(a, b, "{context}: outcomes diverged");
+    for (x, y) in [
+        (a.energy.dynamic_fj, b.energy.dynamic_fj),
+        (a.energy.leakage_fj, b.energy.leakage_fj),
+        (a.energy.wake_fj, b.energy.wake_fj),
+        (a.energy.overhead_fj, b.energy.overhead_fj),
+    ] {
+        assert_eq!(x.to_bits(), y.to_bits(), "{context}: energy bits diverged");
+    }
+}
+
+/// The batched kernel lands on the scalar path's exact outcome for any
+/// geometry, replacement policy and breakeven, with scalar steps, idle
+/// cycles and mapping updates interleaved between ragged batches.
+#[test]
+fn batched_kernel_matches_scalar_path() {
+    quickprop::cases(CASES, |g| {
+        let geom = kernel_geometry(g, 12);
+        let breakeven = g.u32_in(1..64);
+        let repl = replacement(g);
+        let mut scalar = kernel_sim(geom, breakeven, repl.clone());
+        let mut batched = kernel_sim(geom, breakeven, repl);
+        let span = 2 * geom.size_bytes();
+        let mut region = 0;
+        for _ in 0..24 {
+            match g.u32_in(0..8) {
+                0 => {
+                    let a = access(g, span, &mut region);
+                    scalar.step(a);
+                    batched.step(a);
+                }
+                1 => {
+                    for _ in 0..g.u32_in(1..200) {
+                        scalar.idle_cycle();
+                        batched.idle_cycle();
+                    }
+                }
+                2 => {
+                    scalar.update_mapping().expect("bijection");
+                    batched.update_mapping().expect("bijection");
+                }
+                _ => {
+                    let batch: Vec<Access> = (0..batch_len(g))
+                        .map(|_| access(g, span, &mut region))
+                        .collect();
+                    for &a in &batch {
+                        scalar.step(a);
+                    }
+                    batched.step_batch(&batch);
+                }
+            }
+        }
+        assert_bitwise(
+            &scalar.finish(),
+            &batched.finish(),
+            &format!("{geom:?}, breakeven {breakeven}"),
+        );
+    });
+}
+
+/// The hierarchy's masked L2 run equals the scalar composition on both
+/// levels, including batches where the L1 hits every access (the L2
+/// only idles) and batches of fresh lines where it misses every one.
+#[test]
+fn hierarchy_batched_matches_scalar_composition() {
+    quickprop::cases(CASES, |g| {
+        let l1 = kernel_geometry(g, 11);
+        let l2 = kernel_geometry(g, 15);
+        let breakeven = g.u32_in(1..64);
+        let (r1, r2) = (replacement(g), replacement(g));
+        let build = || {
+            CacheHierarchy::new(
+                kernel_sim(l1, breakeven, r1.clone()),
+                kernel_sim(l2, breakeven + 3, r2.clone()),
+            )
+            .expect("L2 covers the L1")
+        };
+        let (mut scalar, mut batched) = (build(), build());
+        let span = 4 * l1.size_bytes();
+        let mut region = 0;
+        // Lines above the traffic's span, each used once: always a miss.
+        let mut fresh = span;
+        for _ in 0..24 {
+            let batch: Vec<Access> = match g.u32_in(0..8) {
+                0 => {
+                    scalar.idle_cycle();
+                    batched.idle_cycle();
+                    continue;
+                }
+                1 => {
+                    scalar.update_mapping().expect("bijection");
+                    batched.update_mapping().expect("bijection");
+                    continue;
+                }
+                // All hits: one line, touched once, then repeated.
+                2 => {
+                    let a = access(g, span, &mut region);
+                    scalar.step(a);
+                    batched.step(a);
+                    vec![a; batch_len(g)]
+                }
+                // All misses: lines never accessed before.
+                3 => (0..batch_len(g))
+                    .map(|_| {
+                        fresh += u64::from(l1.line_bytes());
+                        Access::read(fresh)
+                    })
+                    .collect(),
+                _ => (0..batch_len(g))
+                    .map(|_| access(g, span, &mut region))
+                    .collect(),
+            };
+            for &a in &batch {
+                scalar.step(a);
+            }
+            batched.step_batch(&batch);
+        }
+        let (a, b) = (scalar.finish(), batched.finish());
+        a.validate().expect("scalar composition is consistent");
+        let context = format!("L1 {l1:?}, L2 {l2:?}, breakeven {breakeven}");
+        assert_bitwise(&a.l1, &b.l1, &format!("L1 of {context}"));
+        assert_bitwise(&a.l2, &b.l2, &format!("L2 of {context}"));
     });
 }
