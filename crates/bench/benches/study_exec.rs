@@ -1,20 +1,31 @@
 //! Execution-layer benchmark: the Table II preset, cold vs warm
-//! result cache, through the `StudySession` front door.
+//! result cache, through the `StudySession` front door, then the warm
+//! read path layer by layer.
 //!
-//! Unlike the micro-benches, the unit of work here is a whole study
-//! (54 scenarios at the harness trace horizon), so this bench times
-//! single runs instead of looping a closure — and writes the
-//! machine-readable baseline `BENCH_study.json` (scenarios/sec plus
-//! cold and warm-cache wall times) next to the working directory, via
+//! Unlike the micro-benches, the unit of work for the `study_exec` row
+//! is a whole study (54 scenarios at the harness trace horizon), so it
+//! times single runs instead of looping a closure. The `warm_read` row
+//! times what re-reading a finished study costs: opening its on-disk
+//! journal, parsing its report JSON (and a 1,152-record report, the
+//! size of a four-axis sweep), and a full replay on a fresh threaded
+//! session. Both rows go to the machine-readable baseline
+//! `BENCH_study.json` at the workspace root, via
 //! [`repro_bench::harness::write_baseline`].
 //!
 //! `cargo bench -p repro-bench --bench study_exec`
 
 use aging_cache::presets;
-use aging_cache::rescache::MemoryCache;
-use repro_bench::harness::write_baseline;
+use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
+use aging_cache::session::StudySession;
+use aging_cache::study::{StudyReport, StudySpec};
+use aging_cache::workload::WorkloadRegistry;
+use repro_bench::harness::{write_baseline, Harness};
 use repro_bench::{default_config, session};
 use std::time::Instant;
+
+/// Records in the synthesized large report: a 4 sizes × 4 bank counts
+/// × 4 policies × 18 workloads sweep.
+const LARGE_RECORDS: usize = 1_152;
 
 fn main() {
     let cfg = default_config();
@@ -72,4 +83,80 @@ fn main() {
     )
     .expect("write BENCH_study.json");
     println!("\nwrote {baseline}");
+
+    warm_read(&spec, &session, &cold_report, baseline);
+}
+
+/// Times the warm read path of the finished Table II study and writes
+/// the `warm_read` row.
+fn warm_read(spec: &StudySpec, session: &StudySession, report: &StudyReport, baseline: &str) {
+    // Journal the cold report the way a `--cache-dir` run would.
+    let dir = std::env::temp_dir().join(format!("nbti-bench-warm-read-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = JsonlCache::in_dir(&dir).expect("open journal");
+    let grid = spec.expand().expect("expand Table II");
+    for (scenario, record) in grid.scenarios().iter().zip(report.records()) {
+        let workload = WorkloadRegistry::global()
+            .get(&scenario.workload)
+            .expect("a built-in workload");
+        journal
+            .store(
+                &Fingerprint::for_scenario(scenario, workload.as_ref()),
+                &CachedMeasurement::of_record(record),
+            )
+            .expect("journal a record");
+    }
+    drop(journal);
+    let journal_bytes = std::fs::metadata(dir.join(JsonlCache::FILE_NAME))
+        .expect("journal written")
+        .len();
+    let json = report.to_json();
+    let large = StudyReport::from_records(
+        "large",
+        report
+            .records()
+            .iter()
+            .cycle()
+            .take(LARGE_RECORDS)
+            .cloned()
+            .collect(),
+    )
+    .to_json();
+    let replay = || {
+        let cache = JsonlCache::in_dir(&dir).expect("reopen journal");
+        let fresh = StudySession::with_context(session.context().clone()).cache(cache);
+        let replayed = fresh.run(spec).expect("warm replay");
+        assert_eq!(fresh.stats().cache_hits, replayed.records().len());
+        replayed
+    };
+    assert_eq!(
+        replay().to_json(),
+        json,
+        "a warm replay must be byte-identical"
+    );
+
+    let mut h = Harness::new("warm_read");
+    let ms = 1e-6;
+    let open_ms = ms * h.bench_throughput("journal_open", 1, || JsonlCache::in_dir(&dir));
+    let parse_ms = ms * h.bench_throughput("report_parse", 1, || StudyReport::from_json(&json));
+    let large_ms =
+        ms * h.bench_throughput("report_parse_1152", 1, || StudyReport::from_json(&large));
+    let replay_ms = ms * h.bench_throughput("replay_fresh_session", 1, replay);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    write_baseline(
+        baseline,
+        "warm_read",
+        &[
+            ("journal_bytes", journal_bytes as f64),
+            ("journal_open_ms", open_ms),
+            ("report_bytes", json.len() as f64),
+            ("report_parse_ms", parse_ms),
+            ("report_1152_bytes", large.len() as f64),
+            ("report_1152_parse_ms", large_ms),
+            ("replay_fresh_session_ms", replay_ms),
+        ],
+    )
+    .expect("write BENCH_study.json");
+    println!("\nwrote the warm_read row to {baseline}");
 }

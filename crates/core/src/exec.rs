@@ -16,8 +16,9 @@
 //!   [`StudySession`](crate::session::StudySession): backend choice
 //!   plus an optional worker cap;
 //! * an [`ExecObserver`] streams progress — `on_start` once per grid,
-//!   `on_record` as each scenario completes (from whichever worker
-//!   finished it, so arrival order is *not* scenario order), and
+//!   `on_record` as each scenario completes (cache replays first, on
+//!   the calling thread, then computed scenarios from whichever worker
+//!   finished them, so arrival order is *not* scenario order), and
 //!   `on_finish` with the assembled report and the session's counters.
 //!
 //! Determinism is unaffected by the backend: records land in
@@ -29,6 +30,7 @@
 use crate::session::SessionStats;
 use crate::study::{ScenarioRecord, StudyReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Where a task pool runs scenario tasks.
 ///
@@ -86,9 +88,16 @@ impl ThreadedExecutor {
     }
 
     fn workers(&self, count: usize) -> usize {
-        let hw = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
+        // Read once per process: the query re-reads the cgroup CPU
+        // quota files, tens of microseconds per call (more when the
+        // kernel's caches have gone cold), which a served write would
+        // otherwise pay on every request.
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        let hw = *HARDWARE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(1)
+        });
         self.threads.unwrap_or(hw).clamp(1, count.max(1))
     }
 }
@@ -202,8 +211,10 @@ pub enum RecordOrigin {
 
 /// Streaming progress callbacks for a grid run.
 ///
-/// Callbacks fire from worker threads as scenarios complete, so
-/// `on_record` arrival order is not scenario order (the report itself
+/// Records replayed from the result cache arrive first, on the thread
+/// that called `run`, before any scenario is dispatched; computed
+/// records follow from worker threads as they complete. `on_record`
+/// arrival order is therefore not scenario order (the report itself
 /// stays in scenario-id order regardless). Implementations must be
 /// cheap and must not panic; `done`/`total` make a progress meter
 /// one-line to implement.

@@ -3,12 +3,23 @@
 //! The workspace builds in fully offline environments, so it cannot pull
 //! `serde`/`serde_json` from a registry. This module is the stand-in: a
 //! small [`Json`] value type with a deterministic compact emitter and a
-//! strict recursive-descent parser. Determinism matters more than speed
-//! here — the Study API's parallel-vs-sequential test compares reports
-//! byte-for-byte, so object keys are emitted in insertion order and
-//! numbers use Rust's shortest round-trip formatting.
+//! strict recursive-descent parser.
+//!
+//! The emitter is deterministic — the Study API's parallel-vs-sequential
+//! test compares reports byte-for-byte, so object keys are emitted in
+//! insertion order and numbers use Rust's shortest round-trip
+//! formatting, written straight into the output buffer with no
+//! allocation per number.
+//!
+//! The parser runs in time linear in its input: string contents are
+//! copied a run at a time up to the next `"` or `\`, and nesting is
+//! capped at [`MAX_DEPTH`], so untrusted input (a `POST /compare` body,
+//! a hand-edited journal) fails with a [`JsonError`] naming the byte
+//! offset instead of hanging or overflowing the stack. `\u` escapes
+//! decode UTF-16 surrogate pairs, as written by other JSON encoders for
+//! characters outside the Basic Multilingual Plane.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +147,8 @@ impl Json {
                 if v.is_finite() {
                     // `Display` for f64 is shortest-round-trip, like
                     // `Debug`, but drops the trailing `.0` on integers.
-                    out.push_str(&format!("{v}"));
+                    // Writing to a `String` cannot fail.
+                    let _ = write!(out, "{v}");
                 } else {
                     // Non-finite values are not representable in strict
                     // JSON; encode them as tagged strings.
@@ -177,22 +189,28 @@ impl Json {
         }
     }
 
-    /// Parses JSON text.
+    /// Parses JSON text, in time linear in its length.
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, nesting deeper than
+    /// [`MAX_DEPTH`], or trailing garbage; the message names the byte
+    /// offset of the problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
+        let value = parse_value(text, &mut pos, 0)?;
+        skip_ws(text.as_bytes(), &mut pos);
+        if pos != text.len() {
             return err(format!("trailing input at byte {pos}"));
         }
         Ok(value)
     }
 }
+
+/// The deepest array/object nesting [`Json::parse`] accepts. Reports
+/// and journal lines nest a handful of levels; the cap keeps a
+/// pathological `[[[[…` input from exhausting the parser's stack.
+pub const MAX_DEPTH: usize = 128;
 
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
@@ -225,8 +243,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
+    }
     match bytes.get(*pos) {
         None => err("unexpected end of input"),
         Some(b'{') => {
@@ -239,10 +261,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -264,7 +286,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -276,7 +298,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 }
             }
         }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
+        Some(b'"') => Ok(Json::Str(parse_string(text, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
@@ -301,65 +323,88 @@ fn parse_keyword(
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, JsonError> {
+    let bytes = text.as_bytes();
+    let start = *pos;
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return err("unterminated string"),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError {
-                                message: "truncated \\u escape".into(),
-                            })
-                            .and_then(|h| {
-                                std::str::from_utf8(h).map_err(|_| JsonError {
-                                    message: "non-ASCII \\u escape".into(),
-                                })
-                            })?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| JsonError {
-                            message: format!("bad \\u escape `{hex}`"),
-                        })?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return err(format!("bad escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a boundary).
-                let rest = std::str::from_utf8(bytes.get(*pos..).unwrap_or(&[])).map_err(|_| {
-                    JsonError {
-                        message: "invalid UTF-8".into(),
-                    }
-                })?;
-                match rest.chars().next() {
-                    Some(c) => {
-                        out.push(c);
-                        *pos += c.len_utf8();
-                    }
-                    None => return err("unterminated string"),
-                }
-            }
+        // Copy the run up to the next quote or backslash as one slice:
+        // the cut lands on an ASCII byte, so it is a char boundary.
+        let rest = bytes.get(*pos..).unwrap_or(&[]);
+        let Some(run) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
+            return err(format!("unterminated string starting at byte {start}"));
+        };
+        out.push_str(text.get(*pos..*pos + run).unwrap_or(""));
+        *pos += run;
+        if bytes.get(*pos) == Some(&b'"') {
+            *pos += 1;
+            return Ok(out);
         }
+        // A backslash: decode one escape.
+        let escape = *pos;
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                out.push(parse_unicode_escape(bytes, pos, escape)?);
+                continue;
+            }
+            _ => return err(format!("bad escape at byte {escape}")),
+        }
+        *pos += 1;
+    }
+}
+
+/// Decodes the `\uXXXX` escape whose backslash sits at byte `escape`
+/// (`*pos` is on its `u`), joining a UTF-16 surrogate pair into one
+/// character, and leaves `*pos` just past the escape (or the pair).
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize, escape: usize) -> Result<char, JsonError> {
+    let high = hex4(bytes, *pos + 1, escape)?;
+    *pos += 5;
+    let code = match high {
+        0xD800..=0xDBFF => {
+            let low = match bytes.get(*pos..*pos + 2) {
+                Some(b"\\u") => hex4(bytes, *pos + 2, *pos)?,
+                _ => 0,
+            };
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return err(format!("unpaired surrogate \\u{high:04x} at byte {escape}"));
+            }
+            *pos += 6;
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => {
+            return err(format!("unpaired surrogate \\u{high:04x} at byte {escape}"));
+        }
+        code => code,
+    };
+    // Every non-surrogate code point up to U+10FFFF is a `char`.
+    char::from_u32(code).ok_or_else(|| JsonError {
+        message: format!("invalid \\u escape at byte {escape}"),
+    })
+}
+
+/// The value of exactly four hex digits at `at`, for the escape whose
+/// backslash sits at byte `escape`.
+fn hex4(bytes: &[u8], at: usize, escape: usize) -> Result<u32, JsonError> {
+    match bytes.get(at..at + 4) {
+        Some(digits) if digits.iter().all(u8::is_ascii_hexdigit) => {
+            Ok(digits.iter().fold(0, |code, &d| {
+                // `is_ascii_hexdigit` held, so `to_digit` cannot fail.
+                code * 16 + (d as char).to_digit(16).unwrap_or(0)
+            }))
+        }
+        _ => err(format!(
+            "\\u escape at byte {escape} needs exactly four hex digits"
+        )),
     }
 }
 
@@ -437,6 +482,46 @@ mod tests {
         let v = Json::parse(r#"{"a": [1, {"b": "c"}, null], "d": false}"#).unwrap();
         assert_eq!(v.field("a").unwrap().as_arr("a").unwrap().len(), 3);
         assert_eq!(v.field("d").unwrap(), &Json::Bool(false));
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs() {
+        // What an ASCII-only encoder (Python's `json.dumps`) writes for
+        // non-ASCII text.
+        let v = Json::parse(r#""\ud83d\ude00 caf\u00e9 \u20AC""#).unwrap();
+        assert_eq!(v, Json::Str("\u{1f600} café €".into()));
+        // The emitter writes such characters raw, and they round-trip.
+        assert_eq!(Json::parse(&v.emit()).unwrap(), v);
+    }
+
+    #[test]
+    fn malformed_unicode_escapes_name_their_offset() {
+        for (text, offset) in [
+            (r#""\ud83d""#, 1),
+            (r#""ab\ud83dx""#, 3),
+            (r#""\ud83d\u0041""#, 1),
+            (r#""\ude00""#, 1),
+            (r#""\u+abc""#, 1),
+            (r#""\u12""#, 1),
+            (r#""\u12g4""#, 1),
+            (r#""x\ud83d\uzzzz""#, 8),
+        ] {
+            let e = Json::parse(text).unwrap_err();
+            assert!(
+                e.message.contains(&format!("at byte {offset}")),
+                "{text}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = "[".repeat(1 << 20);
+        let e = Json::parse(&deep).unwrap_err();
+        assert!(e.message.contains("nesting deeper than"), "{e}");
+        assert!(Json::parse(&"{\"a\":".repeat(1 << 16)).is_err());
     }
 
     #[test]

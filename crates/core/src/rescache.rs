@@ -281,9 +281,10 @@ pub trait ResultCache: Send + Sync {
 
     /// Whether a measurement is cached, without side effects: unlike a
     /// decorator's `lookup`, this never claims the fingerprint or waits
-    /// on one. The session probes peer scenarios with it when it plans
-    /// a trace group. The default answers through `lookup`, so it is
-    /// only correct for caches whose `lookup` has no side effects: a
+    /// on one. The session itself never calls it: a run looks each
+    /// scenario up exactly once and plans its trace groups from those
+    /// outcomes. The default answers through `lookup`, so it is only
+    /// correct for caches whose `lookup` has no side effects: a
     /// decorator whose `lookup` claims, waits or records must override
     /// it (as [`MemoryCache`], [`JsonlCache`] and the serving layer's
     /// coalescing cache do with a direct probe).

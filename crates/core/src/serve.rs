@@ -40,14 +40,16 @@
 //! **Coalescing.** Concurrent identical work must cost one simulation,
 //! not N. The session's cache is wrapped in a `CoalesceCache`: an
 //! in-flight claim table keyed by the content-addressed
-//! [`Fingerprint`]. The first worker to miss a cell *claims* it and
-//! computes; every other worker that misses the same cell blocks until
+//! [`Fingerprint`]. The first request to miss a cell *claims* it and
+//! computes; every other request that misses the same cell blocks until
 //! the claimant's `store` lands, then replays the hit. Claims are
 //! per-cell, so two overlapping-but-different grids still share the
-//! cells they have in common. A claimant that fails releases all of
-//! its claims (and a waiter that outlives the backstop steals the
-//! claim), so an error never wedges the table — at worst a rare
-//! duplicate computation, never a wrong or missing answer.
+//! cells they have in common; a run looks its cells up in fingerprint
+//! order, so two runs never wait on each other's claims in a cycle. A
+//! claimant that fails releases all of its claims (and a waiter that
+//! outlives the backstop steals the claim), so an error never wedges
+//! the table — at worst a rare duplicate computation, never a wrong or
+//! missing answer.
 //!
 //! **Determinism.** The server adds no nondeterminism: responses are
 //! rendered by the same pure functions the CLI uses, cache replay is
@@ -250,8 +252,8 @@ impl ResultCache for CoalesceCache {
     }
 
     fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        // Never claims: a trace group probing its peers must not block
-        // behind, or take over, another worker's cell.
+        // Never claims: a coverage probe must not block behind, or
+        // take over, another request's cell.
         self.inner.contains(fingerprint)
     }
 

@@ -30,7 +30,11 @@
 //!   simulation *and* model evaluation for any scenario measured
 //!   before, in this process or a previous one: a warm re-run
 //!   executes zero simulations and still emits a byte-identical
-//!   report, and an interrupted sweep resumes from its journal;
+//!   report, and an interrupted sweep resumes from its journal. Each
+//!   run probes the cache once per scenario on the calling thread,
+//!   replays the hits inline and dispatches only the misses, so a
+//!   fully cached grid starts no worker threads; the trace groups
+//!   plan from that same snapshot instead of probing again;
 //! * **[`ExecOptions`]** select the executor backend; an
 //!   **[`ExecObserver`]** streams per-record progress;
 //! * [`StudySession::stats`] exposes the counters behind all of the
@@ -433,6 +437,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs a grid: calibrates its models, probes the result cache once
+/// per scenario on the calling thread ([`lookup_all`]), replays every
+/// hit inline and dispatches only the misses to the executor. A fully
+/// cached grid therefore runs no executor at all: no worker threads,
+/// and every `on_record` fires on the calling thread.
 fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreError> {
     // Calibrate every distinct model once, serially and in grid order:
     // deterministic first-error, and the workers below only ever hit
@@ -456,36 +465,112 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     let slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let done = AtomicUsize::new(0);
-
-    // The spec-level worker cap overrides the session's (threads(1)
-    // still forces an in-thread sequential loop, as it always did).
-    let mut exec = env.exec.clone();
-    if let Some(threads) = grid.threads_cap() {
-        exec = exec.with_threads(threads);
-    }
-
-    let plan = TracePlan::new(&exec, n);
-    let task = |i: usize| {
-        // Catch panics so one bad scenario surfaces as a first-class
-        // error — with its id and message — instead of tearing down
-        // the whole process at scope join.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_one(grid, i, models, &plan, env)
-        }))
-        .unwrap_or_else(|payload| {
-            Err(CoreError::ScenarioPanicked {
-                scenario: i,
-                message: panic_message(payload),
-            })
-        });
+    let finish = |i: usize, outcome: Result<(ScenarioRecord, RecordOrigin), CoreError>| {
         if let (Some(obs), Ok((record, origin))) = (env.observer, &outcome) {
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
             obs.on_record(record, *origin, finished, n);
         }
         *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
     };
-    exec.build().execute(n, &task);
+
+    let fingerprints: Vec<Fingerprint> = match env.cache {
+        Some(_) => grid
+            .scenarios()
+            .iter()
+            .map(|s| Fingerprint::for_scenario(s, grid.workloads()[s.workload_index].as_ref()))
+            .collect(),
+        None => Vec::new(),
+    };
+    let mut lookups = env
+        .cache
+        .map(|cache| lookup_all(&fingerprints, cache))
+        .unwrap_or_default()
+        .into_iter();
+    // Which scenarios replayed: the snapshot trace groups plan from.
+    let mut replayed = vec![false; n];
+    let mut misses = Vec::with_capacity(n);
+    for (i, scenario) in grid.scenarios().iter().enumerate() {
+        match lookups.next() {
+            Some(Ok(Some(hit))) => {
+                env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+                env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                replayed[i] = true;
+                finish(
+                    i,
+                    Ok((hit.into_record(scenario.clone()), RecordOrigin::Cached)),
+                );
+            }
+            Some(Err(e)) => {
+                env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+                finish(i, Err(e));
+            }
+            Some(Ok(None)) | None => misses.push(i),
+        }
+    }
+
+    if !misses.is_empty() {
+        // The spec-level worker cap overrides the session's (threads(1)
+        // still forces an in-thread sequential loop, as it always did).
+        let mut exec = env.exec.clone();
+        if let Some(threads) = grid.threads_cap() {
+            exec = exec.with_threads(threads);
+        }
+        let plan = TracePlan::new(&exec, misses.len(), &replayed);
+        let task = |j: usize| {
+            let i = misses[j];
+            // Catch panics so one bad scenario surfaces as a first-class
+            // error — with its id and message — instead of tearing down
+            // the whole process at scope join.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_one(grid, i, fingerprints.get(i), models, &plan, env)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(CoreError::ScenarioPanicked {
+                    scenario: i,
+                    message: panic_message(payload),
+                })
+            });
+            finish(i, outcome);
+        };
+        exec.build().execute(misses.len(), &task);
+    }
     assemble(grid, slots, env)
+}
+
+/// Looks every fingerprint up in `cache` exactly once, returning the
+/// outcomes in grid order.
+///
+/// The lookups run in fingerprint order, not grid order. A claiming
+/// cache (the server's coalescing decorator) claims each miss for this
+/// run and blocks on fingerprints another run has claimed; taking
+/// claims in one global order means two runs can never wait on each
+/// other in a cycle. A fingerprint repeated within the grid is looked
+/// up once and shares the outcome, since a second lookup would wait on
+/// this run's own claim.
+fn lookup_all(
+    fingerprints: &[Fingerprint],
+    cache: &dyn ResultCache,
+) -> Vec<Result<Option<CachedMeasurement>, CoreError>> {
+    let mut order: Vec<usize> = (0..fingerprints.len()).collect();
+    order.sort_unstable_by(|&a, &b| fingerprints[a].canonical().cmp(fingerprints[b].canonical()));
+    let mut lookups = vec![Ok(None); fingerprints.len()];
+    let mut previous: Option<usize> = None;
+    for i in order {
+        lookups[i] = match previous {
+            Some(p) if fingerprints[p] == fingerprints[i] => lookups[p].clone(),
+            _ => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                cache.lookup(&fingerprints[i])
+            }))
+            .unwrap_or_else(|payload| {
+                Err(CoreError::ScenarioPanicked {
+                    scenario: i,
+                    message: panic_message(payload),
+                })
+            }),
+        };
+        previous = Some(i);
+    }
+    lookups
 }
 
 /// Collects the per-scenario slots into the id-ordered report and
@@ -510,13 +595,15 @@ fn assemble(
     Ok(report)
 }
 
-/// Executes scenario `index`: replay it whole from the result cache if
-/// possible; otherwise measure it (from the session memo, or by leading
-/// its trace group) and hand the measured sleep fractions to the
-/// scenario's calibrated device model.
+/// Computes scenario `index`, which missed the result cache (or runs
+/// without one): measure it (from the session memo, or by leading its
+/// trace group), hand the measured sleep fractions to the scenario's
+/// calibrated device model, and journal the record under
+/// `fingerprint`, the one [`execute`] looked up.
 fn run_one(
     grid: &ScenarioGrid,
     index: usize,
+    fingerprint: Option<&Fingerprint>,
     models: &HashMap<&str, Arc<dyn CalibratedModel>>, // aging-lint: allow(no-unordered-iter) keyed memo
     plan: &TracePlan<'_>,
     env: &ExecEnv<'_>,
@@ -524,16 +611,6 @@ fn run_one(
     env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
     let scenario = &grid.scenarios()[index];
     let workload = &grid.workloads()[scenario.workload_index];
-    let fingerprint = env
-        .cache
-        .map(|_| Fingerprint::for_scenario(scenario, workload.as_ref()));
-    if let (Some(cache), Some(fp)) = (env.cache, &fingerprint) {
-        if let Some(hit) = cache.lookup(fp)? {
-            env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((hit.into_record(scenario.clone()), RecordOrigin::Cached));
-        }
-    }
-
     let measured = measure(grid, index, plan, env)?;
     let model = &models[scenario.model.as_str()];
     let policy_builder = || {
@@ -594,7 +671,7 @@ fn run_one(
         sleep_fractions: measured.sleep_fractions.clone(),
         metrics,
     };
-    if let (Some(cache), Some(fp)) = (env.cache, &fingerprint) {
+    if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
         cache.store(fp, &CachedMeasurement::of_record(&record))?;
         env.counters.cache_stores.fetch_add(1, Ordering::Relaxed);
     }
@@ -611,21 +688,24 @@ struct TracePlan<'a> {
     /// The run's executor and task count, which bound a group's size.
     exec: &'a ExecOptions,
     tasks: usize,
-    /// Built on the run's first memo miss, so a warm replay never pays
-    /// for it.
-    traces: OnceLock<TraceMembers>,
+    /// Which scenarios the run replayed from the result cache.
+    replayed: &'a [bool],
+    /// Every trace's members and the group size cap, built on the
+    /// run's first memo miss, so a memo-warm run never pays for it.
+    traces: OnceLock<(TraceMembers, usize)>,
 }
 
 impl<'a> TracePlan<'a> {
-    fn new(exec: &'a ExecOptions, tasks: usize) -> Self {
+    fn new(exec: &'a ExecOptions, tasks: usize, replayed: &'a [bool]) -> Self {
         Self {
             exec,
             tasks,
+            replayed,
             traces: OnceLock::new(),
         }
     }
 
-    fn traces(&self, grid: &ScenarioGrid) -> &TraceMembers {
+    fn traces(&self, grid: &ScenarioGrid) -> &(TraceMembers, usize) {
         self.traces.get_or_init(|| {
             let mut traces = TraceMembers::new();
             for (id, scenario) in grid.scenarios().iter().enumerate() {
@@ -640,12 +720,17 @@ impl<'a> TracePlan<'a> {
                     None => members.push((geom, vec![id])),
                 }
             }
-            traces
+            let pairs: usize = traces.values().map(Vec::len).sum();
+            let cap = pairs.div_ceil(self.exec.workers(self.tasks)).max(1);
+            (traces, cap)
         })
     }
 
-    /// The other geometries of `key`'s trace in its group: a trace's
-    /// geometries split into strided classes of at most
+    /// The other geometries of `key`'s trace in its group that the run
+    /// still needs: those with a scenario that did not replay from the
+    /// result cache (without a cache, every one).
+    ///
+    /// A trace's geometries split into strided classes of at most
     /// `ceil(pairs / workers)` each, where `pairs` counts every
     /// (geometry, trace) pair of the run. A grid with fewer traces
     /// than workers thus still spreads its simulations over every
@@ -653,22 +738,21 @@ impl<'a> TracePlan<'a> {
     /// order to different groups, so consecutive scenarios lead
     /// separate groups on separate workers. Table II on two workers
     /// keeps one group, and one stream, per trace.
-    fn group_peers<'p>(
+    fn needed_peers<'p>(
         &'p self,
         grid: &ScenarioGrid,
         key: &SimKey,
     ) -> impl Iterator<Item = &'p (GeomKey, Vec<usize>)> {
-        let traces = self.traces(grid);
-        let pairs: usize = traces.values().map(Vec::len).sum();
-        let cap = pairs.div_ceil(self.exec.workers(self.tasks)).max(1);
+        let (traces, cap) = self.traces(grid);
         let members = traces.get(&key.1).map_or(&[][..], Vec::as_slice);
-        let classes = members.len().div_ceil(cap).max(1);
+        let classes = members.len().div_ceil(*cap).max(1);
         let own = members.iter().position(|(g, _)| *g == key.0);
         members
             .iter()
             .enumerate()
             .filter(move |(i, _)| own.is_some_and(|own| *i != own && i % classes == own % classes))
             .map(|(_, member)| member)
+            .filter(|(_, ids)| ids.iter().any(|&id| self.replayed.get(id) != Some(&true)))
     }
 }
 
@@ -703,10 +787,10 @@ fn sim_key(scenario: &Scenario, workload: &dyn Workload) -> SimKey {
 /// A memo hit replays; a key in flight waits for its group. A miss
 /// makes this task the leader of a trace group: in one memo critical
 /// section it claims its own key plus every peer geometry from
-/// [`needed_peers`] that nobody holds, then streams the trace once
-/// through all of them ([`simulate_group`]). Deadlock freedom: a task
-/// only waits here before it claims anything, and a group computation
-/// never waits (its cache probes never claim).
+/// [`TracePlan::needed_peers`] that nobody holds, then streams the trace
+/// once through all of them ([`simulate_group`]). Deadlock freedom: a
+/// task only waits here before it claims anything, and a group
+/// computation never waits.
 fn measure(
     grid: &ScenarioGrid,
     index: usize,
@@ -726,76 +810,32 @@ fn measure(
         }));
     }
     let key = sim_key(scenario, workload);
-    let mut peers = None;
     let mut entries = relock(env.memo.entries.lock());
-    let claimed = loop {
+    loop {
         match entries.get(&key) {
             Some(MemoEntry::Ready(hit)) => {
                 env.counters.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(hit));
             }
             Some(MemoEntry::InFlight) => entries = relock(env.memo.resolved.wait(entries)),
-            None => match peers.take() {
-                // Probe the cache outside the memo lock, then re-check.
-                None => {
-                    drop(entries);
-                    peers = Some(needed_peers(grid, &key, plan, env)?);
-                    entries = relock(env.memo.entries.lock());
-                }
-                Some(peers) => {
-                    entries.insert(key.clone(), MemoEntry::InFlight);
-                    let mut claimed = vec![(key.clone(), index)];
-                    for (geom, ids) in peers {
-                        let peer = (geom.clone(), key.1.clone());
-                        if !entries.contains_key(&peer) {
-                            entries.insert(peer.clone(), MemoEntry::InFlight);
-                            claimed.push((peer, ids[0]));
-                        }
-                    }
-                    break claimed;
-                }
-            },
+            None => break,
         }
-    };
+    }
+    entries.insert(key.clone(), MemoEntry::InFlight);
+    let mut claimed = vec![(key.clone(), index)];
+    for (geom, ids) in plan.needed_peers(grid, &key) {
+        let peer = (geom.clone(), key.1.clone());
+        if !entries.contains_key(&peer) {
+            entries.insert(peer.clone(), MemoEntry::InFlight);
+            claimed.push((peer, ids[0]));
+        }
+    }
     drop(entries);
     let guard = InFlightGuard {
         memo: env.memo,
         keys: claimed.iter().map(|(key, _)| key.clone()).collect(),
     };
     simulate_group(grid, &claimed, guard, env)
-}
-
-/// The peer geometries a group led from `key` should carry: every other
-/// geometry of its class ([`TracePlan::group_peers`]) that still has a
-/// scenario the result cache lacks (without a cache, every one). The
-/// probes never claim, so this never waits.
-fn needed_peers<'p>(
-    grid: &ScenarioGrid,
-    key: &SimKey,
-    plan: &'p TracePlan<'_>,
-    env: &ExecEnv<'_>,
-) -> Result<Vec<&'p (GeomKey, Vec<usize>)>, CoreError> {
-    let mut peers = Vec::new();
-    for member in plan.group_peers(grid, key) {
-        if lacks_any(grid, &member.1, env)? {
-            peers.push(member);
-        }
-    }
-    Ok(peers)
-}
-
-fn lacks_any(grid: &ScenarioGrid, ids: &[usize], env: &ExecEnv<'_>) -> Result<bool, CoreError> {
-    let Some(cache) = env.cache else {
-        return Ok(true);
-    };
-    for &id in ids {
-        let scenario = &grid.scenarios()[id];
-        let workload = grid.workloads()[scenario.workload_index].as_ref();
-        if !cache.contains(&Fingerprint::for_scenario(scenario, workload))? {
-            return Ok(true);
-        }
-    }
-    Ok(false)
 }
 
 /// The memo entries a group computation holds in flight. Dropping the

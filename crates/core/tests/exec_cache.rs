@@ -1,13 +1,24 @@
 //! Execution-layer invariants: every executor backend — and a
 //! cache-warm replay, in-process or from a reopened on-disk journal —
 //! must produce byte-identical `StudyReport` JSON; corrupted journal
-//! entries must be rejected loudly, naming their fingerprint.
+//! entries must be rejected loudly, naming their fingerprint; and a run
+//! looks each cell up in the result cache exactly once, replaying the
+//! hits on the calling thread.
 
-use aging_cache::exec::ExecOptions;
-use aging_cache::rescache::{JsonlCache, MemoryCache};
+use aging_cache::exec::{ExecObserver, ExecOptions, RecordOrigin};
+use aging_cache::experiment::ExperimentConfig;
+use aging_cache::model::DEFAULT_MODEL;
+use aging_cache::presets;
+use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
+use aging_cache::serve::{ServeOptions, StudyServer};
 use aging_cache::session::StudySession;
-use aging_cache::study::StudySpec;
+use aging_cache::study::{ScenarioRecord, StudySpec};
 use aging_cache::CoreError;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
+use std::time::Duration;
 
 fn grid_spec(session: &StudySession) -> StudySpec {
     session
@@ -154,4 +165,207 @@ fn resume_after_interruption_computes_only_missing_points() {
     assert_eq!(stats.evaluations, 4, "only the missing half computes");
     assert_eq!(report.to_json(), reference.to_json());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A `ResultCache` decorator over a [`MemoryCache`] that counts every
+/// call the session makes. Clones share the cache and the counts.
+#[derive(Debug, Clone, Default)]
+struct Counting(Arc<Counts>);
+
+#[derive(Debug, Default)]
+struct Counts {
+    inner: MemoryCache,
+    lookups: AtomicUsize,
+    contains: AtomicUsize,
+    stores: AtomicUsize,
+}
+
+impl Counting {
+    /// `(lookups, contains, stores)` since the last call.
+    fn take(&self) -> (usize, usize, usize) {
+        (
+            self.0.lookups.swap(0, Ordering::SeqCst),
+            self.0.contains.swap(0, Ordering::SeqCst),
+            self.0.stores.swap(0, Ordering::SeqCst),
+        )
+    }
+}
+
+impl ResultCache for Counting {
+    fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
+        self.0.lookups.fetch_add(1, Ordering::SeqCst);
+        self.0.inner.lookup(fingerprint)
+    }
+
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        self.0.contains.fetch_add(1, Ordering::SeqCst);
+        self.0.inner.contains(fingerprint)
+    }
+
+    fn store(
+        &self,
+        fingerprint: &Fingerprint,
+        measurement: &CachedMeasurement,
+    ) -> Result<(), CoreError> {
+        self.0.stores.fetch_add(1, Ordering::SeqCst);
+        self.0.inner.store(fingerprint, measurement)
+    }
+
+    fn len(&self) -> usize {
+        self.0.inner.len()
+    }
+}
+
+/// Records the thread and origin of every `on_record`. Clones share
+/// the log.
+#[derive(Debug, Clone, Default)]
+struct Deliveries(Arc<Mutex<Vec<(ThreadId, RecordOrigin)>>>);
+
+impl ExecObserver for Deliveries {
+    fn on_record(&self, _: &ScenarioRecord, origin: RecordOrigin, _: usize, _: usize) {
+        self.0
+            .lock()
+            .unwrap()
+            .push((std::thread::current().id(), origin));
+    }
+}
+
+#[test]
+fn table2_replay_probes_each_cell_once_and_replays_on_the_calling_thread() {
+    let spec = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
+    let cells = 54;
+    let threaded = || StudySession::new().exec(ExecOptions::threaded().with_threads(2));
+    let counting = Counting::default();
+
+    // Cold: one lookup per cell, and the trace groups plan their peers
+    // from those outcomes instead of probing the cache again.
+    let cold = threaded().cache(counting.clone());
+    let reference = cold.run(&spec).unwrap().to_json();
+    assert_eq!(
+        counting.take(),
+        (cells, 0, cells),
+        "(lookups, contains, stores)"
+    );
+
+    // Warm, on a fresh threaded session: one lookup per cell, nothing
+    // else, and every record delivered on this thread.
+    let deliveries = Deliveries::default();
+    let warm = threaded()
+        .cache(counting.clone())
+        .observer(deliveries.clone());
+    assert_eq!(
+        warm.run(&spec).unwrap().to_json(),
+        reference,
+        "byte-equal replay"
+    );
+    assert_eq!(
+        counting.take(),
+        (cells, 0, 0),
+        "(lookups, contains, stores)"
+    );
+    let stats = warm.stats();
+    assert_eq!((stats.cache_hits, stats.simulations), (cells, 0));
+    let delivered = deliveries.0.lock().unwrap();
+    assert_eq!(delivered.len(), cells);
+    let caller = std::thread::current().id();
+    assert!(
+        delivered
+            .iter()
+            .all(|&(thread, origin)| thread == caller && origin == RecordOrigin::Cached),
+        "every replayed record arrives on the calling thread"
+    );
+}
+
+#[test]
+fn a_cell_repeated_in_one_grid_is_looked_up_once() {
+    // With the policy seed pinned, both 8 kB points share a fingerprint.
+    let spec = |session: &StudySession| {
+        session
+            .spec("repeated cell")
+            .cache_kb([8, 8])
+            .workload_names(["sha"])
+            .unwrap()
+            .trace_cycles(40_000)
+            .policy_seed(1)
+    };
+    let reference = StudySession::new();
+    let reference = reference.run(&spec(&reference)).unwrap().to_json();
+    let counting = Counting::default();
+    let session = StudySession::new().cache(counting.clone());
+    assert_eq!(session.run(&spec(&session)).unwrap().to_json(), reference);
+    assert_eq!(counting.take().0, 1, "cold");
+    assert_eq!(session.run(&spec(&session)).unwrap().to_json(), reference);
+    assert_eq!(counting.take().0, 1, "warm");
+}
+
+/// A [`MemoryCache`] whose lookups take a few milliseconds, so two
+/// runs that start together walk their lookups in lockstep.
+#[derive(Debug, Default)]
+struct Slow(MemoryCache);
+
+impl ResultCache for Slow {
+    fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
+        std::thread::sleep(Duration::from_millis(5));
+        self.0.lookup(fingerprint)
+    }
+
+    fn store(
+        &self,
+        fingerprint: &Fingerprint,
+        measurement: &CachedMeasurement,
+    ) -> Result<(), CoreError> {
+        self.0.store(fingerprint, measurement)
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+#[test]
+fn overlapping_runs_in_opposite_orders_do_not_wait_on_each_other() {
+    // The server's session claims each cell it misses until it stores
+    // it. Two runs that meet the same cells in opposite grid orders
+    // must not each hold one claim while waiting for the other's: a
+    // cycle would stall both until the (here: far longer than the
+    // bound) coalescing backstop.
+    let server = StudyServer::bind(
+        Slow::default(),
+        ServeOptions {
+            coalesce_wait_ms: 600_000,
+            ..ServeOptions::default()
+        },
+    )
+    .unwrap();
+    let server = Arc::new(server);
+    // Calibrate up front, so neither run starts its lookups late.
+    server
+        .session()
+        .context()
+        .calibrated(DEFAULT_MODEL)
+        .unwrap();
+    let start = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    for sizes in [[8, 16, 32], [32, 16, 8]] {
+        let (server, start, tx) = (Arc::clone(&server), Arc::clone(&start), tx.clone());
+        std::thread::spawn(move || {
+            let session = server.session();
+            let spec = session
+                .spec("opposite orders")
+                .cache_kb(sizes)
+                .workload_names(["sha", "CRC32"])
+                .unwrap()
+                .trace_cycles(20_000)
+                .policy_seed(1);
+            start.wait();
+            let _ = tx.send(session.run(&spec).map(|r| r.records().len()));
+        });
+    }
+    for _ in 0..2 {
+        let done = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("both runs finish without waiting out the backstop");
+        assert_eq!(done.unwrap(), 6);
+    }
+    assert_eq!(server.session().stats().simulations, 6, "each cell once");
 }
