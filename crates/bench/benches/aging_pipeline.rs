@@ -15,7 +15,7 @@ fn main() {
     // Warm the critical-shift memo so the benches measure the rotation
     // loop, not the one-time SNM bisection.
     aging
-        .cache_lifetime_named(&sleep, 0.5, "identity", 1)
+        .cache_lifetime(&sleep, 0.5, "identity", 1)
         .expect("warmup");
 
     let mut g = Harness::new("aging/cache_lifetime");
@@ -23,7 +23,7 @@ fn main() {
         g.bench(&name, || {
             black_box(
                 aging
-                    .cache_lifetime_named(black_box(&sleep), 0.5, &name, 1)
+                    .cache_lifetime(black_box(&sleep), 0.5, &name, 1)
                     .expect("lifetime"),
             )
         });

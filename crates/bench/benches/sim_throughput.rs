@@ -27,7 +27,7 @@ const CYCLES: usize = 100_000;
 const HOTPATH_CYCLES: usize = 64_000;
 
 fn arch(geom: CacheGeometry, policy: &str) -> PartitionedCache {
-    PartitionedCache::new_named(geom, policy, PolicyRegistry::global().clone()).expect("arch")
+    PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).expect("arch")
 }
 
 fn trace(workload: &str, cycles: usize) -> Vec<Access> {

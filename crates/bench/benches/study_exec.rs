@@ -19,8 +19,8 @@ use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCa
 use aging_cache::session::StudySession;
 use aging_cache::study::{StudyReport, StudySpec};
 use aging_cache::workload::WorkloadRegistry;
+use repro_bench::default_config;
 use repro_bench::harness::{write_baseline, Harness};
-use repro_bench::{default_config, session};
 use std::time::Instant;
 
 /// Records in the synthesized large report: a 4 sizes × 4 bank counts
@@ -30,7 +30,7 @@ const LARGE_RECORDS: usize = 1_152;
 fn main() {
     let cfg = default_config();
     let spec = presets::table2(&cfg);
-    let session = session().cache(MemoryCache::new());
+    let session = StudySession::new().cache(MemoryCache::new());
 
     // Cold: every scenario simulates and evaluates (modulo the
     // in-grid memo the historic runner always had).

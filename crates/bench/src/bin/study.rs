@@ -1,5 +1,5 @@
-//! Run an arbitrary scenario grid from the command line — the open
-//! counterpart of the fixed `tableN` binaries.
+//! Run an arbitrary scenario grid from the command line, or regenerate
+//! one of the paper's tables and studies with `study preset <name>`.
 //!
 //! ```sh
 //! cargo run --release -p repro-bench --bin study -- \
@@ -97,6 +97,16 @@
 //!   exactly one line, and whichever process finishes a cell first
 //!   journals it.
 //!
+//! The paper's evaluation is on the command line too:
+//!
+//! * `study preset <name> [--format text|md|csv|json]` regenerates one
+//!   row of the preset table (`repro_bench::presets`): `table1`…
+//!   `table4`, `claims`, `rng_error`, `policy_equivalence`, the
+//!   ablations, and `all`, which runs the paper-table subset on one
+//!   session and prints its memo sharing on stderr. Text output is the
+//!   historic stdout, byte for byte. With no name or an unknown one it
+//!   lists the presets and exits 2.
+//!
 //! The serving layer is on the command line too:
 //!
 //! * `study serve [--addr <host:port>] [--cache-dir <dir>] [--threads
@@ -121,6 +131,8 @@ use aging_cache::serve::{ServeLog, ServeOptions, StudyServer, REPORT_NAME};
 use aging_cache::session::StudySession;
 use aging_cache::study::{ScenarioRecord, StudyReport, StudySpec};
 use aging_cache::{CoreError, PolicyRegistry, WorkloadRegistry};
+use repro_bench::presets;
+use std::io::Write;
 
 /// `--progress`: per-scenario streaming to stderr.
 struct Progress;
@@ -306,6 +318,10 @@ fn main() {
         fetch_main(&args[1..]);
         return;
     }
+    if args.first().map(String::as_str) == Some("preset") {
+        preset_main(&args[1..]);
+        return;
+    }
     let mut spec_args = SpecArgs::new(REPORT_NAME);
     let mut format = Format::Text;
     let mut cache_dir: Option<String> = None;
@@ -412,7 +428,8 @@ fn main() {
                      study check [spec flags] [--journal <dir|file>] [search flags], \
                      study optimize [spec flags] --objective <max:|min:><metric> …, \
                      study serve [--addr <host:port>] [--cache-dir <dir>], \
-                     study fetch <url>)"
+                     study fetch <url>, \
+                     study preset <name> [--format <text|md|csv|json>])"
                 );
                 std::process::exit(2);
             }
@@ -1114,6 +1131,65 @@ fn fetch_main(args: &[String]) {
         .unwrap_or_else(|e| fail("stdout", e));
     if !(200..300).contains(&status) {
         eprintln!("fetch: {method} {path} -> {status}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints the preset verb's usage and the preset table on stderr, then
+/// exits 2.
+fn preset_usage(problem: &str) -> ! {
+    if !problem.is_empty() {
+        eprintln!("{problem}");
+    }
+    eprintln!("usage: study preset <name> [--format text|md|csv|json]");
+    eprintln!("presets:");
+    for p in presets::PRESETS {
+        eprintln!("  {:<22} {}", p.name, p.description);
+    }
+    std::process::exit(2);
+}
+
+/// `study preset <name> [--format text|md|csv|json]`: runs one row of
+/// the preset table on a fresh session. Whatever the preset wrote goes
+/// to stdout even when it fails part-way; a failure then exits 1.
+fn preset_main(args: &[String]) {
+    let mut name: Option<&str> = None;
+    let mut format = Format::Text;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--format" => {
+                let Some(value) = args.get(i + 1) else {
+                    preset_usage("--format needs a value (text, md, csv, json)");
+                };
+                format = Format::parse(value).unwrap_or_else(|e| preset_usage(&e.to_string()));
+                i += 1;
+            }
+            flag if flag.starts_with("--") => preset_usage(&format!("unknown flag {flag}")),
+            arg if name.is_none() => name = Some(arg),
+            extra => preset_usage(&format!("unexpected argument {extra}")),
+        }
+        i += 1;
+    }
+    let Some(name) = name else {
+        preset_usage("study preset needs a name");
+    };
+    let Some(preset) = presets::find(name) else {
+        preset_usage(&format!("unknown preset `{name}`"));
+    };
+    let session = StudySession::new();
+    let mut out = presets::Out::new(&session, format);
+    let result = (preset.run)(&mut out);
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(out.text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        eprintln!("write failed: {e}");
+        std::process::exit(1);
+    }
+    if let Err(e) = result {
+        eprintln!("preset {name} failed: {e}");
         std::process::exit(1);
     }
 }

@@ -46,8 +46,8 @@ pub const DEFAULT_HORIZON_YEARS: f64 = 200.0;
 /// let aging = AgingAnalysis::new(solver);
 /// // Very uneven idleness: bank 3 never sleeps.
 /// let sleep = [0.9, 0.9, 0.9, 0.0];
-/// let lt0 = aging.cache_lifetime_named(&sleep, 0.5, "identity", 1)?;
-/// let lt = aging.cache_lifetime_named(&sleep, 0.5, "probing", 1)?;
+/// let lt0 = aging.cache_lifetime(&sleep, 0.5, "identity", 1)?;
+/// let lt = aging.cache_lifetime(&sleep, 0.5, "probing", 1)?;
 /// // Without re-indexing the busy bank pins the lifetime near 2.93 y;
 /// // rotation shares the idleness and buys a large extension.
 /// assert!((lt0 - 2.93).abs() < 0.05);
@@ -195,31 +195,16 @@ impl AgingAnalysis {
         Ok(self.solver.lifetime_years(&profile)?)
     }
 
-    /// Cache lifetime under a policy kind (fresh policy instance, the
-    /// historic seed of 1).
-    ///
-    /// # Errors
-    ///
-    /// Propagates model errors; returns
-    /// [`CoreError::HorizonExceeded`] if no bank fails within the horizon.
-    pub fn cache_lifetime(
-        &self,
-        sleep_fractions: &[f64],
-        p0: f64,
-        policy: crate::policy::PolicyKind,
-    ) -> Result<f64, CoreError> {
-        self.cache_lifetime_named(sleep_fractions, p0, policy.key(), 1)
-    }
-
     /// Cache lifetime under a policy resolved by registry name, from a
-    /// full `u64` seed (see [`crate::registry`] for the derivation).
+    /// full `u64` seed (see [`crate::registry`] for the derivation; the
+    /// paper tables use seed 1).
     ///
     /// # Errors
     ///
     /// Propagates model errors; returns [`CoreError::UnknownPolicy`] for
     /// an unregistered name, [`CoreError::HorizonExceeded`] if no bank
     /// fails within the horizon.
-    pub fn cache_lifetime_named(
+    pub fn cache_lifetime(
         &self,
         sleep_fractions: &[f64],
         p0: f64,
@@ -310,7 +295,6 @@ impl AgingAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
     use nbti_model::CellDesign;
 
     fn aging() -> AgingAnalysis {
@@ -322,7 +306,7 @@ mod tests {
     fn always_on_cache_matches_cell_baseline() {
         let a = aging();
         let lt = a
-            .cache_lifetime_named(&[0.0, 0.0, 0.0, 0.0], 0.5, "identity", 1)
+            .cache_lifetime(&[0.0, 0.0, 0.0, 0.0], 0.5, "identity", 1)
             .unwrap();
         assert!((lt - 2.93).abs() < 0.03, "lt = {lt}");
     }
@@ -331,7 +315,7 @@ mod tests {
     fn identity_lifetime_is_pinned_by_worst_bank() {
         let a = aging();
         let lt = a
-            .cache_lifetime_named(&[0.99, 0.99, 0.99, 0.0], 0.5, "identity", 1)
+            .cache_lifetime(&[0.99, 0.99, 0.99, 0.0], 0.5, "identity", 1)
             .unwrap();
         let worst_alone = a.bank_lifetime(0.0, 0.5).unwrap();
         assert!((lt - worst_alone).abs() / worst_alone < 0.01);
@@ -341,7 +325,7 @@ mod tests {
     fn probing_averages_the_rates() {
         let a = aging();
         let sleep = [0.8, 0.6, 0.4, 0.0];
-        let lt = a.cache_lifetime_named(&sleep, 0.5, "probing", 1).unwrap();
+        let lt = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
         // Analytic expectation: rates are linear in S, rotation averages
         // them, so LT = t*/mean(rate) = bank_lifetime(mean S).
         let mean_s = sleep.iter().sum::<f64>() / 4.0;
@@ -358,10 +342,8 @@ mod tests {
         // results."
         let a = aging();
         let sleep = [0.9, 0.5, 0.3, 0.1];
-        let probing = a.cache_lifetime_named(&sleep, 0.5, "probing", 1).unwrap();
-        let scrambling = a
-            .cache_lifetime_named(&sleep, 0.5, "scrambling", 1)
-            .unwrap();
+        let probing = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
+        let scrambling = a.cache_lifetime(&sleep, 0.5, "scrambling", 1).unwrap();
         let rel = (probing - scrambling).abs() / probing;
         assert!(rel < 0.05, "probing {probing} vs scrambling {scrambling}");
     }
@@ -375,8 +357,8 @@ mod tests {
             [0.99, 0.99, 0.01, 0.0],
             [0.5, 0.4, 0.3, 0.2],
         ] {
-            let lt0 = a.cache_lifetime_named(&sleep, 0.5, "identity", 1).unwrap();
-            let lt = a.cache_lifetime_named(&sleep, 0.5, "probing", 1).unwrap();
+            let lt0 = a.cache_lifetime(&sleep, 0.5, "identity", 1).unwrap();
+            let lt = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
             assert!(
                 lt >= lt0 * 0.999,
                 "probing must not shorten life: {lt} < {lt0} for {sleep:?}"
@@ -391,11 +373,11 @@ mod tests {
         let solver = LifetimeSolver::calibrated(CellDesign::default_45nm(), 2.93).unwrap();
         let sleep = [0.9, 0.6, 0.2, 0.0];
         let daily = AgingAnalysis::new(solver.clone())
-            .cache_lifetime_named(&sleep, 0.5, "probing", 1)
+            .cache_lifetime(&sleep, 0.5, "probing", 1)
             .unwrap();
         let weekly = AgingAnalysis::new(solver)
             .with_update_interval_days(7.0)
-            .cache_lifetime_named(&sleep, 0.5, "probing", 1)
+            .cache_lifetime(&sleep, 0.5, "probing", 1)
             .unwrap();
         assert!((daily - weekly).abs() / daily < 0.01);
     }
@@ -405,14 +387,14 @@ mod tests {
         let a = aging()
             .with_mode(SleepMode::power_gated())
             .with_horizon_years(50.0);
-        let r = a.cache_lifetime(&[1.0, 1.0, 1.0, 1.0], 0.5, PolicyKind::Identity);
+        let r = a.cache_lifetime(&[1.0, 1.0, 1.0, 1.0], 0.5, "identity", 1);
         assert!(matches!(r, Err(CoreError::HorizonExceeded { .. })));
     }
 
     #[test]
     fn empty_bank_list_is_rejected() {
         let a = aging();
-        assert!(a.cache_lifetime(&[], 0.5, PolicyKind::Identity).is_err());
+        assert!(a.cache_lifetime(&[], 0.5, "identity", 1).is_err());
     }
 
     #[test]
@@ -422,8 +404,8 @@ mod tests {
         // below useful idleness; the anchor should land within ~10 %.
         let a = aging();
         let sleep = [0.049, 0.986, 0.941, 0.031];
-        let lt0 = a.cache_lifetime_named(&sleep, 0.5, "identity", 1).unwrap();
-        let lt = a.cache_lifetime_named(&sleep, 0.5, "probing", 1).unwrap();
+        let lt0 = a.cache_lifetime(&sleep, 0.5, "identity", 1).unwrap();
+        let lt = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
         assert!((lt0 - 3.00).abs() < 0.15, "LT0 {lt0} vs paper 3.00");
         assert!((lt - 4.74).abs() < 0.5, "LT {lt} vs paper 4.74");
     }

@@ -3,7 +3,6 @@
 use crate::control::BlockControlSpec;
 use crate::decoder::Decoder;
 use crate::error::CoreError;
-use crate::policy::PolicyKind;
 use crate::registry::PolicyRegistry;
 use crate::selector::BlockSelector;
 use cache_sim::{
@@ -35,13 +34,13 @@ pub enum UpdateSchedule {
 /// # Examples
 ///
 /// ```
-/// use aging_cache::{PartitionedCache, PolicyKind};
+/// use aging_cache::{PartitionedCache, PolicyRegistry};
 /// use aging_cache::arch::UpdateSchedule;
 /// use cache_sim::CacheGeometry;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4)?;
-/// let cache = PartitionedCache::new(geom, PolicyKind::Probing)?;
+/// let cache = PartitionedCache::new(geom, "probing", PolicyRegistry::global().clone())?;
 /// let profile = trace_synth::suite::by_name("CRC32").unwrap();
 /// let out = cache.simulate(profile.trace(7).take(50_000), UpdateSchedule::Never)?;
 /// assert_eq!(out.accesses, 50_000);
@@ -59,25 +58,16 @@ pub struct PartitionedCache {
 }
 
 impl PartitionedCache {
-    /// Creates the architecture description from a legacy policy kind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if the geometry has fewer
-    /// than 2 banks (the architecture is pointless for a monolith).
-    pub fn new(geometry: CacheGeometry, policy: PolicyKind) -> Result<Self, CoreError> {
-        Self::new_named(geometry, policy.key(), PolicyRegistry::global().clone())
-    }
-
     /// Creates the architecture with a policy resolved by name from a
-    /// registry — the open entry point that admits custom policies.
+    /// registry (`PolicyRegistry::global()` holds the built-ins; a
+    /// custom registry admits user policies).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for a monolithic
     /// geometry, or [`CoreError::UnknownPolicy`] for an unregistered
     /// policy name.
-    pub fn new_named(
+    pub fn new(
         geometry: CacheGeometry,
         policy_name: &str,
         registry: PolicyRegistry,
@@ -117,7 +107,7 @@ impl PartitionedCache {
     /// Selects a victim-selection (replacement) policy by registry
     /// name, resolved against `registry` — the open entry point that
     /// admits custom replacement policies, mirroring
-    /// [`PartitionedCache::new_named`]. Irrelevant for direct-mapped
+    /// [`PartitionedCache::new`]. Irrelevant for direct-mapped
     /// geometries; the default (`lru`) keeps the historic victim order.
     ///
     /// # Errors
@@ -439,15 +429,15 @@ mod tests {
     use super::*;
     use trace_synth::suite;
 
-    fn arch(policy: PolicyKind) -> PartitionedCache {
+    fn arch(policy: &str) -> PartitionedCache {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
-        PartitionedCache::new(geom, policy).unwrap()
+        PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).unwrap()
     }
 
     #[test]
     fn rejects_monolithic_geometry() {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 1).unwrap();
-        assert!(PartitionedCache::new(geom, PolicyKind::Identity).is_err());
+        assert!(PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).is_err());
     }
 
     #[test]
@@ -456,8 +446,8 @@ mod tests {
         // behaviour must be identical (paper: no miss-rate degradation).
         let profile = suite::by_name("dijkstra").unwrap();
         let mut rates = Vec::new();
-        for kind in PolicyKind::ALL {
-            let out = arch(kind)
+        for policy in ["identity", "probing", "scrambling"] {
+            let out = arch(policy)
                 .simulate(profile.trace(3).take(100_000), UpdateSchedule::Never)
                 .unwrap();
             out.validate().unwrap();
@@ -470,10 +460,10 @@ mod tests {
     #[test]
     fn frequent_updates_cost_bounded_misses() {
         let profile = suite::by_name("CRC32").unwrap();
-        let baseline = arch(PolicyKind::Probing)
+        let baseline = arch("probing")
             .simulate(profile.trace(3).take(100_000), UpdateSchedule::Never)
             .unwrap();
-        let updated = arch(PolicyKind::Probing)
+        let updated = arch("probing")
             .simulate(
                 profile.trace(3).take(100_000),
                 UpdateSchedule::EveryCycles(10_000),
@@ -491,7 +481,7 @@ mod tests {
 
     #[test]
     fn hardware_specs_materialize() {
-        let a = arch(PolicyKind::Scrambling);
+        let a = arch("scrambling");
         let ctl = a.block_control().unwrap();
         assert!(ctl.in_paper_regime());
         let sel = a.block_selector().unwrap();

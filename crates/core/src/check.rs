@@ -149,6 +149,9 @@ impl std::fmt::Display for CheckReport {
 /// running anything.
 pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
     let mut report = CheckReport::default();
+    if let Some(message) = spec.kb_overflow() {
+        report.error("spec-axis", message);
+    }
     for (axis, len) in [
         ("cache_bytes", spec.cache_bytes.len()),
         ("line_bytes", spec.line_bytes.len()),

@@ -119,19 +119,18 @@ impl Decoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
 
-    fn decoder(kind: PolicyKind) -> Decoder {
+    fn decoder(policy: &str) -> Decoder {
         let geom = CacheGeometry::direct_mapped(256 * 16, 16, 4).unwrap();
         let mapping = crate::registry::PolicyRegistry::global()
-            .build(kind.key(), 4, 1)
+            .build(policy, 4, 1)
             .unwrap();
         Decoder::new(geom, mapping).unwrap()
     }
 
     #[test]
     fn slot_bits_pass_through_unchanged() {
-        let mut dec = decoder(PolicyKind::Probing);
+        let mut dec = decoder("probing");
         let addr = 70 * 16; // paper Example 1: line 70
         let before = dec.route(addr).unwrap();
         dec.update();
@@ -144,7 +143,7 @@ mod tests {
     fn paper_example_1_full_walk() {
         // Address 70 (line index), M = 4, 64 lines/bank: bank walk
         // 1 -> 2 -> 3 -> 0 on successive updates, always slot 6.
-        let mut dec = decoder(PolicyKind::Probing);
+        let mut dec = decoder("probing");
         let addr = 70 * 16;
         let mut banks = Vec::new();
         for _ in 0..4 {
@@ -158,7 +157,7 @@ mod tests {
 
     #[test]
     fn activation_is_one_hot_of_physical_bank() {
-        let dec = decoder(PolicyKind::Identity);
+        let dec = decoder("identity");
         for line in 0..256u64 {
             let r = dec.route(line * 16).unwrap();
             assert_eq!(r.activation, 1 << r.physical_bank);
@@ -168,7 +167,7 @@ mod tests {
 
     #[test]
     fn physical_set_recombines_bank_and_slot() {
-        let dec = decoder(PolicyKind::Scrambling);
+        let dec = decoder("scrambling");
         let geom = *dec.geometry();
         for line in (0..256u64).step_by(7) {
             let r = dec.route(line * 16).unwrap();
@@ -181,7 +180,7 @@ mod tests {
 
     #[test]
     fn scrambling_decoder_stays_bijective_over_updates() {
-        let mut dec = decoder(PolicyKind::Scrambling);
+        let mut dec = decoder("scrambling");
         for _ in 0..10 {
             let mut seen = [false; 4];
             for l in 0..4u64 {
@@ -195,7 +194,7 @@ mod tests {
 
     #[test]
     fn update_counter_increments() {
-        let mut dec = decoder(PolicyKind::Probing);
+        let mut dec = decoder("probing");
         assert_eq!(dec.updates(), 0);
         dec.update();
         dec.update();

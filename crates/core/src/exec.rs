@@ -2,7 +2,7 @@
 //! runner, selected through [`ExecOptions`], with streaming progress
 //! via [`ExecObserver`].
 //!
-//! Before this layer existed, [`ScenarioGrid::run`] was a closed
+//! Before this layer existed, the grid runner was a closed
 //! one-shot loop: it spawned its own scoped threads, funnelled every
 //! result through one mutex, and its simulation memo died with the
 //! call. The execution layer splits that loop into replaceable parts:
@@ -24,8 +24,6 @@
 //! Determinism is unaffected by the backend: records land in
 //! scenario-id slots, so sequential, threaded and cache-warm runs emit
 //! byte-identical reports (pinned by `tests/exec_cache.rs`).
-//!
-//! [`ScenarioGrid::run`]: crate::study::ScenarioGrid::run
 
 use crate::session::SessionStats;
 use crate::study::{ScenarioRecord, StudyReport};
@@ -140,9 +138,7 @@ pub enum ExecBackend {
 /// Declarative executor selection for a
 /// [`StudySession`](crate::session::StudySession).
 ///
-/// The default is the threaded backend at available parallelism —
-/// exactly what [`ScenarioGrid::run`](crate::study::ScenarioGrid::run)
-/// always did. A [`StudySpec::threads`](crate::study::StudySpec::threads)
+/// The default is the threaded backend at available parallelism. A [`StudySpec::threads`](crate::study::StudySpec::threads)
 /// cap on the spec overrides the option's cap for that grid.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecOptions {

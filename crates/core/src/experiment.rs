@@ -1,26 +1,14 @@
-//! Experiment configuration and the paper-table entry points.
+//! The experiment configuration the paper-table presets start from.
 //!
-//! Since the Study API redesign this module is a thin compatibility
-//! layer: the measurement engine is [`crate::study`] (declarative
-//! [`crate::study::StudySpec`] grids run in parallel), the
-//! paper's tables are presets over it ([`crate::presets`]) and the
-//! rendering is a set of pure views ([`crate::views`]). The `tableN`
-//! functions here wire those three together so historic callers — and
-//! the published measured values — are unchanged.
+//! An [`ExperimentConfig`] is the paper's reference cache plus a trace
+//! horizon and base seed; [`ExperimentConfig::study`] turns it into the
+//! single-point [`StudySpec`] every preset in [`crate::presets`] widens.
+//! Running a study is [`StudySession::run`](crate::session::StudySession::run),
+//! and rendering is a view in [`crate::views`].
 
-use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
-use crate::lfsr::Lfsr;
-use crate::model::ModelContext;
-use crate::paper;
-use crate::presets;
-use crate::report::Table;
-use crate::study::{ScenarioRecord, StudySpec};
-use crate::views;
+use crate::study::StudySpec;
 use cache_sim::CacheGeometry;
-use nbti_model::{calibration, CellDesign, LifetimeSolver};
-use trace_synth::rng::SplitMix64;
-use trace_synth::WorkloadProfile;
 
 /// A cache configuration plus simulation horizon for one experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,27 +37,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Overrides the cache size (kB).
-    #[must_use]
-    pub fn with_cache_kb(mut self, kb: u64) -> Self {
-        self.cache_bytes = kb * 1024;
-        self
-    }
-
-    /// Overrides the line size (bytes).
-    #[must_use]
-    pub fn with_line_bytes(mut self, bytes: u32) -> Self {
-        self.line_bytes = bytes;
-        self
-    }
-
-    /// Overrides the bank count.
-    #[must_use]
-    pub fn with_banks(mut self, banks: u32) -> Self {
-        self.banks = banks;
-        self
-    }
-
     /// Overrides the simulated trace length.
     #[must_use]
     pub fn with_trace_cycles(mut self, cycles: u64) -> Self {
@@ -90,15 +57,6 @@ impl ExperimentConfig {
         )?)
     }
 
-    /// Builds the shared experiment context (calibrated aging model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates NBTI-model calibration errors.
-    pub fn build_context(&self) -> Result<ExperimentContext, CoreError> {
-        ExperimentContext::new()
-    }
-
     /// A [`StudySpec`] at exactly this configuration: single point on
     /// every geometry axis, the full suite on the workload axis, the
     /// historic seeds. The starting point of every preset.
@@ -113,391 +71,11 @@ impl ExperimentConfig {
     }
 }
 
-/// **Deprecated shim** over [`ModelContext`]: the historic "calibrated
-/// context" of the pre-model-axis API.
-///
-/// Since the device axis opened, the run context of the Study API is a
-/// [`ModelContext`] — a model registry plus the per-model calibration
-/// cache. This type survives so historic callers (and the `tableN`
-/// entry points below) keep compiling: it carries a `ModelContext` and
-/// passes anywhere one is accepted (`StudySpec::run`,
-/// `ScenarioGrid::run` take `impl AsRef<ModelContext>`). New code
-/// should construct [`ModelContext::new`] directly.
-#[derive(Debug, Clone)]
-pub struct ExperimentContext {
-    /// The rotation-aware aging analysis, calibrated to the paper's
-    /// 2.93-year cell — the historic public field, still served for
-    /// *direct* physics queries.
-    ///
-    /// Since the model axis opened, studies no longer read this field:
-    /// `StudySpec::run` evaluates through the wrapped [`ModelContext`]
-    /// and each scenario's model key. Mutating `aging` therefore only
-    /// affects callers that query it directly; to change what a study
-    /// computes, put the operating point on the model axis
-    /// (`StudySpec::models`, `nbti:temp=…` keys) or register a custom
-    /// [`AgingModel`](crate::model::AgingModel).
-    pub aging: AgingAnalysis,
-    models: ModelContext,
-}
-
-impl ExperimentContext {
-    /// Calibrates the aging model to the paper's anchor.
-    ///
-    /// # Errors
-    ///
-    /// Propagates NBTI-model calibration errors.
-    pub fn new() -> Result<Self, CoreError> {
-        // The process-wide calibration cache holds exactly this solve
-        // (field-for-field identical); only re-solve if the two anchor
-        // constants ever diverge.
-        let solver = if paper::CELL_LIFETIME_YEARS == calibration::REFERENCE_LIFETIME_YEARS {
-            calibration::reference_45nm().clone()
-        } else {
-            LifetimeSolver::calibrated(CellDesign::default_45nm(), paper::CELL_LIFETIME_YEARS)?
-        };
-        Ok(Self {
-            aging: AgingAnalysis::new(solver),
-            models: ModelContext::new(),
-        })
-    }
-
-    /// The model context this shim wraps.
-    pub fn models(&self) -> &ModelContext {
-        &self.models
-    }
-}
-
-impl AsRef<ModelContext> for ExperimentContext {
-    fn as_ref(&self) -> &ModelContext {
-        &self.models
-    }
-}
-
-/// Per-benchmark results at one configuration (legacy record shape; the
-/// Study API's [`ScenarioRecord`] carries the same metrics plus the full
-/// scenario coordinates).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Energy saving vs the monolithic always-on cache.
-    pub esav: f64,
-    /// Lifetime without re-indexing (identity policy), years.
-    pub lt0_years: f64,
-    /// Lifetime with Probing re-indexing, years.
-    pub lt_years: f64,
-    /// Per-bank useful idleness (Table I's metric).
-    pub useful_idleness: Vec<f64>,
-    /// Per-bank sleep fractions (what the aging model consumes).
-    pub sleep_fractions: Vec<f64>,
-    /// Cache miss rate on the trace.
-    pub miss_rate: f64,
-}
-
-impl BenchResult {
-    /// Average useful idleness over the banks.
-    pub fn avg_useful_idleness(&self) -> f64 {
-        self.useful_idleness.iter().sum::<f64>() / self.useful_idleness.len() as f64
-    }
-}
-
-impl From<&ScenarioRecord> for BenchResult {
-    fn from(r: &ScenarioRecord) -> Self {
-        Self {
-            name: r.scenario.workload.clone(),
-            esav: r.esav,
-            lt0_years: r.lt0_years(),
-            lt_years: r.lt_years(),
-            useful_idleness: r.useful_idleness.clone(),
-            sleep_fractions: r.sleep_fractions.clone(),
-            miss_rate: r.miss_rate,
-        }
-    }
-}
-
-/// Runs one benchmark at one configuration: simulate (identity mapping,
-/// no mid-trace updates), then evaluate LT0 and LT from the measured
-/// sleep fractions.
-///
-/// # Errors
-///
-/// Propagates simulator and aging-model errors.
-pub fn run_benchmark(
-    profile: &WorkloadProfile,
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<BenchResult, CoreError> {
-    let report = cfg
-        .study(format!("bench:{}", profile.name()))
-        .workloads([profile.clone()])
-        .policies(["probing"])
-        .threads(1)
-        .run(ctx)?;
-    Ok(BenchResult::from(&report.records()[0]))
-}
-
-/// Runs the whole 18-benchmark suite at one configuration (in parallel
-/// across scenarios).
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn run_suite(
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<BenchResult>, CoreError> {
-    let report = cfg.study("suite").policies(["probing"]).run(ctx)?;
-    Ok(report.records().iter().map(BenchResult::from).collect())
-}
-
-fn mean<'a>(values: impl Iterator<Item = &'a f64>) -> f64 {
-    let v: Vec<f64> = values.copied().collect();
-    v.iter().sum::<f64>() / v.len() as f64
-}
-
-/// **Table I**: distribution of useful idleness in a 4-bank 16 kB cache,
-/// measured next to the paper's published row.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table1(cfg: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table1(&presets::table1(cfg).run(ctx)?)
-}
-
-/// Raw data for Table II: suite results at 8, 16 and 32 kB.
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table2_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u64, Vec<BenchResult>)>, CoreError> {
-    views::table2_dataset(&presets::table2(base).run(ctx)?)
-}
-
-/// **Table II**: energy savings and lifetime when varying cache size
-/// (16 B lines, M = 4).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table2(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table2(&presets::table2(base).run(ctx)?)
-}
-
-/// Raw data for Table III: suite results at 16 B and 32 B lines (16 kB).
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table3_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u32, Vec<BenchResult>)>, CoreError> {
-    let report = presets::table3(base).run(ctx)?;
-    Ok([16u32, 32]
-        .iter()
-        .map(|&ls| {
-            (
-                ls,
-                report
-                    .select(|r| r.scenario.line_bytes == ls)
-                    .map(BenchResult::from)
-                    .collect(),
-            )
-        })
-        .collect())
-}
-
-/// **Table III**: energy savings and lifetime when varying line size
-/// (16 kB cache, M = 4).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table3(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table3(&presets::table3(base).run(ctx)?)
-}
-
-/// Raw data for Table IV: `(size_kb, banks, avg idleness, avg LT)`.
-///
-/// # Errors
-///
-/// Propagates per-benchmark errors.
-pub fn table4_data(
-    base: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Vec<(u64, u32, f64, f64)>, CoreError> {
-    let report = presets::table4(base).run(ctx)?;
-    let mut rows = Vec::new();
-    for kb in [8u64, 16, 32] {
-        for banks in [2u32, 4, 8] {
-            let cell: Vec<&ScenarioRecord> = report
-                .select(|r| r.scenario.cache_bytes == kb * 1024 && r.scenario.banks == banks)
-                .collect();
-            let idle =
-                cell.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / cell.len() as f64;
-            let lt = cell.iter().map(|r| r.lt_years()).sum::<f64>() / cell.len() as f64;
-            rows.push((kb, banks, idle, lt));
-        }
-    }
-    Ok(rows)
-}
-
-/// **Table IV**: average idleness and lifetime when varying cache size
-/// and number of blocks.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn table4(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::table4(&presets::table4(base).run(ctx)?)
-}
-
-/// The headline quantities of §IV-B1, computed from measured data.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClaimsSummary {
-    /// Mean LT0 / 2.93 − 1 at 8 kB (paper: ≈ 9 %).
-    pub lt0_gain_8k: f64,
-    /// Mean (LT − LT0)/LT0 at 8 kB (paper: ≈ 38 %).
-    pub reindex_further_gain_8k: f64,
-    /// Mean LT / 2.93 − 1 per size (paper: 48 / 47.1 / 57.6 %).
-    pub extension_per_size: [f64; 3],
-    /// The largest single LT / 2.93 across suite and sizes with its
-    /// benchmark (paper: sha, ≈ 2x).
-    pub best_case: (String, f64),
-    /// The smallest single LT / 2.93 across suite and sizes (paper: ≥ 22 %
-    /// gain for the worst configuration).
-    pub worst_case: (String, f64),
-}
-
-/// Computes the headline claims from a Table II dataset.
-pub fn claims_from(data: &[(u64, Vec<BenchResult>)]) -> ClaimsSummary {
-    let base = paper::CELL_LIFETIME_YEARS;
-    let eight = &data[0].1;
-    let lt0_gain_8k = mean(eight.iter().map(|r| &r.lt0_years)) / base - 1.0;
-    let reindex_further_gain_8k = eight
-        .iter()
-        .map(|r| (r.lt_years - r.lt0_years) / r.lt0_years)
-        .sum::<f64>()
-        / eight.len() as f64;
-    let mut extension = [0.0; 3];
-    for (i, (_, results)) in data.iter().enumerate() {
-        extension[i] = mean(results.iter().map(|r| &r.lt_years)) / base - 1.0;
-    }
-    let mut best = (String::new(), 0.0f64);
-    let mut worst = (String::new(), f64::INFINITY);
-    for (_, results) in data {
-        for r in results {
-            let f = r.lt_years / base;
-            if f > best.1 {
-                best = (r.name.clone(), f);
-            }
-            if f < worst.1 {
-                worst = (r.name.clone(), f);
-            }
-        }
-    }
-    ClaimsSummary {
-        lt0_gain_8k,
-        reindex_further_gain_8k,
-        extension_per_size: extension,
-        best_case: best,
-        worst_case: worst,
-    }
-}
-
-/// Renders the headline-claims comparison (§I and §IV-B1 prose).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn claims(base: &ExperimentConfig, ctx: &ExperimentContext) -> Result<Table, CoreError> {
-    views::claims(&presets::claims(base).run(ctx)?)
-}
-
-/// §IV-B2: RNG repetition error vs number of updates, for the Scrambling
-/// LFSR against an ideal uniform generator. The paper argues the error of
-/// a uniform RNG shrinks as `1/√N` and is therefore negligible over a
-/// lifetime of updates; a maximal-length LFSR is even better (its counts
-/// are exactly balanced every period).
-///
-/// # Errors
-///
-/// Propagates LFSR construction errors.
-pub fn rng_error(bank_bits: u32, draws: &[u64]) -> Result<Table, CoreError> {
-    let m = 1u32 << bank_bits;
-    let mut t = Table::new(
-        format!("RNG repetition error vs updates (M = {m})"),
-        vec![
-            "N updates".into(),
-            "LFSR err".into(),
-            "uniform err".into(),
-            "1/sqrt(N)".into(),
-        ],
-    );
-    for &n in draws {
-        // LFSR mask stream.
-        let mut lfsr = Lfsr::new(bank_bits, 1)?;
-        let mut counts = vec![0u64; m as usize];
-        for _ in 0..n {
-            counts[(lfsr.next_value() as u32 & (m - 1)) as usize] += 1;
-        }
-        let lfsr_err = rel_error(&counts[1..], n); // 0 never drawn
-                                                   // Ideal uniform generator over all M values.
-        let mut rng = SplitMix64::new(0x5eed ^ n);
-        let mut counts = vec![0u64; m as usize];
-        for _ in 0..n {
-            counts[rng.next_below(m as u64) as usize] += 1;
-        }
-        let uni_err = rel_error(&counts, n);
-        t.push_row(vec![
-            n.to_string(),
-            format!("{lfsr_err:.4}"),
-            format!("{uni_err:.4}"),
-            format!("{:.4}", 1.0 / (n as f64).sqrt()),
-        ]);
-    }
-    t.push_note("uniform error tracks 1/sqrt(N); the LFSR is exactly balanced each period");
-    Ok(t)
-}
-
-/// Root-mean-square relative deviation of `counts` from a uniform share
-/// of `n` draws.
-fn rel_error(counts: &[u64], n: u64) -> f64 {
-    let ideal = n as f64 / counts.len() as f64;
-    if ideal == 0.0 {
-        return 0.0;
-    }
-    let ss: f64 = counts
-        .iter()
-        .map(|&c| {
-            let d = c as f64 - ideal;
-            d * d
-        })
-        .sum();
-    (ss / counts.len() as f64).sqrt() / ideal
-}
-
-/// §IV-B2's conclusion: Probing and Scrambling are "de facto identical".
-/// Per-benchmark LT under both policies.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn policy_equivalence(
-    cfg: &ExperimentConfig,
-    ctx: &ExperimentContext,
-) -> Result<Table, CoreError> {
-    views::policy_equivalence(&presets::policy_equivalence(cfg).run(ctx)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trace_synth::suite;
+    use crate::session::StudySession;
+    use crate::{presets, views};
 
     fn quick_cfg() -> ExperimentConfig {
         // Shorter traces keep debug-mode tests fast; two full macro
@@ -507,63 +85,29 @@ mod tests {
 
     #[test]
     fn reference_benchmark_run_reproduces_sha_shape() {
-        let cfg = quick_cfg();
-        let ctx = cfg.build_context().unwrap();
-        let sha = suite::by_name("sha").unwrap();
-        let r = run_benchmark(&sha, &cfg, &ctx).unwrap();
+        let spec = quick_cfg()
+            .study("bench:sha")
+            .workload_names(["sha"])
+            .unwrap()
+            .policies(["probing"]);
+        let report = StudySession::new().run(&spec).unwrap();
+        let r = &report.records()[0];
         // sha: banks 1-2 nearly always idle, banks 0,3 busy.
         assert!(r.useful_idleness[1] > 0.9);
         assert!(r.useful_idleness[2] > 0.9);
         assert!(r.useful_idleness[0] < 0.15);
-        assert!(r.lt_years > r.lt0_years);
+        assert!(r.lt_years() > r.lt0_years());
         assert!((r.esav - 0.443).abs() < 0.05, "esav {}", r.esav);
     }
 
     #[test]
     fn table1_structure() {
-        let cfg = quick_cfg();
-        let ctx = cfg.build_context().unwrap();
-        let t = table1(&cfg, &ctx).unwrap();
+        let report = StudySession::new()
+            .run(&presets::table1(&quick_cfg()))
+            .unwrap();
+        let t = views::table1(&report).unwrap();
         assert_eq!(t.rows().len(), 18);
         assert!(t.to_string().contains("adpcm.dec"));
         assert!(t.to_markdown().contains("| bench |"));
-    }
-
-    #[test]
-    fn rng_error_decays_with_n() {
-        let t = rng_error(2, &[64, 4096]).unwrap();
-        let rows = t.rows();
-        let err_small: f64 = rows[0][2].parse().unwrap();
-        let err_large: f64 = rows[1][2].parse().unwrap();
-        assert!(
-            err_large < err_small,
-            "uniform error must decay: {err_small} -> {err_large}"
-        );
-        let lfsr_large: f64 = rows[1][1].parse().unwrap();
-        assert!(lfsr_large <= err_large, "LFSR is at least as balanced");
-    }
-
-    #[test]
-    fn claims_math_is_consistent() {
-        // Synthetic dataset exercising the aggregation.
-        let mk = |name: &str, lt0: f64, lt: f64| BenchResult {
-            name: name.into(),
-            esav: 0.4,
-            lt0_years: lt0,
-            lt_years: lt,
-            useful_idleness: vec![0.5; 4],
-            sleep_fractions: vec![0.5; 4],
-            miss_rate: 0.1,
-        };
-        let data = vec![
-            (8u64, vec![mk("a", 3.0, 4.0), mk("b", 3.2, 6.0)]),
-            (16u64, vec![mk("a", 3.0, 4.4), mk("b", 3.1, 4.5)]),
-            (32u64, vec![mk("a", 3.0, 4.6), mk("b", 3.2, 4.9)]),
-        ];
-        let s = claims_from(&data);
-        assert!((s.lt0_gain_8k - (3.1 / 2.93 - 1.0)).abs() < 1e-9);
-        assert_eq!(s.best_case.0, "b");
-        assert!((s.best_case.1 - 6.0 / 2.93).abs() < 1e-9);
-        assert_eq!(s.worst_case.0, "a");
     }
 }

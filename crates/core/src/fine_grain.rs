@@ -125,7 +125,7 @@ impl FineGrainStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
+    use crate::registry::PolicyRegistry;
     use nbti_model::{CellDesign, LifetimeSolver};
     use trace_synth::suite;
 
@@ -151,7 +151,9 @@ mod tests {
         );
 
         let geom = CacheGeometry::direct_mapped(8 * 1024, 16, 4).unwrap();
-        let arch = crate::arch::PartitionedCache::new(geom, PolicyKind::Identity).unwrap();
+        let arch =
+            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())
+                .unwrap();
         let out = arch
             .simulate(
                 profile.trace(5).take(80_000),
@@ -175,7 +177,9 @@ mod tests {
         let ideal = s.ideal_lifetime(&a, &fine, 0.5).unwrap();
 
         let geom = CacheGeometry::direct_mapped(8 * 1024, 16, 4).unwrap();
-        let arch = crate::arch::PartitionedCache::new(geom, PolicyKind::Identity).unwrap();
+        let arch =
+            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())
+                .unwrap();
         let out = arch
             .simulate(
                 profile.trace(7).take(80_000),
@@ -183,7 +187,7 @@ mod tests {
             )
             .unwrap();
         let bank_level = a
-            .cache_lifetime(&out.sleep_fraction_all(), 0.5, PolicyKind::Probing)
+            .cache_lifetime(&out.sleep_fraction_all(), 0.5, "probing", 1)
             .unwrap();
         assert!(
             ideal > bank_level,

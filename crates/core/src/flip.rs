@@ -9,7 +9,6 @@
 
 use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
-use crate::policy::PolicyKind;
 
 /// A word-level cell-flipping scheme.
 ///
@@ -82,8 +81,8 @@ impl CellFlip {
     }
 
     /// Cache lifetime with flipping composed onto a partitioned cache:
-    /// the sleep distribution is handled by `policy`, the value balance
-    /// by this scheme.
+    /// the sleep distribution is handled by the registry policy `policy`
+    /// (seeded with `seed`), the value balance by this scheme.
     ///
     /// # Errors
     ///
@@ -93,9 +92,10 @@ impl CellFlip {
         aging: &AgingAnalysis,
         sleep_fractions: &[f64],
         raw_p0: f64,
-        policy: PolicyKind,
+        policy: &str,
+        seed: u64,
     ) -> Result<f64, CoreError> {
-        aging.cache_lifetime(sleep_fractions, self.effective_p0(raw_p0), policy)
+        aging.cache_lifetime(sleep_fractions, self.effective_p0(raw_p0), policy, seed)
     }
 }
 
@@ -126,9 +126,9 @@ mod tests {
     fn flipping_helps_skewed_workloads() {
         let a = aging();
         let sleep = [0.4, 0.4, 0.4, 0.4];
-        let skewed = a.cache_lifetime(&sleep, 0.95, PolicyKind::Probing).unwrap();
+        let skewed = a.cache_lifetime(&sleep, 0.95, "probing", 1).unwrap();
         let flipped = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, 0.95, PolicyKind::Probing)
+            .cache_lifetime(&a, &sleep, 0.95, "probing", 1)
             .unwrap();
         assert!(
             flipped > skewed,
@@ -140,9 +140,9 @@ mod tests {
     fn flipping_is_neutral_for_balanced_workloads() {
         let a = aging();
         let sleep = [0.4, 0.4, 0.4, 0.4];
-        let plain = a.cache_lifetime(&sleep, 0.5, PolicyKind::Probing).unwrap();
+        let plain = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
         let flipped = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, 0.5, PolicyKind::Probing)
+            .cache_lifetime(&a, &sleep, 0.5, "probing", 1)
             .unwrap();
         assert!((plain - flipped).abs() / plain < 1e-6);
     }
@@ -161,17 +161,13 @@ mod tests {
         let a = aging();
         let sleep = [0.9, 0.6, 0.3, 0.0];
         let raw_p0 = 0.9;
-        let neither = a
-            .cache_lifetime(&sleep, raw_p0, PolicyKind::Identity)
-            .unwrap();
+        let neither = a.cache_lifetime(&sleep, raw_p0, "identity", 1).unwrap();
         let only_flip = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, raw_p0, PolicyKind::Identity)
+            .cache_lifetime(&a, &sleep, raw_p0, "identity", 1)
             .unwrap();
-        let only_reindex = a
-            .cache_lifetime(&sleep, raw_p0, PolicyKind::Probing)
-            .unwrap();
+        let only_reindex = a.cache_lifetime(&sleep, raw_p0, "probing", 1).unwrap();
         let both = CellFlip::ideal()
-            .cache_lifetime(&a, &sleep, raw_p0, PolicyKind::Probing)
+            .cache_lifetime(&a, &sleep, raw_p0, "probing", 1)
             .unwrap();
         assert!(only_flip > neither);
         assert!(only_reindex > neither);

@@ -58,7 +58,8 @@
 //!   session so `study optimize` re-runs replay warm with zero
 //!   simulations;
 //! * [`presets`] / [`views`] / [`experiment`] / [`report`] — the
-//!   paper's tables as ~10-line presets over the grid runner, rendered
+//!   paper's tables as presets over the grid runner (starting from an
+//!   [`experiment::ExperimentConfig`]), rendered
 //!   by pure views with the published values embedded for side-by-side
 //!   comparison ([`paper`]);
 //! * [`json`] — the dependency-free JSON codec behind report
@@ -73,18 +74,18 @@
 //! values, scenarios run in parallel, and the report serializes:
 //!
 //! ```no_run
-//! use aging_cache::model::ModelContext;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! let ctx = ModelContext::new(); // models calibrate lazily, once each
-//! let report = StudySpec::new("my sweep")
+//! let session = StudySession::new(); // models calibrate lazily, once each
+//! let spec = StudySpec::new("my sweep")
 //!     .cache_kb([8, 16])
 //!     .banks([2, 4])
 //!     .policies(["probing", "scrambling", "gray"])
 //!     .workload_names(["sha", "CRC32", "dijkstra"])?
-//!     .models(["nbti-45nm", "nbti:temp=105", "variation:30"])
-//!     .run(&ctx)?;
+//!     .models(["nbti-45nm", "nbti:temp=105", "variation:30"]);
+//! let report = session.run(&spec)?;
 //! for r in report.records() {
 //!     println!(
 //!         "{:>10} {:>10} {:>14} {:2} banks: Esav {:5.1}%  LT {:.2}y",
@@ -104,13 +105,13 @@
 //! The paper's tables are presets over the same engine:
 //!
 //! ```no_run
-//! use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! use aging_cache::experiment::ExperimentConfig;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::{presets, views};
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let cfg = ExperimentConfig::paper_reference(); // 16 kB, 16 B, M=4
-//! let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg).run(&ctx)?;
+//! let report = StudySession::new().run(&presets::table2(&cfg))?;
 //! println!("{}", views::table2(&report)?);
 //! # Ok(())
 //! # }
@@ -166,7 +167,7 @@ pub use model::{
     ModelRegistry,
 };
 pub use onehot::OneHotEncoder;
-pub use policy::{GrayRotation, PolicyKind, Probing, RotateXor, Scrambling};
+pub use policy::{GrayRotation, Probing, RotateXor, Scrambling};
 pub use registry::{IndexingPolicy, PolicyRegistry};
 pub use render::Format;
 pub use rescache::{

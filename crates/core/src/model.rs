@@ -1038,10 +1038,6 @@ impl ModelRegistry {
 /// scenarios over two models calibrates exactly twice, and the shared
 /// [`CalibratedModel`] instances let scenarios share internal
 /// characterization state (the LUT-sharing the paper's flow relies on).
-///
-/// The legacy
-/// [`ExperimentContext`](crate::experiment::ExperimentContext) is a
-/// thin shim over this type.
 pub struct ModelContext {
     registry: ModelRegistry,
     // aging-lint: allow(no-unordered-iter) calibration memo, only ever probed by key; never iterated

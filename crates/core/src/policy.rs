@@ -24,68 +24,6 @@ use crate::error::CoreError;
 use crate::lfsr::Lfsr;
 use cache_sim::BankMapping;
 
-/// Which indexing function a cache uses — the paper's three, as a
-/// closed enum.
-///
-/// This type is kept as a thin compatibility shim over the open
-/// [`PolicyRegistry`](crate::registry::PolicyRegistry): [`PolicyKind::build`]
-/// now delegates to the registry, and [`PolicyKind::key`] gives the
-/// registry name. New code (and anything that wants the two additional
-/// built-ins, [`GrayRotation`] and [`RotateXor`], or custom policies)
-/// should use the registry directly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PolicyKind {
-    /// No re-indexing: a conventional power-managed partitioned cache
-    /// (the paper's `LT0` baseline).
-    Identity,
-    /// Modular-increment re-indexing (optimal).
-    Probing,
-    /// LFSR-XOR re-indexing (asymptotically optimal).
-    Scrambling,
-}
-
-impl PolicyKind {
-    /// Instantiates the policy as a [`BankMapping`] for `banks` banks.
-    ///
-    /// `seed` only affects `Scrambling` (the LFSR seed). This is the
-    /// legacy 16-bit-seed entry point; new code should resolve policies
-    /// by name through [`PolicyRegistry`](crate::registry::PolicyRegistry),
-    /// which takes a full `u64` seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] if `banks` is not a power
-    /// of two of at least 2.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use PolicyRegistry::build(kind.key(), banks, seed) — the registry is open and takes u64 seeds"
-    )]
-    pub fn build(self, banks: u32, seed: u16) -> Result<Box<dyn BankMapping>, CoreError> {
-        crate::registry::PolicyRegistry::global().build(self.key(), banks, seed as u64)
-    }
-
-    /// The registry key this legacy variant maps to.
-    pub fn key(self) -> &'static str {
-        match self {
-            PolicyKind::Identity => "identity",
-            PolicyKind::Probing => "probing",
-            PolicyKind::Scrambling => "scrambling",
-        }
-    }
-
-    /// The three policies, in the paper's presentation order.
-    pub const ALL: [PolicyKind; 3] = [
-        PolicyKind::Identity,
-        PolicyKind::Probing,
-        PolicyKind::Scrambling,
-    ];
-
-    /// Display name (same as the registry key).
-    pub fn name(self) -> &'static str {
-        self.key()
-    }
-}
-
 fn validate_banks(banks: u32) -> Result<(), CoreError> {
     if banks < 2 || !banks.is_power_of_two() {
         return Err(CoreError::InvalidParameter {
@@ -455,14 +393,14 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn policy_kind_builds_all() {
-        for kind in PolicyKind::ALL {
-            let m = kind.build(4, 1).unwrap();
-            assert!(is_bijective(m.as_ref(), 4), "{} not bijective", kind.name());
+    fn paper_policies_build_from_the_registry() {
+        let registry = crate::registry::PolicyRegistry::global();
+        for name in ["identity", "probing", "scrambling"] {
+            let m = registry.build(name, 4, 1).unwrap();
+            assert!(is_bijective(m.as_ref(), 4), "{name} not bijective");
         }
-        assert!(PolicyKind::Probing.build(3, 1).is_err());
-        assert!(PolicyKind::Scrambling.build(1, 1).is_err());
+        assert!(registry.build("probing", 3, 1).is_err());
+        assert!(registry.build("scrambling", 1, 1).is_err());
     }
 
     #[test]

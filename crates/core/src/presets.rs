@@ -13,13 +13,14 @@
 //! Regenerating a paper table is preset → run → view:
 //!
 //! ```no_run
-//! use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! use aging_cache::experiment::ExperimentConfig;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::{presets, views};
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let cfg = ExperimentConfig::paper_reference(); // 16 kB, 16 B, M = 4
-//! let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg).run(&ctx)?;
+//! let session = StudySession::new();
+//! let report = session.run(&presets::table2(&cfg))?;
 //! println!("{}", views::table2(&report)?);
 //! # Ok(())
 //! # }
@@ -30,14 +31,14 @@
 //! synthetic suite:
 //!
 //! ```no_run
-//! # use aging_cache::experiment::{ExperimentConfig, ExperimentContext};
+//! # use aging_cache::experiment::ExperimentConfig;
 //! # use aging_cache::presets;
+//! # use aging_cache::session::StudySession;
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! # let cfg = ExperimentConfig::paper_reference();
-//! # let ctx = ExperimentContext::new()?;
-//! let report = presets::table2(&cfg)
-//!     .workload_names(["csv:/traces/my_app.csv"])?
-//!     .run(&ctx)?;
+//! # let session = StudySession::new();
+//! let spec = presets::table2(&cfg).workload_names(["csv:/traces/my_app.csv"])?;
+//! let report = session.run(&spec)?;
 //! # Ok(())
 //! # }
 //! ```

@@ -1,8 +1,7 @@
 //! The open, string-keyed indexing-policy registry.
 //!
 //! The paper evaluates three indexing functions, and the original
-//! reproduction froze them into a closed [`PolicyKind`](crate::policy::PolicyKind)
-//! enum. Related work varies exactly this axis — decoder-level
+//! reproduction froze them into a closed enum. Related work varies exactly this axis — decoder-level
 //! rejuvenation policies (Gürsoy et al.) and utilization-aware allocation
 //! (Brandalero et al.) are alternative bijections over the bank-select
 //! bits — so the registry makes the axis open: any [`IndexingPolicy`]

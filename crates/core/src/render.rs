@@ -5,7 +5,7 @@
 //! [`StudyReport`] behind it) turns into bytes:
 //!
 //! * [`Format::Text`] — the historic aligned plain-text layout
-//!   (`Table`'s `Display`), byte-identical to what the table binaries
+//!   (`Table`'s `Display`), byte-identical to what the paper tables
 //!   have always printed;
 //! * [`Format::Markdown`] — paper-style GitHub-flavoured Markdown
 //!   ([`Table::to_markdown`]);
@@ -42,7 +42,7 @@ use crate::study::StudyReport;
 /// An output format for tables and reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
-    /// Aligned plain text — the historic stdout of the table binaries.
+    /// Aligned plain text — the historic stdout of the paper tables.
     Text,
     /// GitHub-flavoured Markdown, paper-table style.
     Markdown,
@@ -137,7 +137,7 @@ pub fn table(t: &Table, format: Format) -> String {
 }
 
 /// Renders a report through a table view — the one function behind
-/// every table binary's `--format` flag. [`Format::Json`] bypasses the
+/// every preset's `--format` flag. [`Format::Json`] bypasses the
 /// view and emits the canonical [`StudyReport::to_json`] (so the
 /// output can be parsed back and re-rendered any other way);
 /// the table formats render `view(report)`.

@@ -4,14 +4,11 @@
 //! optional [`ResultCache`] — so repeated and overlapping studies are
 //! incremental instead of from-scratch.
 //!
-//! [`ScenarioGrid::run`](crate::study::ScenarioGrid::run) survives as
-//! a thin shim over a transient session (fresh memo, no cache, default
-//! executor), byte-identical to the historic behavior. New code —
-//! and everything that runs more than one grid — should hold a
-//! session:
+//! [`StudySession::run`] is the one way to execute a study. Holding
+//! one session across runs is what makes them incremental:
 //!
 //! * the **simulation memo** outlives each run, so grids that share
-//!   `(geometry, workload, seed, horizon)` points — `repro_all`'s
+//!   `(geometry, workload, seed, horizon)` points — `study preset all`'s
 //!   Tables I–IV, a preset re-run with one widened axis — simulate
 //!   each distinct (geometry, trace) pair exactly once per session;
 //! * **trace groups** synthesize each trace once per run: the first
@@ -202,19 +199,6 @@ impl Counters {
     }
 }
 
-/// The execution environment one grid run borrows: everything the
-/// task workers read, owned either by a [`StudySession`] or by the
-/// transient shim behind
-/// [`ScenarioGrid::run`](crate::study::ScenarioGrid::run).
-struct ExecEnv<'a> {
-    ctx: &'a ModelContext,
-    memo: &'a SimMemo,
-    cache: Option<&'a dyn ResultCache>,
-    exec: ExecOptions,
-    observer: Option<&'a dyn ExecObserver>,
-    counters: &'a Counters,
-}
-
 /// The long-lived front door of the execution layer.
 ///
 /// See the [module docs](self) for the full tour. Construction is
@@ -361,17 +345,7 @@ impl StudySession {
     /// errors, the first scenario error by grid order, or
     /// [`CoreError::ScenarioPanicked`] if a scenario task panicked.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> Result<StudyReport, CoreError> {
-        execute(
-            grid,
-            &ExecEnv {
-                ctx: &self.ctx,
-                memo: &self.memo,
-                cache: self.cache.as_deref(),
-                exec: self.exec.clone(),
-                observer: self.observer.as_deref(),
-                counters: &self.counters,
-            },
-        )
+        execute(grid, self)
     }
 
     /// A snapshot of the session's cumulative execution counters.
@@ -405,28 +379,6 @@ impl StudySession {
     }
 }
 
-/// The transient-session path behind
-/// [`ScenarioGrid::run`](crate::study::ScenarioGrid::run): borrowed
-/// context (so the caller's calibration memo keeps accumulating),
-/// fresh memo, no cache, default executor — the historic semantics,
-/// byte for byte.
-pub(crate) fn run_grid_oneshot(
-    grid: &ScenarioGrid,
-    ctx: &ModelContext,
-) -> Result<StudyReport, CoreError> {
-    execute(
-        grid,
-        &ExecEnv {
-            ctx,
-            memo: &SimMemo::default(),
-            cache: None,
-            exec: ExecOptions::default(),
-            observer: None,
-            counters: &Counters::default(),
-        },
-    )
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -442,7 +394,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// hit inline and dispatches only the misses to the executor. A fully
 /// cached grid therefore runs no executor at all: no worker threads,
 /// and every `on_record` fires on the calling thread.
-fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreError> {
+fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
     // Calibrate every distinct model once, serially and in grid order:
     // deterministic first-error, and the workers below only ever hit
     // the context's calibration memo.
@@ -450,12 +402,12 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     let mut models: HashMap<&str, Arc<dyn CalibratedModel>> = HashMap::new();
     for scenario in grid.scenarios() {
         if !models.contains_key(scenario.model.as_str()) {
-            models.insert(&scenario.model, env.ctx.calibrated(&scenario.model)?);
+            models.insert(&scenario.model, session.ctx.calibrated(&scenario.model)?);
         }
     }
     let models = &models;
 
-    if let Some(obs) = env.observer {
+    if let Some(obs) = session.observer.as_deref() {
         obs.on_start(grid.name(), grid.len());
     }
     let n = grid.len();
@@ -466,14 +418,14 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
         (0..n).map(|_| Mutex::new(None)).collect();
     let done = AtomicUsize::new(0);
     let finish = |i: usize, outcome: Result<(ScenarioRecord, RecordOrigin), CoreError>| {
-        if let (Some(obs), Ok((record, origin))) = (env.observer, &outcome) {
+        if let (Some(obs), Ok((record, origin))) = (session.observer.as_deref(), &outcome) {
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
             obs.on_record(record, *origin, finished, n);
         }
         *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
     };
 
-    let fingerprints: Vec<Fingerprint> = match env.cache {
+    let fingerprints: Vec<Fingerprint> = match session.cache {
         Some(_) => grid
             .scenarios()
             .iter()
@@ -481,8 +433,9 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
             .collect(),
         None => Vec::new(),
     };
-    let mut lookups = env
+    let mut lookups = session
         .cache
+        .as_deref()
         .map(|cache| lookup_all(&fingerprints, cache))
         .unwrap_or_default()
         .into_iter();
@@ -492,8 +445,8 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     for (i, scenario) in grid.scenarios().iter().enumerate() {
         match lookups.next() {
             Some(Ok(Some(hit))) => {
-                env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
-                env.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+                session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+                session.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
                 replayed[i] = true;
                 finish(
                     i,
@@ -501,7 +454,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
                 );
             }
             Some(Err(e)) => {
-                env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+                session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
                 finish(i, Err(e));
             }
             Some(Ok(None)) | None => misses.push(i),
@@ -511,7 +464,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
     if !misses.is_empty() {
         // The spec-level worker cap overrides the session's (threads(1)
         // still forces an in-thread sequential loop, as it always did).
-        let mut exec = env.exec.clone();
+        let mut exec = session.exec.clone();
         if let Some(threads) = grid.threads_cap() {
             exec = exec.with_threads(threads);
         }
@@ -522,7 +475,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
             // error — with its id and message — instead of tearing down
             // the whole process at scope join.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_one(grid, i, fingerprints.get(i), models, &plan, env)
+                run_one(grid, i, fingerprints.get(i), models, &plan, session)
             }))
             .unwrap_or_else(|payload| {
                 Err(CoreError::ScenarioPanicked {
@@ -534,7 +487,7 @@ fn execute(grid: &ScenarioGrid, env: &ExecEnv<'_>) -> Result<StudyReport, CoreEr
         };
         exec.build().execute(misses.len(), &task);
     }
-    assemble(grid, slots, env)
+    assemble(grid, slots, session)
 }
 
 /// Looks every fingerprint up in `cache` exactly once, returning the
@@ -578,7 +531,7 @@ fn lookup_all(
 fn assemble(
     grid: &ScenarioGrid,
     slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>>,
-    env: &ExecEnv<'_>,
+    session: &StudySession,
 ) -> Result<StudyReport, CoreError> {
     let mut records = Vec::with_capacity(slots.len());
     for slot in slots {
@@ -589,8 +542,8 @@ fn assemble(
         }
     }
     let report = StudyReport::from_records(grid.name().to_string(), records);
-    if let Some(obs) = env.observer {
-        obs.on_finish(&report, &env.counters.snapshot());
+    if let Some(obs) = session.observer.as_deref() {
+        obs.on_finish(&report, &session.counters.snapshot());
     }
     Ok(report)
 }
@@ -606,12 +559,12 @@ fn run_one(
     fingerprint: Option<&Fingerprint>,
     models: &HashMap<&str, Arc<dyn CalibratedModel>>, // aging-lint: allow(no-unordered-iter) keyed memo
     plan: &TracePlan<'_>,
-    env: &ExecEnv<'_>,
+    session: &StudySession,
 ) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {
-    env.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+    session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
     let scenario = &grid.scenarios()[index];
     let workload = &grid.workloads()[scenario.workload_index];
-    let measured = measure(grid, index, plan, env)?;
+    let measured = measure(grid, index, plan, session)?;
     let model = &models[scenario.model.as_str()];
     let policy_builder = || {
         grid.policy_registry()
@@ -623,7 +576,7 @@ fn run_one(
         update_days: scenario.update_days,
         policy: &policy_builder,
     })?;
-    env.counters.evaluations.fetch_add(1, Ordering::Relaxed);
+    session.counters.evaluations.fetch_add(1, Ordering::Relaxed);
     // Metrics inline as top-level record fields in JSON, so a metric
     // shadowing a record field would emit a duplicate key and vanish
     // on parse — reject it loudly instead. Hierarchy scenarios append
@@ -671,9 +624,12 @@ fn run_one(
         sleep_fractions: measured.sleep_fractions.clone(),
         metrics,
     };
-    if let (Some(cache), Some(fp)) = (env.cache, fingerprint) {
+    if let (Some(cache), Some(fp)) = (session.cache.as_deref(), fingerprint) {
         cache.store(fp, &CachedMeasurement::of_record(&record))?;
-        env.counters.cache_stores.fetch_add(1, Ordering::Relaxed);
+        session
+            .counters
+            .cache_stores
+            .fetch_add(1, Ordering::Relaxed);
     }
     Ok((record, RecordOrigin::Computed))
 }
@@ -795,7 +751,7 @@ fn measure(
     grid: &ScenarioGrid,
     index: usize,
     plan: &TracePlan<'_>,
-    env: &ExecEnv<'_>,
+    session: &StudySession,
 ) -> Result<Arc<SimMeasurement>, CoreError> {
     let scenario = &grid.scenarios()[index];
     let workload = grid.workloads()[scenario.workload_index].as_ref();
@@ -810,14 +766,17 @@ fn measure(
         }));
     }
     let key = sim_key(scenario, workload);
-    let mut entries = relock(env.memo.entries.lock());
+    let mut entries = relock(session.memo.entries.lock());
     loop {
         match entries.get(&key) {
             Some(MemoEntry::Ready(hit)) => {
-                env.counters.sim_memo_hits.fetch_add(1, Ordering::Relaxed);
+                session
+                    .counters
+                    .sim_memo_hits
+                    .fetch_add(1, Ordering::Relaxed);
                 return Ok(Arc::clone(hit));
             }
-            Some(MemoEntry::InFlight) => entries = relock(env.memo.resolved.wait(entries)),
+            Some(MemoEntry::InFlight) => entries = relock(session.memo.resolved.wait(entries)),
             None => break,
         }
     }
@@ -832,10 +791,10 @@ fn measure(
     }
     drop(entries);
     let guard = InFlightGuard {
-        memo: env.memo,
+        memo: &session.memo,
         keys: claimed.iter().map(|(key, _)| key.clone()).collect(),
     };
-    simulate_group(grid, &claimed, guard, env)
+    simulate_group(grid, &claimed, guard, session)
 }
 
 /// The memo entries a group computation holds in flight. Dropping the
@@ -878,7 +837,7 @@ fn build_target(
 ) -> Result<SimTarget, CoreError> {
     let level = |bytes: u64, ways: u32| -> Result<PartitionedCache, CoreError> {
         let geom = CacheGeometry::new(bytes, scenario.line_bytes, ways, scenario.banks)?;
-        PartitionedCache::new_named(geom, "identity", PolicyRegistry::global().clone())?
+        PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())?
             .with_replacement(&scenario.replacement, replacements.clone())
     };
     let l1 = level(scenario.cache_bytes, scenario.ways)?;
@@ -921,7 +880,7 @@ fn simulate_group(
     grid: &ScenarioGrid,
     claimed: &[(SimKey, usize)],
     mut guard: InFlightGuard<'_>,
-    env: &ExecEnv<'_>,
+    session: &StudySession,
 ) -> Result<Arc<SimMeasurement>, CoreError> {
     let leader = &grid.scenarios()[claimed[0].1];
     let mut keys = Vec::with_capacity(claimed.len());
@@ -940,7 +899,7 @@ fn simulate_group(
     // generators and multi-GB trace files both run in constant memory,
     // with bitwise-identical outcomes to the scalar loop.
     let mut source = grid.workloads()[leader.workload_index].open(leader.trace_seed)?;
-    env.counters.trace_opens.fetch_add(1, Ordering::Relaxed);
+    session.counters.trace_opens.fetch_add(1, Ordering::Relaxed);
     simulate_fanout(
         source.as_mut(),
         &mut targets,
@@ -955,7 +914,8 @@ fn simulate_group(
             Arc::new(SimMeasurement::of(target, &leader.workload)?),
         ));
     }
-    env.counters
+    session
+        .counters
         .simulations
         .fetch_add(results.len(), Ordering::Relaxed);
     guard.resolve(&results);

@@ -10,20 +10,18 @@
 //! 2. [`StudySpec::expand`] produces a [`ScenarioGrid`]: the cartesian
 //!    product of the axes, each point a [`Scenario`] with fully derived
 //!    seeds (see below).
-//! 3. [`ScenarioGrid::run`] executes every scenario — across std
-//!    threads by default — and returns a [`StudyReport`] of
-//!    [`ScenarioRecord`]s that serializes to JSON
-//!    ([`StudyReport::to_json`]) and back ([`StudyReport::from_json`]).
-//!    Execution itself lives in the open execution layer
-//!    ([`crate::exec`] / [`crate::session`]): `run` is a shim over a
-//!    transient [`StudySession`](crate::session::StudySession), and a
-//!    long-lived session adds a cross-run simulation memo, a
-//!    content-addressed result cache ([`crate::rescache`]), executor
-//!    selection and streaming progress on top of the same grid.
+//! 3. [`StudySession::run`](crate::session::StudySession::run)
+//!    executes every scenario — across std threads by default — and
+//!    returns a [`StudyReport`] of [`ScenarioRecord`]s that serializes
+//!    to JSON ([`StudyReport::to_json`]) and back
+//!    ([`StudyReport::from_json`]). The session is the execution layer
+//!    ([`crate::exec`] / [`crate::session`]): it adds a cross-run
+//!    simulation memo, a content-addressed result cache
+//!    ([`crate::rescache`]), executor selection and streaming progress
+//!    on top of the same grid.
 //!
-//! The historic `table1()..table4()` runners are now ~10-line presets
-//! over this engine ([`crate::presets`]) plus pure table views
-//! ([`crate::views`]).
+//! The paper's tables are presets over this engine
+//! ([`crate::presets`]) plus pure table views ([`crate::views`]).
 //!
 //! All three evaluation axes are open registries:
 //!
@@ -61,18 +59,18 @@
 //! A 2×2×3 grid over sizes, bank counts and policies, run in parallel:
 //!
 //! ```no_run
-//! use aging_cache::model::ModelContext;
+//! use aging_cache::session::StudySession;
 //! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! let ctx = ModelContext::new();
-//! let report = StudySpec::new("size-banks-policy sweep")
+//! let session = StudySession::new();
+//! let spec = StudySpec::new("size-banks-policy sweep")
 //!     .cache_kb([8, 16])
 //!     .banks([2, 4])
 //!     .policies(["probing", "scrambling", "gray"])
 //!     .workload_names(["sha", "CRC32"])?
-//!     .trace_cycles(160_000)
-//!     .run(&ctx)?;
+//!     .trace_cycles(160_000);
+//! let report = session.run(&spec)?;
 //! println!("{} scenarios", report.records().len());
 //! println!("{}", report.to_json());
 //! # Ok(())
@@ -83,17 +81,16 @@
 //! calibrates once, and every record carries the model's named metrics:
 //!
 //! ```no_run
-//! # use aging_cache::model::ModelContext;
+//! # use aging_cache::session::StudySession;
 //! # use aging_cache::study::StudySpec;
 //! # fn main() -> Result<(), aging_cache::CoreError> {
-//! # let ctx = ModelContext::new();
-//! let report = StudySpec::new("temperature sweep")
+//! # let session = StudySession::new();
+//! let spec = StudySpec::new("temperature sweep")
 //!     .models(["nbti-45nm"])
 //!     .temps_c([45.0, 85.0, 125.0])
 //!     .workload_names(["sha"])?
-//!     .trace_cycles(160_000)
-//!     .run(&ctx)?;
-//! for r in report.records() {
+//!     .trace_cycles(160_000);
+//! for r in session.run(&spec)?.records() {
 //!     println!("{}: LT {:.2} y", r.scenario.model, r.lt_years());
 //! }
 //! # Ok(())
@@ -102,9 +99,8 @@
 
 use crate::error::CoreError;
 use crate::json::Json;
-use crate::model::{self, Metrics, ModelContext, ModelParams};
+use crate::model::{self, Metrics, ModelParams};
 use crate::registry::{derive_policy_seed, PolicyRegistry};
-use crate::session;
 use crate::workload::{SyntheticWorkload, Workload, WorkloadRegistry, WorkloadSourceInfo};
 use cache_sim::{CacheGeometry, ReplacementRegistry, SimError, DEFAULT_REPLACEMENT};
 use std::sync::Arc;
@@ -129,11 +125,16 @@ pub struct StudySpec {
     // statically without widening the public builder API.
     pub(crate) name: String,
     pub(crate) cache_bytes: Vec<u64>,
+    /// The first `cache_kb` value whose byte count overflowed `u64`;
+    /// [`StudySpec::expand`] rejects it by name.
+    pub(crate) cache_kb_overflow: Option<u64>,
     pub(crate) line_bytes: Vec<u32>,
     pub(crate) banks: Vec<u32>,
     pub(crate) ways: Vec<u32>,
     pub(crate) replacements: Vec<String>,
     pub(crate) l2_cache_bytes: Vec<u64>,
+    /// The first `l2_cache_kb` value whose byte count overflowed.
+    pub(crate) l2_kb_overflow: Option<u64>,
     pub(crate) l2_ways: Vec<u32>,
     pub(crate) update_days: Vec<f64>,
     pub(crate) policies: Vec<String>,
@@ -184,11 +185,13 @@ impl StudySpec {
         Self {
             name: name.into(),
             cache_bytes: vec![16 * 1024],
+            cache_kb_overflow: None,
             line_bytes: vec![16],
             banks: vec![4],
             ways: vec![1],
             replacements: vec![DEFAULT_REPLACEMENT.into()],
             l2_cache_bytes: vec![0],
+            l2_kb_overflow: None,
             l2_ways: vec![1],
             update_days: vec![1.0],
             policies: vec!["probing".into()],
@@ -212,10 +215,12 @@ impl StudySpec {
         }
     }
 
-    /// Sets the cache-size axis (kB); one or many values.
+    /// Sets the cache-size axis (kB); one or many values. A value
+    /// whose byte count overflows `u64` makes [`StudySpec::expand`]
+    /// fail.
     #[must_use]
     pub fn cache_kb(mut self, kb: impl IntoIterator<Item = u64>) -> Self {
-        self.cache_bytes = kb.into_iter().map(|k| k * 1024).collect();
+        (self.cache_bytes, self.cache_kb_overflow) = kb_to_bytes(kb);
         self
     }
 
@@ -223,6 +228,7 @@ impl StudySpec {
     #[must_use]
     pub fn cache_bytes(mut self, bytes: impl IntoIterator<Item = u64>) -> Self {
         self.cache_bytes = bytes.into_iter().collect();
+        self.cache_kb_overflow = None;
         self
     }
 
@@ -264,9 +270,11 @@ impl StudySpec {
     /// the default). A non-zero value composes a two-level hierarchy
     /// where the L2 access stream is exactly the L1 miss stream; the
     /// record then carries `sleep_fraction_l2` / `lt_years_l2` metrics.
+    /// A value whose byte count overflows `u64` makes
+    /// [`StudySpec::expand`] fail.
     #[must_use]
     pub fn l2_cache_kb(mut self, kb: impl IntoIterator<Item = u64>) -> Self {
-        self.l2_cache_bytes = kb.into_iter().map(|k| k * 1024).collect();
+        (self.l2_cache_bytes, self.l2_kb_overflow) = kb_to_bytes(kb);
         self
     }
 
@@ -274,6 +282,7 @@ impl StudySpec {
     #[must_use]
     pub fn l2_cache_bytes(mut self, bytes: impl IntoIterator<Item = u64>) -> Self {
         self.l2_cache_bytes = bytes.into_iter().collect();
+        self.l2_kb_overflow = None;
         self
     }
 
@@ -483,6 +492,18 @@ impl StudySpec {
         Ok(keys)
     }
 
+    /// Names the first kB size whose byte count overflowed `u64`.
+    pub(crate) fn kb_overflow(&self) -> Option<String> {
+        [
+            ("cache_kb", self.cache_kb_overflow),
+            ("l2_cache_kb", self.l2_kb_overflow),
+        ]
+        .into_iter()
+        .find_map(|(axis, kb)| {
+            kb.map(|kb| format!("axis `{axis}`: {kb} kB overflows a 64-bit byte count"))
+        })
+    }
+
     /// Expands the axes into the cartesian scenario grid.
     ///
     /// Expansion order (outermost to innermost): cache size, line size,
@@ -494,12 +515,16 @@ impl StudySpec {
     ///
     /// # Errors
     ///
-    /// Rejects empty axes, unknown policy or replacement names,
-    /// malformed model keys, invalid geometries (including `ways` that
-    /// don't divide the line capacity and an L2 smaller than the L1)
-    /// and profile/bank-count mismatches up front, so `run` can only
-    /// fail on model-level errors.
+    /// Rejects kB sizes whose byte count overflows `u64`, empty axes,
+    /// unknown policy or replacement names, malformed model keys,
+    /// invalid geometries (including `ways` that don't divide the line
+    /// capacity and an L2 smaller than the L1) and profile/bank-count
+    /// mismatches up front, so a run can only fail on model-level
+    /// errors.
     pub fn expand(&self) -> Result<ScenarioGrid, CoreError> {
+        if let Some(message) = self.kb_overflow() {
+            return Err(CoreError::Report { message });
+        }
         for (axis, len) in [
             ("cache_bytes", self.cache_bytes.len()),
             ("line_bytes", self.line_bytes.len()),
@@ -663,18 +688,23 @@ impl StudySpec {
             threads: self.threads,
         })
     }
+}
 
-    /// Expands and runs the grid — the one-call path. Accepts a
-    /// [`ModelContext`] or the legacy
-    /// [`ExperimentContext`](crate::experiment::ExperimentContext)
-    /// shim.
-    ///
-    /// # Errors
-    ///
-    /// Propagates expansion and execution errors.
-    pub fn run<C: AsRef<ModelContext>>(&self, ctx: &C) -> Result<StudyReport, CoreError> {
-        self.expand()?.run(ctx)
-    }
+/// Converts a kB axis to bytes. The first value whose byte count
+/// overflows `u64` is dropped from the axis and returned beside it.
+fn kb_to_bytes(kb: impl IntoIterator<Item = u64>) -> (Vec<u64>, Option<u64>) {
+    let mut overflow = None;
+    let bytes = kb
+        .into_iter()
+        .filter_map(|k| {
+            let bytes = k.checked_mul(1024);
+            if bytes.is_none() {
+                overflow.get_or_insert(k);
+            }
+            bytes
+        })
+        .collect();
+    (bytes, overflow)
 }
 
 /// One fully resolved point of the evaluation grid.
@@ -919,35 +949,6 @@ impl ScenarioGrid {
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
     }
-
-    /// Runs every scenario and collects the report — the legacy
-    /// one-shot path, now a thin shim over the execution layer: a
-    /// transient session with a fresh simulation memo, no result
-    /// cache, and the default (threaded) executor. Byte-identical to
-    /// the historic behavior; anything that runs more than one grid
-    /// should hold a [`StudySession`](crate::session::StudySession)
-    /// instead.
-    ///
-    /// The context is anything that dereferences to a
-    /// [`ModelContext`] — a `ModelContext` itself, or the legacy
-    /// [`ExperimentContext`](crate::experiment::ExperimentContext)
-    /// shim. All distinct device models calibrate up front, exactly
-    /// once each (the *caller's* context memoizes per canonical key,
-    /// and keeps its memo), before any worker starts.
-    ///
-    /// Scenarios execute across worker threads (capped by
-    /// [`StudySpec::threads`], defaulting to available parallelism);
-    /// records land in scenario-id order, so the report — including its
-    /// JSON emission — is byte-identical to a sequential run.
-    ///
-    /// # Errors
-    ///
-    /// Returns model resolution/calibration errors, the first scenario
-    /// error by grid order, or [`CoreError::ScenarioPanicked`] if a
-    /// scenario task panicked.
-    pub fn run<C: AsRef<ModelContext>>(&self, ctx: &C) -> Result<StudyReport, CoreError> {
-        session::run_grid_oneshot(self, ctx.as_ref())
-    }
 }
 
 /// Measured results for one scenario.
@@ -1159,12 +1160,37 @@ impl StudyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::StudySession;
 
     fn tiny_spec() -> StudySpec {
         StudySpec::new("tiny")
             .workload_names(["sha", "CRC32"])
             .unwrap()
             .trace_cycles(40_000)
+    }
+
+    #[test]
+    fn overflowing_kb_sizes_are_rejected_by_name() {
+        // 2^54 + 1 kB wraps to 1 kB in an unchecked multiply.
+        let huge = (1u64 << 54) + 1;
+        let e = tiny_spec().cache_kb([16, huge]).expand().unwrap_err();
+        let text = e.to_string();
+        assert!(matches!(e, CoreError::Report { .. }), "{e:?}");
+        assert!(
+            text.contains("cache_kb") && text.contains(&huge.to_string()),
+            "{text}"
+        );
+        let e = tiny_spec().l2_cache_kb([huge]).expand().unwrap_err();
+        assert!(e.to_string().contains("l2_cache_kb"), "{e}");
+        // The largest size that fits still converts exactly, and a later
+        // byte-sized axis replaces the rejected one.
+        let fits = u64::MAX / 1024;
+        assert_eq!(tiny_spec().cache_kb([fits]).cache_bytes, [fits * 1024]);
+        assert!(tiny_spec()
+            .cache_kb([huge])
+            .cache_bytes([16 * 1024])
+            .expand()
+            .is_ok());
     }
 
     #[test]
@@ -1242,13 +1268,11 @@ mod tests {
         let path = dir.join("short.csv");
         std::fs::write(&path, &text).unwrap();
 
-        let ctx = ModelContext::new();
-        let report = StudySpec::new("short")
+        let spec = StudySpec::new("short")
             .workload_names([format!("csv:{}", path.display())])
             .unwrap()
-            .trace_cycles(40_000)
-            .run(&ctx)
-            .unwrap();
+            .trace_cycles(40_000);
+        let report = StudySession::new().run(&spec).unwrap();
         let r = &report.records()[0];
         assert_eq!(r.scenario.trace_cycles, 40_000, "the request is recorded");
         assert_eq!(r.sim_cycles, 5_000, "the truth is recorded");
@@ -1440,7 +1464,7 @@ mod tests {
 
     #[test]
     fn reserved_metric_names_are_rejected() {
-        use crate::model::{CalibratedModel, ModelEval, ModelRegistry};
+        use crate::model::{CalibratedModel, ModelContext, ModelEval, ModelRegistry};
         struct Shadow;
         impl CalibratedModel for Shadow {
             fn evaluate(&self, _eval: &ModelEval<'_>) -> Result<Metrics, CoreError> {
@@ -1451,23 +1475,22 @@ mod tests {
         registry
             .register_fn("shadow", "shadows esav", "none", || Ok(Arc::new(Shadow)))
             .unwrap();
-        let e = StudySpec::new("shadow")
+        let spec = StudySpec::new("shadow")
             .models(["shadow"])
             .workload_names(["profile:0.1,0.8,0.6,0.3"])
-            .unwrap()
-            .run(&ModelContext::with_registry(registry))
+            .unwrap();
+        let e = StudySession::with_context(ModelContext::with_registry(registry))
+            .run(&spec)
             .unwrap_err();
         assert!(e.to_string().contains("shadows a record field"), "{e}");
     }
 
     #[test]
     fn pinned_profile_scenarios_skip_simulation() {
-        let ctx = ModelContext::new();
-        let report = StudySpec::new("pinned")
+        let spec = StudySpec::new("pinned")
             .workload_names(["profile:0.1,0.8,0.6,0.3"])
-            .unwrap()
-            .run(&ctx)
             .unwrap();
+        let report = StudySession::new().run(&spec).unwrap();
         let r = &report.records()[0];
         assert_eq!(r.sim_cycles, 0);
         assert!(r.esav.is_nan() && r.miss_rate.is_nan());

@@ -33,7 +33,6 @@
 //! ```
 
 use crate::error::CoreError;
-use crate::experiment::{claims_from, BenchResult};
 use crate::model::{ModelKey, METRIC_LT, METRIC_LT0, REFERENCE_TEMP_C, REFERENCE_VLOW};
 use crate::paper;
 use crate::report::{factor, pct, years, Table};
@@ -404,33 +403,72 @@ pub fn table4(report: &StudyReport) -> Result<Table, CoreError> {
     Ok(t)
 }
 
-/// Regroups a Table II-shaped report into the historic
-/// `(size_kb, Vec<BenchResult>)` dataset consumed by
-/// [`claims_from`] and the test suite.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Report`] if the report has no records.
-pub fn table2_dataset(report: &StudyReport) -> Result<Vec<(u64, Vec<BenchResult>)>, CoreError> {
-    if report.records().is_empty() {
-        return shape_err("table2_dataset", "report is empty".into());
+/// The headline quantities of §IV-B1, computed from measured data.
+struct ClaimsSummary {
+    /// Mean LT0 / 2.93 − 1 at the first size (paper: ≈ 9 % at 8 kB).
+    lt0_gain: f64,
+    /// Mean (LT − LT0)/LT0 at the first size (paper: ≈ 38 % at 8 kB).
+    reindex_further_gain: f64,
+    /// `(kB, mean LT / 2.93 − 1)` per size (paper: 48 / 47.1 / 57.6 %).
+    extension_per_size: Vec<(u64, f64)>,
+    /// The largest single LT / 2.93 across suite and sizes with its
+    /// benchmark (paper: sha, ≈ 2x).
+    best_case: (String, f64),
+    /// The smallest single LT / 2.93 across suite and sizes (paper:
+    /// ≥ 22 % gain for the worst configuration).
+    worst_case: (String, f64),
+}
+
+/// Computes the headline claims from a Table II-shaped report: records
+/// grouped by cache size in grid order, the first size standing for
+/// the paper's 8 kB column.
+fn claims_from(report: &StudyReport) -> Result<ClaimsSummary, CoreError> {
+    let base = paper::CELL_LIFETIME_YEARS;
+    let mut lifetimes = Vec::new();
+    for bytes in distinct(report, |r| r.scenario.cache_bytes) {
+        let mut cell = Vec::new();
+        for r in group(report, |r| r.scenario.cache_bytes, bytes) {
+            let lt0 = metric_of("claims", r, METRIC_LT0)?;
+            let lt = metric_of("claims", r, METRIC_LT)?;
+            cell.push((r.scenario.workload.as_str(), lt0, lt));
+        }
+        lifetimes.push((bytes / 1024, cell));
     }
-    for r in report.records() {
-        metric_of("table2_dataset", r, METRIC_LT0)?;
-        metric_of("table2_dataset", r, METRIC_LT)?;
-    }
-    Ok(distinct(report, |r| r.scenario.cache_bytes)
-        .into_iter()
-        .map(|bytes| {
-            (
-                bytes / 1024,
-                group(report, |r| r.scenario.cache_bytes, bytes)
-                    .into_iter()
-                    .map(BenchResult::from)
-                    .collect(),
-            )
+    let Some((_, first)) = lifetimes.first() else {
+        return shape_err("claims", "report is empty".into());
+    };
+    let n = first.len() as f64;
+    let lt0_gain = first.iter().map(|c| c.1).sum::<f64>() / n / base - 1.0;
+    let reindex_further_gain = first
+        .iter()
+        .map(|&(_, lt0, lt)| (lt - lt0) / lt0)
+        .sum::<f64>()
+        / n;
+    let extension_per_size = lifetimes
+        .iter()
+        .map(|(kb, cell)| {
+            let mean = cell.iter().map(|c| c.2).sum::<f64>() / cell.len() as f64;
+            (*kb, mean / base - 1.0)
         })
-        .collect())
+        .collect();
+    let mut best = ("", 0.0f64);
+    let mut worst = ("", f64::INFINITY);
+    for &(name, _, lt) in lifetimes.iter().flat_map(|(_, cell)| cell) {
+        let f = lt / base;
+        if f > best.1 {
+            best = (name, f);
+        }
+        if f < worst.1 {
+            worst = (name, f);
+        }
+    }
+    Ok(ClaimsSummary {
+        lt0_gain,
+        reindex_further_gain,
+        extension_per_size,
+        best_case: (best.0.to_string(), best.1),
+        worst_case: (worst.0.to_string(), worst.1),
+    })
 }
 
 /// §IV-B1 headline-claims comparison, from a Table II-shaped report.
@@ -439,33 +477,36 @@ pub fn table2_dataset(report: &StudyReport) -> Result<Vec<(u64, Vec<BenchResult>
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn claims(report: &StudyReport) -> Result<Table, CoreError> {
-    let data = table2_dataset(report)?;
-    if data.len() != 3 {
+    let s = claims_from(report)?;
+    if s.extension_per_size.len() != paper::claims::EXTENSION_PER_SIZE.len() {
         return shape_err(
             "claims",
-            format!("expected 3 cache sizes, got {}", data.len()),
+            format!("expected 3 cache sizes, got {}", s.extension_per_size.len()),
         );
     }
-    let s = claims_from(&data);
     let mut t = Table::new(
         "Headline claims (measured vs paper)",
         vec!["claim".into(), "measured".into(), "paper".into()],
     );
     t.push_row(vec![
         "LT0 gain from power mgmt alone (8kB)".into(),
-        format!("{} %", pct(s.lt0_gain_8k)),
+        format!("{} %", pct(s.lt0_gain)),
         format!("{} %", pct(paper::claims::LT0_IMPROVEMENT)),
     ]);
     t.push_row(vec![
         "further gain from re-indexing (8kB)".into(),
-        format!("{} %", pct(s.reindex_further_gain_8k)),
+        format!("{} %", pct(s.reindex_further_gain)),
         format!("{} %", pct(paper::claims::REINDEX_FURTHER_IMPROVEMENT)),
     ]);
-    for (i, (kb, _)) in data.iter().enumerate() {
+    for ((kb, ext), published) in s
+        .extension_per_size
+        .iter()
+        .zip(paper::claims::EXTENSION_PER_SIZE)
+    {
         t.push_row(vec![
             format!("lifetime extension at {kb} kB"),
-            format!("{} %", pct(s.extension_per_size[i])),
-            format!("{} %", pct(paper::claims::EXTENSION_PER_SIZE[i])),
+            format!("{} %", pct(*ext)),
+            format!("{} %", pct(published)),
         ]);
     }
     t.push_row(vec![
@@ -780,17 +821,47 @@ mod tests {
     }
 
     #[test]
-    fn table2_dataset_groups_by_size() {
+    fn claims_groups_by_size() {
         let mut records = Vec::new();
         for kb in [8u64, 16, 32] {
             for (wi, w) in ["a", "b"].iter().enumerate() {
                 records.push(record(w, wi, kb, 4, "probing"));
             }
         }
-        let data = table2_dataset(&StudyReport::from_records("t2", records)).unwrap();
-        assert_eq!(data.len(), 3);
-        assert_eq!(data[0].0, 8);
-        assert_eq!(data[2].1.len(), 2);
+        let t = claims(&StudyReport::from_records("t2", records.clone())).unwrap();
+        let text = t.to_string();
+        assert!(text.contains("lifetime extension at 8 kB"), "{text}");
+        assert!(text.contains("lifetime extension at 32 kB"), "{text}");
+        records.retain(|r| r.scenario.cache_bytes != 32 * 1024);
+        let e = claims(&StudyReport::from_records("t2", records)).unwrap_err();
+        assert!(
+            e.to_string().contains("expected 3 cache sizes, got 2"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn claims_math_is_consistent() {
+        // Synthetic dataset exercising the aggregation.
+        let mk = |name: &str, wi: usize, kb: u64, lt0: f64, lt: f64| {
+            let mut r = record(name, wi, kb, 4, "probing");
+            r.metrics = Metrics::from_pairs([("lt0_years", lt0), ("lt_years", lt)]);
+            r
+        };
+        let records = vec![
+            mk("a", 0, 8, 3.0, 4.0),
+            mk("b", 1, 8, 3.2, 6.0),
+            mk("a", 0, 16, 3.0, 4.4),
+            mk("b", 1, 16, 3.1, 4.5),
+            mk("a", 0, 32, 3.0, 4.6),
+            mk("b", 1, 32, 3.2, 4.9),
+        ];
+        let s = claims_from(&StudyReport::from_records("t2", records)).unwrap();
+        assert!((s.lt0_gain - (3.1 / 2.93 - 1.0)).abs() < 1e-9);
+        assert_eq!(s.best_case.0, "b");
+        assert!((s.best_case.1 - 6.0 / 2.93).abs() < 1e-9);
+        assert_eq!(s.worst_case.0, "a");
+        assert_eq!(s.extension_per_size.len(), 3);
     }
 
     #[test]
@@ -798,7 +869,7 @@ mod tests {
         let mut r = record("sha", 0, 16, 4, "probing");
         r.metrics = Metrics::from_pairs([("drv_margin_fresh_v", 0.2)]);
         let report = StudyReport::from_records("wrong model", vec![r]);
-        let e = table2_dataset(&report).unwrap_err();
+        let e = claims(&report).unwrap_err();
         let text = e.to_string();
         assert!(text.contains("lacks metric `lt0_years`"), "{text}");
         assert!(text.contains("sha"), "{text}");

@@ -3,11 +3,14 @@
 //! numbers bit-for-bit, and calibration runs exactly once per distinct
 //! model key across a grid.
 
+use aging_cache::aging::AgingAnalysis;
 use aging_cache::model::{ModelContext, ModelEval, METRIC_LT, METRIC_LT0};
 use aging_cache::registry::PolicyRegistry;
+use aging_cache::session::StudySession;
 use aging_cache::study::StudySpec;
 use aging_cache::CoreError;
 use cache_sim::{BankMapping, IdentityMapping};
+use nbti_model::calibration;
 
 fn probing4() -> impl Fn() -> Result<Box<dyn BankMapping>, CoreError> {
     || PolicyRegistry::global().build("probing", 4, 1)
@@ -94,33 +97,32 @@ fn failure_criterion_is_monotone() {
 }
 
 /// Golden: the `nbti-45nm` reference model reproduces the
-/// pre-model-axis engine — `ExperimentContext.aging` driving
-/// `cache_lifetime_with` directly — **bit for bit**, through a real
+/// pre-model-axis engine — the reference-calibrated `AgingAnalysis`
+/// driving `cache_lifetime_with` directly — **bit for bit**, through a real
 /// simulated workload.
 #[test]
 fn reference_model_matches_the_pr2_engine_bit_for_bit() {
-    let ctx = aging_cache::experiment::ExperimentContext::new().expect("calibration");
-    let report = StudySpec::new("golden")
+    let spec = StudySpec::new("golden")
         .workload_names(["sha", "CRC32"])
         .unwrap()
         .trace_cycles(40_000)
-        .policy_seed(1)
-        .run(&ctx)
-        .expect("study");
+        .policy_seed(1);
+    let report = StudySession::new().run(&spec).expect("study");
+    // The analysis the pre-model-axis engine calibrated to the paper's
+    // 2.93-year cell.
+    let aging = AgingAnalysis::new(calibration::reference_45nm().clone());
     for r in report.records() {
         // The PR-2 engine path: identity baseline + policy rotation
-        // from the measured sleep fractions, on the shim's public
-        // calibrated analysis.
+        // from the measured sleep fractions, on that calibrated
+        // analysis.
         let mut identity = IdentityMapping;
-        let lt0 = ctx
-            .aging
+        let lt0 = aging
             .cache_lifetime_with(&r.sleep_fractions, 0.5, &mut identity)
             .expect("lt0");
         let mut probing = PolicyRegistry::global()
             .build("probing", r.scenario.banks, 1)
             .expect("probing");
-        let lt = ctx
-            .aging
+        let lt = aging
             .cache_lifetime_with(&r.sleep_fractions, 0.5, probing.as_mut())
             .expect("lt");
         assert_eq!(
@@ -146,14 +148,14 @@ fn reference_model_matches_the_pr2_engine_bit_for_bit() {
 /// across a whole grid — aliases included.
 #[test]
 fn grid_calibrates_once_per_distinct_model() {
-    let ctx = ModelContext::new();
-    let report = StudySpec::new("calibration count")
+    let session = StudySession::new();
+    let ctx = session.context();
+    let spec = StudySpec::new("calibration count")
         .models(["nbti-45nm", "nbti:vlow=0.75", "nbti:temp=105"])
         .policies(["probing", "gray"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
+        .unwrap();
+    let report = session.run(&spec).expect("study");
     // 3 listed models × 2 policies = 6 scenarios, but `nbti:vlow=0.75`
     // canonicalizes to `nbti-45nm`: only 2 distinct models calibrate.
     assert_eq!(report.records().len(), 6);
@@ -163,12 +165,11 @@ fn grid_calibrates_once_per_distinct_model() {
         "one calibration per distinct model"
     );
     // Re-running on the same context calibrates nothing new.
-    StudySpec::new("again")
+    let again = StudySpec::new("again")
         .models(["nbti:temp=105"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
+        .unwrap();
+    session.run(&again).expect("study");
     assert_eq!(ctx.calibration_count(), 2, "contexts cache across runs");
 }
 
@@ -176,13 +177,11 @@ fn grid_calibrates_once_per_distinct_model() {
 /// are recorded, the default stays invisible.
 #[test]
 fn model_axis_round_trips_through_reports() {
-    let ctx = ModelContext::new();
-    let report = StudySpec::new("model json")
+    let spec = StudySpec::new("model json")
         .models(["nbti-45nm", "variation:30"])
         .workload_names(["profile:0.1,0.8,0.6,0.3"])
-        .unwrap()
-        .run(&ctx)
-        .expect("study");
+        .unwrap();
+    let report = StudySession::new().run(&spec).expect("study");
     let text = report.to_json();
     let back = aging_cache::study::StudyReport::from_json(&text).expect("parse");
     assert_eq!(back.to_json(), text);

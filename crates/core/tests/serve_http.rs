@@ -382,3 +382,24 @@ fn an_unconfigured_shutdown_endpoint_is_always_403() {
         assert!(String::from_utf8(body).unwrap().contains("disabled"));
     });
 }
+
+#[test]
+fn overflowing_kb_sizes_are_bad_requests() {
+    // 2^54 + 1 kB wraps to 1 kB in an unchecked multiply; it must be
+    // rejected by name instead of silently serving a 1 kB cache.
+    let server = StudyServer::bind(MemoryCache::new(), ServeOptions::default()).unwrap();
+    with_server(&server, |addr| {
+        for target in [
+            "/render?cache-kb=18014398509481985&workloads=sha",
+            "/query?l2-kb=18014398509481985&workloads=sha",
+        ] {
+            let (status, _, body) = get(addr, target);
+            let text = String::from_utf8(body).unwrap();
+            assert_eq!(status, 400, "{target}: {text}");
+            assert!(text.contains("18014398509481985"), "{target}: {text}");
+        }
+        let (status, _, body) = post(addr, "/run?cache-kb=18014398509481985&workloads=sha");
+        assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
+    });
+    assert_eq!(server.session().stats().simulations, 0);
+}

@@ -1,15 +1,16 @@
 //! Properties of the Study API: registry-wide bijectivity, grid
 //! determinism, and JSON round-trips.
 
-use aging_cache::experiment::ExperimentContext;
 use aging_cache::registry::{derive_policy_seed, PolicyRegistry};
+use aging_cache::session::StudySession;
 use aging_cache::study::{StudyReport, StudySpec};
+use aging_cache::CoreError;
 use cache_sim::mapping::is_bijective;
-use std::sync::OnceLock;
 
-fn ctx() -> &'static ExperimentContext {
-    static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-    CTX.get_or_init(|| ExperimentContext::new().expect("calibration"))
+/// Runs a spec through a fresh session, so no simulation memo carries
+/// over from another run.
+fn run(spec: &StudySpec) -> Result<StudyReport, CoreError> {
+    StudySession::new().run(spec)
 }
 
 /// Every registered policy — including a custom one — is a bijection
@@ -76,8 +77,8 @@ fn parallel_grid_is_deterministic_and_roundtrips() {
         .unwrap()
         .trace_cycles(40_000);
 
-    let sequential = spec.clone().threads(1).run(ctx()).expect("sequential run");
-    let parallel = spec.clone().threads(8).run(ctx()).expect("parallel run");
+    let sequential = run(&spec.clone().threads(1)).expect("sequential run");
+    let parallel = run(&spec.clone().threads(8)).expect("parallel run");
     assert_eq!(sequential.records().len(), 2 * 2 * 3 * 2);
     assert_eq!(
         sequential.to_json(),
@@ -100,8 +101,8 @@ fn reruns_are_reproducible() {
         .workload_names(["gsme"])
         .unwrap()
         .trace_cycles(40_000);
-    let a = spec.clone().run(ctx()).unwrap();
-    let b = spec.run(ctx()).unwrap();
+    let a = run(&spec).unwrap();
+    let b = run(&spec).unwrap();
     assert_eq!(a.to_json(), b.to_json());
 }
 
@@ -116,14 +117,13 @@ fn registry_without_identity_still_runs() {
             Ok(Box::new(aging_cache::Probing::new(banks)?))
         })
         .unwrap();
-    let report = StudySpec::new("no identity entry")
+    let report = run(&StudySpec::new("no identity entry")
         .registry(registry)
         .policies(["only-probing"])
         .workload_names(["sha"])
         .unwrap()
-        .trace_cycles(40_000)
-        .run(ctx())
-        .unwrap();
+        .trace_cycles(40_000))
+    .unwrap();
     let r = &report.records()[0];
     assert!(
         r.lt_years() > r.lt0_years(),
@@ -135,13 +135,12 @@ fn registry_without_identity_still_runs() {
 /// measured sim metrics are bitwise identical.
 #[test]
 fn policy_axis_shares_the_simulation() {
-    let report = StudySpec::new("shared sim")
+    let report = run(&StudySpec::new("shared sim")
         .policies(["probing", "scrambling", "gray", "rotate-xor"])
         .workload_names(["dijkstra"])
         .unwrap()
-        .trace_cycles(40_000)
-        .run(ctx())
-        .unwrap();
+        .trace_cycles(40_000))
+    .unwrap();
     let first = &report.records()[0];
     for r in report.records() {
         assert_eq!(r.esav.to_bits(), first.esav.to_bits());
@@ -165,14 +164,13 @@ fn custom_policy_runs_in_a_study() {
             })))
         })
         .unwrap();
-    let report = StudySpec::new("custom policy")
+    let report = run(&StudySpec::new("custom policy")
         .registry(registry)
         .policies(["reverse", "probing"])
         .workload_names(["sha"])
         .unwrap()
-        .trace_cycles(40_000)
-        .run(ctx())
-        .unwrap();
+        .trace_cycles(40_000))
+    .unwrap();
     assert_eq!(report.records().len(), 2);
     // A static bijection cannot beat rotation, but it must produce a
     // valid positive lifetime.

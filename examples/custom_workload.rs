@@ -8,7 +8,7 @@
 //! cargo run --release --example custom_workload
 //! ```
 
-use nbti_cache_repro::arch::experiment::ExperimentContext;
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::{PolicyRegistry, Probing, StudySpec};
 use nbti_cache_repro::sim::BankMapping;
 use nbti_cache_repro::traces::{AccessPattern, Region, ScheduleBuilder, WorkloadProfile};
@@ -83,13 +83,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     // One workload, three policies, one declarative run.
-    let ctx = ExperimentContext::new()?;
-    let report = StudySpec::new("packet pipeline study")
+    let spec = StudySpec::new("packet pipeline study")
         .registry(registry)
         .workloads([profile])
         .policies(["identity", "probing", "strided-probing"])
-        .base_seed(2024)
-        .run(&ctx)?;
+        .base_seed(2024);
+    let report = StudySession::new().run(&spec)?;
 
     let baseline = &report.records()[0];
     println!("workload         : {}", baseline.scenario.workload);

@@ -7,8 +7,8 @@
 //! ```
 
 use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
-use nbti_cache_repro::arch::policy::PolicyKind;
 use nbti_cache_repro::arch::report::Table;
+use nbti_cache_repro::arch::PolicyRegistry;
 use nbti_cache_repro::power::{BankArray, BreakevenAnalysis, EnergyModel, Technology};
 use nbti_cache_repro::sim::CacheGeometry;
 use nbti_cache_repro::traces::suite;
@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for kb in [8u64, 16, 32] {
         let geom = CacheGeometry::direct_mapped(kb * 1024, 16, 4)?;
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity)?;
+        let arch = PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())?;
         let out = arch.simulate(profile.trace(5).take(320_000), UpdateSchedule::Never)?;
         let cycles = out.cycles as f64;
         let mono = &out.monolithic_baseline;

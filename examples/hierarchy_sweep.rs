@@ -9,8 +9,8 @@
 //! ```
 
 use nbti_cache_repro::arch::analysis::{self, Axis};
-use nbti_cache_repro::arch::model::ModelContext;
 use nbti_cache_repro::arch::render::{self, Format};
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::StudySpec;
 use nbti_cache_repro::sim::ReplacementRegistry;
 
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2 ways × 3 replacements × {no L2, 64 kB 4-way L2} = 12 points.
     // (Direct-mapped points have no replacement decision to make, but
     // keeping them on the grid shows the axis collapsing gracefully.)
-    let report = StudySpec::new("hierarchy sweep")
+    let spec = StudySpec::new("hierarchy sweep")
         .cache_kb([16])
         .line_bytes([16])
         .banks([4])
@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .l2_ways([4])
         .policies(["probing"])
         .workload_names(["dijkstra"])?
-        .trace_cycles(160_000)
-        .run(&ModelContext::new())?;
+        .trace_cycles(160_000);
+    let report = StudySession::new().run(&spec)?;
 
     let table = analysis::summary_table(
         &report,

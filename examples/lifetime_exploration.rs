@@ -5,11 +5,14 @@
 //! cargo run --release --example lifetime_exploration
 //! ```
 
-use nbti_cache_repro::arch::experiment::{run_suite, ExperimentConfig};
+use nbti_cache_repro::arch::experiment::ExperimentConfig;
+use nbti_cache_repro::arch::presets;
 use nbti_cache_repro::arch::report::{pct, years, Table};
+use nbti_cache_repro::arch::session::StudySession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let ctx = ExperimentConfig::paper_reference().build_context()?;
+    let session = StudySession::new();
+    let cfg = ExperimentConfig::paper_reference().with_trace_cycles(160_000);
 
     let mut table = Table::new(
         "Design space: suite-average idleness and lifetime",
@@ -24,17 +27,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for kb in [8u64, 16, 32] {
         for banks in [2u32, 4, 8, 16] {
-            let cfg = ExperimentConfig::paper_reference()
-                .with_cache_kb(kb)
-                .with_banks(banks)
-                .with_trace_cycles(160_000);
-            let results = run_suite(&cfg, &ctx)?;
+            // Table I's preset (the full suite under Probing), moved to
+            // this point of the design space.
+            let spec = presets::table1(&cfg).cache_kb([kb]).banks([banks]);
+            let results = session.run(&spec)?;
+            let results = results.records();
             let n = results.len() as f64;
             let idle = results.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / n;
-            let lt = results.iter().map(|r| r.lt_years).sum::<f64>() / n;
+            let lt = results.iter().map(|r| r.lt_years()).sum::<f64>() / n;
             let worst = results
                 .iter()
-                .map(|r| r.lt_years)
+                .map(|r| r.lt_years())
                 .fold(f64::INFINITY, f64::min);
             table.push_row(vec![
                 format!("{kb} kB / M={banks}"),

@@ -7,8 +7,8 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use nbti_cache_repro::arch::experiment::ExperimentContext;
 use nbti_cache_repro::arch::report::{years, Table};
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::{PolicyRegistry, StudySpec};
 use nbti_cache_repro::sim::FnMapping;
 
@@ -34,12 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     let policies = registry.names();
 
-    let ctx = ExperimentContext::new()?;
-    let report = StudySpec::new("policy comparison")
+    let spec = StudySpec::new("policy comparison")
         .registry(registry)
         .policies(policies.iter().map(String::as_str))
-        .trace_cycles(160_000)
-        .run(&ctx)?;
+        .trace_cycles(160_000);
+    let report = StudySession::new().run(&spec)?;
 
     let mut headers = vec!["bench".to_string()];
     headers.extend(policies.iter().cloned());

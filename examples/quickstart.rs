@@ -6,21 +6,22 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use nbti_cache_repro::arch::experiment::{run_benchmark, ExperimentConfig};
-use nbti_cache_repro::traces::suite;
+use nbti_cache_repro::arch::experiment::ExperimentConfig;
+use nbti_cache_repro::arch::session::StudySession;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's reference configuration: a 16 kB direct-mapped cache
     // with 16 B lines, split into M = 4 uniform banks.
     let cfg = ExperimentConfig::paper_reference();
-    let ctx = cfg.build_context()?;
 
     // `sha` is the paper's best case: two banks stream constantly while
     // the other two are idle >94 % of the time.
-    let profile = suite::by_name("sha").expect("sha is in the MediaBench suite");
-    let result = run_benchmark(&profile, &cfg, &ctx)?;
+    let spec = cfg.study("quickstart").workload_names(["sha"])?;
+    let report = StudySession::new().run(&spec)?;
+    let result = &report.records()[0];
+    let (lt0, lt) = (result.lt0_years(), result.lt_years());
 
-    println!("benchmark        : {}", result.name);
+    println!("benchmark        : {}", result.scenario.workload);
     println!(
         "useful idleness  : {:?} %",
         result
@@ -30,21 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .collect::<Vec<_>>()
     );
     println!("energy saving    : {:.1} %", 100.0 * result.esav);
-    println!(
-        "lifetime LT0     : {:.2} years (power management only)",
-        result.lt0_years
-    );
-    println!(
-        "lifetime LT      : {:.2} years (with Probing re-indexing)",
-        result.lt_years
-    );
+    println!("lifetime LT0     : {lt0:.2} years (power management only)");
+    println!("lifetime LT      : {lt:.2} years (with Probing re-indexing)");
     println!(
         "re-indexing gain : +{:.0} % over the power-managed cache",
-        100.0 * (result.lt_years - result.lt0_years) / result.lt0_years
+        100.0 * (lt - lt0) / lt0
     );
     println!(
         "vs monolithic    : {:.2}x the 2.93-year monolithic-cell lifetime",
-        result.lt_years / 2.93
+        lt / 2.93
     );
     Ok(())
 }

@@ -19,16 +19,16 @@
 //! serializes to JSON:
 //!
 //! ```no_run
-//! use nbti_cache_repro::arch::experiment::ExperimentContext;
+//! use nbti_cache_repro::arch::session::StudySession;
 //! use nbti_cache_repro::arch::StudySpec;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let ctx = ExperimentContext::new()?; // calibrated 2.93-year cell
-//! let report = StudySpec::new("sweep")
+//! let session = StudySession::new(); // models calibrate lazily, once each
+//! let spec = StudySpec::new("sweep")
 //!     .cache_kb([8, 16, 32])
 //!     .banks([2, 4, 8])
-//!     .policies(["probing", "scrambling", "gray", "rotate-xor"])
-//!     .run(&ctx)?;
+//!     .policies(["probing", "scrambling", "gray", "rotate-xor"]);
+//! let report = session.run(&spec)?;
 //! println!("{}", report.to_json());
 //! # Ok(())
 //! # }

@@ -17,7 +17,7 @@ const CYCLES: usize = 30_000;
 
 fn arch(policy: &str, banks: u32) -> PartitionedCache {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, banks).unwrap();
-    PartitionedCache::new_named(geom, policy, PolicyRegistry::builtin()).unwrap()
+    PartitionedCache::new(geom, policy, PolicyRegistry::builtin()).unwrap()
 }
 
 fn assert_identical(a: &SimOutcome, b: &SimOutcome, context: &str) {
@@ -124,13 +124,13 @@ fn hierarchy_source_path_matches_the_scalar_composition() {
     let path = dir.join("t.din");
     std::fs::write(&path, &text).unwrap();
 
-    let l1 = PartitionedCache::new_named(
+    let l1 = PartitionedCache::new(
         CacheGeometry::new(16 * 1024, 16, 2, 4).unwrap(),
         "identity",
         PolicyRegistry::builtin(),
     )
     .unwrap();
-    let l2 = PartitionedCache::new_named(
+    let l2 = PartitionedCache::new(
         CacheGeometry::new(64 * 1024, 16, 4, 4).unwrap(),
         "identity",
         PolicyRegistry::builtin(),
@@ -206,7 +206,7 @@ fn one_source_fanned_out_equals_each_target_simulated_alone() {
     let accesses: Vec<_> = profile.trace(21).take(CYCLES).collect();
     let level = |kb: u64, ways: u32| {
         let geom = CacheGeometry::new(kb * 1024, 16, ways, 4).unwrap();
-        PartitionedCache::new_named(geom, "probing", PolicyRegistry::builtin()).unwrap()
+        PartitionedCache::new(geom, "probing", PolicyRegistry::builtin()).unwrap()
     };
     let levels = [
         level(8, 1),

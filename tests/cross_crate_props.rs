@@ -1,7 +1,6 @@
 //! Property-based tests on cross-crate invariants (quickprop-driven).
 
 use nbti_cache_repro::arch::aging::AgingAnalysis;
-use nbti_cache_repro::arch::policy::PolicyKind;
 use nbti_cache_repro::nbti::{CellDesign, LifetimeSolver};
 use nbti_cache_repro::sim::{Access, CacheGeometry, IdentityMapping, SimConfig, Simulator};
 use std::sync::OnceLock;
@@ -26,8 +25,8 @@ fn probing_never_hurts() {
     quickprop::cases(CASES, |g| {
         let sleep = g.vec_f64(0.0..1.0, 4);
         let a = aging();
-        let lt0 = a.cache_lifetime(&sleep, 0.5, PolicyKind::Identity).unwrap();
-        let lt = a.cache_lifetime(&sleep, 0.5, PolicyKind::Probing).unwrap();
+        let lt0 = a.cache_lifetime(&sleep, 0.5, "identity", 1).unwrap();
+        let lt = a.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
         assert!(lt >= lt0 * 0.999, "lt {lt} < lt0 {lt0} for {sleep:?}");
     });
 }
@@ -39,7 +38,7 @@ fn identity_lifetime_is_min_of_banks() {
     quickprop::cases(CASES, |g| {
         let sleep = g.vec_f64(0.0..0.999, 4);
         let a = aging();
-        let cache = a.cache_lifetime(&sleep, 0.5, PolicyKind::Identity).unwrap();
+        let cache = a.cache_lifetime(&sleep, 0.5, "identity", 1).unwrap();
         let min_bank = sleep
             .iter()
             .map(|&s| a.bank_lifetime(s, 0.5).unwrap())
@@ -59,10 +58,10 @@ fn lifetime_monotone_in_worst_bank_sleep() {
         let extra = g.f64_in(0.0..0.09);
         let a = aging();
         let lt1 = a
-            .cache_lifetime(&[base, 0.95, 0.95, 0.95], 0.5, PolicyKind::Identity)
+            .cache_lifetime(&[base, 0.95, 0.95, 0.95], 0.5, "identity", 1)
             .unwrap();
         let lt2 = a
-            .cache_lifetime(&[base + extra, 0.95, 0.95, 0.95], 0.5, PolicyKind::Identity)
+            .cache_lifetime(&[base + extra, 0.95, 0.95, 0.95], 0.5, "identity", 1)
             .unwrap();
         assert!(lt2 >= lt1 * 0.999);
     });

@@ -8,21 +8,19 @@
 //! report's records are ordered.
 
 use nbti_cache_repro::arch::analysis::ReportDiff;
-use nbti_cache_repro::arch::model::ModelContext;
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 
 /// A small grid with zero trace simulation: the pinned idleness
 /// profile (4 sleep fractions ⇒ banks locked at 4) feeds the model
 /// directly.
 fn small_report() -> StudyReport {
-    let ctx = ModelContext::new();
-    StudySpec::new("diff determinism")
+    let spec = StudySpec::new("diff determinism")
         .workload_names(["profile:0.9,0.5,0.2,0.8"])
         .expect("profile key resolves")
         .policies(["identity", "probing", "scrambling", "gray", "rotate-xor"])
-        .banks([4])
-        .run(&ctx)
-        .expect("study runs")
+        .banks([4]);
+    StudySession::new().run(&spec).expect("study runs")
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! acceptance pin — an L2 behind a 4-way L1 sleeps strictly more than
 //! the L1 itself on a pinned workload.
 
-use nbti_cache_repro::arch::model::ModelContext;
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::sim::{
     Access, CacheGeometry, CacheHierarchy, IdentityMapping, SimConfig, Simulator,
@@ -19,7 +19,7 @@ fn simulator(size: u64, line: u32, ways: u32, banks: u32) -> Simulator {
 }
 
 fn run(spec: StudySpec) -> StudyReport {
-    spec.run(&ModelContext::new()).expect("study runs")
+    StudySession::new().run(&spec).expect("study runs")
 }
 
 /// The defining hierarchy invariant, on random traces and geometries:

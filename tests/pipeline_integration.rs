@@ -2,7 +2,7 @@
 //! the full trace → simulation → aging pipeline.
 
 use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
-use nbti_cache_repro::arch::policy::PolicyKind;
+use nbti_cache_repro::arch::PolicyRegistry;
 use nbti_cache_repro::nbti::{AgingLut, CellDesign, LifetimeSolver, SleepMode, StressProfile};
 use nbti_cache_repro::sim::CacheGeometry;
 use nbti_cache_repro::traces::suite;
@@ -11,7 +11,8 @@ use nbti_cache_repro::traces::suite;
 fn every_benchmark_outcome_is_internally_consistent() {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     for (i, p) in suite::mediabench().iter().enumerate() {
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).unwrap();
+        let arch =
+            PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).unwrap();
         let out = arch
             .simulate(p.trace(50 + i as u64).take(120_000), UpdateSchedule::Never)
             .unwrap();
@@ -34,7 +35,8 @@ fn every_benchmark_outcome_is_internally_consistent() {
 fn partitioned_energy_beats_monolithic_on_all_benchmarks() {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     for p in suite::mediabench() {
-        let arch = PartitionedCache::new(geom, PolicyKind::Identity).unwrap();
+        let arch =
+            PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).unwrap();
         let out = arch
             .simulate(p.trace(7).take(100_000), UpdateSchedule::Never)
             .unwrap();
@@ -73,18 +75,18 @@ fn miss_rate_is_policy_invariant_and_update_cost_is_bounded() {
     let geom = CacheGeometry::direct_mapped(8 * 1024, 16, 4).unwrap();
     let p = suite::by_name("lame").unwrap();
     let mut baseline_misses = None;
-    for kind in PolicyKind::ALL {
-        let arch = PartitionedCache::new(geom, kind).unwrap();
+    for policy in ["identity", "probing", "scrambling"] {
+        let arch = PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).unwrap();
         let out = arch
             .simulate(p.trace(11).take(80_000), UpdateSchedule::Never)
             .unwrap();
         match baseline_misses {
             None => baseline_misses = Some(out.misses),
-            Some(m) => assert_eq!(out.misses, m, "{}", kind.name()),
+            Some(m) => assert_eq!(out.misses, m, "{policy}"),
         }
     }
     // Updating once per 20k cycles costs at most 4 refills of the cache.
-    let arch = PartitionedCache::new(geom, PolicyKind::Probing).unwrap();
+    let arch = PartitionedCache::new(geom, "probing", PolicyRegistry::global().clone()).unwrap();
     let updated = arch
         .simulate(
             p.trace(11).take(80_000),
@@ -104,9 +106,7 @@ fn aging_pipeline_matches_closed_form_for_linear_rates() {
     let r_v = solver.rd().voltage_acceleration(solver.design().vdd_low());
     let aging = nbti_cache_repro::arch::aging::AgingAnalysis::new(solver);
     let sleep = [0.9, 0.7, 0.2, 0.05];
-    let lt = aging
-        .cache_lifetime(&sleep, 0.5, PolicyKind::Probing)
-        .unwrap();
+    let lt = aging.cache_lifetime(&sleep, 0.5, "probing", 1).unwrap();
     let mean_m = sleep.iter().map(|s| (1.0 - s) + s * r_v).sum::<f64>() / 4.0;
     let closed_form = 2.93 / mean_m;
     assert!(
@@ -123,5 +123,6 @@ fn facade_reexports_compose() {
     let _ = power::Technology::default_45nm();
     let geom = sim::CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     let _ = traces::suite::mediabench();
-    let _ = arch::PartitionedCache::new(geom, arch::PolicyKind::Probing).unwrap();
+    let _ = arch::PartitionedCache::new(geom, "probing", arch::PolicyRegistry::global().clone())
+        .unwrap();
 }

@@ -12,8 +12,8 @@
 //! the fixture diff like any other code change.
 
 use nbti_cache_repro::arch::analysis::{self, Axis};
-use nbti_cache_repro::arch::model::ModelContext;
 use nbti_cache_repro::arch::render::{self, Format};
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::arch::views;
 
@@ -56,7 +56,7 @@ fn check_golden(format: Format, golden_path: &str, golden: &str) {
 
 #[test]
 fn table2_text_golden_is_the_historic_stdout() {
-    // Format::Text is the table binaries' default stdout; the golden
+    // Format::Text is `study preset`'s default stdout; the golden
     // is the same fixture report_compat.rs pins, rendered through the
     // renderer family instead of Display directly.
     check_golden(
@@ -88,7 +88,7 @@ fn table2_csv_golden() {
 /// L2 level, small enough to simulate live in the test (everything is
 /// seeded, so the bytes are reproducible anywhere).
 fn geometry_report() -> StudyReport {
-    StudySpec::new("geometry grid")
+    let spec = StudySpec::new("geometry grid")
         .cache_kb([16])
         .line_bytes([16])
         .banks([4])
@@ -98,9 +98,8 @@ fn geometry_report() -> StudyReport {
         .policies(["identity", "probing"])
         .workload_names(["dijkstra"])
         .expect("suite workload resolves")
-        .trace_cycles(40_000)
-        .run(&ModelContext::new())
-        .expect("geometry grid runs")
+        .trace_cycles(40_000);
+    StudySession::new().run(&spec).expect("geometry grid runs")
 }
 
 fn check_geometry_golden(format: Format, golden_path: &str, golden: &str) {

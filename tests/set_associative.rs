@@ -15,14 +15,14 @@
 //! because the study layer already relies on it.
 
 use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
-use nbti_cache_repro::arch::model::ModelContext;
+use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::arch::PolicyRegistry;
 use nbti_cache_repro::sim::CacheGeometry;
 use nbti_cache_repro::traces::suite;
 
 fn run(spec: StudySpec) -> StudyReport {
-    spec.run(&ModelContext::new()).expect("study runs")
+    StudySession::new().run(&spec).expect("study runs")
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn fixed_bijections_preserve_associative_miss_rates() {
     let profile = suite::by_name("mad").unwrap();
     let mut baseline = None;
     for name in registry.names() {
-        let arch = PartitionedCache::new_named(geom, &name, registry.clone()).unwrap();
+        let arch = PartitionedCache::new(geom, &name, registry.clone()).unwrap();
         let out = arch
             .simulate_batched(profile.trace(4).take(100_000), UpdateSchedule::Never)
             .unwrap();
