@@ -90,8 +90,9 @@
 //!   fails fast if the journal does not exist yet.
 //! * `--progress` streams per-scenario progress to stderr as workers
 //!   finish (`cached` marks scenarios replayed from the journal).
-//! * `--sequential` forces the single-threaded executor backend
-//!   (`--threads N` caps the threaded one, as before).
+//! * `--threads N` caps the worker pool; `--threads 1` runs every
+//!   scenario on the calling thread, in grid order — the reference
+//!   bytes every other worker count reproduces.
 //! * Two runs — or a run and `study serve` — may share one
 //!   `--cache-dir`: the journal's locked appends keep each scenario on
 //!   exactly one line, and whichever process finishes a cell first
@@ -122,14 +123,14 @@
 //!   the server without `curl`.
 
 use aging_cache::analysis::{self, Axis, ReportDiff};
-use aging_cache::exec::{ExecObserver, ExecOptions, RecordOrigin};
+use aging_cache::exec::{ExecObserver, RecordOrigin};
 use aging_cache::model::ModelRegistry;
 use aging_cache::render::{self, Format};
 use aging_cache::rescache::{JsonlCache, MemoryCache, ResultCache};
 use aging_cache::search::{Constraint, Driver, Objective, ScenarioSpace, Search};
 use aging_cache::serve::{ServeLog, ServeOptions, StudyServer, REPORT_NAME};
 use aging_cache::session::StudySession;
-use aging_cache::study::{ScenarioRecord, StudyReport, StudySpec};
+use aging_cache::study::{ScenarioRecord, SpecParser, StudyReport, StudySpec};
 use aging_cache::{CoreError, PolicyRegistry, WorkloadRegistry};
 use repro_bench::presets;
 use std::io::Write;
@@ -161,139 +162,23 @@ impl ExecObserver for Progress {
     }
 }
 
-fn parse_list<T: std::str::FromStr>(value: &str, flag: &str) -> Vec<T> {
-    value
-        .split(',')
-        .map(|v| {
-            v.trim().parse::<T>().unwrap_or_else(|_| {
-                eprintln!("invalid value `{v}` for {flag}");
-                std::process::exit(2);
-            })
+/// Applies one `--flag value` pair to the spec parser; `false` means
+/// the flag is not a spec flag. A bad value exits 2, naming the flag.
+fn spec_flag(spec: &mut SpecParser, flag: &str, value: &str) -> bool {
+    flag.starts_with("--")
+        && spec.apply(flag, value).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
         })
-        .collect()
 }
 
-/// The spec-axis flags shared by `study` (run) and `study check`: the
-/// builder plus the deferred workload/model selections that apply
-/// once parsing finishes.
-struct SpecArgs {
-    spec: Option<StudySpec>,
-    // The workload axis is assembled from --workloads and --trace and
-    // applied once after parsing: `None` = the full default suite.
-    workloads: Option<Vec<String>>,
-    traces: Vec<String>,
-    models: Vec<String>,
-}
-
-impl SpecArgs {
-    fn new(name: &str) -> Self {
-        SpecArgs {
-            spec: Some(StudySpec::new(name)),
-            workloads: None,
-            traces: Vec::new(),
-            models: Vec::new(),
-        }
-    }
-
-    /// Applies one `flag value` pair; `false` means the flag is not a
-    /// spec-axis flag and the caller should handle it.
-    fn apply(&mut self, flag: &str, value: &str) -> bool {
-        let Some(spec) = self.spec.take() else {
-            return false;
-        };
-        let applied = match flag {
-            "--cache-kb" => spec.cache_kb(parse_list(value, flag)),
-            "--line-bytes" => spec.line_bytes(parse_list(value, flag)),
-            "--banks" => spec.banks(parse_list(value, flag)),
-            "--ways" => spec.ways(parse_list(value, flag)),
-            "--replacement" => spec.replacement(value.split(',').map(str::trim)),
-            "--l2-kb" => spec.l2_cache_kb(parse_list(value, flag)),
-            "--l2-ways" => spec.l2_ways(parse_list(value, flag)),
-            "--update-days" => spec.update_days(parse_list(value, flag)),
-            "--policies" => spec.policies(value.split(',').map(str::trim)),
-            "--workloads" if value == "all" => {
-                // Explicit full suite (in suite order), so a --trace
-                // appends to it instead of replacing it.
-                self.workloads = Some(
-                    trace_synth::suite::mediabench()
-                        .iter()
-                        .map(|p| p.name().to_string())
-                        .collect(),
-                );
-                spec
-            }
-            "--workloads" => {
-                self.workloads = Some(value.split(',').map(|s| s.trim().to_string()).collect());
-                spec
-            }
-            "--trace" => {
-                self.traces.push(value.to_string());
-                spec
-            }
-            "--profile" => {
-                // Repeatable: a pinned per-bank idleness profile
-                // (comma-separated sleep fractions, no simulation).
-                self.traces.push(format!("profile:{}", value.trim()));
-                spec
-            }
-            // Deliberately no `--models` alias: commas cannot delimit
-            // models (parameterized keys use them internally), so a
-            // plural form would invite `--models a,b` as one bad key.
-            "--model" => {
-                // Repeatable: each --model names exactly one model.
-                self.models.push(value.trim().to_string());
-                spec
-            }
-            "--temp" => spec.temps_c(parse_list(value, flag)),
-            "--vlow" => spec.vdd_low(parse_list(value, flag)),
-            "--fail" => spec.failure_pct(parse_list(value, flag)),
-            "--trace-cycles" => spec.trace_cycles(parse_list(value, flag)[0]),
-            "--seed" => spec.base_seed(parse_list(value, flag)[0]),
-            "--threads" => spec.threads(parse_list(value, flag)[0]),
-            _ => {
-                self.spec = Some(spec);
-                return false;
-            }
-        };
-        self.spec = Some(applied);
-        true
-    }
-
-    /// The spec with the model axis applied, plus the merged workload
-    /// key selection (`None` = keep the default suite). `study check`
-    /// resolves the keys itself so each failure becomes a finding.
-    fn into_parts(self) -> (StudySpec, Option<Vec<String>>) {
-        let mut spec = self.spec.unwrap_or_else(|| StudySpec::new(REPORT_NAME));
-        if !self.models.is_empty() {
-            spec = spec.models(self.models);
-        }
-        // --trace and --profile append to the --workloads selection
-        // (or, with `--workloads all`/no selection, replace the
-        // default suite); each file's format and content hash lands in
-        // the report.
-        let keys = match (self.workloads, self.traces.is_empty()) {
-            (Some(mut named), _) => {
-                named.extend(self.traces);
-                Some(named)
-            }
-            (None, false) => Some(self.traces),
-            (None, true) => None, // default suite
-        };
-        (spec, keys)
-    }
-
-    /// Run-path finish: resolve the workload keys or exit with a
-    /// usage error.
-    fn finish(self) -> StudySpec {
-        let (mut spec, keys) = self.into_parts();
-        if let Some(keys) = keys {
-            spec = spec.workload_names(&keys).unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        }
-        spec
-    }
+/// Run-path finish: resolve the workload keys or exit with a usage
+/// error.
+fn finish_spec(spec: SpecParser) -> StudySpec {
+    spec.finish().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -322,14 +207,13 @@ fn main() {
         preset_main(&args[1..]);
         return;
     }
-    let mut spec_args = SpecArgs::new(REPORT_NAME);
+    let mut spec_args = SpecParser::new(StudySpec::new(REPORT_NAME));
     let mut format = Format::Text;
     let mut cache_dir: Option<String> = None;
     let mut group_by: Vec<Axis> = Vec::new();
     let mut baseline: Option<String> = None;
     let mut resume = false;
     let mut progress = false;
-    let mut sequential = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -345,11 +229,6 @@ fn main() {
         }
         if flag == "--progress" {
             progress = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--sequential" {
-            sequential = true;
             i += 1;
             continue;
         }
@@ -389,7 +268,7 @@ fn main() {
             eprintln!("flag {flag} needs a value");
             std::process::exit(2);
         };
-        if spec_args.apply(flag, value) {
+        if spec_flag(&mut spec_args, flag, value) {
             i += 2;
             continue;
         }
@@ -420,7 +299,7 @@ fn main() {
                      --l2-kb --l2-ways --update-days --policies \
                      --workloads --trace <format:path> --profile <s0,s1,…> \
                      --model --temp --vlow --fail \
-                     --trace-cycles --seed --threads --sequential \
+                     --trace-cycles --seed --threads \
                      --cache-dir <dir> --resume --progress \
                      --format <text|md|csv|json> --group-by <axes> --baseline <policy> \
                      --json --list-policies --list-workloads --list-models \
@@ -445,16 +324,13 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let spec = spec_args.finish();
+    let spec = finish_spec(spec_args);
 
     if resume && cache_dir.is_none() {
         eprintln!("--resume needs --cache-dir <dir> (there is no journal to resume from)");
         std::process::exit(2);
     }
     let mut session = StudySession::new();
-    if sequential {
-        session = session.exec(ExecOptions::sequential());
-    }
     if progress {
         session = session.observer(Progress);
     }
@@ -623,7 +499,7 @@ fn compare_main(args: &[String]) {
 fn check_main(args: &[String]) {
     use aging_cache::check;
 
-    let mut spec_args = SpecArgs::new(REPORT_NAME);
+    let mut spec_args = SpecParser::new(StudySpec::new(REPORT_NAME));
     let mut journal: Option<std::path::PathBuf> = None;
     let mut objective: Option<Objective> = None;
     let mut constraints: Vec<Constraint> = Vec::new();
@@ -636,7 +512,7 @@ fn check_main(args: &[String]) {
             eprintln!("flag {flag} needs a value");
             std::process::exit(2);
         };
-        if spec_args.apply(flag, value) {
+        if spec_flag(&mut spec_args, flag, value) {
             i += 2;
             continue;
         }
@@ -688,7 +564,7 @@ fn check_main(args: &[String]) {
                     "usage: study check [--cache-kb --line-bytes --banks --ways \
                      --replacement --l2-kb --l2-ways --update-days \
                      --policies --workloads --trace --profile --model --temp --vlow --fail \
-                     --trace-cycles --seed] [--journal <dir|results.jsonl>] \
+                     --trace-cycles --seed --threads] [--journal <dir|results.jsonl>] \
                      [--objective <max:|min:><metric>] [--constraint <metric><=|>=><bound>] \
                      [--driver <key>] [--budget <n>]"
                 );
@@ -749,7 +625,7 @@ fn optimize_usage() -> ! {
         "usage: study optimize [spec flags] --objective <max:|min:><metric> \
          [--constraint <metric><=|>=><bound>]… [--driver exhaustive|bisect|refine] \
          [--budget <probes>] [--ensemble <seeds>] \
-         [--cache-dir <dir>] [--resume] [--progress] [--sequential] \
+         [--cache-dir <dir>] [--resume] [--progress] \
          [--format <text|md|csv|json>] [--json]"
     );
     std::process::exit(2);
@@ -764,7 +640,7 @@ fn optimize_usage() -> ! {
 /// byte-identical `SearchReport` (cache counters print on stderr, not
 /// in the report, for exactly that reason).
 fn optimize_main(args: &[String]) {
-    let mut spec_args = SpecArgs::new(REPORT_NAME);
+    let mut spec_args = SpecParser::new(StudySpec::new(REPORT_NAME));
     let mut objective: Option<Objective> = None;
     let mut constraints: Vec<Constraint> = Vec::new();
     let mut driver: Option<Driver> = None;
@@ -774,7 +650,6 @@ fn optimize_main(args: &[String]) {
     let mut cache_dir: Option<String> = None;
     let mut resume = false;
     let mut progress = false;
-    let mut sequential = false;
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].as_str();
@@ -793,16 +668,11 @@ fn optimize_main(args: &[String]) {
             i += 1;
             continue;
         }
-        if flag == "--sequential" {
-            sequential = true;
-            i += 1;
-            continue;
-        }
         let Some(value) = args.get(i + 1) else {
             eprintln!("flag {flag} needs a value");
             std::process::exit(2);
         };
-        if spec_args.apply(flag, value) {
+        if spec_flag(&mut spec_args, flag, value) {
             i += 2;
             continue;
         }
@@ -863,7 +733,7 @@ fn optimize_main(args: &[String]) {
         eprintln!("--resume needs --cache-dir <dir> (there is no journal to resume from)");
         std::process::exit(2);
     }
-    let mut search = Search::new(ScenarioSpace::grid(spec_args.finish()), objective);
+    let mut search = Search::new(ScenarioSpace::grid(finish_spec(spec_args)), objective);
     for c in constraints {
         search = search.constraint(c);
     }
@@ -878,9 +748,6 @@ fn optimize_main(args: &[String]) {
     }
 
     let mut session = StudySession::new();
-    if sequential {
-        session = session.exec(ExecOptions::sequential());
-    }
     if progress {
         session = session.observer(Progress);
     }

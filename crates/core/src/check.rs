@@ -20,8 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use cache_sim::CacheGeometry;
-
 use crate::analysis::Axis;
 use crate::error::CoreError;
 use crate::json::Json;
@@ -144,115 +142,50 @@ impl std::fmt::Display for CheckReport {
 }
 
 /// Statically validates a spec against the policy/workload registries
-/// it carries and the given model registry. Collects every problem
-/// `expand` would reject (and several it silently tolerates) without
-/// running anything.
+/// it carries and the given model registry, without running anything.
+///
+/// The errors are the spec's own rule list — every problem `expand`
+/// would reject, not only the first — plus model keys the registry
+/// cannot resolve. On top come what `expand` tolerates: duplicate axis
+/// values, aliased model spellings and a zero trace length (warnings),
+/// and the grid size (info).
 pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
     let mut report = CheckReport::default();
-    if let Some(message) = spec.kb_overflow() {
-        report.error("spec-axis", message);
+    for problem in spec.problems() {
+        report.error(problem.code, problem.message);
     }
-    for (axis, len) in [
-        ("cache_bytes", spec.cache_bytes.len()),
-        ("line_bytes", spec.line_bytes.len()),
-        ("banks", spec.banks.len()),
-        ("ways", spec.ways.len()),
-        ("replacements", spec.replacements.len()),
-        ("l2_cache_bytes", spec.l2_cache_bytes.len()),
-        ("l2_ways", spec.l2_ways.len()),
-        ("update_days", spec.update_days.len()),
-        ("policies", spec.policies.len()),
-        ("workloads", spec.workloads.len()),
-        ("models", spec.models.len()),
-    ] {
-        if len == 0 {
-            report.error("spec-axis", format!("axis `{axis}` is empty"));
+    // Model resolution is the one error `expand` leaves to the run,
+    // which holds the model registry. A key that does not parse is
+    // already a `spec-model` problem above.
+    for key in &spec.models {
+        let Ok(canonical) = model::canonicalize(key) else {
+            continue;
+        };
+        if let Err(e) = models.resolve(&canonical) {
+            report.error("spec-model", format!("model key `{key}`: {e}"));
         }
     }
 
-    for name in &spec.policies {
-        if spec.registry.get(name).is_none() {
-            report.error(
-                "spec-policy",
-                format!(
-                    "unknown policy `{name}` (known: {})",
-                    spec.registry.names().join(", ")
-                ),
-            );
-        }
-    }
     duplicate_warnings(
         &mut report,
         "policy",
         spec.policies.iter().map(String::as_str),
     );
-    for name in &spec.replacements {
-        if spec.replacement_registry.get(name).is_none() {
-            report.error(
-                "spec-replacement",
-                format!(
-                    "unknown replacement policy `{name}` (known: {})",
-                    spec.replacement_registry.names().join(", ")
-                ),
-            );
-        }
-    }
     duplicate_warnings(
         &mut report,
         "replacement",
         spec.replacements.iter().map(String::as_str),
     );
-
-    for &days in &spec.update_days {
-        if days <= 0.0 || days.is_nan() {
-            report.error(
-                "spec-param",
-                format!("update_days = {days} (need a positive update period)"),
-            );
-        }
-    }
-    for &t in &spec.temps_c {
-        if t <= -273.15 || t.is_nan() {
-            report.error(
-                "spec-param",
-                format!("temps_c = {t} (need a temperature above absolute zero, °C)"),
-            );
-        }
-    }
-    for &v in &spec.vdd_lows {
-        if v <= 0.0 || v.is_nan() {
-            report.error(
-                "spec-param",
-                format!("vdd_low = {v} (need a positive drowsy rail voltage)"),
-            );
-        }
-    }
-    for &pct in &spec.failure_pcts {
-        if pct <= 0.0 || pct >= 100.0 || pct.is_nan() {
-            report.error(
-                "spec-param",
-                format!("failure_pct = {pct} (need a failure criterion in (0, 100) percent)"),
-            );
-        }
-    }
+    duplicate_warnings(
+        &mut report,
+        "workload",
+        spec.workloads.iter().map(|w| w.name()),
+    );
     if spec.trace_cycles == 0 {
         report.warning(
             "spec-param",
             "trace_cycles is 0 — every scenario will simulate an empty trace".to_string(),
         );
-    }
-
-    // Model axis: canonicalize and resolve each raw key individually
-    // so one bad key does not mask the next.
-    for key in &spec.models {
-        match model::canonicalize(key) {
-            Err(e) => report.error("spec-model", format!("model key `{key}`: {e}")),
-            Ok(canonical) => {
-                if let Err(e) = models.resolve(&canonical) {
-                    report.error("spec-model", format!("model key `{key}`: {e}"));
-                }
-            }
-        }
     }
     // Alias collisions: distinct spellings landing on one canonical
     // operating point duplicate grid scenarios (each keeps its own
@@ -274,76 +207,6 @@ pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
             }
         }
     }
-
-    for &bytes in &spec.cache_bytes {
-        for &line in &spec.line_bytes {
-            for &banks in &spec.banks {
-                for &ways in &spec.ways {
-                    if let Err(e) = CacheGeometry::new(bytes, line, ways, banks) {
-                        report.error(
-                            "spec-geometry",
-                            format!("cache={bytes}B line={line}B ways={ways} banks={banks}: {e}"),
-                        );
-                    }
-                }
-            }
-        }
-    }
-    // The L2 shares the line size and bank count; its capacity and
-    // associativity are axes of their own. `0` means no L2 and needs
-    // no geometry (it also collapses the l2_ways axis).
-    for &l2_bytes in &spec.l2_cache_bytes {
-        if l2_bytes == 0 {
-            continue;
-        }
-        for &line in &spec.line_bytes {
-            for &banks in &spec.banks {
-                for &l2_ways in &spec.l2_ways {
-                    if let Err(e) = CacheGeometry::new(l2_bytes, line, l2_ways, banks) {
-                        report.error(
-                            "spec-geometry",
-                            format!(
-                                "l2_cache_bytes={l2_bytes}B line={line}B l2_ways={l2_ways} \
-                                 banks={banks}: {e}"
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-        for &bytes in &spec.cache_bytes {
-            if l2_bytes < bytes {
-                report.error(
-                    "spec-geometry",
-                    format!(
-                        "l2_cache_bytes={l2_bytes}B is smaller than cache_bytes={bytes}B \
-                         (the L2 must be at least as large as the L1)"
-                    ),
-                );
-            }
-        }
-    }
-    for w in &spec.workloads {
-        if let Some(profile) = w.pinned_profile() {
-            for &banks in &spec.banks {
-                if profile.len() != banks as usize {
-                    report.error(
-                        "spec-workload",
-                        format!(
-                            "workload `{}` pins {} banks but the grid asks for {banks}",
-                            w.name(),
-                            profile.len()
-                        ),
-                    );
-                }
-            }
-        }
-    }
-    duplicate_warnings(
-        &mut report,
-        "workload",
-        spec.workloads.iter().map(|w| w.name()),
-    );
 
     // Grid cardinality and cost estimate — only meaningful when every
     // axis is present.
@@ -800,8 +663,11 @@ mod tests {
         assert!(text.contains("spec-policy"), "{text}");
         assert!(text.contains("spec-geometry"), "{text}");
         assert!(text.contains("spec-param"), "{text}");
-        // expand() reports exactly one of these.
-        assert!(spec.expand().is_err());
+        // expand() reports exactly one of these: the first on the list.
+        assert!(matches!(
+            spec.expand(),
+            Err(CoreError::UnknownPolicy { name, .. }) if name == "no-such-policy"
+        ));
     }
 
     #[test]

@@ -1,195 +1,67 @@
-//! The open execution layer: [`Executor`] backends behind the grid
-//! runner, selected through [`ExecOptions`], with streaming progress
-//! via [`ExecObserver`].
+//! How a grid's scenario tasks run, and how a caller watches them:
+//! the crate-private task runner behind
+//! [`StudySession::run`](crate::session::StudySession::run), plus the
+//! public [`ExecObserver`] progress callbacks.
 //!
-//! Before this layer existed, the grid runner was a closed
-//! one-shot loop: it spawned its own scoped threads, funnelled every
-//! result through one mutex, and its simulation memo died with the
-//! call. The execution layer splits that loop into replaceable parts:
+//! The runner is a scoped pool of workers that self-schedule over a
+//! shared atomic index: an idle worker claims the next unstarted
+//! scenario, so long scenarios never leave the others idle behind a
+//! static partition. [`StudySpec::threads`](crate::study::StudySpec::threads)
+//! is the one worker cap (default: available parallelism), and
+//! `threads(1)` is the reference loop: every task on the calling
+//! thread, in index order.
 //!
-//! * an [`Executor`] decides *where* scenario tasks run — in the
-//!   calling thread ([`SequentialExecutor`]) or across a
-//!   self-scheduling worker pool ([`ThreadedExecutor`]) whose idle
-//!   workers steal the next unclaimed scenario from a shared atomic
-//!   counter;
-//! * [`ExecOptions`] is the declarative knob a caller hands to a
-//!   [`StudySession`](crate::session::StudySession): backend choice
-//!   plus an optional worker cap;
-//! * an [`ExecObserver`] streams progress — `on_start` once per grid,
-//!   `on_record` as each scenario completes (cache replays first, on
-//!   the calling thread, then computed scenarios from whichever worker
-//!   finished them, so arrival order is *not* scenario order), and
-//!   `on_finish` with the assembled report and the session's counters.
+//! An [`ExecObserver`] streams progress — `on_start` once per grid,
+//! `on_record` as each scenario completes (cache replays first, on
+//! the calling thread, then computed scenarios from whichever worker
+//! finished them, so arrival order is *not* scenario order), and
+//! `on_finish` with the assembled report and the session's counters.
 //!
-//! Determinism is unaffected by the backend: records land in
-//! scenario-id slots, so sequential, threaded and cache-warm runs emit
-//! byte-identical reports (pinned by `tests/exec_cache.rs`).
+//! Determinism is unaffected by the worker count: records land in
+//! scenario-id slots, so one-thread, many-thread and cache-warm runs
+//! emit byte-identical reports (pinned by `tests/exec_cache.rs`).
 
 use crate::session::SessionStats;
 use crate::study::{ScenarioRecord, StudyReport};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Where a task pool runs scenario tasks.
-///
-/// Every index in `0..count` is executed exactly once; `task` must be
-/// safe to call from any thread (it stores its own result — the
-/// executor never sees scenario outcomes).
-pub trait Executor: Send + Sync {
-    /// A short human-readable backend name (for logs and errors).
-    fn name(&self) -> &'static str;
-
-    /// Runs `count` independent tasks to completion.
-    fn execute(&self, count: usize, task: &(dyn Fn(usize) + Sync));
+/// How many workers run `count` tasks under the worker cap `threads`
+/// (`None` = available parallelism): at least one, at most `count`.
+pub(crate) fn workers(threads: Option<usize>, count: usize) -> usize {
+    // Read once per process: the query re-reads the cgroup CPU quota
+    // files, tens of microseconds per call (more when the kernel's
+    // caches have gone cold), which a served write would otherwise pay
+    // on every request.
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let hw = *HARDWARE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    });
+    threads.unwrap_or(hw).clamp(1, count.max(1))
 }
 
-/// Runs every task in the calling thread, in index order.
-///
-/// The reference backend: the threaded executor is required (and
-/// tested) to produce byte-identical reports to this one.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialExecutor;
-
-impl Executor for SequentialExecutor {
-    fn name(&self) -> &'static str {
-        "sequential"
+/// Runs `task(i)` exactly once for every `i` in `0..count` on
+/// `workers` threads. One worker runs every task on the calling
+/// thread, in index order. `task` stores its own result; the runner
+/// never sees scenario outcomes.
+pub(crate) fn run_tasks(count: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
+    if workers <= 1 {
+        return (0..count).for_each(task);
     }
-
-    fn execute(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        for i in 0..count {
-            task(i);
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count {
+                    break;
+                }
+                task(i);
+            });
         }
-    }
-}
-
-/// A scoped pool of workers that self-schedule over a shared atomic
-/// index — work stealing in its simplest form: an idle worker claims
-/// the next unstarted scenario, so long scenarios never leave the
-/// other workers idle behind a static partition.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ThreadedExecutor {
-    threads: Option<usize>,
-}
-
-impl ThreadedExecutor {
-    /// A pool sized to available parallelism.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A pool capped at `threads` workers (`1` degenerates to the
-    /// sequential loop, in-thread).
-    pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads: Some(threads.max(1)),
-        }
-    }
-
-    fn workers(&self, count: usize) -> usize {
-        // Read once per process: the query re-reads the cgroup CPU
-        // quota files, tens of microseconds per call (more when the
-        // kernel's caches have gone cold), which a served write would
-        // otherwise pay on every request.
-        static HARDWARE: OnceLock<usize> = OnceLock::new();
-        let hw = *HARDWARE.get_or_init(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        });
-        self.threads.unwrap_or(hw).clamp(1, count.max(1))
-    }
-}
-
-impl Executor for ThreadedExecutor {
-    fn name(&self) -> &'static str {
-        "threaded"
-    }
-
-    fn execute(&self, count: usize, task: &(dyn Fn(usize) + Sync)) {
-        let workers = self.workers(count);
-        if workers <= 1 {
-            return SequentialExecutor.execute(count, task);
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= count {
-                        break;
-                    }
-                    task(i);
-                });
-            }
-        });
-    }
-}
-
-/// Which executor a session builds, plus its worker cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecBackend {
-    /// [`ThreadedExecutor`] — the default.
-    #[default]
-    Threaded,
-    /// [`SequentialExecutor`].
-    Sequential,
-}
-
-/// Declarative executor selection for a
-/// [`StudySession`](crate::session::StudySession).
-///
-/// The default is the threaded backend at available parallelism. A [`StudySpec::threads`](crate::study::StudySpec::threads)
-/// cap on the spec overrides the option's cap for that grid.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ExecOptions {
-    /// The backend to build.
-    pub backend: ExecBackend,
-    /// Worker cap for the threaded backend (`None` = available
-    /// parallelism; ignored by the sequential backend).
-    pub threads: Option<usize>,
-}
-
-impl ExecOptions {
-    /// The threaded backend at available parallelism (the default).
-    pub fn threaded() -> Self {
-        Self::default()
-    }
-
-    /// The sequential backend.
-    pub fn sequential() -> Self {
-        Self {
-            backend: ExecBackend::Sequential,
-            ..Self::default()
-        }
-    }
-
-    /// Caps the threaded backend's worker count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// How many of `count` tasks the built executor runs at once.
-    pub(crate) fn workers(&self, count: usize) -> usize {
-        match self.backend {
-            ExecBackend::Sequential => 1,
-            ExecBackend::Threaded => ThreadedExecutor {
-                threads: self.threads,
-            }
-            .workers(count),
-        }
-    }
-
-    /// Builds the configured executor.
-    pub fn build(&self) -> Box<dyn Executor> {
-        match self.backend {
-            ExecBackend::Sequential => Box::new(SequentialExecutor),
-            ExecBackend::Threaded => Box::new(ThreadedExecutor {
-                threads: self.threads,
-            }),
-        }
-    }
+    });
 }
 
 /// How a record was obtained, as reported to [`ExecObserver::on_record`].
@@ -240,15 +112,19 @@ mod tests {
 
     #[test]
     fn sequential_runs_in_order() {
+        let caller = std::thread::current().id();
         let seen = Mutex::new(Vec::new());
-        SequentialExecutor.execute(5, &|i| seen.lock().unwrap().push(i));
+        run_tasks(5, 1, &|i| {
+            assert_eq!(std::thread::current().id(), caller);
+            seen.lock().unwrap().push(i);
+        });
         assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn threaded_runs_every_index_exactly_once() {
         let counts: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
-        ThreadedExecutor::with_threads(4).execute(64, &|i| {
+        run_tasks(64, 4, &|i| {
             counts[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(counts.iter().all(|c| c.load(Ordering::Relaxed) == 1));
@@ -256,27 +132,21 @@ mod tests {
 
     #[test]
     fn one_worker_degenerates_to_sequential() {
-        let seen = Mutex::new(Vec::new());
-        ThreadedExecutor::with_threads(1).execute(4, &|i| seen.lock().unwrap().push(i));
-        assert_eq!(*seen.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(workers(Some(1), 64), 1);
+        assert_eq!(workers(Some(0), 64), 1, "a zero cap still runs");
+        assert_eq!(workers(None, 0), 1, "an empty grid still sizes a pool");
     }
 
     #[test]
-    fn options_build_the_named_backend() {
-        assert_eq!(ExecOptions::sequential().build().name(), "sequential");
-        assert_eq!(ExecOptions::threaded().build().name(), "threaded");
-        assert_eq!(
-            ExecOptions::threaded().with_threads(2),
-            ExecOptions {
-                backend: ExecBackend::Threaded,
-                threads: Some(2),
-            }
-        );
+    fn the_cap_and_the_task_count_bound_the_workers() {
+        assert_eq!(workers(Some(4), 64), 4);
+        assert_eq!(workers(Some(4), 2), 2);
+        assert!((1..=64).contains(&workers(None, 64)));
     }
 
     #[test]
     fn empty_grids_are_a_no_op() {
-        ThreadedExecutor::new().execute(0, &|_| panic!("no tasks to run"));
-        SequentialExecutor.execute(0, &|_| panic!("no tasks to run"));
+        run_tasks(0, 4, &|_| panic!("no tasks to run"));
+        run_tasks(0, 1, &|_| panic!("no tasks to run"));
     }
 }

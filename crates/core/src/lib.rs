@@ -36,8 +36,9 @@
 //! * [`study`] — the Study API: declarative [`study::StudySpec`] grids
 //!   expanded into [`study::ScenarioGrid`]s, run across threads into
 //!   serializable [`study::StudyReport`]s;
-//! * [`exec`] / [`session`] / [`rescache`] — the open execution layer:
-//!   pluggable [`Executor`] backends and streaming [`ExecObserver`]
+//! * [`exec`] / [`session`] / [`rescache`] — the execution layer:
+//!   a self-scheduling worker pool capped by
+//!   [`study::StudySpec::threads`] and streaming [`ExecObserver`]
 //!   progress, driven through the [`session::StudySession`] front door
 //!   that owns a cross-run simulation memo and a content-addressed
 //!   [`rescache::ResultCache`] (in-memory or on-disk JSONL), making
@@ -157,10 +158,7 @@ pub use arch::PartitionedCache;
 pub use check::{CheckFinding, CheckLevel, CheckReport};
 pub use decoder::Decoder;
 pub use error::CoreError;
-pub use exec::{
-    ExecBackend, ExecObserver, ExecOptions, Executor, RecordOrigin, SequentialExecutor,
-    ThreadedExecutor,
-};
+pub use exec::{ExecObserver, RecordOrigin};
 pub use lfsr::Lfsr;
 pub use model::{
     AgingModel, CalibratedModel, Metrics, ModelContext, ModelEval, ModelKey, ModelParams,
@@ -180,7 +178,7 @@ pub use search::{
 pub use selector::{BlockSelector, Rail};
 pub use serve::{ServeOptions, ServeStats, StudyServer};
 pub use session::{SessionStats, StudySession};
-pub use study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
+pub use study::{Scenario, ScenarioGrid, ScenarioRecord, SpecParser, StudyReport, StudySpec};
 pub use workload::{
     FileWorkload, ProfileWorkload, SyntheticWorkload, Workload, WorkloadRegistry,
     WorkloadSourceInfo,

@@ -38,8 +38,10 @@
 //! * [`Search`] — the front door: space + objective + constraints +
 //!   driver + probe budget, run through an ordinary
 //!   [`StudySession`]. Every probe
-//!   batch goes through [`StudySession::run_grid`] — sequential or
-//!   threaded, journaled in the content-addressed result cache — so a warm re-run of the same search replays the
+//!   batch goes through [`StudySession::run_grid`] — on the worker
+//!   count the spec's [`threads`](crate::study::StudySpec::threads)
+//!   caps, journaled in the content-addressed result cache — so a
+//!   warm re-run of the same search replays the
 //!   identical [`SearchReport`] with **zero** simulations, and probes
 //!   land in the same journal plain sweeps use: search and grids
 //!   compound.
@@ -343,6 +345,7 @@ impl ScenarioSpace {
             parts.workloads,
             parts.registry,
             parts.replacement_registry,
+            parts.threads,
         ))
     }
 }
@@ -355,6 +358,9 @@ struct SpaceParts {
     workloads: Vec<Arc<dyn Workload>>,
     registry: PolicyRegistry,
     replacement_registry: cache_sim::ReplacementRegistry,
+    /// The worker cap: a union takes its left operand's, or else its
+    /// right's.
+    threads: Option<usize>,
 }
 
 fn expand_node(node: &SpaceNode) -> Result<SpaceParts, CoreError> {
@@ -367,6 +373,7 @@ fn expand_node(node: &SpaceNode) -> Result<SpaceParts, CoreError> {
                 workloads: grid.workloads().to_vec(),
                 registry: grid.policy_registry().clone(),
                 replacement_registry: grid.replacement_registry().clone(),
+                threads: grid.threads_cap(),
             })
         }
         SpaceNode::Filter { inner, pred } => {
@@ -419,6 +426,7 @@ fn expand_node(node: &SpaceNode) -> Result<SpaceParts, CoreError> {
                 }
             }
             left.name = format!("{}+{}", left.name, right.name);
+            left.threads = left.threads.or(right.threads);
             Ok(left)
         }
     }
@@ -1178,7 +1186,7 @@ impl Search {
     }
 
     /// Runs the search: expands the space, lets the driver schedule
-    /// probe batches through the session's executor and result cache,
+    /// probe batches through the session's worker pool and result cache,
     /// and assembles the deterministic [`SearchReport`].
     ///
     /// # Errors
@@ -1327,6 +1335,7 @@ impl Prober<'_> {
             self.grid.workloads().to_vec(),
             self.grid.policy_registry().clone(),
             self.grid.replacement_registry().clone(),
+            self.grid.threads_cap(),
         );
         let report = self.session.run_grid(&batch_grid)?;
 

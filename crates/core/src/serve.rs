@@ -8,7 +8,7 @@
 //! [`StudySession`] (and therefore one calibration memo, one
 //! simulation memo, one [`ResultCache`] handle) alive behind a
 //! hand-rolled, dependency-free HTTP/1.1 listener — std
-//! [`TcpListener`] plus a small worker pool reusing the executor's
+//! [`TcpListener`] plus a small worker pool with the grid runner's
 //! self-scheduling shape (idle workers claim the next queued
 //! connection; no static partition).
 //!
@@ -16,8 +16,9 @@
 //! prints it):
 //!
 //! * `GET /render` — render a **warm** study through
-//!   [`analysis::summary_table`] and [`render::table`]. Query
-//!   parameters mirror the `study` CLI flags without the `--` prefix
+//!   [`analysis::summary_table`] and [`render::table`]. Spec query
+//!   parameters go through the CLI's own [`SpecParser`], so they are
+//!   the `study` flags without the `--` prefix
 //!   (`cache-kb=8,16,32&policies=probing&format=md&group-by=policy&
 //!   baseline=identity`…); the response `Content-Type` follows the
 //!   format (text/md/csv/json) and the body is byte-identical to the
@@ -28,8 +29,8 @@
 //!   (`metric=lt_years&reduce=geomean&group-by=policy`) via
 //!   [`analysis::Query`]; same warm-only rule.
 //! * `POST /run` — expand the spec, compute what is missing (on the
-//!   session's executor: sequential/threaded/process all work, they
-//!   share the journal), and answer a JSON coverage summary plus the
+//!   worker count its `threads` key caps; a CLI run may share the
+//!   journal), and answer a JSON coverage summary plus the
 //!   `/render` location for the finished study.
 //! * `POST /compare` — diff a report JSON body cell-by-cell against
 //!   the journal ([`ReportDiff::against_cache`]): `200` when the sides
@@ -76,7 +77,7 @@ use crate::json::Json;
 use crate::render::{self, Format};
 use crate::rescache::{CachedMeasurement, Fingerprint, ResultCache};
 use crate::session::StudySession;
-use crate::study::{ScenarioGrid, StudyReport, StudySpec};
+use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
 
 /// The report name served specs run under — the same literal the
 /// `study` CLI has always used, so `/render?format=json` bodies are
@@ -284,8 +285,9 @@ pub struct ServeOptions {
     /// via [`StudyServer::addr`]). Default `127.0.0.1:0`.
     pub addr: String,
     /// Connection-worker pool size. Default 4. (Grid execution inside
-    /// a request has its own executor pool; this only bounds how many
-    /// HTTP requests are in flight.)
+    /// a request has its own worker pool, capped by the request's
+    /// `threads` key; this only bounds how many HTTP requests are in
+    /// flight.)
     pub threads: usize,
     /// Enables `POST /shutdown?token=…` when set; with `None` the
     /// endpoint always answers 403. There is no default token — an
@@ -573,16 +575,6 @@ fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool)
     stream.write_all(&out).is_ok() && stream.flush().is_ok()
 }
 
-fn parse_one<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, CoreError> {
-    value.trim().parse::<T>().map_err(|_| CoreError::Report {
-        message: format!("serve: invalid value `{value}` for `{key}`"),
-    })
-}
-
-fn parse_csv<T: std::str::FromStr>(value: &str, key: &str) -> Result<Vec<T>, CoreError> {
-    value.split(',').map(|v| parse_one(v, key)).collect()
-}
-
 /// A request's study parameters: the [`StudySpec`] assembled from the
 /// CLI-mirroring query params, plus the presentation/analysis knobs.
 #[derive(Debug)]
@@ -602,10 +594,7 @@ impl Params {
     /// unknown keys are a hard 400 — a typo must not silently run the
     /// wrong sweep.
     fn from_query(pairs: &[(String, String)]) -> Result<Params, CoreError> {
-        let mut spec = StudySpec::new(REPORT_NAME);
-        let mut workloads: Option<Vec<String>> = None;
-        let mut traces: Vec<String> = Vec::new();
-        let mut models: Vec<String> = Vec::new();
+        let mut spec = SpecParser::new(StudySpec::new(REPORT_NAME));
         let mut params = Params {
             spec: StudySpec::new(REPORT_NAME),
             format: Format::Text,
@@ -617,111 +606,41 @@ impl Params {
         };
         for (key, value) in pairs {
             let k = key.replace('_', "-");
-            spec = match k.as_str() {
-                "cache-kb" => spec.cache_kb(parse_csv::<u64>(value, &k)?),
-                "line-bytes" => spec.line_bytes(parse_csv::<u32>(value, &k)?),
-                "banks" => spec.banks(parse_csv::<u32>(value, &k)?),
-                "ways" => spec.ways(parse_csv::<u32>(value, &k)?),
-                "replacement" => spec.replacement(value.split(',').map(str::trim)),
-                "l2-kb" => spec.l2_cache_kb(parse_csv::<u64>(value, &k)?),
-                "l2-ways" => spec.l2_ways(parse_csv::<u32>(value, &k)?),
-                "update-days" => spec.update_days(parse_csv::<f64>(value, &k)?),
-                "policies" => spec.policies(value.split(',').map(str::trim)),
-                "workloads" if value == "all" => {
-                    // The explicit full suite, in suite order, so a
-                    // `trace` param appends instead of replacing —
-                    // exactly the CLI's `--workloads all` semantics.
-                    workloads = Some(
-                        trace_synth::suite::mediabench()
-                            .iter()
-                            .map(|p| p.name().to_string())
-                            .collect(),
-                    );
-                    spec
-                }
-                "workloads" => {
-                    workloads = Some(value.split(',').map(|s| s.trim().to_string()).collect());
-                    spec
-                }
-                "trace" => {
-                    traces.push(value.to_string());
-                    spec
-                }
-                "profile" => {
-                    traces.push(format!("profile:{}", value.trim()));
-                    spec
-                }
-                "model" => {
-                    models.push(value.trim().to_string());
-                    spec
-                }
-                "temp" => spec.temps_c(parse_csv::<f64>(value, &k)?),
-                "vlow" => spec.vdd_low(parse_csv::<f64>(value, &k)?),
-                "fail" => spec.failure_pct(parse_csv::<f64>(value, &k)?),
-                "trace-cycles" => spec.trace_cycles(parse_one::<u64>(value, &k)?),
-                "seed" => spec.base_seed(parse_one::<u64>(value, &k)?),
-                "threads" => spec.threads(parse_one::<usize>(value, &k)?),
-                "format" => {
-                    params.format = Format::parse(value)?;
-                    spec
-                }
+            if spec.apply(&k, value)? {
+                continue;
+            }
+            match k.as_str() {
+                "format" => params.format = Format::parse(value)?,
                 "group-by" => {
                     params.group_by = value
                         .split(',')
                         .map(Axis::parse)
                         .collect::<Result<Vec<_>, _>>()?;
-                    spec
                 }
-                "baseline" => {
-                    params.baseline = Some(value.trim().to_string());
-                    spec
-                }
-                "metric" => {
-                    params.metric = value.trim().to_string();
-                    spec
-                }
-                "reduce" => {
-                    params.reduce = Reduce::parse(value)?;
-                    spec
-                }
+                "baseline" => params.baseline = Some(value.trim().to_string()),
+                "metric" => params.metric = value.trim().to_string(),
+                "reduce" => params.reduce = Reduce::parse(value)?,
                 "tol" => {
-                    let tol = parse_one::<f64>(value, &k)?;
+                    let tol = value.trim().parse::<f64>().unwrap_or(f64::NAN);
                     if tol < 0.0 || tol.is_nan() {
                         return Err(CoreError::Report {
                             message: format!(
-                                "serve: `tol` must be a non-negative absolute tolerance, got {tol}"
+                                "serve: `tol` must be a non-negative absolute tolerance, got `{value}`"
                             ),
                         });
                     }
                     params.tol = tol;
-                    spec
                 }
                 // The shutdown gate, consumed by its handler.
-                "token" => spec,
+                "token" => {}
                 _ => {
                     return Err(CoreError::Report {
                         message: format!("serve: unknown query parameter `{key}`"),
                     })
                 }
-            };
-        }
-        if !models.is_empty() {
-            spec = spec.models(models);
-        }
-        // `trace`/`profile` append to the `workloads` selection, or
-        // replace the default suite when alone — the CLI's merge rule.
-        let keys = match (workloads, traces.is_empty()) {
-            (Some(mut named), _) => {
-                named.extend(traces);
-                Some(named)
             }
-            (None, false) => Some(traces),
-            (None, true) => None,
-        };
-        if let Some(keys) = keys {
-            spec = spec.workload_names(&keys)?;
         }
-        params.spec = spec;
+        params.spec = spec.finish()?;
         Ok(params)
     }
 }
@@ -749,7 +668,7 @@ pub struct StudyServer {
 
 impl StudyServer {
     /// Binds a server over `cache` with a default session (global
-    /// registries, threaded executor).
+    /// registries).
     ///
     /// # Errors
     ///
@@ -762,7 +681,7 @@ impl StudyServer {
     }
 
     /// [`StudyServer::bind`] with a session-configuration hook: the
-    /// CLI uses it to install executor options and observers. The
+    /// hook can install an observer or custom registries. The
     /// coalescing cache is attached *after* the hook, so it cannot be
     /// accidentally replaced.
     ///

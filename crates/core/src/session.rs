@@ -32,8 +32,10 @@
 //!   replays the hits inline and dispatches only the misses, so a
 //!   fully cached grid starts no worker threads; the trace groups
 //!   plan from that same snapshot instead of probing again;
-//! * **[`ExecOptions`]** select the executor backend; an
-//!   **[`ExecObserver`]** streams per-record progress;
+//! * the spec's [`StudySpec::threads`] caps the worker pool (default:
+//!   available parallelism; `threads(1)` runs every scenario on the
+//!   calling thread, in grid order); an **[`ExecObserver`]** streams
+//!   per-record progress;
 //! * [`StudySession::stats`] exposes the counters behind all of the
 //!   above — simulations actually run, trace streams opened, memo
 //!   hits, cache hits/stores, model evaluations — so "the cache
@@ -82,7 +84,7 @@
 
 use crate::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use crate::error::CoreError;
-use crate::exec::{ExecObserver, ExecOptions, RecordOrigin};
+use crate::exec::{self, ExecObserver, RecordOrigin};
 use crate::model::{CalibratedModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
 use crate::rescache::{relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache};
@@ -211,7 +213,6 @@ pub struct StudySession {
     replacements: cache_sim::ReplacementRegistry,
     memo: SimMemo,
     cache: Option<Box<dyn ResultCache>>,
-    exec: ExecOptions,
     observer: Option<Box<dyn ExecObserver>>,
     counters: Counters,
 }
@@ -219,7 +220,6 @@ pub struct StudySession {
 impl std::fmt::Debug for StudySession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StudySession")
-            .field("exec", &self.exec)
             .field("cached", &self.cache.as_ref().map(|c| c.len()))
             .field("stats", &self.stats())
             .finish_non_exhaustive()
@@ -234,7 +234,7 @@ impl Default for StudySession {
 
 impl StudySession {
     /// A session over the built-in registries and a fresh
-    /// [`ModelContext`], threaded executor, no result cache.
+    /// [`ModelContext`], no result cache.
     pub fn new() -> Self {
         Self::with_context(ModelContext::new())
     }
@@ -249,7 +249,6 @@ impl StudySession {
             replacements: cache_sim::ReplacementRegistry::global().clone(),
             memo: SimMemo::default(),
             cache: None,
-            exec: ExecOptions::default(),
             observer: None,
             counters: Counters::default(),
         }
@@ -259,13 +258,6 @@ impl StudySession {
     #[must_use]
     pub fn cache(mut self, cache: impl ResultCache + 'static) -> Self {
         self.cache = Some(Box::new(cache));
-        self
-    }
-
-    /// Selects the executor backend.
-    #[must_use]
-    pub fn exec(mut self, exec: ExecOptions) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -337,7 +329,7 @@ impl StudySession {
     }
 
     /// Runs an expanded grid through this session: session memo,
-    /// result cache, configured executor and observer all apply.
+    /// result cache, the grid's worker cap and the observer all apply.
     ///
     /// # Errors
     ///
@@ -391,9 +383,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs a grid: calibrates its models, probes the result cache once
 /// per scenario on the calling thread ([`lookup_all`]), replays every
-/// hit inline and dispatches only the misses to the executor. A fully
-/// cached grid therefore runs no executor at all: no worker threads,
-/// and every `on_record` fires on the calling thread.
+/// hit inline and dispatches only the misses to the worker pool. A
+/// fully cached grid therefore starts no worker threads at all, and
+/// every `on_record` fires on the calling thread.
 fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
     // Calibrate every distinct model once, serially and in grid order:
     // deterministic first-error, and the workers below only ever hit
@@ -462,13 +454,8 @@ fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, C
     }
 
     if !misses.is_empty() {
-        // The spec-level worker cap overrides the session's (threads(1)
-        // still forces an in-thread sequential loop, as it always did).
-        let mut exec = session.exec.clone();
-        if let Some(threads) = grid.threads_cap() {
-            exec = exec.with_threads(threads);
-        }
-        let plan = TracePlan::new(&exec, misses.len(), &replayed);
+        let workers = exec::workers(grid.threads_cap(), misses.len());
+        let plan = TracePlan::new(workers, &replayed);
         let task = |j: usize| {
             let i = misses[j];
             // Catch panics so one bad scenario surfaces as a first-class
@@ -485,7 +472,7 @@ fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, C
             });
             finish(i, outcome);
         };
-        exec.build().execute(misses.len(), &task);
+        exec::run_tasks(misses.len(), workers, &task);
     }
     assemble(grid, slots, session)
 }
@@ -641,9 +628,8 @@ type TraceMembers = BTreeMap<TraceKey, Vec<(GeomKey, Vec<usize>)>>;
 
 /// A run's trace groups.
 struct TracePlan<'a> {
-    /// The run's executor and task count, which bound a group's size.
-    exec: &'a ExecOptions,
-    tasks: usize,
+    /// The run's worker count, which bounds a group's size.
+    workers: usize,
     /// Which scenarios the run replayed from the result cache.
     replayed: &'a [bool],
     /// Every trace's members and the group size cap, built on the
@@ -652,10 +638,9 @@ struct TracePlan<'a> {
 }
 
 impl<'a> TracePlan<'a> {
-    fn new(exec: &'a ExecOptions, tasks: usize, replayed: &'a [bool]) -> Self {
+    fn new(workers: usize, replayed: &'a [bool]) -> Self {
         Self {
-            exec,
-            tasks,
+            workers,
             replayed,
             traces: OnceLock::new(),
         }
@@ -677,7 +662,7 @@ impl<'a> TracePlan<'a> {
                 }
             }
             let pairs: usize = traces.values().map(Vec::len).sum();
-            let cap = pairs.div_ceil(self.exec.workers(self.tasks)).max(1);
+            let cap = pairs.div_ceil(self.workers).max(1);
             (traces, cap)
         })
     }
@@ -981,9 +966,8 @@ mod tests {
         registry
             .register_fn("bomb", "panics on evaluate", "none", || Ok(Arc::new(Bomb)))
             .unwrap();
-        let session = StudySession::with_context(ModelContext::with_registry(registry))
-            .exec(ExecOptions::sequential());
-        let spec = tiny_spec(&session, "boom").models(["bomb"]);
+        let session = StudySession::with_context(ModelContext::with_registry(registry));
+        let spec = tiny_spec(&session, "boom").models(["bomb"]).threads(1);
         let e = session.run(&spec).unwrap_err();
         let CoreError::ScenarioPanicked { scenario, message } = &e else {
             panic!("expected ScenarioPanicked, got {e:?}");

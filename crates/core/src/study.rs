@@ -17,8 +17,8 @@
 //!    ([`StudyReport::from_json`]). The session is the execution layer
 //!    ([`crate::exec`] / [`crate::session`]): it adds a cross-run
 //!    simulation memo, a content-addressed result cache
-//!    ([`crate::rescache`]), executor selection and streaming progress
-//!    on top of the same grid.
+//!    ([`crate::rescache`]) and streaming progress on top of the same
+//!    grid; [`StudySpec::threads`] caps its worker pool.
 //!
 //! The paper's tables are presets over this engine
 //! ([`crate::presets`]) plus pure table views ([`crate::views`]).
@@ -435,8 +435,10 @@ impl StudySpec {
         self
     }
 
-    /// Caps the worker-thread count (`1` forces sequential execution).
-    /// Defaults to available parallelism.
+    /// Caps the worker-thread count, the only worker knob a run has.
+    /// Defaults to available parallelism; `1` runs every scenario on
+    /// the calling thread, in grid order — the reference loop every
+    /// other count must match byte for byte.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
@@ -460,10 +462,9 @@ impl StudySpec {
         self.base_seed
     }
 
-    /// Composes the model axis: every model key crossed with the
-    /// temperature / drowsy-rail / failure-criterion override axes,
-    /// canonicalized.
-    pub(crate) fn composed_model_keys(&self) -> Result<Vec<String>, CoreError> {
+    /// Composes one model key with every temperature / drowsy-rail /
+    /// failure-criterion override, canonicalized.
+    fn compose_key(&self, key: &str) -> Result<Vec<String>, CoreError> {
         fn axis(values: &[f64]) -> Vec<Option<f64>> {
             if values.is_empty() {
                 vec![None]
@@ -472,58 +473,61 @@ impl StudySpec {
             }
         }
         let mut keys = Vec::new();
-        for key in &self.models {
-            for &temp_c in &axis(&self.temps_c) {
-                for &vdd_low in &axis(&self.vdd_lows) {
-                    for &fail_pct in &axis(&self.failure_pcts) {
-                        keys.push(model::compose(
-                            key,
-                            ModelParams {
-                                temp_c,
-                                vdd_low,
-                                sleep_gated: None,
-                                fail_pct,
-                            },
-                        )?);
-                    }
+        for &temp_c in &axis(&self.temps_c) {
+            for &vdd_low in &axis(&self.vdd_lows) {
+                for &fail_pct in &axis(&self.failure_pcts) {
+                    keys.push(model::compose(
+                        key,
+                        ModelParams {
+                            temp_c,
+                            vdd_low,
+                            sleep_gated: None,
+                            fail_pct,
+                        },
+                    )?);
                 }
             }
         }
         Ok(keys)
     }
 
-    /// Names the first kB size whose byte count overflowed `u64`.
-    pub(crate) fn kb_overflow(&self) -> Option<String> {
-        [
-            ("cache_kb", self.cache_kb_overflow),
-            ("l2_cache_kb", self.l2_kb_overflow),
-        ]
-        .into_iter()
-        .find_map(|(axis, kb)| {
-            kb.map(|kb| format!("axis `{axis}`: {kb} kB overflows a 64-bit byte count"))
-        })
+    /// Composes the model axis: every model key crossed with the
+    /// override axes, canonicalized.
+    pub(crate) fn composed_model_keys(&self) -> Result<Vec<String>, CoreError> {
+        let mut keys = Vec::new();
+        for key in &self.models {
+            keys.extend(self.compose_key(key)?);
+        }
+        Ok(keys)
     }
 
-    /// Expands the axes into the cartesian scenario grid.
-    ///
-    /// Expansion order (outermost to innermost): cache size, line size,
-    /// banks, ways, replacement policy, L2 size, L2 ways, device model,
-    /// update period, policy, workload. Scenario ids number that order,
-    /// so the innermost workload axis matches the historic `seed + i`
-    /// suite loop (and grids that leave the geometry axes at their
-    /// defaults keep their pre-geometry-axis ids).
-    ///
-    /// # Errors
-    ///
-    /// Rejects kB sizes whose byte count overflows `u64`, empty axes,
-    /// unknown policy or replacement names, malformed model keys,
-    /// invalid geometries (including `ways` that don't divide the line
-    /// capacity and an L2 smaller than the L1) and profile/bank-count
-    /// mismatches up front, so a run can only fail on model-level
-    /// errors.
-    pub fn expand(&self) -> Result<ScenarioGrid, CoreError> {
-        if let Some(message) = self.kb_overflow() {
-            return Err(CoreError::Report { message });
+    /// Every rule the spec breaks, in the order [`StudySpec::expand`]
+    /// checks them: kB overflow, empty axes, unknown policies and
+    /// replacements, parameter ranges, model-key composition, the L1
+    /// and L2 geometries, L2 ≥ L1, and pinned-profile bank counts.
+    /// `expand` fails with the first; `study check` reports them all.
+    /// A valid spec builds nothing, not even a message.
+    pub(crate) fn problems(&self) -> Vec<Problem> {
+        let mut out = Vec::new();
+        // `None`: the error is a `CoreError::Report` of the message.
+        let mut push = |code, message: String, error: Option<CoreError>| {
+            let error = error.unwrap_or_else(|| CoreError::Report {
+                message: message.clone(),
+            });
+            out.push(Problem {
+                code,
+                message,
+                error,
+            })
+        };
+        for (axis, kb) in [
+            ("cache_kb", self.cache_kb_overflow),
+            ("l2_cache_kb", self.l2_kb_overflow),
+        ] {
+            if let Some(kb) = kb {
+                let message = format!("axis `{axis}`: {kb} kB overflows a 64-bit byte count");
+                push("spec-axis", message, None);
+            }
         }
         for (axis, len) in [
             ("cache_bytes", self.cache_bytes.len()),
@@ -539,57 +543,153 @@ impl StudySpec {
             ("models", self.models.len()),
         ] {
             if len == 0 {
-                return Err(CoreError::Report {
-                    message: format!("axis `{axis}` is empty"),
-                });
+                push("spec-axis", format!("axis `{axis}` is empty"), None);
             }
         }
         for name in &self.policies {
             if self.registry.get(name).is_none() {
-                return Err(CoreError::UnknownPolicy {
-                    name: name.clone(),
-                    known: self.registry.names().join(", "),
-                });
+                let known = self.registry.names().join(", ");
+                let message = format!("unknown policy `{name}` (known: {known})");
+                let name = name.clone();
+                push(
+                    "spec-policy",
+                    message,
+                    Some(CoreError::UnknownPolicy { name, known }),
+                );
             }
         }
         for name in &self.replacements {
-            self.replacement_registry.resolve(name)?;
-        }
-        for &days in &self.update_days {
-            if days <= 0.0 || days.is_nan() {
-                return Err(CoreError::InvalidParameter {
-                    name: "update_days",
-                    value: days,
-                    expected: "a positive update period",
-                });
+            if let Err(e) = self.replacement_registry.resolve(name) {
+                let known = self.replacement_registry.names().join(", ");
+                let message = format!("unknown replacement policy `{name}` (known: {known})");
+                push("spec-replacement", message, Some(e.into()));
             }
         }
-        for &t in &self.temps_c {
-            if t <= -273.15 || t.is_nan() {
-                return Err(CoreError::InvalidParameter {
-                    name: "temps_c",
-                    value: t,
-                    expected: "a temperature above absolute zero (°C)",
-                });
+        let positive: fn(f64) -> bool = |x| x > 0.0;
+        let ranges = [
+            (
+                "update_days",
+                &self.update_days,
+                positive,
+                "a positive update period",
+            ),
+            (
+                "temps_c",
+                &self.temps_c,
+                |t| t > -273.15,
+                "a temperature above absolute zero (°C)",
+            ),
+            (
+                "vdd_low",
+                &self.vdd_lows,
+                positive,
+                "a positive drowsy rail voltage",
+            ),
+            (
+                "failure_pct",
+                &self.failure_pcts,
+                |pct| pct > 0.0 && pct < 100.0,
+                "a failure criterion in (0, 100) percent",
+            ),
+        ];
+        for (name, values, valid, expected) in ranges {
+            // `valid` is false for NaN, so NaN is out of every range.
+            for &value in values.iter().filter(|&&v| !valid(v)) {
+                let message = format!("{name} = {value} (need {expected})");
+                let error = CoreError::InvalidParameter {
+                    name,
+                    value,
+                    expected,
+                };
+                push("spec-param", message, Some(error));
             }
         }
-        for &v in &self.vdd_lows {
-            if v <= 0.0 || v.is_nan() {
-                return Err(CoreError::InvalidParameter {
-                    name: "vdd_low",
-                    value: v,
-                    expected: "a positive drowsy rail voltage",
-                });
+        for key in &self.models {
+            if let Err(e) = self.compose_key(key) {
+                push("spec-model", format!("model key `{key}`: {e}"), Some(e));
             }
         }
-        for &pct in &self.failure_pcts {
-            if pct <= 0.0 || pct >= 100.0 || pct.is_nan() {
-                return Err(CoreError::InvalidParameter {
-                    name: "failure_pct",
-                    value: pct,
-                    expected: "a failure criterion in (0, 100) percent",
-                });
+        for &bytes in &self.cache_bytes {
+            for &line in &self.line_bytes {
+                for &banks in &self.banks {
+                    for &ways in &self.ways {
+                        if let Err(e) = CacheGeometry::new(bytes, line, ways, banks) {
+                            let message = format!(
+                                "cache={bytes}B line={line}B ways={ways} banks={banks}: {e}"
+                            );
+                            push("spec-geometry", message, Some(e.into()));
+                        }
+                    }
+                }
             }
+        }
+        // The L2 shares the line size and bank count; its capacity and
+        // associativity are axes of their own. `0` means no L2 and
+        // needs no geometry (it also collapses the l2_ways axis).
+        for &l2_bytes in self.l2_cache_bytes.iter().filter(|&&b| b > 0) {
+            for &line in &self.line_bytes {
+                for &banks in &self.banks {
+                    for &l2_ways in &self.l2_ways {
+                        if let Err(e) = CacheGeometry::new(l2_bytes, line, l2_ways, banks) {
+                            let message = format!(
+                                "l2_cache_bytes={l2_bytes}B line={line}B l2_ways={l2_ways} \
+                                 banks={banks}: {e}"
+                            );
+                            push("spec-geometry", message, Some(e.into()));
+                        }
+                    }
+                }
+            }
+            for &bytes in self.cache_bytes.iter().filter(|&&b| l2_bytes < b) {
+                let message = format!(
+                    "l2_cache_bytes={l2_bytes}B is smaller than cache_bytes={bytes}B \
+                     (the L2 must be at least as large as the L1)"
+                );
+                let error = SimError::InvalidGeometry {
+                    name: "l2_cache_bytes",
+                    value: l2_bytes,
+                    expected: "an L2 at least as large as the L1",
+                };
+                push("spec-geometry", message, Some(error.into()));
+            }
+        }
+        for w in &self.workloads {
+            let Some(profile) = w.pinned_profile() else {
+                continue;
+            };
+            for &banks in self.banks.iter().filter(|&&b| profile.len() != b as usize) {
+                let message = format!(
+                    "workload `{}` pins {} banks but the grid asks for {banks}",
+                    w.name(),
+                    profile.len()
+                );
+                push("spec-workload", message, None);
+            }
+        }
+        out
+    }
+
+    /// Expands the axes into the cartesian scenario grid.
+    ///
+    /// Expansion order (outermost to innermost): cache size, line size,
+    /// banks, ways, replacement policy, L2 size, L2 ways, device model,
+    /// update period, policy, workload. Scenario ids number that order,
+    /// so the innermost workload axis matches the historic `seed + i`
+    /// suite loop (and grids that leave the geometry axes at their
+    /// defaults keep their pre-geometry-axis ids).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first problem on the spec's rule list: kB sizes
+    /// whose byte count overflows `u64`, empty axes, unknown policy or
+    /// replacement names, out-of-range parameters, malformed model
+    /// keys, invalid geometries (including `ways` that don't divide the
+    /// line capacity and an L2 smaller than the L1) and profile/bank-count
+    /// mismatches are all rejected up front, so a run can only fail on
+    /// model-level errors.
+    pub fn expand(&self) -> Result<ScenarioGrid, CoreError> {
+        if let Some(problem) = self.problems().into_iter().next() {
+            return Err(problem.error);
         }
         let model_keys = self.composed_model_keys()?;
         let mut scenarios = Vec::new();
@@ -597,22 +697,6 @@ impl StudySpec {
             for &line in &self.line_bytes {
                 for &banks in &self.banks {
                     for &ways in &self.ways {
-                        // Validate the L1 geometry once per
-                        // (size, line, ways, banks).
-                        CacheGeometry::new(bytes, line, ways, banks)?;
-                        for w in &self.workloads {
-                            if let Some(profile) = w.pinned_profile() {
-                                if profile.len() != banks as usize {
-                                    return Err(CoreError::Report {
-                                        message: format!(
-                                        "workload `{}` pins {} banks but the grid asks for {banks}",
-                                        w.name(),
-                                        profile.len()
-                                    ),
-                                    });
-                                }
-                            }
-                        }
                         for replacement in &self.replacements {
                             for &l2_bytes in &self.l2_cache_bytes {
                                 for (l2wi, &l2_ways_raw) in self.l2_ways.iter().enumerate() {
@@ -624,18 +708,6 @@ impl StudySpec {
                                         continue;
                                     }
                                     let l2_ways = if l2_bytes == 0 { 1 } else { l2_ways_raw };
-                                    if l2_bytes > 0 {
-                                        CacheGeometry::new(l2_bytes, line, l2_ways, banks)?;
-                                        if l2_bytes < bytes {
-                                            return Err(CoreError::Sim(
-                                                SimError::InvalidGeometry {
-                                                    name: "l2_cache_bytes",
-                                                    value: l2_bytes,
-                                                    expected: "an L2 at least as large as the L1",
-                                                },
-                                            ));
-                                        }
-                                    }
                                     for model in &model_keys {
                                         for &days in &self.update_days {
                                             for policy in &self.policies {
@@ -688,6 +760,153 @@ impl StudySpec {
             threads: self.threads,
         })
     }
+}
+
+/// The one parser from study keys to a [`StudySpec`]: the `study`
+/// CLI's spec flags and the study server's query parameters both
+/// feed it, so `--cache-kb 8,16` and `cache-kb=8,16` are one key.
+///
+/// A key is spelled with or without a leading `--`. List keys take
+/// comma-separated values; `trace-cycles`, `seed` and `threads` take
+/// exactly one. `workloads=all` names the full suite, `trace` and
+/// `profile` append to the workload selection (or replace the default
+/// suite when alone), and `model` repeats, one key per use (model keys
+/// use commas internally).
+///
+/// ```
+/// use aging_cache::study::{SpecParser, StudySpec};
+///
+/// # fn main() -> Result<(), aging_cache::CoreError> {
+/// let mut parser = SpecParser::new(StudySpec::new("sweep"));
+/// assert!(parser.apply("--cache-kb", "8,16")?);
+/// assert!(parser.apply("workloads", "sha")?);
+/// assert!(!parser.apply("format", "md")?, "not a spec key");
+/// assert!(parser.apply("seed", "1,2").is_err(), "one value only");
+/// assert_eq!(parser.finish()?.expand()?.len(), 2);
+/// # Ok(())
+/// # }
+/// ```
+pub struct SpecParser {
+    // Always `Some` between calls: the `Option` lets a by-value
+    // builder run in place.
+    spec: Option<StudySpec>,
+    // The workload axis is assembled from `workloads`, `trace` and
+    // `profile` once parsing finishes: `None` = the default suite.
+    workloads: Option<Vec<String>>,
+    traces: Vec<String>,
+    models: Vec<String>,
+}
+
+impl SpecParser {
+    /// A parser whose keys edit `spec`.
+    pub fn new(spec: StudySpec) -> Self {
+        Self {
+            spec: Some(spec),
+            workloads: None,
+            traces: Vec::new(),
+            models: Vec::new(),
+        }
+    }
+
+    /// Applies one `key`/`value` pair. `Ok(false)` means `key` is not
+    /// a spec key and the caller should handle it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Report`] naming the key when a value does
+    /// not parse, or when a one-value key gets a list.
+    pub fn apply(&mut self, key: &str, value: &str) -> Result<bool, CoreError> {
+        fn one<T: std::str::FromStr>(value: &str, key: &str) -> Result<T, CoreError> {
+            value.trim().parse().map_err(|_| CoreError::Report {
+                message: format!("invalid value `{value}` for `{key}`"),
+            })
+        }
+        fn list<T: std::str::FromStr>(value: &str, key: &str) -> Result<Vec<T>, CoreError> {
+            value.split(',').map(|v| one(v, key)).collect()
+        }
+        let names = || value.split(',').map(|v| v.trim().to_string()).collect();
+        match key.strip_prefix("--").unwrap_or(key) {
+            "cache-kb" => self.edit(list(value, key)?, StudySpec::cache_kb),
+            "line-bytes" => self.edit(list(value, key)?, StudySpec::line_bytes),
+            "banks" => self.edit(list(value, key)?, StudySpec::banks),
+            "ways" => self.edit(list(value, key)?, StudySpec::ways),
+            "replacement" => self.edit(names(), StudySpec::replacement::<String>),
+            "l2-kb" => self.edit(list(value, key)?, StudySpec::l2_cache_kb),
+            "l2-ways" => self.edit(list(value, key)?, StudySpec::l2_ways),
+            "update-days" => self.edit(list(value, key)?, StudySpec::update_days),
+            "policies" => self.edit(names(), StudySpec::policies::<String>),
+            "workloads" if value == "all" => {
+                // The explicit suite, in suite order, so a `trace`
+                // appends to it instead of replacing it.
+                let suite = suite::mediabench();
+                self.workloads = Some(suite.iter().map(|p| p.name().to_string()).collect());
+            }
+            "workloads" => self.workloads = Some(names()),
+            "trace" => self.traces.push(value.to_string()),
+            // A pinned per-bank idleness profile: comma-separated
+            // sleep fractions, no simulation.
+            "profile" => self.traces.push(format!("profile:{}", value.trim())),
+            // Deliberately no plural `models` key: model keys use
+            // commas internally, so `models=a,b` would invite one bad
+            // key.
+            "model" => self.models.push(value.trim().to_string()),
+            "temp" => self.edit(list(value, key)?, StudySpec::temps_c),
+            "vlow" => self.edit(list(value, key)?, StudySpec::vdd_low),
+            "fail" => self.edit(list(value, key)?, StudySpec::failure_pct),
+            "trace-cycles" => self.edit(one(value, key)?, StudySpec::trace_cycles),
+            "seed" => self.edit(one(value, key)?, StudySpec::base_seed),
+            "threads" => self.edit(one(value, key)?, StudySpec::threads),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn edit<V>(&mut self, value: V, builder: impl FnOnce(StudySpec, V) -> StudySpec) {
+        self.spec = self.spec.take().map(|spec| builder(spec, value));
+    }
+
+    /// The spec with the model axis applied, plus the merged workload
+    /// keys (`None` = keep the spec's workloads). `study check` resolves
+    /// the keys itself, so each bad key becomes a finding.
+    pub fn into_parts(self) -> (StudySpec, Option<Vec<String>>) {
+        let mut spec = self.spec.unwrap_or_else(|| StudySpec::new(""));
+        if !self.models.is_empty() {
+            spec = spec.models(self.models);
+        }
+        let keys = match (self.workloads, self.traces.is_empty()) {
+            (Some(mut named), _) => {
+                named.extend(self.traces);
+                Some(named)
+            }
+            (None, false) => Some(self.traces),
+            (None, true) => None,
+        };
+        (spec, keys)
+    }
+
+    /// The finished spec, its workload keys resolved.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first workload key that does not resolve (see
+    /// [`StudySpec::workload_names`]).
+    pub fn finish(self) -> Result<StudySpec, CoreError> {
+        match self.into_parts() {
+            (spec, Some(keys)) => spec.workload_names(&keys),
+            (spec, None) => Ok(spec),
+        }
+    }
+}
+
+/// A rule a spec breaks: the error [`StudySpec::expand`] returns for
+/// it, and the code and message `study check` reports it under.
+pub(crate) struct Problem {
+    /// The check finding code (`spec-axis`, `spec-geometry`, …).
+    pub(crate) code: &'static str,
+    /// The check finding message.
+    pub(crate) message: String,
+    /// What `expand` returns when this is the spec's first problem.
+    pub(crate) error: CoreError,
 }
 
 /// Converts a kB axis to bytes. The first value whose byte count
@@ -889,14 +1108,16 @@ impl ScenarioGrid {
     /// A grid assembled from pre-expanded parts — the search layer's
     /// path for expanded spaces and probe batches. Scenarios keep
     /// whatever ids they carry (a probe batch keeps its members' ids
-    /// in the full space, offset per ensemble replica), and the full
-    /// workload axis rides along so `workload_index` stays valid.
+    /// in the full space, offset per ensemble replica), the full
+    /// workload axis rides along so `workload_index` stays valid, and
+    /// `threads` carries the spec's worker cap.
     pub(crate) fn from_parts(
         name: String,
         scenarios: Vec<Scenario>,
         workloads: Vec<Arc<dyn Workload>>,
         registry: PolicyRegistry,
         replacement_registry: ReplacementRegistry,
+        threads: Option<usize>,
     ) -> Self {
         Self {
             name,
@@ -904,7 +1125,7 @@ impl ScenarioGrid {
             workloads,
             registry,
             replacement_registry,
-            threads: None,
+            threads,
         }
     }
 

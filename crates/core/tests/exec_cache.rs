@@ -1,15 +1,16 @@
-//! Execution-layer invariants: every executor backend — and a
-//! cache-warm replay, in-process or from a reopened on-disk journal —
-//! must produce byte-identical `StudyReport` JSON; corrupted journal
+//! Execution-layer invariants: every worker count — and a cache-warm
+//! replay, in-process or from a reopened on-disk journal — must
+//! produce byte-identical `StudyReport` JSON; corrupted journal
 //! entries must be rejected loudly, naming their fingerprint; and a run
 //! looks each cell up in the result cache exactly once, replaying the
 //! hits on the calling thread.
 
-use aging_cache::exec::{ExecObserver, ExecOptions, RecordOrigin};
+use aging_cache::exec::{ExecObserver, RecordOrigin};
 use aging_cache::experiment::ExperimentConfig;
 use aging_cache::model::DEFAULT_MODEL;
 use aging_cache::presets;
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
+use aging_cache::search::{Driver, Objective, ScenarioSpace, Search};
 use aging_cache::serve::{ServeOptions, StudyServer};
 use aging_cache::session::StudySession;
 use aging_cache::study::{ScenarioRecord, StudySpec};
@@ -32,19 +33,25 @@ fn grid_spec(session: &StudySession) -> StudySpec {
 
 #[test]
 fn sequential_threaded_and_cache_warm_reports_are_byte_identical() {
-    let sequential = StudySession::new().exec(ExecOptions::sequential());
-    let reference = sequential.run(&grid_spec(&sequential)).unwrap().to_json();
+    let sequential = StudySession::new();
+    let reference = sequential
+        .run(&grid_spec(&sequential).threads(1))
+        .unwrap()
+        .to_json();
 
-    let threaded = StudySession::new().exec(ExecOptions::threaded());
+    let threaded = StudySession::new();
     assert_eq!(
         threaded.run(&grid_spec(&threaded)).unwrap().to_json(),
         reference,
         "threaded vs sequential"
     );
 
-    let two_workers = StudySession::new().exec(ExecOptions::threaded().with_threads(2));
+    let two_workers = StudySession::new();
     assert_eq!(
-        two_workers.run(&grid_spec(&two_workers)).unwrap().to_json(),
+        two_workers
+            .run(&grid_spec(&two_workers).threads(2))
+            .unwrap()
+            .to_json(),
         reference,
         "capped worker pool"
     );
@@ -232,9 +239,11 @@ impl ExecObserver for Deliveries {
 
 #[test]
 fn table2_replay_probes_each_cell_once_and_replays_on_the_calling_thread() {
-    let spec = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
+    let spec = presets::table2(&ExperimentConfig::paper_reference())
+        .trace_cycles(40_000)
+        .threads(2);
     let cells = 54;
-    let threaded = || StudySession::new().exec(ExecOptions::threaded().with_threads(2));
+    let threaded = StudySession::new;
     let counting = Counting::default();
 
     // Cold: one lookup per cell, and the trace groups plan their peers
@@ -273,6 +282,39 @@ fn table2_replay_probes_each_cell_once_and_replays_on_the_calling_thread() {
             .iter()
             .all(|&(thread, origin)| thread == caller && origin == RecordOrigin::Cached),
         "every replayed record arrives on the calling thread"
+    );
+}
+
+#[test]
+fn a_search_keeps_the_specs_worker_cap() {
+    // Both search grids — the expanded space and each probe batch —
+    // run under the spec's cap: `threads(1)` computes every probe on
+    // the calling thread.
+    let session = StudySession::new();
+    let spec = session
+        .spec("one-thread search")
+        .cache_kb([8, 16, 32])
+        .policies(["probing", "gray"])
+        .workload_names(["sha"])
+        .unwrap()
+        .trace_cycles(40_000)
+        .threads(1);
+    let deliveries = Deliveries::default();
+    let session = session.observer(deliveries.clone());
+    let objective = Objective::parse("max:lt_years").unwrap();
+    let report = Search::new(ScenarioSpace::grid(spec), objective)
+        .driver(Driver::Exhaustive)
+        .run(&session)
+        .unwrap();
+    assert!(report.incumbent().is_some());
+    let delivered = deliveries.0.lock().unwrap();
+    assert_eq!(delivered.len(), 6, "every point probed once");
+    let caller = std::thread::current().id();
+    assert!(
+        delivered
+            .iter()
+            .all(|&(thread, origin)| thread == caller && origin == RecordOrigin::Computed),
+        "every probe computed on the calling thread"
     );
 }
 

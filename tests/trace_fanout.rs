@@ -4,7 +4,6 @@
 //! under concurrent runs, and no stale in-flight claims after a group
 //! fails.
 
-use nbti_cache_repro::arch::exec::ExecOptions;
 use nbti_cache_repro::arch::experiment::ExperimentConfig;
 use nbti_cache_repro::arch::presets;
 use nbti_cache_repro::arch::session::StudySession;
@@ -39,8 +38,8 @@ fn within_bound<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 's
 fn table2_opens_each_trace_once_and_simulates_every_geometry() {
     let spec = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
 
-    let sequential = StudySession::new().exec(ExecOptions::sequential());
-    let reference = sequential.run(&spec).unwrap().to_json();
+    let sequential = StudySession::new();
+    let reference = sequential.run(&spec.clone().threads(1)).unwrap().to_json();
     let stats = sequential.stats();
     assert_eq!(stats.scenarios, 54);
     assert_eq!(stats.trace_opens, 18, "one stream per suite workload");
@@ -50,8 +49,8 @@ fn table2_opens_each_trace_once_and_simulates_every_geometry() {
         "the two peer geometries of each group"
     );
 
-    let threaded = StudySession::new().exec(ExecOptions::threaded().with_threads(2));
-    assert_eq!(threaded.run(&spec).unwrap().to_json(), reference);
+    let threaded = StudySession::new();
+    assert_eq!(threaded.run(&spec.threads(2)).unwrap().to_json(), reference);
     let stats = threaded.stats();
     assert_eq!(stats.trace_opens, 18);
     assert_eq!(stats.simulations, 54);
@@ -62,9 +61,10 @@ fn one_trace_many_geometries_splits_across_workers() {
     // Six geometries on one trace: a single group would run every
     // simulation on one worker while the other waits, so the groups are
     // capped at ceil(6 pairs / 2 workers) = 3 geometries each.
-    let geometry_grid = |session: &StudySession| {
+    let geometry_grid = |session: &StudySession, threads: usize| {
         session
             .spec("one-trace")
+            .threads(threads)
             .ways([1, 2, 4])
             .replacement(["lru", "mru"])
             .l2_cache_kb([64])
@@ -73,17 +73,20 @@ fn one_trace_many_geometries_splits_across_workers() {
             .trace_cycles(40_000)
     };
 
-    let sequential = StudySession::new().exec(ExecOptions::sequential());
+    let sequential = StudySession::new();
     let reference = sequential
-        .run(&geometry_grid(&sequential))
+        .run(&geometry_grid(&sequential, 1))
         .unwrap()
         .to_json();
     let stats = sequential.stats();
     assert_eq!(stats.simulations, 6);
     assert_eq!(stats.trace_opens, 1, "one worker, one group");
 
-    let threaded = StudySession::new().exec(ExecOptions::threaded().with_threads(2));
-    let report = threaded.run(&geometry_grid(&threaded)).unwrap().to_json();
+    let threaded = StudySession::new();
+    let report = threaded
+        .run(&geometry_grid(&threaded, 2))
+        .unwrap()
+        .to_json();
     assert_eq!(report, reference);
     let stats = threaded.stats();
     assert_eq!(stats.simulations, 6);
@@ -124,6 +127,7 @@ impl Workload for FusedWorkload {
 fn fused_spec(session: &StudySession, workloads: &[&str]) -> StudySpec {
     session
         .spec("fused")
+        .threads(2)
         .cache_kb([8, 16, 32])
         .workload_names(workloads.iter().copied())
         .unwrap()
@@ -134,11 +138,7 @@ fn fused_spec(session: &StudySession, workloads: &[&str]) -> StudySpec {
 fn a_panicking_group_fails_its_lowest_scenario_and_releases_its_claims() {
     let mut registry = WorkloadRegistry::builtin();
     registry.register(Arc::new(FusedWorkload)).unwrap();
-    let session = Arc::new(
-        StudySession::new()
-            .workload_registry(registry)
-            .exec(ExecOptions::threaded().with_threads(2)),
-    );
+    let session = Arc::new(StudySession::new().workload_registry(registry));
     let spec = fused_spec(&session, &["sha", "fused"]);
     let lowest = spec
         .expand()
@@ -171,7 +171,7 @@ fn a_panicking_group_fails_its_lowest_scenario_and_releases_its_claims() {
 
 #[test]
 fn concurrent_overlapping_runs_simulate_each_pair_once() {
-    let session = Arc::new(StudySession::new().exec(ExecOptions::threaded().with_threads(2)));
+    let session = Arc::new(StudySession::new());
     let workloads = ["sha", "CRC32", "dijkstra"];
     let spec = |kb: [u64; 2]| {
         session
@@ -180,6 +180,7 @@ fn concurrent_overlapping_runs_simulate_each_pair_once() {
             .workload_names(workloads)
             .unwrap()
             .trace_cycles(40_000)
+            .threads(2)
     };
     let specs = [spec([8, 16]), spec([16, 32])];
     // Both runs start together and share the 16 kB column and every
@@ -216,7 +217,10 @@ fn concurrent_overlapping_runs_simulate_each_pair_once() {
     );
     assert!(stats.trace_opens >= workloads.len() && stats.trace_opens <= stats.simulations);
     for (spec, report) in specs.iter().zip(&reports) {
-        let alone = StudySession::new().exec(ExecOptions::sequential());
-        assert_eq!(&alone.run(spec).unwrap().to_json(), report);
+        let alone = StudySession::new();
+        assert_eq!(
+            &alone.run(&spec.clone().threads(1)).unwrap().to_json(),
+            report
+        );
     }
 }
