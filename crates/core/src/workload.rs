@@ -66,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use trace_synth::formats::{self, TraceFormat};
 use trace_synth::source::Fnv64;
-use trace_synth::{IterSource, TraceSource, WorkloadProfile};
+use trace_synth::{SliceSource, TraceSource, WorkloadProfile};
 
 /// Provenance of a file-backed workload, embedded in study reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,7 +167,7 @@ impl Workload for SyntheticWorkload {
     }
 
     fn open(&self, seed: u64) -> Result<Box<dyn TraceSource>, CoreError> {
-        Ok(Box::new(IterSource::new(self.profile.trace(seed))))
+        Ok(Box::new(self.profile.trace(seed)))
     }
 }
 
@@ -355,9 +355,7 @@ impl Workload for ProfileWorkload {
     }
 
     fn open(&self, _seed: u64) -> Result<Box<dyn TraceSource>, CoreError> {
-        Ok(Box::new(IterSource::new(std::iter::empty::<
-            cache_sim::Access,
-        >())))
+        Ok(Box::new(SliceSource::new(&[])))
     }
 }
 

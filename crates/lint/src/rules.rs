@@ -215,6 +215,7 @@ fn panic_zone(path: &str) -> bool {
         "crates/core/src/serve.rs",
         "crates/core/src/search.rs",
         "crates/sim/src/hierarchy.rs",
+        "crates/traces/src/formats.rs",
     ]
     .contains(&path)
 }

@@ -315,7 +315,8 @@ pub fn write_din(out: &mut String, accesses: &[Access]) {
             AccessKind::Read => '0',
             AccessKind::Write => '1',
         };
-        writeln!(out, "{label} {addr:x}", addr = a.addr).expect("String write");
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, "{label} {addr:x}", addr = a.addr);
     }
 }
 
@@ -374,7 +375,8 @@ pub fn write_lackey(out: &mut String, accesses: &[Access]) {
             AccessKind::Read => 'L',
             AccessKind::Write => 'S',
         };
-        writeln!(out, " {op} {addr:x},4", addr = a.addr).expect("String write");
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, " {op} {addr:x},4", addr = a.addr);
     }
 }
 
@@ -434,7 +436,8 @@ pub fn write_csv(out: &mut String, accesses: &[Access]) {
             AccessKind::Read => 'r',
             AccessKind::Write => 'w',
         };
-        writeln!(out, "0x{addr:x},{kind}", addr = a.addr).expect("String write");
+        // Writing to a `String` cannot fail.
+        let _ = writeln!(out, "0x{addr:x},{kind}", addr = a.addr);
     }
 }
 

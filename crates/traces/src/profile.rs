@@ -3,6 +3,7 @@
 use crate::region::{Region, RegionCursor};
 use crate::rng::SplitMix64;
 use crate::schedule::{SlotSchedule, REF_BANKS};
+use crate::source::{TraceError, TraceSource};
 use cache_sim::{Access, AccessKind};
 
 /// A complete synthetic-workload description.
@@ -190,14 +191,19 @@ impl WorkloadProfile {
 
     /// Starts an infinite, deterministic trace for this profile.
     pub fn trace(&self, seed: u64) -> TraceGen {
-        let cursors = self
-            .regions
-            .clone()
-            .map(|rs| rs.iter().map(Region::cursor).collect::<Vec<RegionCursor>>());
+        let regions: Vec<Region> = self.regions.iter().flatten().copied().collect();
+        let mut first = 0;
+        let bank_regions = self.regions.each_ref().map(|rs| {
+            let span = (first, rs.len() as u64);
+            first += rs.len();
+            span
+        });
         TraceGen {
             profile: self.clone(),
             rng: SplitMix64::new(seed).derive(0x7261_6365),
-            cursors,
+            cursors: regions.iter().map(Region::cursor).collect(),
+            regions,
+            bank_regions,
             cycle: 0,
             burst_prob: (self.leak_through * self.burst_period as f64 / self.burst_len as f64)
                 .min(1.0),
@@ -286,17 +292,30 @@ impl WorkloadProfileBuilder {
 /// Infinite iterator of [`Access`] items for one profile.
 ///
 /// Produced by [`WorkloadProfile::trace`]; bound it with
-/// [`Iterator::take`].
+/// [`Iterator::take`], or pull it in batches as a [`TraceSource`].
 ///
 /// The schedule position, macro epoch and burst phase advance as running
 /// counters rather than being re-derived from the cycle by division on
 /// every access; the stream is identical to the division form
 /// (`tests/stream_pin.rs` pins it).
+///
+/// [`TraceSource::next_batch`] emits accesses in runs: a run ends at the
+/// nearest of the slot's end, the period's end, a burst edge and the
+/// batch's end, so the slot weights, their sum, the burst phase and the
+/// active segment are fixed inside it and the counters advance once per
+/// run. [`Iterator::next`] is a run of one; both draw each access through
+/// the same step, so they yield the same stream.
 #[derive(Debug, Clone)]
 pub struct TraceGen {
     profile: WorkloadProfile,
     rng: SplitMix64,
-    cursors: [Vec<RegionCursor>; REF_BANKS],
+    /// Every bank's regions, bank-major.
+    regions: Vec<Region>,
+    /// One cursor per entry of `regions`.
+    cursors: Vec<RegionCursor>,
+    /// Per reference bank: its first index into `regions` and its
+    /// region count.
+    bank_regions: [(usize, u64); REF_BANKS],
     cycle: u64,
     /// Per-burst-cycle probability of lingering traffic, a profile
     /// constant.
@@ -315,21 +334,115 @@ pub struct TraceGen {
     in_burst_period: u64,
 }
 
+/// What stays fixed over a run of accesses (see [`TraceGen`]).
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Accesses in the run.
+    len: u64,
+    /// The slot's per-bank weights and their `iter().sum()`.
+    weights: [f64; REF_BANKS],
+    total: f64,
+    /// Whether a non-resident access may migrate to another segment:
+    /// more than one segment, inside a burst.
+    migrate: bool,
+    active_segment: u32,
+}
+
 impl TraceGen {
     /// Cycles generated so far.
     pub fn cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Moves every position counter on by one cycle.
-    fn advance(&mut self) {
+    /// The run starting at the current cycle, at most `max` accesses.
+    fn run(&self, max: u64) -> Run {
         let p = &self.profile;
-        self.cycle += 1;
-        self.in_burst_period += 1;
+        let weights = p.schedule.slots()[self.slot_idx].weights;
+        let in_burst = self.in_burst_period < p.burst_len;
+        let burst_edge = if in_burst {
+            p.burst_len
+        } else {
+            p.burst_period
+        };
+        Run {
+            len: max
+                .min(self.slot_cycles - self.in_slot)
+                .min(p.schedule.period_cycles() - self.in_period)
+                .min(burst_edge - self.in_burst_period),
+            weights,
+            total: weights.iter().sum(),
+            migrate: p.segments > 1 && in_burst,
+            active_segment: self.active_segment,
+        }
+    }
+
+    /// Draws one access of `run`. The draw order per access is the bank,
+    /// the migration coin (and target) when it applies, the region, the
+    /// region's address draws, then the write coin.
+    #[inline(always)]
+    fn step<const MIGRATE: bool>(&mut self, run: &Run) -> Access {
+        let p = &self.profile;
+        let bank = self.rng.pick_weighted_summed(&run.weights, run.total);
+
+        // Macro phase: which segment does this access target? Lingering
+        // traffic to the inactive segment comes in *bursts* (real programs
+        // touch cold data in clusters — a stack spill, a table refresh),
+        // which preserves long idle gaps on the inactive segment's banks.
+        // Resident data (stack/globals) lives in segment 0 for good.
+        let resident = bank == p.resident_bank;
+        let mut segment = if resident { 0 } else { run.active_segment };
+        if MIGRATE && !resident && self.rng.next_bool(self.burst_prob) {
+            let other = self.rng.next_below(p.segments as u64 - 1) as u32;
+            segment = (run.active_segment + 1 + other) % p.segments;
+        }
+
+        let (first, count) = self.bank_regions[bank];
+        let base_addr = if count == 2 {
+            // A pair: both regions' outcomes come from the same peeked
+            // draws and the drawn one commits, so the random region index
+            // selects values instead of steering a branch.
+            let second = self.rng.next_below(2) == 1;
+            let (c0, c1) = (self.cursors[first], self.cursors[first + 1]);
+            let (a0, n0, d0) = c0.peek_addr(&self.regions[first], &self.rng);
+            let (a1, n1, d1) = c1.peek_addr(&self.regions[first + 1], &self.rng);
+            self.cursors[first] = if second { c0 } else { n0 };
+            self.cursors[first + 1] = if second { n1 } else { c1 };
+            self.rng.skip(if second { d1 } else { d0 });
+            if second {
+                a1
+            } else {
+                a0
+            }
+        } else {
+            // One region, or (custom profiles only) more than two.
+            let idx = first
+                + if count > 1 {
+                    self.rng.next_below(count) as usize
+                } else {
+                    0
+                };
+            self.cursors[idx].next_addr(&self.regions[idx], &mut self.rng)
+        };
+        let addr = base_addr + segment as u64 * p.segment_stride;
+
+        let kind = if self.rng.next_bool(p.write_ratio) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        Access { addr, kind }
+    }
+
+    /// Moves every position counter on by `n` cycles, the length of a
+    /// run, which never crosses a slot, period or burst edge.
+    fn advance(&mut self, n: u64) {
+        let p = &self.profile;
+        self.cycle += n;
+        self.in_burst_period += n;
         if self.in_burst_period == p.burst_period {
             self.in_burst_period = 0;
         }
-        self.in_period += 1;
+        self.in_period += n;
         if self.in_period == p.schedule.period_cycles() {
             self.in_period = 0;
             self.slot_idx = 0;
@@ -339,7 +452,7 @@ impl TraceGen {
                 self.active_segment = 0;
             }
         } else {
-            self.in_slot += 1;
+            self.in_slot += n;
             if self.in_slot == self.slot_cycles {
                 self.in_slot = 0;
                 self.slot_idx += 1;
@@ -352,43 +465,33 @@ impl Iterator for TraceGen {
     type Item = Access;
 
     fn next(&mut self) -> Option<Access> {
-        let p = &self.profile;
-        let slots = p.schedule.slots();
-        let slot = &slots[self.slot_idx.min(slots.len() - 1)];
-        let bank = self.rng.pick_weighted(&slot.weights);
-
-        // Macro phase: which segment does this access target? Lingering
-        // traffic to the inactive segment comes in *bursts* (real programs
-        // touch cold data in clusters — a stack spill, a table refresh),
-        // which preserves long idle gaps on the inactive segment's banks.
-        let active_segment = self.active_segment;
-        let in_burst = self.in_burst_period < p.burst_len;
-        let segment = if bank == p.resident_bank {
-            // Resident data (stack/globals) lives in segment 0 for good.
-            0
-        } else if p.segments > 1 && in_burst && self.rng.next_bool(self.burst_prob) {
-            let other = self.rng.next_below(p.segments as u64 - 1) as u32;
-            (active_segment + 1 + other) % p.segments
+        let run = self.run(1);
+        let access = if run.migrate {
+            self.step::<true>(&run)
         } else {
-            active_segment
+            self.step::<false>(&run)
         };
+        self.advance(1);
+        Some(access)
+    }
+}
 
-        let regions = &p.regions[bank];
-        let idx = if regions.len() > 1 {
-            self.rng.next_below(regions.len() as u64) as usize
-        } else {
-            0
-        };
-        let base_addr = self.cursors[bank][idx].next_addr(&regions[idx], &mut self.rng);
-        let addr = base_addr + segment as u64 * p.segment_stride;
-
-        let kind = if self.rng.next_bool(p.write_ratio) {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        self.advance();
-        Some(Access { addr, kind })
+impl TraceSource for TraceGen {
+    /// Appends exactly `max` accesses: the generator never runs dry.
+    fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError> {
+        let mut left = max as u64;
+        while left > 0 {
+            let run = self.run(left);
+            let len = run.len as usize;
+            if run.migrate {
+                buf.extend((0..len).map(|_| self.step::<true>(&run)));
+            } else {
+                buf.extend((0..len).map(|_| self.step::<false>(&run)));
+            }
+            self.advance(run.len);
+            left -= run.len;
+        }
+        Ok(max)
     }
 }
 

@@ -1,6 +1,6 @@
 //! Working-set regions and their access patterns.
 
-use crate::rng::SplitMix64;
+use crate::rng::{below, unit_f64, SplitMix64};
 
 /// How addresses are drawn within a region.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,6 +48,9 @@ pub struct Region {
     base: u64,
     size: u64,
     pattern: AccessPattern,
+    /// Bytes of the hot prefix (`Hotspot` only; `size` otherwise),
+    /// computed once so the cursor never converts per access.
+    hot_bytes: u64,
 }
 
 impl Region {
@@ -58,10 +61,15 @@ impl Region {
     /// Panics if `size` is zero.
     pub fn new(base: u64, size: u64, pattern: AccessPattern) -> Self {
         assert!(size > 0, "regions must be non-empty");
+        let hot_bytes = match pattern {
+            AccessPattern::Hotspot { hot } => ((size as f64 * hot) as u64).max(1),
+            _ => size,
+        };
         Self {
             base,
             size,
             pattern,
+            hot_bytes,
         }
     }
 
@@ -100,32 +108,54 @@ pub struct RegionCursor {
 
 impl RegionCursor {
     /// Produces the next address for `region` and advances the cursor.
+    #[inline]
     pub fn next_addr(&mut self, region: &Region, rng: &mut SplitMix64) -> u64 {
+        let (addr, next, draws) = self.peek_addr(region, rng);
+        *self = next;
+        rng.skip(draws);
+        addr
+    }
+
+    /// What [`RegionCursor::next_addr`] would do, without doing it: the
+    /// address, the cursor after it and the number of draws it takes
+    /// from `rng`.
+    ///
+    /// The wrap arithmetic is `%` and `rem_euclid`, skipped only when the
+    /// new offset is already inside the region, so strides and steps of a
+    /// region size or more wrap exactly as the plain remainder does.
+    #[inline]
+    pub(crate) fn peek_addr(&self, region: &Region, rng: &SplitMix64) -> (u64, Self, u64) {
         let size = region.size;
-        let addr = match region.pattern {
+        let (offset, next, draws) = match region.pattern {
             AccessPattern::Sequential { stride } => {
-                let a = region.base + self.offset;
-                self.offset = (self.offset + stride as u64) % size;
-                a
+                let next = self.offset + stride as u64;
+                let next = if next < size { next } else { next % size };
+                (self.offset, next, 0)
             }
-            AccessPattern::Random => region.base + rng.next_below(size),
-            AccessPattern::Hotspot { hot } => {
-                let hot_bytes = ((size as f64 * hot) as u64).max(1);
-                if rng.next_bool(0.9) {
-                    region.base + rng.next_below(hot_bytes)
+            AccessPattern::Random => (below(rng.peek(1), size), self.offset, 1),
+            AccessPattern::Hotspot { .. } => {
+                // 90 % of the traffic lands in the hot prefix.
+                let bound = if unit_f64(rng.peek(1)) < 0.9 {
+                    region.hot_bytes
                 } else {
-                    region.base + rng.next_below(size)
-                }
+                    size
+                };
+                (below(rng.peek(2), bound), self.offset, 2)
             }
             AccessPattern::Walk { max_step } => {
-                let step = rng.next_below(2 * max_step as u64 + 1) as i64 - max_step as i64;
+                let step = below(rng.peek(1), 2 * max_step as u64 + 1) as i64 - max_step as i64;
                 let next = self.offset as i64 + step;
-                self.offset = next.rem_euclid(size as i64) as u64;
-                region.base + self.offset
+                let next = if (0..size as i64).contains(&next) {
+                    next as u64
+                } else {
+                    next.rem_euclid(size as i64) as u64
+                };
+                (next, next, 1)
             }
         };
+        let addr = region.base + offset;
         debug_assert!(region.contains(addr));
-        addr
+        (addr, Self { offset: next }, draws)
     }
 }
 

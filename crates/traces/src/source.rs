@@ -9,30 +9,31 @@
 //!
 //! Concrete sources:
 //!
-//! * [`IterSource`] — adapts any `Iterator<Item = Access>` (including
-//!   the synthetic [`TraceGen`](crate::TraceGen));
+//! * the synthetic [`TraceGen`](crate::TraceGen), which fills batches
+//!   itself (an infinite source: bound it by the access budget);
 //! * the file readers in [`crate::formats`] — Dinero `.din`, Valgrind
-//!   Lackey, and a simple CSV format.
+//!   Lackey, and a simple CSV format;
+//! * [`IterSource`] and [`SliceSource`] — adapt any access iterator or
+//!   slice (tests, replay buffers).
 //!
 //! # Examples
 //!
 //! ```
-//! use trace_synth::source::{IterSource, TraceSource, BATCH_ACCESSES};
+//! use trace_synth::source::{TraceSource, BATCH_ACCESSES};
 //! use trace_synth::suite;
 //!
 //! let profile = suite::by_name("sha").unwrap();
-//! let mut source = IterSource::new(profile.trace(42).take(10_000));
+//! let mut source = profile.trace(42);
 //! let mut buf = Vec::new();
 //! let mut total = 0;
-//! loop {
+//! while total < 10_000 {
 //!     buf.clear();
-//!     let n = source.next_batch(&mut buf, BATCH_ACCESSES).unwrap();
-//!     if n == 0 {
-//!         break;
-//!     }
-//!     total += n;
+//!     total += source.next_batch(&mut buf, BATCH_ACCESSES.min(10_000 - total)).unwrap();
 //! }
 //! assert_eq!(total, 10_000);
+//! // The batches are the iterator's stream.
+//! let first: Vec<_> = suite::by_name("sha").unwrap().trace(42).take(10_000).collect();
+//! assert_eq!(buf[..], first[first.len() - buf.len()..]);
 //! ```
 
 use cache_sim::Access;
@@ -109,10 +110,9 @@ pub trait TraceSource {
     fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError>;
 }
 
-/// Adapts any access iterator into a [`TraceSource`].
-///
-/// The synthetic suite plugs into the streaming pipeline through this:
-/// `IterSource::new(profile.trace(seed))`.
+/// Adapts any access iterator into a [`TraceSource`], one `next` per
+/// access (the synthetic [`TraceGen`](crate::TraceGen) is a source
+/// itself and needs no adapter).
 #[derive(Debug, Clone)]
 pub struct IterSource<I> {
     iter: I,

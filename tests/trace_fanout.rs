@@ -11,7 +11,6 @@ use nbti_cache_repro::arch::study::StudySpec;
 use nbti_cache_repro::arch::workload::{Workload, WorkloadRegistry};
 use nbti_cache_repro::arch::CoreError;
 use nbti_cache_repro::sim::Access;
-use nbti_cache_repro::traces::source::IterSource;
 use nbti_cache_repro::traces::{suite, TraceError, TraceSource};
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -118,7 +117,7 @@ impl Workload for FusedWorkload {
     fn open(&self, seed: u64) -> Result<Box<dyn TraceSource>, CoreError> {
         let profile = suite::by_name("sha").unwrap();
         Ok(Box::new(Fuse {
-            inner: Box::new(IterSource::new(profile.trace(seed))),
+            inner: Box::new(profile.trace(seed)),
             batches: 3,
         }))
     }
