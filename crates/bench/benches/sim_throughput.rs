@@ -6,8 +6,9 @@
 //!
 //! The `hotpath` group times the two shapes the study benchmark runs —
 //! one suite stream fanned out to the three Table II direct-mapped
-//! sizes, and a 4-way L1 in front of a 4-way L2 — and writes their
-//! ns/access into `BENCH_study.json` as the `sim_hotpath` row.
+//! sizes, and a 4-way L1 in front of a 4-way L2 — plus a single 16 kB
+//! 2-way `mru` level, which takes the general tag lookup, and writes
+//! their ns/access into `BENCH_study.json` as the `sim_hotpath` row.
 //!
 //! ```sh
 //! cargo bench -p repro-bench --bench sim_throughput
@@ -15,7 +16,7 @@
 
 use aging_cache::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use aging_cache::PolicyRegistry;
-use cache_sim::{Access, CacheGeometry};
+use cache_sim::{Access, CacheGeometry, ReplacementRegistry};
 use repro_bench::harness::{write_baseline, Harness};
 use std::time::{Duration, Instant};
 use trace_synth::source::SliceSource;
@@ -182,11 +183,25 @@ fn bench_hotpath() {
         run(&|| vec![SimTarget::Hierarchy(l1.hierarchy(&l2).expect("hierarchy"))])
     });
 
+    // A registered policy on a width without a built-in-LRU kernel:
+    // the general `CacheArray::access` lookup.
+    let mru = arch(
+        CacheGeometry::new(16 * 1024, 16, 2, 4).expect("geometry"),
+        "probing",
+    )
+    .with_replacement("mru", ReplacementRegistry::global().clone())
+    .expect("mru is registered");
+    let generic = g.bench_throughput("l1_16kb_2way_mru", accesses, || {
+        run(&|| vec![SimTarget::Level(mru.simulator().expect("simulator"))])
+    });
+
     let dm_ns = fanout / accesses as f64 / sizes.len() as f64;
     let l1_l2_ns = hierarchy / accesses as f64;
+    let mru_ns = generic / accesses as f64;
     println!();
     println!(
-        "hot path: {dm_ns:.1} ns/access/geometry direct-mapped, {l1_l2_ns:.1} ns/access L1+L2"
+        "hot path: {dm_ns:.1} ns/access/geometry direct-mapped, {l1_l2_ns:.1} ns/access L1+L2, \
+         {mru_ns:.1} ns/access 2-way mru"
     );
     let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_study.json");
     write_baseline(
@@ -196,6 +211,7 @@ fn bench_hotpath() {
             ("accesses_per_shape", accesses as f64),
             ("dm_fanout_ns_per_access_per_geometry", dm_ns),
             ("l1_l2_ns_per_access", l1_l2_ns),
+            ("mru_2way_ns_per_access", mru_ns),
         ],
     )
     .expect("write BENCH_study.json");

@@ -466,8 +466,8 @@ impl ModelKey {
         if let Some(sigma) = self.sigma_mv {
             parts.push(format!("{sigma}"));
         }
-        if self.cells.is_some_and(|c| c != DEFAULT_CELLS) {
-            parts.push(format!("cells={}", self.cells.expect("checked")));
+        if let Some(cells) = self.cells.filter(|&c| c != DEFAULT_CELLS) {
+            parts.push(format!("cells={cells}"));
         }
         if let Some(q) = self.quantile.filter(|&q| q != DEFAULT_QUANTILE) {
             parts.push(format!("q={q}"));
@@ -481,6 +481,27 @@ impl ModelKey {
             (family, true) => family.to_string(),
             (family, false) => format!("{family}:{}", parts.join(",")),
         }
+    }
+
+    /// Builds the model this key names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidModelKey`] for a family that has no
+    /// model ([`ModelKey::parse`] emits only known families, but the
+    /// fields are public).
+    fn build(&self) -> Result<Arc<dyn AgingModel>, CoreError> {
+        Ok(match self.family.as_str() {
+            "nbti" => Arc::new(NbtiModel::new(self.params)),
+            "variation" => Arc::new(VariationAgingModel::new(self)),
+            "drv" => Arc::new(DrvModel::new(self)),
+            other => {
+                return Err(CoreError::InvalidModelKey {
+                    key: self.canonical(),
+                    message: format!("no model family `{other}`"),
+                })
+            }
+        })
     }
 }
 
@@ -996,12 +1017,7 @@ impl ModelRegistry {
             if let Some(m) = self.entries.get(&canonical) {
                 return Ok(Arc::clone(m));
             }
-            return Ok(match parsed.family.as_str() {
-                "nbti" => Arc::new(NbtiModel::new(parsed.params)),
-                "variation" => Arc::new(VariationAgingModel::new(&parsed)),
-                "drv" => Arc::new(DrvModel::new(&parsed)),
-                other => unreachable!("ModelKey::parse only emits known families, got {other}"),
-            });
+            return parsed.build();
         }
         Err(CoreError::UnknownModel {
             name: key.to_string(),
@@ -1131,6 +1147,23 @@ impl AsRef<ModelContext> for ModelContext {
 mod tests {
     use super::*;
     use crate::registry::PolicyRegistry;
+
+    #[test]
+    fn key_of_an_unknown_family_fails_to_build_with_a_typed_error() {
+        let mut key = ModelKey::parse("drv").unwrap().expect("a family key");
+        assert!(key.build().is_ok());
+        key.family = "bogus".to_string();
+        match key.build() {
+            Err(CoreError::InvalidModelKey { key, message }) => {
+                assert_eq!(key, "bogus");
+                assert!(message.contains("bogus"), "{message}");
+            }
+            other => panic!(
+                "expected InvalidModelKey, got {:?}",
+                other.map(|m| m.name().to_string())
+            ),
+        }
+    }
 
     fn eval_with<'a>(
         sleep: &'a [f64],

@@ -364,14 +364,16 @@ fn hash_file(path: &Path) -> Result<u64, CoreError> {
         .map_err(|e| trace_synth::TraceError::io(&format!("open {}", path.display()), e))?;
     let mut hasher = Fnv64::new();
     let mut chunk = [0u8; 64 * 1024];
+    let read_error = |e| trace_synth::TraceError::io(&format!("read {}", path.display()), e);
     loop {
-        let n = file
-            .read(&mut chunk)
-            .map_err(|e| trace_synth::TraceError::io(&format!("read {}", path.display()), e))?;
+        let n = file.read(&mut chunk).map_err(read_error)?;
         if n == 0 {
             return Ok(hasher.finish());
         }
-        hasher.update(&chunk[..n]);
+        let read = chunk
+            .get(..n)
+            .ok_or_else(|| read_error(std::io::Error::other("read past the end of the buffer")))?;
+        hasher.update(read);
     }
 }
 
@@ -423,12 +425,14 @@ impl WorkloadRegistry {
 
     /// The registry with the full 18-benchmark MediaBench-like suite.
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        for profile in trace_synth::suite::mediabench() {
-            r.register(Arc::new(SyntheticWorkload::new(profile)))
-                .expect("fresh registry");
-        }
-        r
+        let entries = trace_synth::suite::mediabench()
+            .into_iter()
+            .map(|profile| {
+                let workload: Arc<dyn Workload> = Arc::new(SyntheticWorkload::new(profile));
+                (workload.name().to_string(), workload)
+            })
+            .collect();
+        Self { entries }
     }
 
     /// A shared, immutable instance of [`WorkloadRegistry::builtin`]

@@ -214,6 +214,7 @@ fn panic_zone(path: &str) -> bool {
         "crates/core/src/rescache.rs",
         "crates/core/src/serve.rs",
         "crates/core/src/search.rs",
+        "crates/core/src/workload.rs",
         "crates/sim/src/hierarchy.rs",
         "crates/traces/src/formats.rs",
     ]

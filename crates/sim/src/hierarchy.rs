@@ -173,8 +173,11 @@ impl CacheHierarchy {
         let Self { l1, l2, miss_flags } = self;
         miss_flags.clear();
         miss_flags.resize(batch.len(), false);
-        l1.step_batch_map(batch, |i, hit| {
-            if let Some(flag) = miss_flags.get_mut(i) {
+        // The closure owns a slice, not the `Vec`, so the kernel never
+        // reloads the `Vec`'s header after its own stores.
+        let flags: &mut [bool] = miss_flags;
+        l1.step_batch_map(batch, move |i, hit| {
+            if let Some(flag) = flags.get_mut(i) {
                 *flag = !hit;
             }
         });

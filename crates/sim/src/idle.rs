@@ -20,7 +20,7 @@ pub struct IdleStats {
     /// Number of completed intervals longer than the breakeven time.
     pub long_intervals: u64,
     /// Histogram of interval lengths by floor(log2(len)).
-    pub histogram: Vec<u64>,
+    pub histogram: [u64; BUCKETS],
 }
 
 impl IdleStats {
@@ -30,7 +30,7 @@ impl IdleStats {
             long_idle_cycles: 0,
             intervals: 0,
             long_intervals: 0,
-            histogram: vec![0; BUCKETS],
+            histogram: [0; BUCKETS],
         }
     }
 
@@ -107,18 +107,33 @@ impl IdleTracker {
     }
 
     /// Closes an idle interval of `run` cycles; `run == 0` (an access
-    /// right after an access) closes nothing. Branch-free, because on
-    /// the batched kernel whether a bank's run is empty is as random as
-    /// the trace's bank sequence.
+    /// right after an access) closes nothing.
     fn close(stats: &mut IdleStats, run: u64, breakeven: u32) {
-        let closed = u64::from(run > 0);
-        let long = u64::from(run > u64::from(breakeven));
-        stats.intervals += closed;
+        stats.intervals += u64::from(run > 0);
         stats.idle_cycles += run;
+        Self::close_bucket(stats, run);
+        Self::close_long(stats, run, breakeven);
+    }
+
+    /// Batched-kernel hook, paid on every access: counts a closed
+    /// interval of `run` cycles (none if `run == 0`) in its histogram
+    /// bucket. The kernel leaves `intervals` and `idle_cycles` to
+    /// [`IdleTracker::settle`], which derives them. Branch-free, because
+    /// whether a bank's run is empty is as random as the trace's bank
+    /// sequence.
+    pub(crate) fn close_bucket(stats: &mut IdleStats, run: u64) {
+        let bucket = (63 - (run | 1).leading_zeros()) as usize;
+        stats.histogram[bucket.min(BUCKETS - 1)] += u64::from(run > 0);
+    }
+
+    /// Batched-kernel hook: counts `run` as a long interval if it is
+    /// longer than the breakeven time. Only a run of at least the
+    /// breakeven time can be, and exactly those wake their bank, so the
+    /// kernel pays this only on a wake.
+    pub(crate) fn close_long(stats: &mut IdleStats, run: u64, breakeven: u32) {
+        let long = u64::from(run > u64::from(breakeven));
         stats.long_intervals += long;
         stats.long_idle_cycles += run * long;
-        let bucket = (63 - (run | 1).leading_zeros()) as usize;
-        stats.histogram[bucket.min(BUCKETS - 1)] += closed;
     }
 
     /// Batched-kernel hook: writes each bank's last-access cycle into
@@ -128,18 +143,29 @@ impl IdleTracker {
         last.extend(self.open_run.iter().map(|&run| self.cycles - run));
     }
 
-    /// Batched-kernel hook: closes `bank`'s idle interval of `run`
-    /// cycles (none if `run == 0`), as an access after it would in
-    /// [`IdleTracker::record`].
-    pub(crate) fn close_run(&mut self, bank: usize, run: u64) {
-        Self::close(&mut self.stats[bank], run, self.breakeven);
+    /// Batched-kernel hook: every bank's statistics and the breakeven
+    /// time, for the kernel to close intervals in as an access after
+    /// them would in [`IdleTracker::record`].
+    pub(crate) fn stats_mut(&mut self) -> (&mut [IdleStats], u32) {
+        (&mut self.stats, self.breakeven)
     }
 
     /// Batched-kernel hook: settles the tracker at cycle `now` from each
-    /// bank's last-access cycle.
-    pub(crate) fn settle(&mut self, now: u64, last: &[u64]) {
-        for (open, &l) in self.open_run.iter_mut().zip(last) {
+    /// bank's last-access cycle and total access count, and derives the
+    /// counts the kernel does not keep per access. Every closed interval
+    /// sits in one histogram bucket, and every cycle up to a bank's last
+    /// access is either an access to it or part of a closed interval.
+    pub(crate) fn settle(&mut self, now: u64, last: &[u64], accesses: &[u64]) {
+        for (((open, stats), &l), &n) in self
+            .open_run
+            .iter_mut()
+            .zip(&mut self.stats)
+            .zip(last)
+            .zip(accesses)
+        {
             *open = now - l;
+            stats.intervals = stats.histogram.iter().sum();
+            stats.idle_cycles = l - n;
         }
         self.cycles = now;
     }

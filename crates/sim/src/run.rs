@@ -371,9 +371,20 @@ impl Simulator {
     ///   cycle per bank: an access closes its bank's idle interval and
     ///   settles its wake in `O(1)`, and banks are swept only when the
     ///   clock reaches the earliest cycle at which one can drowse;
-    /// * the tag lookup is chosen once per batch: a built-in-LRU kernel
-    ///   specialized for 1 or 4 ways, else [`CacheArray::access`]
+    /// * closing an interval costs an access one histogram bucket: only
+    ///   a run that wakes its bank can be longer than the breakeven
+    ///   time, so the long-interval counts are paid on a wake, and the
+    ///   interval count and idle cycles are derived when a batch ends;
+    /// * the tag lookup is chosen once per batch: a branch-free
+    ///   built-in-LRU lookup specialized for 1 or 4 ways (a tag-match
+    ///   bit mask and a select tree for the victim, returning only hit
+    ///   and write-back), else the general [`CacheArray::access`]
     ///   (registered policies, other widths);
+    /// * the loop's state is batch-local: the energy sums, the
+    ///   hit/miss/write-back counters and the tag store's clock are
+    ///   locals written back once per batch, and every array it
+    ///   touches is a slice taken before the loop, so no store forces
+    ///   a reload of another array's header or an accumulator;
     /// * per-cycle leakage is a table lookup by active-bank count, and
     ///   every energy accumulator receives its terms in the scalar
     ///   path's per-cycle order.
@@ -420,7 +431,7 @@ impl Simulator {
 
     /// The fused batched kernel: one item of `cycles` per cycle, an
     /// access or `None` for an idle cycle. `W` is the way count of the
-    /// specialized built-in-LRU lookup, or 0 for [`CacheArray::access`].
+    /// specialized built-in-LRU lookup, or 0 for the general one.
     fn run_cycles<const W: usize>(
         &mut self,
         cycles: impl Iterator<Item = Option<Access>>,
@@ -448,6 +459,17 @@ impl Simulator {
             last,
             ..
         } = self;
+        let (lut, leak_lut): (&[u32], &[f64]) = (lut, leak_lut);
+        // One length for every per-bank slice, so one bounds check
+        // covers an access's bank.
+        let banks = lut.len();
+        let (last, bank_accesses) = (&mut last[..banks], &mut bank_accesses[..banks]);
+        let (idle_stats, idle_breakeven) = idle.stats_mut();
+        debug_assert_eq!(u64::from(idle_breakeven), be, "one breakeven time");
+        let idle_stats = &mut idle_stats[..banks];
+        let mut store = cache.store();
+        let mut energy = *ledger;
+        let (mut n_hits, mut n_misses, mut n_writebacks) = (*hits, *misses, *writebacks);
         let (mut active, mut next_drowse) = drowse_watermark(last, be, start);
         let mut now = start;
         for (i, cycle) in cycles.enumerate() {
@@ -457,47 +479,53 @@ impl Simulator {
                 let bank = lut[(set >> split.bank_shift) as usize];
                 let physical_set = (u64::from(bank) << split.bank_shift) | (set & split.slot_mask);
                 let tag = access.addr >> split.tag_shift;
-                let result = if W == 0 {
-                    cache.access(physical_set, tag, access.kind)
+                let (hit, writeback) = if W == 0 {
+                    let result = store.access(physical_set, tag, access.kind);
+                    (result.hit, result.writeback)
                 } else {
-                    cache.access_lru::<W>(physical_set, tag, access.kind)
+                    store.access_lru::<W>(physical_set, tag, access.kind)
                 };
-                on_access(i, result.hit);
-                if result.hit {
-                    *hits += 1;
+                on_access(i, hit);
+                if hit {
+                    n_hits += 1;
                 } else {
-                    *misses += 1;
-                    ledger.dynamic_fj += access_fj;
-                    ledger.overhead_fj += access_overhead_fj;
-                    if result.writeback {
-                        *writebacks += 1;
-                        ledger.dynamic_fj += access_fj;
-                        ledger.overhead_fj += access_overhead_fj;
+                    n_misses += 1;
+                    energy.dynamic_fj += access_fj;
+                    energy.overhead_fj += access_overhead_fj;
+                    if writeback {
+                        n_writebacks += 1;
+                        energy.dynamic_fj += access_fj;
+                        energy.overhead_fj += access_overhead_fj;
                     }
                 }
                 let b = bank as usize;
                 bank_accesses[b] += 1;
                 let run = now - 1 - last[b];
-                idle.close_run(b, run);
+                let stats = &mut idle_stats[b];
+                IdleTracker::close_bucket(stats, run);
                 if run >= be {
+                    IdleTracker::close_long(stats, run, idle_breakeven);
                     power.wake(b, last[b], start, now);
-                    ledger.wake_fj += wake_fj;
+                    energy.wake_fj += wake_fj;
                     active += 1;
                 }
                 last[b] = now;
                 next_drowse = next_drowse.min(now + be);
-                ledger.dynamic_fj += access_fj;
-                ledger.overhead_fj += access_overhead_fj;
+                energy.dynamic_fj += access_fj;
+                energy.overhead_fj += access_overhead_fj;
             }
             if now >= next_drowse {
                 (active, next_drowse) = drowse_watermark(last, be, now);
             }
             let leak = leak_lut[active as usize];
-            ledger.leakage_fj += leak;
-            ledger.overhead_fj += leak * leak_overhead_factor;
+            energy.leakage_fj += leak;
+            energy.overhead_fj += leak * leak_overhead_factor;
         }
+        drop(store);
+        *ledger = energy;
+        (*hits, *misses, *writebacks) = (n_hits, n_misses, n_writebacks);
         power.settle(start, now, last);
-        idle.settle(now, last);
+        idle.settle(now, last, bank_accesses);
     }
 
     /// Advances one cycle with no cache access (a processor stall or

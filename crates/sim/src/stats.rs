@@ -213,7 +213,7 @@ mod tests {
                 long_idle_cycles: long,
                 intervals: 1,
                 long_intervals: 1,
-                histogram: vec![0; 32],
+                histogram: [0; 32],
             },
         }
     }

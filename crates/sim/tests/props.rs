@@ -2,9 +2,9 @@
 
 use cache_sim::cache::ReferenceCache;
 use cache_sim::{
-    Access, AccessKind, BankMapping, BankPower, CacheArray, CacheGeometry, CacheHierarchy,
-    IdentityMapping, IdleTracker, ReplacementPolicy, ReplacementRegistry, SimConfig, SimOutcome,
-    Simulator,
+    Access, AccessKind, AccessResult, BankMapping, BankPower, CacheArray, CacheGeometry,
+    CacheHierarchy, IdentityMapping, IdleTracker, ReplacementPolicy, ReplacementRegistry,
+    SimConfig, SimOutcome, Simulator,
 };
 use quickprop::Gen;
 use sram_power::BreakevenAnalysis;
@@ -384,5 +384,166 @@ fn hierarchy_batched_matches_scalar_composition() {
         let context = format!("L1 {l1:?}, L2 {l2:?}, breakeven {breakeven}");
         assert_bitwise(&a.l1, &b.l1, &format!("L1 of {context}"));
         assert_bitwise(&a.l2, &b.l2, &format!("L2 of {context}"));
+    });
+}
+
+/// One way of the tag store as it was laid out before the packed
+/// arrays: a 24-byte struct per way. Kept here only as the reference
+/// the packed [`CacheArray`] must reproduce.
+#[derive(Debug, Clone, Copy, Default)]
+struct Way {
+    tag: u64,
+    valid: bool,
+    dirty: bool,
+    stamp: u64,
+}
+
+/// The `Way`-based tag array, victim order and all.
+struct WayArray {
+    ways: usize,
+    lines: Vec<Way>,
+    clock: u64,
+    replacement: Option<Arc<dyn ReplacementPolicy>>,
+}
+
+impl WayArray {
+    fn new(geom: CacheGeometry, replacement: Option<Arc<dyn ReplacementPolicy>>) -> Self {
+        Self {
+            ways: geom.ways() as usize,
+            lines: vec![Way::default(); geom.lines() as usize],
+            clock: 0,
+            replacement,
+        }
+    }
+
+    fn access(&mut self, set: u64, tag: u64, kind: AccessKind) -> AccessResult {
+        self.clock += 1;
+        let base = set as usize * self.ways;
+        let slots = &mut self.lines[base..base + self.ways];
+        if let Some(w) = slots.iter_mut().find(|w| w.valid && w.tag == tag) {
+            w.stamp = self.clock;
+            w.dirty |= kind == AccessKind::Write;
+            return AccessResult {
+                hit: true,
+                set,
+                evicted_tag: None,
+                writeback: false,
+            };
+        }
+        let way = match &self.replacement {
+            None => slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| if w.valid { w.stamp + 1 } else { 0 })
+                .map_or(0, |(i, _)| i),
+            Some(policy) => match slots.iter().position(|w| !w.valid) {
+                Some(invalid) => invalid,
+                None => {
+                    let stamps: Vec<u64> = slots.iter().map(|w| w.stamp).collect();
+                    policy.victim(&stamps).min(self.ways - 1)
+                }
+            },
+        };
+        let line = &mut slots[way];
+        let result = AccessResult {
+            hit: false,
+            set,
+            evicted_tag: line.valid.then_some(line.tag),
+            writeback: line.valid && line.dirty,
+        };
+        *line = Way {
+            tag,
+            valid: true,
+            dirty: kind == AccessKind::Write,
+            stamp: self.clock,
+        };
+        result
+    }
+
+    fn probe(&self, set: u64, tag: u64) -> bool {
+        let base = set as usize * self.ways;
+        self.lines[base..base + self.ways]
+            .iter()
+            .any(|w| w.valid && w.tag == tag)
+    }
+
+    fn valid_lines(&self) -> u64 {
+        self.lines.iter().filter(|w| w.valid).count() as u64
+    }
+
+    fn flush(&mut self) -> u64 {
+        let dropped = self.valid_lines();
+        self.lines.fill(Way::default());
+        dropped
+    }
+}
+
+/// The packed tag store returns the `Way`-based array's exact
+/// `AccessResult` on every access, and the same `probe`, `valid_lines`
+/// and `flush` answers, for ways in {1, 2, 4, 8} under the built-in
+/// LRU and the registered `lru` and `mru`. Geometries include 1-byte
+/// lines in a single set, where a tag uses all 64 bits.
+#[test]
+fn packed_tag_store_matches_way_array() {
+    quickprop::cases(CASES * 2, |g| {
+        let ways = 1u32 << g.u32_in(0..4);
+        let geom = if g.u32_in(0..3) == 0 {
+            CacheGeometry::new(u64::from(ways), 1, ways, 1)
+        } else {
+            let sets_log = g.u32_in(0..7);
+            let line_log = g.u32_in(0..6);
+            let bank_log = g.u32_in(0..3).min(sets_log);
+            CacheGeometry::new(
+                u64::from(ways) << (sets_log + line_log),
+                1 << line_log,
+                ways,
+                1 << bank_log,
+            )
+        }
+        .expect("constructed geometry is valid");
+        let policy = *g.pick(&["builtin", "lru", "mru"]);
+        let repl = match policy {
+            "builtin" => None,
+            name => Some(
+                ReplacementRegistry::global()
+                    .resolve(name)
+                    .expect("built-in"),
+            ),
+        };
+        let mut packed = match &repl {
+            None => CacheArray::new(geom),
+            Some(p) => CacheArray::with_replacement(geom, Arc::clone(p)),
+        };
+        let mut reference = WayArray::new(geom, repl);
+        // A pool a little larger than a set, edge tags included, so
+        // hits, conflict evictions and dirty write-backs all happen.
+        let mut pool = vec![0, u64::MAX, 1 << 63];
+        pool.extend((0..ways + 2).map(|_| g.next_u64()));
+        let context = format!("{geom:?}, {policy}");
+        for step in 0..3_000 {
+            let set = g.u64_in(0..geom.sets());
+            let tag = *g.pick(&pool);
+            match g.u32_in(0..100) {
+                0 => assert_eq!(packed.flush(), reference.flush(), "{context}: flush"),
+                1..=9 => assert_eq!(
+                    packed.probe(set, tag),
+                    reference.probe(set, tag),
+                    "{context}: probe at step {step}"
+                ),
+                _ => {
+                    let kind = if g.u32_in(0..3) == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    assert_eq!(
+                        packed.access(set, tag, kind),
+                        reference.access(set, tag, kind),
+                        "{context}: access at step {step}"
+                    );
+                }
+            }
+            assert_eq!(packed.valid_lines(), reference.valid_lines(), "{context}");
+        }
     });
 }
