@@ -96,13 +96,25 @@ impl Metrics {
         Self::default()
     }
 
-    /// Builds a map from `(name, value)` pairs, in order.
+    /// Builds a map from `(name, value)` pairs, in order, in time
+    /// linear in the pair count. A repeated name behaves as
+    /// [`Metrics::push`] does: it keeps its first position and takes
+    /// its last value.
     pub fn from_pairs<S: Into<String>>(pairs: impl IntoIterator<Item = (S, f64)>) -> Self {
-        let mut m = Self::new();
+        let mut entries: Vec<(String, f64)> = Vec::new();
+        // aging-lint: allow(no-unordered-iter) probed by name only; never iterated
+        let mut positions: HashMap<String, usize> = HashMap::new();
         for (name, value) in pairs {
-            m.push(name, value);
+            let name = name.into();
+            match positions.get(&name) {
+                Some(&at) => entries[at].1 = value,
+                None => {
+                    positions.insert(name.clone(), entries.len());
+                    entries.push((name, value));
+                }
+            }
         }
-        m
+        Self { entries }
     }
 
     /// Appends a metric, replacing the value in place if the name is
@@ -1147,6 +1159,46 @@ impl AsRef<ModelContext> for ModelContext {
 mod tests {
     use super::*;
     use crate::registry::PolicyRegistry;
+
+    #[test]
+    fn a_repeated_metric_keeps_its_first_position_and_takes_its_last_value() {
+        let pairs = [
+            ("a", 1.0),
+            ("b", 2.0),
+            ("a", 3.0),
+            ("c", 4.0),
+            ("a", 5.0),
+            ("b", 6.0),
+        ];
+        let built = Metrics::from_pairs(pairs);
+        let order: Vec<_> = built.iter().collect();
+        assert_eq!(order, [("a", 5.0), ("b", 6.0), ("c", 4.0)]);
+        // Exactly what pushing one pair at a time gives.
+        let mut pushed = Metrics::new();
+        for (name, value) in pairs {
+            pushed.push(name, value);
+        }
+        assert_eq!(built, pushed);
+
+        // Both parsers keep the rule: a report record, and a journal
+        // line through its measurement codec.
+        let json = r#"{"scenario":{"id":0,"cache_bytes":16384,"line_bytes":16,"banks":4,"update_days":1,"policy":"probing","workload":"sha","workload_index":0,"trace_seed":1000,"policy_seed":1,"trace_cycles":100},"esav":0.5,"miss_rate":0.1,"useful_idleness":[0.5],"sleep_fractions":[0.5],"lt":1,"lt0":2,"lt":3}"#;
+        let record =
+            crate::study::ScenarioRecord::from_json(&crate::json::Json::parse(json).unwrap());
+        let record = record.unwrap();
+        assert_eq!(
+            record.metrics.iter().collect::<Vec<_>>(),
+            [("lt", 3.0), ("lt0", 2.0)]
+        );
+        let cached = crate::rescache::CachedMeasurement::from_json(
+            &crate::json::Json::parse(
+                r#"{"sim_cycles":1,"esav":0.5,"miss_rate":0.1,"useful_idleness":[0.5],"sleep_fractions":[0.5],"metrics":{"lt":1,"lt0":2,"lt":3}}"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(cached.metrics, record.metrics);
+    }
 
     #[test]
     fn key_of_an_unknown_family_fails_to_build_with_a_typed_error() {

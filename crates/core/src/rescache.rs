@@ -241,7 +241,7 @@ impl CachedMeasurement {
                 message: "cache entry field `metrics` is not an object".into(),
             });
         };
-        let mut metrics = Metrics::new();
+        let mut pairs = Vec::with_capacity(metric_pairs.len());
         for (name, value) in metric_pairs {
             // The computed path rejects models whose metrics shadow
             // record-level JSON fields; a journal written by foreign
@@ -251,8 +251,9 @@ impl CachedMeasurement {
                     message: format!("cached metric `{name}` shadows a record field"),
                 });
             }
-            metrics.push(name.as_str(), value.as_num(name)?);
+            pairs.push((name.as_str(), value.as_num(name)?));
         }
+        let metrics = Metrics::from_pairs(pairs);
         Ok(Self {
             sim_cycles: v.field("sim_cycles")?.as_num("sim_cycles")? as u64,
             esav: v.field("esav")?.as_num("esav")?,

@@ -76,7 +76,7 @@ use crate::error::CoreError;
 use crate::json::Json;
 use crate::render::{self, Format};
 use crate::rescache::{CachedMeasurement, Fingerprint, ResultCache};
-use crate::session::StudySession;
+use crate::session::{StudySession, WarmRead};
 use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
 
 /// The report name served specs run under — the same literal the
@@ -337,6 +337,7 @@ pub struct ServeStats {
 }
 
 /// One parsed HTTP request.
+#[derive(Debug, PartialEq)]
 struct Request {
     method: String,
     path: String,
@@ -451,60 +452,82 @@ fn parse_query(raw: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Why a request could not be read; every one answers 400.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum RequestError {
+    /// No blank line within [`MAX_HEAD_BYTES`].
+    HeadTooLarge,
+    /// The bytes ended inside the head (`false`) or the body (`true`).
+    Closed { in_body: bool },
+    /// The client stalled inside the head or the body.
+    TimedOut { in_body: bool },
+    /// The socket read failed.
+    Io(String),
+    /// The request line is empty, lacks a target or names another
+    /// protocol.
+    RequestLine(String),
+    /// A `Content-Length` that is not a `usize`.
+    ContentLength(String),
+    /// A `Content-Length` over [`MAX_BODY_BYTES`].
+    BodyTooLarge(usize),
 }
 
-/// Reads one request off the stream. `Ok(None)` is a clean close (EOF
-/// or idle timeout between keep-alive requests); `Err` is a malformed
-/// or truncated request the caller answers with a 400 before closing.
-fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_len = loop {
-        if let Some(pos) = head_end(&buf) {
-            break pos;
+impl std::fmt::Display for RequestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let part = |in_body: bool| if in_body { "body" } else { "request" };
+        match self {
+            Self::HeadTooLarge => write!(f, "request head too large"),
+            Self::Closed { in_body } => write!(f, "connection closed mid-{}", part(*in_body)),
+            Self::TimedOut { in_body } => write!(f, "timed out mid-{}", part(*in_body)),
+            Self::Io(e) => write!(f, "read failed: {e}"),
+            Self::RequestLine(message) => f.write_str(message),
+            Self::ContentLength(value) => write!(f, "bad content-length `{value}`"),
+            Self::BodyTooLarge(n) => write!(f, "body of {n} bytes exceeds the limit"),
         }
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err("request head too large".to_string());
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err("connection closed mid-request".to_string());
-            }
-            Ok(n) => {
-                let read = chunk.get(..n).unwrap_or_default();
-                buf.extend_from_slice(read);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                return Err("timed out mid-request".to_string());
-            }
-            Err(e) => return Err(format!("read failed: {e}")),
-        }
-    };
+    }
+}
 
-    let head = String::from_utf8_lossy(buf.get(..head_len).unwrap_or_default()).into_owned();
+/// The length of the head in `buf` (request line and headers, without
+/// the blank line), or `None` while more bytes may complete it. Only
+/// the first [`MAX_HEAD_BYTES`] and a blank line are searched.
+fn head_end(buf: &[u8]) -> Result<Option<usize>, RequestError> {
+    let window = buf.get(..MAX_HEAD_BYTES + 4).unwrap_or(buf);
+    match window.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(len) => Ok(Some(len)),
+        None if buf.len() >= MAX_HEAD_BYTES + 4 => Err(RequestError::HeadTooLarge),
+        None => Ok(None),
+    }
+}
+
+/// What a prefix of a request's bytes holds.
+#[derive(Debug, PartialEq)]
+enum Parsed {
+    /// The whole request (bytes past its declared body are ignored).
+    Request(Request),
+    /// Only part of it: the bytes end inside the head or the body.
+    Partial { in_body: bool },
+}
+
+/// Parses one request from the bytes received so far — the pure half
+/// of [`read_request`], with no socket.
+fn parse_request(bytes: &[u8]) -> Result<Parsed, RequestError> {
+    let Some(head_len) = head_end(bytes)? else {
+        return Ok(Parsed::Partial { in_body: false });
+    };
+    let head = String::from_utf8_lossy(bytes.get(..head_len).unwrap_or_default());
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| "empty request line".to_string())?
-        .to_string();
-    let target = parts
-        .next()
-        .ok_or_else(|| format!("request line `{request_line}` lacks a target"))?
-        .to_string();
+        .ok_or_else(|| RequestError::RequestLine("empty request line".to_string()))?;
+    let target = parts.next().ok_or_else(|| {
+        RequestError::RequestLine(format!("request line `{request_line}` lacks a target"))
+    })?;
     let version = parts.next().unwrap_or("HTTP/1.1");
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol `{version}`"));
+        let message = format!("unsupported protocol `{version}`");
+        return Err(RequestError::RequestLine(message));
     }
 
     let mut content_length = 0usize;
@@ -517,44 +540,56 @@ fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, String> {
         if name.eq_ignore_ascii_case("content-length") {
             content_length = value
                 .parse()
-                .map_err(|_| format!("bad content-length `{value}`"))?;
+                .map_err(|_| RequestError::ContentLength(value.to_string()))?;
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         }
     }
     if content_length > MAX_BODY_BYTES {
-        return Err(format!("body of {content_length} bytes exceeds the limit"));
+        return Err(RequestError::BodyTooLarge(content_length));
     }
 
-    let mut body: Vec<u8> = buf.get(head_len + 4..).unwrap_or_default().to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err("connection closed mid-body".to_string()),
-            Ok(n) => {
-                let read = chunk.get(..n).unwrap_or_default();
-                body.extend_from_slice(read);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                return Err("timed out mid-body".to_string());
-            }
-            Err(e) => return Err(format!("read failed: {e}")),
-        }
-    }
-    body.truncate(content_length);
-
-    let (path_raw, query_raw) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target.as_str(), ""),
+    let body = bytes.get(head_len + 4..).unwrap_or_default();
+    let Some(body) = body.get(..content_length) else {
+        return Ok(Parsed::Partial { in_body: true });
     };
-    Ok(Some(Request {
-        method,
+    let (path_raw, query_raw) = target.split_once('?').unwrap_or((target, ""));
+    Ok(Parsed::Request(Request {
+        method: method.to_string(),
         path: percent_decode(path_raw),
         query: parse_query(query_raw),
         raw_query: query_raw.to_string(),
-        body,
+        body: body.to_vec(),
         keep_alive,
     }))
+}
+
+/// Reads one request off the stream, one chunk at a time until
+/// [`parse_request`] has all of it. `Ok(None)` is a clean close (EOF
+/// or idle timeout between keep-alive requests); `Err` is a malformed
+/// or truncated request the caller answers with a 400 before closing.
+fn read_request(stream: &mut impl Read) -> Result<Option<Request>, RequestError> {
+    let mut buf: Vec<u8> = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        let in_body = match parse_request(&buf)? {
+            Parsed::Request(request) => return Ok(Some(request)),
+            Parsed::Partial { in_body } => in_body,
+        };
+        match stream.read(&mut chunk) {
+            Ok(0) if buf.is_empty() => return Ok(None),
+            Ok(0) => return Err(RequestError::Closed { in_body }),
+            Ok(n) => buf.extend_from_slice(chunk.get(..n).unwrap_or_default()),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+                if buf.is_empty() {
+                    return Ok(None);
+                }
+                return Err(RequestError::TimedOut { in_body });
+            }
+            Err(e) => return Err(RequestError::Io(e.to_string())),
+        }
+    }
 }
 
 fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) -> bool {
@@ -595,33 +630,30 @@ impl Params {
     /// wrong sweep.
     fn from_query(pairs: &[(String, String)]) -> Result<Params, CoreError> {
         let mut spec = SpecParser::new(StudySpec::new(REPORT_NAME));
-        let mut params = Params {
-            spec: StudySpec::new(REPORT_NAME),
-            format: Format::Text,
-            group_by: Vec::new(),
-            baseline: None,
-            metric: "lt_years".to_string(),
-            reduce: Reduce::Mean,
-            tol: 0.0,
-        };
+        let mut format = Format::Text;
+        let mut group_by = Vec::new();
+        let mut baseline = None;
+        let mut metric = "lt_years".to_string();
+        let mut reduce = Reduce::Mean;
+        let mut tol = 0.0;
         for (key, value) in pairs {
             let k = key.replace('_', "-");
             if spec.apply(&k, value)? {
                 continue;
             }
             match k.as_str() {
-                "format" => params.format = Format::parse(value)?,
+                "format" => format = Format::parse(value)?,
                 "group-by" => {
-                    params.group_by = value
+                    group_by = value
                         .split(',')
                         .map(Axis::parse)
                         .collect::<Result<Vec<_>, _>>()?;
                 }
-                "baseline" => params.baseline = Some(value.trim().to_string()),
-                "metric" => params.metric = value.trim().to_string(),
-                "reduce" => params.reduce = Reduce::parse(value)?,
+                "baseline" => baseline = Some(value.trim().to_string()),
+                "metric" => metric = value.trim().to_string(),
+                "reduce" => reduce = Reduce::parse(value)?,
                 "tol" => {
-                    let tol = value.trim().parse::<f64>().unwrap_or(f64::NAN);
+                    tol = value.trim().parse::<f64>().unwrap_or(f64::NAN);
                     if tol < 0.0 || tol.is_nan() {
                         return Err(CoreError::Report {
                             message: format!(
@@ -629,7 +661,6 @@ impl Params {
                             ),
                         });
                     }
-                    params.tol = tol;
                 }
                 // The shutdown gate, consumed by its handler.
                 "token" => {}
@@ -640,8 +671,15 @@ impl Params {
                 }
             }
         }
-        params.spec = spec.finish()?;
-        Ok(params)
+        Ok(Params {
+            spec: spec.finish()?,
+            format,
+            group_by,
+            baseline,
+            metric,
+            reduce,
+            tol,
+        })
     }
 }
 
@@ -845,10 +883,10 @@ impl StudyServer {
                     }
                 }
                 Ok(None) => return,
-                Err(message) => {
+                Err(error) => {
                     self.requests.fetch_add(1, Ordering::Relaxed);
                     self.errors.fetch_add(1, Ordering::Relaxed);
-                    let response = error_response(400, message);
+                    let response = error_response(400, error.to_string());
                     if let Some(log) = &self.log {
                         log.request("?", "?", response.status);
                     }
@@ -894,9 +932,9 @@ impl StudyServer {
     }
 
     /// Cache coverage of a grid: `(warm, missing)` cell counts,
-    /// probed through the **inner** cache so nothing is claimed. The
-    /// journal is refreshed first, so cells another process appended
-    /// since the last request count as warm.
+    /// probed through the **inner** cache with `contains`, so nothing
+    /// is claimed or cloned. The journal is refreshed first, so cells
+    /// another process appended since the last request count as warm.
     fn coverage(&self, grid: &ScenarioGrid) -> Result<(usize, usize), CoreError> {
         self.inner.refresh()?;
         let mut warm = 0usize;
@@ -911,7 +949,7 @@ impl StudyServer {
                     ),
                 })?;
             let fingerprint = Fingerprint::for_scenario(scenario, workload.as_ref());
-            if self.inner.lookup(&fingerprint)?.is_some() {
+            if self.inner.contains(&fingerprint)? {
                 warm += 1;
             }
         }
@@ -939,14 +977,24 @@ impl StudyServer {
         }
     }
 
+    /// A GET's warm report, or its 409 coverage answer when some cell
+    /// is cold. The spec expands once, and the session looks each cell
+    /// up once in the **inner** cache (after refreshing it), so a GET
+    /// never claims, computes or stores a cell.
+    fn warm_report(&self, params: &Params) -> Result<Result<StudyReport, Response>, CoreError> {
+        let grid = params.spec.expand()?;
+        Ok(match self.session.read_warm(&grid, self.inner.as_ref())? {
+            WarmRead::Replayed(report) => Ok(report),
+            WarmRead::Cold { warm, missing } => Err(self.cold_response(warm, missing, grid.len())),
+        })
+    }
+
     fn render_response(&self, request: &Request) -> Result<Response, CoreError> {
         let params = Params::from_query(&request.query)?;
-        let grid = params.spec.expand()?;
-        let (warm, missing) = self.coverage(&grid)?;
-        if missing > 0 {
-            return Ok(self.cold_response(warm, missing, grid.len()));
-        }
-        let report = self.session.run_grid(&grid)?;
+        let report = match self.warm_report(&params)? {
+            Ok(report) => report,
+            Err(cold) => return Ok(cold),
+        };
         // The trailing newline matches the CLI's `println!` — served
         // bytes and CLI stdout are identical for every format.
         let body = if params.format == Format::Json {
@@ -965,12 +1013,10 @@ impl StudyServer {
 
     fn query_response(&self, request: &Request) -> Result<Response, CoreError> {
         let params = Params::from_query(&request.query)?;
-        let grid = params.spec.expand()?;
-        let (warm, missing) = self.coverage(&grid)?;
-        if missing > 0 {
-            return Ok(self.cold_response(warm, missing, grid.len()));
-        }
-        let report = self.session.run_grid(&grid)?;
+        let report = match self.warm_report(&params)? {
+            Ok(report) => report,
+            Err(cold) => return Ok(cold),
+        };
         let rows = Query::new(&report)
             .group_by(params.group_by.iter().copied())
             .reduce(&params.metric, params.reduce)?;
@@ -1300,6 +1346,130 @@ mod tests {
         assert!(req.keep_alive);
         drop(stream);
         client.join().unwrap();
+    }
+
+    /// Request bytes for the parse property: a request assembled from
+    /// well-formed and malformed parts, then maybe truncated, spliced
+    /// with non-UTF-8 bytes, padded past the head limit, or replaced
+    /// by noise.
+    fn arb_request_bytes(g: &mut quickprop::Gen) -> Vec<u8> {
+        const METHODS: &[&str] = &["GET", "POST", "get", ""];
+        const TARGETS: &[&str] = &[
+            "/render?cache-kb=8%2C16&format=md",
+            "/",
+            "/compare?tol=0.5",
+            "/a?b=%zz&c&=d",
+            "/%ff%fe?%e9=%",
+            "",
+        ];
+        const VERSIONS: &[&str] = &["HTTP/1.1", "HTTP/1.0", "HTTP/2", ""];
+        const LENGTHS: &[&str] = &[
+            "-1",
+            "abc",
+            "",
+            " 7 ",
+            "+3",
+            "16777217",
+            "18446744073709551616",
+            "99999999999999999999999",
+        ];
+        let body: Vec<u8> = (0..g.usize_in(0..64)).map(|_| g.next_u64() as u8).collect();
+        let line = [*g.pick(METHODS), *g.pick(TARGETS), *g.pick(VERSIONS)].join(" ");
+        let mut head = format!("{line}\r\nHost: test\r\n");
+        match g.u32_in(0..3) {
+            0 => head.push_str(&format!("Content-Length: {}\r\n", body.len())),
+            1 => head.push_str(&format!("content-length:{}\r\n", g.pick(LENGTHS))),
+            _ => {}
+        }
+        if g.u32_in(0..2) == 0 {
+            head.push_str("Connection: close\r\nno colon here\r\n: \r\n");
+        }
+        let mut bytes = head.into_bytes();
+        if g.u32_in(0..6) == 0 {
+            let pad = MAX_HEAD_BYTES - bytes.len() + g.usize_in(0..8);
+            bytes.extend(std::iter::repeat_n(b'x', pad));
+        }
+        bytes.extend_from_slice(b"\r\n");
+        bytes.extend_from_slice(&body);
+        let at = g.usize_in(0..bytes.len() + 1);
+        match g.u32_in(0..5) {
+            0 => bytes.truncate(at),
+            1 => {
+                let junk: Vec<u8> = (0..g.usize_in(1..6))
+                    .map(|_| 0x80 | g.next_u64() as u8)
+                    .collect();
+                bytes.splice(at..at, junk);
+            }
+            2 => {
+                bytes = (0..g.usize_in(0..200))
+                    .map(|_| g.next_u64() as u8)
+                    .collect()
+            }
+            _ => {}
+        }
+        bytes
+    }
+
+    #[test]
+    fn request_bytes_parse_or_fail_typed_in_bounded_time() {
+        // Release builds run 512 cases, and hold each parse to a bound
+        // only a linear parser meets.
+        let (cases, bound) = if cfg!(debug_assertions) {
+            (64, Duration::from_secs(2))
+        } else {
+            (512, Duration::from_millis(50))
+        };
+        quickprop::cases(cases, |g| {
+            let bytes = arb_request_bytes(g);
+            let start = std::time::Instant::now();
+            let parsed = parse_request(&bytes);
+            // The socket reader, fed the same bytes in chunks, agrees.
+            let read = read_request(&mut bytes.as_slice());
+            let took = start.elapsed();
+            assert!(took < bound, "{} bytes took {took:?}", bytes.len());
+            let expected = match parsed {
+                Ok(Parsed::Request(request)) => Ok(Some(request)),
+                Ok(Parsed::Partial { .. }) if bytes.is_empty() => Ok(None),
+                Ok(Parsed::Partial { in_body }) => Err(RequestError::Closed { in_body }),
+                Err(e) => Err(e),
+            };
+            assert_eq!(read, expected, "{:?}", String::from_utf8_lossy(&bytes));
+        });
+    }
+
+    #[test]
+    fn malformed_requests_fail_with_typed_errors() {
+        let parse = |bytes: &[u8]| parse_request(bytes);
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"),
+            Err(RequestError::ContentLength("-1".to_string()))
+        );
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n"),
+            Err(RequestError::BodyTooLarge(16_777_217))
+        );
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nabc"),
+            Ok(Parsed::Partial { in_body: true })
+        );
+        assert_eq!(parse(b"GET / HT"), Ok(Parsed::Partial { in_body: false }));
+        assert!(matches!(
+            parse(b"GET / HTTP/2\r\n\r\n"),
+            Err(RequestError::RequestLine(_))
+        ));
+        let mut huge = b"GET / HTTP/1.1\r\nX: ".to_vec();
+        huge.resize(MAX_HEAD_BYTES + 4, b'x');
+        assert_eq!(parse(&huge), Err(RequestError::HeadTooLarge));
+        // Non-UTF-8 in the head decodes lossily instead of failing.
+        let Ok(Parsed::Request(request)) = parse(b"GET /\xff?a=\xfe HTTP/1.1\r\n\r\n") else {
+            panic!("a non-UTF-8 target still parses");
+        };
+        assert_eq!(request.path, "/\u{fffd}");
+        // The 400 body keeps its historic wording.
+        assert_eq!(
+            RequestError::Closed { in_body: true }.to_string(),
+            "connection closed mid-body"
+        );
     }
 
     #[test]

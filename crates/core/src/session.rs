@@ -244,8 +244,8 @@ impl StudySession {
     pub fn with_context(ctx: ModelContext) -> Self {
         Self {
             ctx,
-            policies: PolicyRegistry::builtin(),
-            workloads: WorkloadRegistry::builtin(),
+            policies: PolicyRegistry::global().clone(),
+            workloads: WorkloadRegistry::global().clone(),
             replacements: cache_sim::ReplacementRegistry::global().clone(),
             memo: SimMemo::default(),
             cache: None,
@@ -340,6 +340,38 @@ impl StudySession {
         execute(grid, self)
     }
 
+    /// Replays `grid` from `cache` when every cell is warm, and
+    /// computes nothing. One pass: refresh `cache`, fingerprint and
+    /// look up each cell once, then either replay those lookups through
+    /// the inline path [`StudySession::run_grid`] takes (the counters
+    /// and the observer move exactly as they do there) or report the
+    /// coverage. `cache` must be one whose `lookup` never claims (the
+    /// server passes its undecorated cache), so a cold read leaves
+    /// nothing behind. A lookup error fails the read.
+    pub(crate) fn read_warm(
+        &self,
+        grid: &ScenarioGrid,
+        cache: &dyn ResultCache,
+    ) -> Result<WarmRead, CoreError> {
+        cache.refresh()?;
+        let fingerprints = fingerprints(grid);
+        let lookups = lookup_all(&fingerprints, cache);
+        let mut warm = 0;
+        for lookup in &lookups {
+            match lookup {
+                Ok(Some(_)) => warm += 1,
+                Ok(None) => {}
+                Err(e) => return Err(e.clone()),
+            }
+        }
+        if warm < grid.len() {
+            let missing = grid.len() - warm;
+            return Ok(WarmRead::Cold { warm, missing });
+        }
+        let models = calibrate(grid, self)?;
+        replay_or_compute(grid, self, &models, &fingerprints, lookups).map(WarmRead::Replayed)
+    }
+
     /// A snapshot of the session's cumulative execution counters.
     pub fn stats(&self) -> SessionStats {
         self.counters.snapshot()
@@ -381,24 +413,66 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// What [`StudySession::read_warm`] found.
+pub(crate) enum WarmRead {
+    /// Every cell was warm: the replayed report.
+    Replayed(StudyReport),
+    /// Some cell was cold: how many were warm and how many missing.
+    Cold { warm: usize, missing: usize },
+}
+
+/// The calibrated model of every scenario, keyed by model key.
+// aging-lint: allow(no-unordered-iter) probed per scenario; iteration order never observed
+type Models<'g> = HashMap<&'g str, Arc<dyn CalibratedModel>>;
+
 /// Runs a grid: calibrates its models, probes the result cache once
-/// per scenario on the calling thread ([`lookup_all`]), replays every
-/// hit inline and dispatches only the misses to the worker pool. A
-/// fully cached grid therefore starts no worker threads at all, and
-/// every `on_record` fires on the calling thread.
+/// per scenario on the calling thread ([`lookup_all`]), then replays
+/// and computes ([`replay_or_compute`]).
 fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
-    // Calibrate every distinct model once, serially and in grid order:
-    // deterministic first-error, and the workers below only ever hit
-    // the context's calibration memo.
-    // aging-lint: allow(no-unordered-iter) probed per scenario below; iteration order never observed
-    let mut models: HashMap<&str, Arc<dyn CalibratedModel>> = HashMap::new();
+    let models = calibrate(grid, session)?;
+    let (fingerprints, lookups) = match session.cache.as_deref() {
+        Some(cache) => {
+            let fingerprints = fingerprints(grid);
+            let lookups = lookup_all(&fingerprints, cache);
+            (fingerprints, lookups)
+        }
+        None => (Vec::new(), Vec::new()),
+    };
+    replay_or_compute(grid, session, &models, &fingerprints, lookups)
+}
+
+/// Calibrates every distinct model of `grid` once, serially and in
+/// grid order: deterministic first-error, and the workers only ever
+/// hit the context's calibration memo.
+fn calibrate<'g>(grid: &'g ScenarioGrid, session: &StudySession) -> Result<Models<'g>, CoreError> {
+    let mut models = Models::new();
     for scenario in grid.scenarios() {
         if !models.contains_key(scenario.model.as_str()) {
             models.insert(&scenario.model, session.ctx.calibrated(&scenario.model)?);
         }
     }
-    let models = &models;
+    Ok(models)
+}
 
+/// Every scenario's result-cache fingerprint, in grid order.
+fn fingerprints(grid: &ScenarioGrid) -> Vec<Fingerprint> {
+    grid.scenarios()
+        .iter()
+        .map(|s| Fingerprint::for_scenario(s, grid.workloads()[s.workload_index].as_ref()))
+        .collect()
+}
+
+/// Replays every hit of `lookups` (one outcome per scenario, in grid
+/// order; empty without a cache) inline and dispatches only the misses
+/// to the worker pool. A fully cached grid therefore starts no worker
+/// threads at all, and every `on_record` fires on the calling thread.
+fn replay_or_compute(
+    grid: &ScenarioGrid,
+    session: &StudySession,
+    models: &Models<'_>,
+    fingerprints: &[Fingerprint],
+    lookups: Vec<Result<Option<CachedMeasurement>, CoreError>>,
+) -> Result<StudyReport, CoreError> {
     if let Some(obs) = session.observer.as_deref() {
         obs.on_start(grid.name(), grid.len());
     }
@@ -417,20 +491,7 @@ fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, C
         *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
     };
 
-    let fingerprints: Vec<Fingerprint> = match session.cache {
-        Some(_) => grid
-            .scenarios()
-            .iter()
-            .map(|s| Fingerprint::for_scenario(s, grid.workloads()[s.workload_index].as_ref()))
-            .collect(),
-        None => Vec::new(),
-    };
-    let mut lookups = session
-        .cache
-        .as_deref()
-        .map(|cache| lookup_all(&fingerprints, cache))
-        .unwrap_or_default()
-        .into_iter();
+    let mut lookups = lookups.into_iter();
     // Which scenarios replayed: the snapshot trace groups plan from.
     let mut replayed = vec![false; n];
     let mut misses = Vec::with_capacity(n);
@@ -544,7 +605,7 @@ fn run_one(
     grid: &ScenarioGrid,
     index: usize,
     fingerprint: Option<&Fingerprint>,
-    models: &HashMap<&str, Arc<dyn CalibratedModel>>, // aging-lint: allow(no-unordered-iter) keyed memo
+    models: &Models<'_>,
     plan: &TracePlan<'_>,
     session: &StudySession,
 ) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {

@@ -101,10 +101,12 @@ use crate::error::CoreError;
 use crate::json::Json;
 use crate::model::{self, Metrics, ModelParams};
 use crate::registry::{derive_policy_seed, PolicyRegistry};
-use crate::workload::{SyntheticWorkload, Workload, WorkloadRegistry, WorkloadSourceInfo};
+use crate::workload::{
+    builtin_suite, SyntheticWorkload, Workload, WorkloadRegistry, WorkloadSourceInfo,
+};
 use cache_sim::{CacheGeometry, ReplacementRegistry, SimError, DEFAULT_REPLACEMENT};
 use std::sync::Arc;
-use trace_synth::{suite, WorkloadProfile};
+use trace_synth::WorkloadProfile;
 
 /// Default trace length: the paper pipeline's reference horizon.
 pub const DEFAULT_TRACE_CYCLES: u64 = 320_000;
@@ -195,12 +197,7 @@ impl StudySpec {
             l2_ways: vec![1],
             update_days: vec![1.0],
             policies: vec!["probing".into()],
-            // Suite order (not registry name order): the historic
-            // `seed + i` rule keys off this ordering.
-            workloads: suite::mediabench()
-                .into_iter()
-                .map(|p| Arc::new(SyntheticWorkload::new(p)) as Arc<dyn Workload>)
-                .collect(),
+            workloads: builtin_suite().to_vec(),
             models: vec![model::DEFAULT_MODEL.into()],
             temps_c: Vec::new(),
             vdd_lows: Vec::new(),
@@ -209,8 +206,8 @@ impl StudySpec {
             base_seed: DEFAULT_BASE_SEED,
             policy_seed: None,
             threads: None,
-            registry: PolicyRegistry::builtin(),
-            workload_registry: WorkloadRegistry::builtin(),
+            registry: PolicyRegistry::global().clone(),
+            workload_registry: WorkloadRegistry::global().clone(),
             replacement_registry: ReplacementRegistry::global().clone(),
         }
     }
@@ -838,8 +835,8 @@ impl SpecParser {
             "workloads" if value == "all" => {
                 // The explicit suite, in suite order, so a `trace`
                 // appends to it instead of replacing it.
-                let suite = suite::mediabench();
-                self.workloads = Some(suite.iter().map(|p| p.name().to_string()).collect());
+                let names = builtin_suite().iter().map(|w| w.name().to_string());
+                self.workloads = Some(names.collect());
             }
             "workloads" => self.workloads = Some(names()),
             "trace" => self.traces.push(value.to_string()),
@@ -1277,13 +1274,14 @@ impl ScenarioRecord {
                 message: "scenario record is not an object".into(),
             });
         };
-        let mut metrics = Metrics::new();
+        let mut metrics = Vec::new();
         for (key, value) in pairs {
             if Self::RESERVED_FIELDS.contains(&key.as_str()) {
                 continue;
             }
-            metrics.push(key.as_str(), value.as_num(key)?);
+            metrics.push((key.as_str(), value.as_num(key)?));
         }
+        let metrics = Metrics::from_pairs(metrics);
         Ok(Self {
             scenario,
             sim_cycles,
@@ -1382,6 +1380,32 @@ impl StudyReport {
 mod tests {
     use super::*;
     use crate::session::StudySession;
+    use trace_synth::suite;
+
+    #[test]
+    fn specs_and_sessions_share_the_builtin_workload_objects() {
+        // The suite is built once per process: a per-call rebuild would
+        // hand out fresh objects and fail the pointer checks.
+        let (a, b) = (StudySpec::new("a"), StudySpec::new("b"));
+        let session = StudySession::new();
+        let from_session = session.spec("c");
+        assert_eq!(a.workloads.len(), 18);
+        for (i, w) in a.workloads.iter().enumerate() {
+            assert!(Arc::ptr_eq(w, &b.workloads[i]), "{}", w.name());
+            assert!(Arc::ptr_eq(w, &from_session.workloads[i]), "{}", w.name());
+            for registry in [&a.workload_registry, &from_session.workload_registry] {
+                let registered = registry.get(w.name()).expect("registered");
+                assert!(Arc::ptr_eq(w, registered), "{}", w.name());
+            }
+        }
+        // `workloads=all` names the same set, in suite order.
+        let mut parser = SpecParser::new(StudySpec::new("all"));
+        assert!(parser.apply("workloads", "all").unwrap());
+        let all = parser.finish().unwrap();
+        for (w, shared) in all.workloads.iter().zip(&a.workloads) {
+            assert!(Arc::ptr_eq(w, shared), "{}", w.name());
+        }
+    }
 
     fn tiny_spec() -> StudySpec {
         StudySpec::new("tiny")

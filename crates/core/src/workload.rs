@@ -63,7 +63,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use trace_synth::formats::{self, TraceFormat};
 use trace_synth::source::Fnv64;
 use trace_synth::{SliceSource, TraceSource, WorkloadProfile};
@@ -399,6 +399,20 @@ impl Workload for FileWorkload {
     }
 }
 
+/// The built-in suite's workload objects in suite order (not registry
+/// name order: the `seed + i` rule keys off this ordering), built once
+/// per process. Every built-in registry and every default workload
+/// axis shares these objects.
+pub(crate) fn builtin_suite() -> &'static [Arc<dyn Workload>] {
+    static SUITE: OnceLock<Vec<Arc<dyn Workload>>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        trace_synth::suite::mediabench()
+            .into_iter()
+            .map(|profile| Arc::new(SyntheticWorkload::new(profile)) as Arc<dyn Workload>)
+            .collect()
+    })
+}
+
 /// The string-keyed workload registry.
 ///
 /// Keys are ordered (a `BTreeMap`), so listings and expanded grids are
@@ -423,22 +437,20 @@ impl WorkloadRegistry {
         Self::default()
     }
 
-    /// The registry with the full 18-benchmark MediaBench-like suite.
+    /// The registry with the full 18-benchmark MediaBench-like suite,
+    /// over the workload objects the process builds once.
     pub fn builtin() -> Self {
-        let entries = trace_synth::suite::mediabench()
-            .into_iter()
-            .map(|profile| {
-                let workload: Arc<dyn Workload> = Arc::new(SyntheticWorkload::new(profile));
-                (workload.name().to_string(), workload)
-            })
+        let entries = builtin_suite()
+            .iter()
+            .map(|workload| (workload.name().to_string(), Arc::clone(workload)))
             .collect();
         Self { entries }
     }
 
-    /// A shared, immutable instance of [`WorkloadRegistry::builtin`]
-    /// for hot paths that would otherwise rebuild the suite per call.
+    /// A shared, immutable instance of [`WorkloadRegistry::builtin`];
+    /// sessions and specs start from clones of it.
     pub fn global() -> &'static WorkloadRegistry {
-        static GLOBAL: std::sync::OnceLock<WorkloadRegistry> = std::sync::OnceLock::new();
+        static GLOBAL: OnceLock<WorkloadRegistry> = OnceLock::new();
         GLOBAL.get_or_init(WorkloadRegistry::builtin)
     }
 

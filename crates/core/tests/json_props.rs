@@ -10,10 +10,13 @@
 //!   [`StudyReport::from_json`] and [`JsonlCache::open`];
 //! * parsing is linear: documents that a per-character re-validation
 //!   of the remaining input would take minutes on parse well inside a
-//!   generous bound, even in a debug build.
+//!   generous bound, even in a debug build, and so do a report record
+//!   and a journal line with 50,000 metric keys, which a per-key
+//!   duplicate scan would take seconds on.
 
 use aging_cache::json::Json;
-use aging_cache::rescache::JsonlCache;
+use aging_cache::model::Metrics;
+use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, ResultCache};
 use aging_cache::session::StudySession;
 use aging_cache::study::StudyReport;
 use quickprop::Gen;
@@ -270,4 +273,40 @@ fn parsing_is_linear_in_document_length() {
     let big = StudyReport::from_records("big", records).to_json();
     assert!(big.len() > 400_000, "{} bytes", big.len());
     assert_parses_fast("a 1,000-record report", &big, StudyReport::from_json);
+}
+
+#[test]
+fn metric_maps_parse_in_linear_time() {
+    // 50,000 distinct keys: a duplicate scan per key would compare
+    // 1.25e9 pairs of names.
+    const KEYS: usize = 50_000;
+    let report = StudyReport::from_json(&study().0).expect("study report");
+    let mut record = report.records()[0].clone();
+    record.metrics = Metrics::from_pairs((0..KEYS).map(|i| (format!("metric_{i}"), i as f64)));
+    let text = StudyReport::from_records("wide", vec![record.clone()]).to_json();
+    assert_parses_fast(
+        "a report record with 50,000 metric keys",
+        &text,
+        StudyReport::from_json,
+    );
+
+    // The same measurement as one journal line, read back on open.
+    let dir = scratch_dir("wide");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fingerprint = Fingerprint::from_canonical("wide");
+    JsonlCache::in_dir(&dir)
+        .expect("open journal")
+        .store(&fingerprint, &CachedMeasurement::of_record(&record))
+        .expect("store");
+    let journal = dir.join(JsonlCache::FILE_NAME);
+    let journal = journal.to_str().expect("UTF-8 scratch path");
+    assert_parses_fast(
+        "a journal line with 50,000 metric keys",
+        journal,
+        |path: &str| JsonlCache::open(path),
+    );
+    let cache = JsonlCache::open(journal).expect("reopen journal");
+    let replayed = cache.lookup(&fingerprint).expect("lookup").expect("hit");
+    assert_eq!(replayed.metrics, record.metrics, "order and values survive");
+    let _ = std::fs::remove_dir_all(&dir);
 }

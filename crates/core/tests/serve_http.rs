@@ -1,18 +1,21 @@
 //! The serving layer over real TCP: concurrent identical requests
 //! must cost exactly one simulation per cell, served bytes must match
 //! the CLI renderers for every format, cold cells must 409 instead of
-//! computing on a GET, cells another journal handle appended must
-//! turn warm without a restart, and a token-gated shutdown must drain
-//! and flush the journal.
+//! computing on a GET, a GET must look each cell up exactly once,
+//! cells another journal handle appended must turn warm without a
+//! restart, and a token-gated shutdown must drain and flush the
+//! journal.
 
 use aging_cache::analysis::{self, Axis};
 use aging_cache::render::{self, Format};
-use aging_cache::rescache::{JsonlCache, MemoryCache};
+use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
 use aging_cache::serve::{ServeOptions, StudyServer, REPORT_NAME};
-use aging_cache::session::StudySession;
+use aging_cache::session::{SessionStats, StudySession};
+use aging_cache::CoreError;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The spec every test serves, as CLI-mirroring query params.
 const SPEC_QUERY: &str = "cache-kb=8,16&policies=probing,gray&workloads=sha&trace-cycles=40000";
@@ -402,4 +405,117 @@ fn overflowing_kb_sizes_are_bad_requests() {
         assert_eq!(status, 400, "{}", String::from_utf8_lossy(&body));
     });
     assert_eq!(server.session().stats().simulations, 0);
+}
+
+/// Every call a server makes on its result cache, counted.
+#[derive(Default)]
+struct CallCounts {
+    lookups: AtomicUsize,
+    contains: AtomicUsize,
+    stores: AtomicUsize,
+}
+
+impl CallCounts {
+    /// `(lookups, contains, stores)` so far.
+    fn get(&self) -> (usize, usize, usize) {
+        (
+            self.lookups.load(Ordering::SeqCst),
+            self.contains.load(Ordering::SeqCst),
+            self.stores.load(Ordering::SeqCst),
+        )
+    }
+}
+
+struct CountingCache {
+    inner: MemoryCache,
+    counts: Arc<CallCounts>,
+}
+
+impl ResultCache for CountingCache {
+    fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
+        self.counts.lookups.fetch_add(1, Ordering::SeqCst);
+        self.inner.lookup(fingerprint)
+    }
+
+    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
+        self.counts.contains.fetch_add(1, Ordering::SeqCst);
+        self.inner.contains(fingerprint)
+    }
+
+    fn store(
+        &self,
+        fingerprint: &Fingerprint,
+        measurement: &CachedMeasurement,
+    ) -> Result<(), CoreError> {
+        self.counts.stores.fetch_add(1, Ordering::SeqCst);
+        self.inner.store(fingerprint, measurement)
+    }
+
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+}
+
+#[test]
+fn a_get_looks_each_cell_up_once_and_never_claims_or_stores() {
+    const CELLS: usize = 4;
+    let counts = Arc::new(CallCounts::default());
+    let cache = CountingCache {
+        inner: MemoryCache::new(),
+        counts: Arc::clone(&counts),
+    };
+    // A short backstop: a claim a GET leaked would make the `/run`
+    // below wait it out, and count as a coalesced wait.
+    let options = ServeOptions {
+        coalesce_wait_ms: 200,
+        ..ServeOptions::default()
+    };
+    let server = StudyServer::bind(cache, options).unwrap();
+    with_server(&server, |addr| {
+        // Cold: one lookup per cell answers the unchanged 409.
+        for endpoint in ["/render", "/query"] {
+            let before = counts.get();
+            let (status, _, body) = get(addr, &format!("{endpoint}?{SPEC_QUERY}"));
+            let text = String::from_utf8(body).unwrap();
+            assert_eq!(status, 409, "{endpoint}: {text}");
+            assert!(
+                text.contains("\"warm\":0,\"missing\":4,\"scenarios\":4"),
+                "{text}"
+            );
+            let (lookups, contains, stores) = counts.get();
+            assert_eq!(lookups - before.0, CELLS, "{endpoint}: one lookup per cell");
+            assert_eq!((contains, stores), (before.1, before.2), "{endpoint}");
+        }
+        assert_eq!(server.session().stats(), SessionStats::default());
+
+        let (status, _, body) = post(addr, &format!("/run?{SPEC_QUERY}"));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(counts.get().2, CELLS, "the run stores every cell");
+        assert_eq!(server.stats().coalesced_waits, 0, "no GET left a claim");
+
+        // Warm: one lookup per cell replays the report; nothing is
+        // stored, and the session counters move by one replay per cell.
+        for target in [
+            format!("/render?{SPEC_QUERY}&format=md"),
+            format!("/query?{SPEC_QUERY}&metric=esav&group-by=policy"),
+        ] {
+            let before = (counts.get(), server.session().stats());
+            let (status, _, body) = get(addr, &target);
+            assert_eq!(status, 200, "{target}: {}", String::from_utf8_lossy(&body));
+            let (lookups, contains, stores) = counts.get();
+            assert_eq!(
+                lookups - before.0 .0,
+                CELLS,
+                "{target}: one lookup per cell"
+            );
+            assert_eq!((contains, stores), (before.0 .1, before.0 .2), "{target}");
+            let expected = SessionStats {
+                scenarios: before.1.scenarios + CELLS,
+                cache_hits: before.1.cache_hits + CELLS,
+                ..before.1
+            };
+            assert_eq!(server.session().stats(), expected, "{target}");
+        }
+        assert_eq!(server.stats().coalesced_waits, 0);
+    });
 }
