@@ -139,7 +139,8 @@ fn benchmark(name: &str) -> Result<WorkloadProfile, CoreError> {
 }
 
 /// Simulates `cycles` of `profile`'s trace at `seed` on `geom` under
-/// the registry policy `policy`.
+/// the registry policy `policy`, on the batched fast path (bit-equal to
+/// the scalar `PartitionedCache::simulate`).
 fn simulate(
     geom: CacheGeometry,
     profile: &WorkloadProfile,
@@ -149,7 +150,7 @@ fn simulate(
     policy: &str,
 ) -> Result<SimOutcome, CoreError> {
     PartitionedCache::new(geom, policy, PolicyRegistry::global().clone())?
-        .simulate(profile.trace(seed).take(cycles as usize), update)
+        .simulate_batched(profile.trace(seed).take(cycles as usize), update)
 }
 
 fn table1(out: &mut Out<'_>) -> Result<(), CoreError> {

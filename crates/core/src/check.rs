@@ -21,10 +21,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::analysis::Axis;
-use crate::error::CoreError;
-use crate::json::Json;
 use crate::model::{self, ModelRegistry};
-use crate::rescache::{digest_hex, CachedMeasurement, Fingerprint, ENGINE_VERSION};
+use crate::rescache::{grid_fingerprints, read_journal_line, RecordFault, ENGINE_VERSION};
 use crate::search::{self, Driver, Search};
 use crate::study::StudySpec;
 use crate::workload::{Workload, WorkloadRegistry};
@@ -348,29 +346,16 @@ pub fn check_journal(path: &Path) -> JournalCheck {
         if line.trim().is_empty() {
             continue;
         }
-        let v = match Json::parse(line) {
-            Ok(v) => v,
+        let entry = match read_journal_line(line) {
+            Ok(entry) => entry,
             Err(e) => {
                 report.error("journal-parse", format!("line {lineno}: {e}"));
                 continue;
             }
         };
-        let fields = (|| -> Result<(String, String, String), CoreError> {
-            Ok((
-                v.field("fp")?.as_str("fp")?.to_string(),
-                v.field("check")?.as_str("check")?.to_string(),
-                v.field("key")?.as_str("key")?.to_string(),
-            ))
-        })();
-        let (fp, check, key) = match fields {
-            Ok(f) => f,
-            Err(e) => {
-                report.error("journal-parse", format!("line {lineno}: {e}"));
-                continue;
-            }
-        };
+        let (fp, key) = (entry.fp, entry.key.into_owned());
         entries += 1;
-        if digest_hex(key.as_bytes()) != fp {
+        if !entry.key_ok {
             report.error(
                 "journal-digest",
                 format!(
@@ -379,20 +364,20 @@ pub fn check_journal(path: &Path) -> JournalCheck {
                 ),
             );
         }
-        match v.field("record") {
-            Err(e) => report.error("journal-parse", format!("line {lineno}: {e}")),
-            Ok(record) => {
-                if digest_hex(record.emit().as_bytes()) != check {
-                    report.error(
-                        "journal-digest",
-                        format!(
-                            "line {lineno} (fp {fp}): measurement digest mismatch — the \
-                             record was altered"
-                        ),
-                    );
-                } else if let Err(e) = CachedMeasurement::from_json(record) {
-                    report.error("journal-record", format!("line {lineno} (fp {fp}): {e}"));
-                }
+        match entry.record {
+            Ok(_) => {}
+            Err(RecordFault::Missing(e)) => {
+                report.error("journal-parse", format!("line {lineno}: {e}"));
+            }
+            Err(RecordFault::Digest) => report.error(
+                "journal-digest",
+                format!(
+                    "line {lineno} (fp {fp}): measurement digest mismatch — the \
+                     record was altered"
+                ),
+            ),
+            Err(RecordFault::Invalid(e)) => {
+                report.error("journal-record", format!("line {lineno} (fp {fp}): {e}"));
             }
         }
         if !key.starts_with(&format!("v={ENGINE_VERSION};")) {
@@ -445,17 +430,13 @@ pub fn check_coverage(spec: &StudySpec, journal_keys: &[String]) -> CheckReport 
         Ok(grid) => grid,
         Err(_) => return report, // spec findings already cover this
     };
-    let mut grid_keys = BTreeSet::new();
-    for scenario in grid.scenarios() {
-        let Some(workload) = grid.workloads().get(scenario.workload_index) else {
-            continue; // expand() always indexes in range
-        };
-        grid_keys.insert(
-            Fingerprint::for_scenario(scenario, workload.as_ref())
-                .canonical()
-                .to_string(),
-        );
-    }
+    let Ok(fingerprints) = grid_fingerprints(&grid) else {
+        return report; // expand() always indexes in range
+    };
+    let grid_keys: BTreeSet<String> = fingerprints
+        .iter()
+        .map(|fp| fp.canonical().to_string())
+        .collect();
     let journal: BTreeSet<&str> = journal_keys.iter().map(String::as_str).collect();
     let warm = grid_keys
         .iter()
@@ -596,8 +577,9 @@ pub fn check_search(search: &Search, models: &ModelRegistry) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::CoreError;
     use crate::model::Metrics;
-    use crate::rescache::{JsonlCache, ResultCache};
+    use crate::rescache::{CachedMeasurement, Fingerprint, JsonlCache, ResultCache};
     use crate::study::StudySpec;
 
     fn small_spec() -> StudySpec {

@@ -75,7 +75,7 @@ use crate::analysis::{self, Axis, Query, Reduce, ReportDiff};
 use crate::error::CoreError;
 use crate::json::Json;
 use crate::render::{self, Format};
-use crate::rescache::{CachedMeasurement, Fingerprint, ResultCache};
+use crate::rescache::{grid_fingerprints, CachedMeasurement, Fingerprint, ResultCache};
 use crate::session::{StudySession, WarmRead};
 use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
 
@@ -243,9 +243,16 @@ impl ResultCache for CoalesceCache {
                 .inflight
                 .claim_or_wait(fingerprint.canonical(), self.backstop)
             {
-                // Our claim: report the miss so the session computes
-                // the cell; `store` below releases it.
-                return Ok(None);
+                // Our claim. A claimant may have stored and released
+                // between the miss above and the claim, so look again
+                // before computing the cell a second time. Still a
+                // miss: report it so the session computes the cell;
+                // `store` below releases the claim.
+                let recheck = self.inner.lookup(fingerprint);
+                if !matches!(recheck, Ok(None)) {
+                    self.inflight.release(fingerprint.canonical());
+                }
+                return recheck;
             }
             // A claimant released; its measurement is in the inner
             // cache now — replay it.
@@ -938,17 +945,7 @@ impl StudyServer {
     fn coverage(&self, grid: &ScenarioGrid) -> Result<(usize, usize), CoreError> {
         self.inner.refresh()?;
         let mut warm = 0usize;
-        for scenario in grid.scenarios() {
-            let workload = grid
-                .workloads()
-                .get(scenario.workload_index)
-                .ok_or_else(|| CoreError::Report {
-                    message: format!(
-                        "scenario {} references workload index {} out of range",
-                        scenario.id, scenario.workload_index
-                    ),
-                })?;
-            let fingerprint = Fingerprint::for_scenario(scenario, workload.as_ref());
+        for fingerprint in grid_fingerprints(grid)? {
             if self.inner.contains(&fingerprint)? {
                 warm += 1;
             }
@@ -1319,6 +1316,59 @@ mod tests {
         let replayed = waiter.join().unwrap();
         assert_eq!(replayed.map(|c| c.esav), Some(0.1));
         assert_eq!(inflight.waits(), 1);
+    }
+
+    /// An inner cache whose first miss has a peer's store land right
+    /// behind it: the window between a waiter's lookup and its claim.
+    struct StoreBehindFirstMiss {
+        inner: MemoryCache,
+        missed: std::sync::atomic::AtomicBool,
+    }
+
+    impl ResultCache for StoreBehindFirstMiss {
+        fn lookup(&self, fp: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
+            let hit = self.inner.lookup(fp)?;
+            if hit.is_none() && !self.missed.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                let m = CachedMeasurement {
+                    sim_cycles: 1,
+                    esav: 0.1,
+                    miss_rate: 0.0,
+                    useful_idleness: vec![0.5],
+                    sleep_fractions: vec![0.5],
+                    metrics: crate::model::Metrics::new(),
+                };
+                self.inner.store(fp, &m)?;
+            }
+            Ok(hit)
+        }
+
+        fn store(&self, fp: &Fingerprint, m: &CachedMeasurement) -> Result<(), CoreError> {
+            self.inner.store(fp, m)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+    }
+
+    #[test]
+    fn a_claim_rechecks_for_a_store_that_landed_before_it() {
+        let inflight = Arc::new(Inflight::default());
+        let cache = CoalesceCache {
+            inner: Arc::new(StoreBehindFirstMiss {
+                inner: MemoryCache::new(),
+                missed: Default::default(),
+            }),
+            inflight: Arc::clone(&inflight),
+            backstop: Duration::from_secs(5),
+        };
+        // The peer's measurement replays: the cell is not computed a
+        // second time.
+        let hit = cache.lookup(&Fingerprint::from_canonical("cell")).unwrap();
+        assert_eq!(hit.map(|m| m.esav), Some(0.1));
+        // And the claim taken for the recheck was released.
+        assert!(inflight.claim_or_wait("cell", Duration::from_millis(10)));
+        assert_eq!(inflight.waits(), 0);
     }
 
     #[test]

@@ -87,7 +87,9 @@ use crate::error::CoreError;
 use crate::exec::{self, ExecObserver, RecordOrigin};
 use crate::model::{CalibratedModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
-use crate::rescache::{relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache};
+use crate::rescache::{
+    grid_fingerprints, relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache,
+};
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
 use crate::workload::{Workload, WorkloadRegistry};
 use cache_sim::CacheGeometry;
@@ -354,7 +356,7 @@ impl StudySession {
         cache: &dyn ResultCache,
     ) -> Result<WarmRead, CoreError> {
         cache.refresh()?;
-        let fingerprints = fingerprints(grid);
+        let fingerprints = grid_fingerprints(grid)?;
         let lookups = lookup_all(&fingerprints, cache);
         let mut warm = 0;
         for lookup in &lookups {
@@ -432,7 +434,7 @@ fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, C
     let models = calibrate(grid, session)?;
     let (fingerprints, lookups) = match session.cache.as_deref() {
         Some(cache) => {
-            let fingerprints = fingerprints(grid);
+            let fingerprints = grid_fingerprints(grid)?;
             let lookups = lookup_all(&fingerprints, cache);
             (fingerprints, lookups)
         }
@@ -452,14 +454,6 @@ fn calibrate<'g>(grid: &'g ScenarioGrid, session: &StudySession) -> Result<Model
         }
     }
     Ok(models)
-}
-
-/// Every scenario's result-cache fingerprint, in grid order.
-fn fingerprints(grid: &ScenarioGrid) -> Vec<Fingerprint> {
-    grid.scenarios()
-        .iter()
-        .map(|s| Fingerprint::for_scenario(s, grid.workloads()[s.workload_index].as_ref()))
-        .collect()
 }
 
 /// Replays every hit of `lookups` (one outcome per scenario, in grid
