@@ -1,15 +1,21 @@
 //! Serving-layer benchmark: warm-cache request latency and
 //! throughput through the real HTTP surface — a [`StudyServer`] over
-//! the Table II grid, driven by a keep-alive client connection.
+//! the Table II grid, journaled in a temp-dir [`JsonlCache`], driven by
+//! a keep-alive client connection.
 //!
 //! Like `study_exec`, the unit of work is too coarse for the
-//! micro-harness: this bench times individual request round-trips,
-//! reports the p50/p90 served-warm latency and sustained requests/s,
-//! and merges its rows into the shared `BENCH_study.json` baseline.
+//! micro-harness: this bench times individual request round-trips in
+//! several runs, reports the median over the runs of each run's
+//! p50/p90 served-warm latency and requests/s, and merges its row into
+//! the shared `BENCH_study.json` baseline.
 //!
-//! `cargo bench -p repro-bench --bench study_serve`
+//! Client and server share the machine, so scheduling moves the
+//! numbers as much as the code does: rows are comparable only when
+//! both were written pinned to one CPU,
+//!
+//! `taskset -c 0 cargo bench -p repro-bench --bench study_serve`
 
-use aging_cache::rescache::MemoryCache;
+use aging_cache::rescache::JsonlCache;
 use aging_cache::serve::{ServeOptions, StudyServer};
 use repro_bench::harness::write_baseline;
 use std::io::{Read, Write};
@@ -23,8 +29,11 @@ use std::time::Instant;
 /// one-time warm-up).
 const SPEC_QUERY: &str = "cache-kb=8,16,32&policies=probing&workloads=all&trace-cycles=40000";
 
-/// How many warm requests to measure.
+/// How many warm requests each measured run makes.
 const REQUESTS: usize = 400;
+
+/// How many measured runs the row's medians are taken over.
+const RUNS: usize = 7;
 
 /// One round-trip on a persistent connection: write the request, read
 /// status line + headers, then exactly `Content-Length` body bytes.
@@ -69,9 +78,17 @@ fn roundtrip(stream: &mut TcpStream, method: &str, target: &str) -> (u16, usize)
     (status, content_length)
 }
 
+/// The median of `values` (sorted in place).
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 fn main() {
-    let server =
-        StudyServer::bind(MemoryCache::new(), ServeOptions::default()).expect("bind server");
+    let dir = std::env::temp_dir().join(format!("nbti-bench-serve-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = JsonlCache::in_dir(&dir).expect("open journal");
+    let server = StudyServer::bind(journal, ServeOptions::default()).expect("bind server");
     let addr = server.addr();
     let handle = server.shutdown_handle();
 
@@ -81,41 +98,49 @@ fn main() {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
 
-        // Warm-up: one /run computes the whole grid; everything after
-        // is pure cache replay + render.
+        // Warm-up: one /run computes and journals the whole grid;
+        // everything after is journal replay + render.
         let t = Instant::now();
         let (status, _) = roundtrip(&mut stream, "POST", &format!("/run?{SPEC_QUERY}"));
         assert_eq!(status, 200, "warm-up run failed");
         let warmup_s = t.elapsed().as_secs_f64();
 
-        // Measured: REQUESTS warm renders over the one keep-alive
-        // connection, timed individually for the latency quantiles.
+        // Measured: RUNS x REQUESTS warm renders over the one
+        // keep-alive connection, timed individually for each run's
+        // latency quantiles.
         let target = format!("/render?{SPEC_QUERY}&format=md");
-        let mut latencies_s: Vec<f64> = Vec::with_capacity(REQUESTS);
+        let (mut p50s, mut p90s, mut rates) = (Vec::new(), Vec::new(), Vec::new());
         let mut body_bytes = 0usize;
-        let total_t = Instant::now();
-        for _ in 0..REQUESTS {
-            let t = Instant::now();
-            let (status, len) = roundtrip(&mut stream, "GET", &target);
-            latencies_s.push(t.elapsed().as_secs_f64());
-            assert_eq!(status, 200);
-            body_bytes = len;
-        }
-        let total_s = total_t.elapsed().as_secs_f64();
-        drop(stream);
-
         let sims = server.session().stats().simulations;
+        for _ in 0..RUNS {
+            let mut latencies_s: Vec<f64> = Vec::with_capacity(REQUESTS);
+            let total_t = Instant::now();
+            for _ in 0..REQUESTS {
+                let t = Instant::now();
+                let (status, len) = roundtrip(&mut stream, "GET", &target);
+                latencies_s.push(t.elapsed().as_secs_f64());
+                assert_eq!(status, 200);
+                body_bytes = len;
+            }
+            rates.push(REQUESTS as f64 / total_t.elapsed().as_secs_f64());
+            latencies_s.sort_by(f64::total_cmp);
+            let quantile = |q: f64| latencies_s[((latencies_s.len() - 1) as f64 * q) as usize];
+            p50s.push(quantile(0.5));
+            p90s.push(quantile(0.9));
+        }
+        drop(stream);
+        // The whole measured window must have replayed, not computed:
+        // post-warm-up GETs never simulate.
+        let warm_sims = server.session().stats().simulations - sims;
+
         handle.store(true, Ordering::SeqCst);
         serving.join().expect("serve thread").expect("serve");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(warm_sims, 0, "a measured request simulated");
 
-        latencies_s.sort_by(|a, b| a.total_cmp(b));
-        let quantile = |q: f64| latencies_s[((latencies_s.len() - 1) as f64 * q) as usize];
-        let p50 = quantile(0.5);
-        let p90 = quantile(0.9);
-        let rps = REQUESTS as f64 / total_s;
-
+        let (p50, p90, rps) = (median(&mut p50s), median(&mut p90s), median(&mut rates));
         println!();
-        println!("benchmark group: study_serve (Table II preset, warm, keep-alive)");
+        println!("benchmark group: study_serve (Table II preset, warm journal, keep-alive)");
         println!("{:<32} {:>14}", "name", "value");
         println!("{}", "-".repeat(48));
         println!("{:<32} {:>11.3} s", "study_serve/warmup-run", warmup_s);
@@ -124,17 +149,13 @@ fn main() {
         println!("{:<32} {:>9.1} req/s", "study_serve/throughput", rps);
         println!("{:<32} {:>14}", "study_serve/body-bytes", body_bytes);
 
-        // The whole measured window must have replayed, not computed:
-        // post-warm-up GETs never simulate.
-        let warm_sims = server.session().stats().simulations - sims;
-        assert_eq!(warm_sims, 0, "a measured request simulated");
-
         let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_study.json");
         write_baseline(
             baseline,
             "study_serve",
             &[
                 ("requests", REQUESTS as f64),
+                ("runs", RUNS as f64),
                 ("warmup_wall_s", warmup_s),
                 ("served_warm_p50_s", p50),
                 ("served_warm_p90_s", p90),

@@ -20,6 +20,7 @@
 //! and every bank dies at (nearly) the same, later time (`LT`).
 
 use crate::error::CoreError;
+use crate::rescache::relock;
 use cache_sim::BankMapping;
 use nbti_model::{LifetimeSolver, SleepMode, StressProfile};
 
@@ -74,9 +75,7 @@ impl Clone for AgingAnalysis {
             mode: self.mode,
             update_interval_years: self.update_interval_years,
             horizon_years: self.horizon_years,
-            critical_memo: std::sync::Mutex::new(
-                self.critical_memo.lock().expect("memo poisoned").clone(),
-            ),
+            critical_memo: std::sync::Mutex::new(relock(self.critical_memo.lock()).clone()),
         }
     }
 }
@@ -159,13 +158,11 @@ impl AgingAnalysis {
     ///
     /// Propagates SNM solver failures.
     pub fn critical_effective_years(&self, p0: f64) -> Result<f64, CoreError> {
-        if let Some(&(_, t)) = self
-            .critical_memo
-            .lock()
-            .expect("memo poisoned")
+        let memo = relock(self.critical_memo.lock())
             .iter()
             .find(|(p, _)| (p - p0).abs() < 1e-12)
-        {
+            .copied();
+        if let Some((_, t)) = memo {
             return Ok(t);
         }
         let duty_max = p0.max(1.0 - p0);
@@ -177,10 +174,7 @@ impl AgingAnalysis {
         };
         let dv_star = self.solver.critical_shift(minor_ratio)?;
         let t = self.solver.rd().effective_years_for(dv_star);
-        self.critical_memo
-            .lock()
-            .expect("memo poisoned")
-            .push((p0, t));
+        relock(self.critical_memo.lock()).push((p0, t));
         Ok(t)
     }
 

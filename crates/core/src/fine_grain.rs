@@ -10,10 +10,15 @@
 //! the trade: it tracks idleness at *line* granularity on the same traces
 //! and evaluates the ref.-\[7\]-style ideal lifetime, to compare with the
 //! bank-level results.
+//!
+//! Each line is a unit of the simulator's event rule
+//! ([`cache_sim::IdleEvents`], shared with the batched kernel), so a
+//! measurement costs O(accesses + lines) and equals, bit for bit, a
+//! per-cycle `BankPower`/`IdleTracker` sweep of every line.
 
 use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
-use cache_sim::{BankPower, CacheGeometry, IdleTracker};
+use cache_sim::{CacheGeometry, IdleEvents};
 use trace_synth::WorkloadProfile;
 
 /// Line-granularity idleness statistics for one workload.
@@ -77,31 +82,20 @@ impl FineGrainStudy {
             });
         }
         let lines = self.geometry.sets() as u32;
-        let mut power = BankPower::new(lines, self.breakeven);
-        let mut idle = IdleTracker::new(lines, self.breakeven);
+        let mut events = IdleEvents::new(lines, self.breakeven);
+        let mut total = 0;
         for acc in profile.trace(seed).take(cycles as usize) {
-            let set = self.geometry.set_of(acc.addr) as u32;
-            power.cycle(Some(set));
-            idle.record(Some(set));
+            total += 1;
+            events.access(self.geometry.set_of(acc.addr) as usize, total);
         }
-        let total = power.cycles();
-        let mut sum_sleep = 0.0;
-        let mut min_sleep = f64::INFINITY;
-        for l in 0..lines {
-            let s = power.sleep_cycles(l) as f64 / total as f64;
-            sum_sleep += s;
-            min_sleep = min_sleep.min(s);
-        }
-        let stats = idle.finish();
-        let avg_useful = stats
-            .iter()
-            .map(|s| s.long_idle_cycles as f64 / total as f64)
-            .sum::<f64>()
-            / lines as f64;
+        let units = events.finish(total);
+        let share = |cycles: u64| cycles as f64 / total as f64;
+        let sleep = units.iter().map(|u| share(u.sleep_cycles));
+        let useful = units.iter().map(|u| share(u.idle.long_idle_cycles));
         Ok(FineGrainStats {
-            avg_sleep: sum_sleep / lines as f64,
-            min_sleep,
-            avg_useful_idleness: avg_useful,
+            avg_sleep: sleep.clone().sum::<f64>() / lines as f64,
+            min_sleep: sleep.fold(f64::INFINITY, f64::min),
+            avg_useful_idleness: useful.sum::<f64>() / lines as f64,
             lines: lines as u64,
         })
     }

@@ -62,6 +62,7 @@
 
 use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
+use crate::rescache::relock;
 use cache_sim::{BankMapping, IdentityMapping};
 use nbti_model::{calibration, DrvAnalysis, LifetimeSolver, SleepMode, VariationModel};
 use std::collections::{BTreeMap, HashMap};
@@ -688,21 +689,13 @@ impl CalibratedModel for NbtiCalibrated {
             eval.p0.to_bits(),
             eval.update_days.to_bits(),
         );
-        let cached = self
-            .lt0_memo
-            .lock()
-            .expect("lt0 memo poisoned")
-            .get(&lt0_key)
-            .copied();
+        let cached = relock(self.lt0_memo.lock()).get(&lt0_key).copied();
         let lt0 = match cached {
             Some(v) => v,
             None => {
                 let mut identity = IdentityMapping;
                 let v = aging.cache_lifetime_with(eval.sleep_fractions, eval.p0, &mut identity)?;
-                self.lt0_memo
-                    .lock()
-                    .expect("lt0 memo poisoned")
-                    .insert(lt0_key, v);
+                relock(self.lt0_memo.lock()).insert(lt0_key, v);
                 v
             }
         };
@@ -1086,7 +1079,7 @@ impl Clone for ModelContext {
     fn clone(&self) -> Self {
         Self {
             registry: self.registry.clone(),
-            calibrated: Mutex::new(self.calibrated.lock().expect("cache poisoned").clone()),
+            calibrated: Mutex::new(relock(self.calibrated.lock()).clone()),
             calibrations: AtomicUsize::new(self.calibrations.load(Ordering::Relaxed)),
         }
     }
@@ -1132,7 +1125,7 @@ impl ModelContext {
     pub fn calibrated(&self, key: &str) -> Result<Arc<dyn CalibratedModel>, CoreError> {
         let model = self.registry.resolve(key)?;
         let canonical = model.name().to_string();
-        let mut cache = self.calibrated.lock().expect("cache poisoned");
+        let mut cache = relock(self.calibrated.lock());
         if let Some(hit) = cache.get(&canonical) {
             return Ok(Arc::clone(hit));
         }
@@ -1146,12 +1139,6 @@ impl ModelContext {
     /// observable behind the once-per-distinct-model guarantee.
     pub fn calibration_count(&self) -> usize {
         self.calibrations.load(Ordering::Relaxed)
-    }
-}
-
-impl AsRef<ModelContext> for ModelContext {
-    fn as_ref(&self) -> &ModelContext {
-        self
     }
 }
 
@@ -1479,5 +1466,25 @@ mod tests {
             .unwrap();
         assert_eq!(m.get("lt_years"), Some(7.0));
         assert_eq!(ctx.calibration_count(), 1);
+    }
+
+    #[test]
+    fn a_panicking_calibration_leaves_the_memo_usable() {
+        let mut registry = ModelRegistry::builtin();
+        registry
+            .register_fn(
+                "panics",
+                "a model whose calibration panics",
+                "none",
+                || -> Result<Arc<dyn CalibratedModel>, CoreError> { panic!("calibration failed") },
+            )
+            .unwrap();
+        let ctx = ModelContext::with_registry(registry);
+        // The panic unwinds while `calibrated` holds the memo lock.
+        let caught =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.calibrated("panics")));
+        assert!(caught.is_err());
+        assert!(ctx.calibrated("nbti-45nm").is_ok());
+        assert_eq!(ctx.clone().calibration_count(), 1);
     }
 }

@@ -412,14 +412,13 @@ pub struct MemoryCache {
     entries: Mutex<HashMap<String, CachedMeasurement>>,
 }
 
-/// Recovers the guarded state from a poisoned lock: poisoning only
-/// means another thread panicked while holding the lock, and every
-/// step under these locks leaves the map/file pair valid (an
-/// interrupted `store` at worst re-appends an identical line), so
-/// recovering beats cascading the panic into every later caller.
-pub(crate) fn relock<T>(
-    r: std::sync::LockResult<std::sync::MutexGuard<'_, T>>,
-) -> std::sync::MutexGuard<'_, T> {
+/// Recovers the guard (or a condvar wait's result) from a poisoned lock.
+/// Poisoning only means another thread panicked while holding the lock,
+/// and every lock in this crate guards state valid at every step (an
+/// interrupted `store` at worst re-appends an identical line; a
+/// panicking calibration inserts nothing), so recovering beats
+/// cascading the panic into every later caller.
+pub(crate) fn relock<G>(r: std::sync::LockResult<G>) -> G {
     r.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 

@@ -68,14 +68,14 @@ use std::collections::{BTreeSet, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, WaitTimeoutResult};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::analysis::{self, Axis, Query, Reduce, ReportDiff};
 use crate::error::CoreError;
 use crate::json::Json;
 use crate::render::{self, Format};
-use crate::rescache::{grid_fingerprints, CachedMeasurement, Fingerprint, ResultCache};
+use crate::rescache::{grid_fingerprints, relock, CachedMeasurement, Fingerprint, ResultCache};
 use crate::session::{StudySession, WarmRead};
 use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
 
@@ -143,28 +143,6 @@ pub const ENDPOINTS: [Endpoint; 7] = [
     ),
 ];
 
-/// Recovers the guarded state from a poisoned lock: poisoning only
-/// means another worker panicked while holding it, and both guarded
-/// structures here (the connection queue, the claim table) stay valid
-/// at every step, so recovering beats cascading the panic into every
-/// later request.
-fn relock<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// What [`Condvar::wait_timeout`] yields: the re-acquired guard plus
-/// the timed-out flag.
-type TimedWait<'a, T> = (MutexGuard<'a, T>, WaitTimeoutResult);
-
-/// [`relock`] for [`Condvar::wait_timeout`] results.
-fn relock_wait<'a, T>(
-    r: Result<TimedWait<'a, T>, PoisonError<TimedWait<'a, T>>>,
-) -> TimedWait<'a, T> {
-    r.unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The in-flight claim table behind [`CoalesceCache`]: which
 /// fingerprints some worker is currently computing.
 #[derive(Debug, Default)]
@@ -192,7 +170,7 @@ impl Inflight {
         }
         self.waits.fetch_add(1, Ordering::Relaxed);
         loop {
-            let (guard, outcome) = relock_wait(self.released.wait_timeout(claims, backstop));
+            let (guard, outcome) = relock(self.released.wait_timeout(claims, backstop));
             claims = guard;
             if !claims.contains(key) {
                 return false;
@@ -831,7 +809,7 @@ impl StudyServer {
                             if self.shutdown.load(Ordering::SeqCst) {
                                 break None;
                             }
-                            let (guard, _) = relock_wait(
+                            let (guard, _) = relock(
                                 available.wait_timeout(q, Duration::from_millis(WORKER_POLL_MS)),
                             );
                             q = guard;

@@ -95,7 +95,7 @@ use crate::workload::{Workload, WorkloadRegistry};
 use cache_sim::CacheGeometry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Measured simulation outputs shared by scenarios that differ only in
 /// policy, model or update period.
@@ -577,7 +577,7 @@ fn assemble(
 ) -> Result<StudyReport, CoreError> {
     let mut records = Vec::with_capacity(slots.len());
     for slot in slots {
-        match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        match relock(slot.into_inner()) {
             Some(Ok(record)) => records.push(record),
             Some(Err(e)) => return Err(e),
             None => return Err(CoreError::WorkerPanicked),

@@ -16,7 +16,10 @@ pub enum BankState {
     Drowsy,
 }
 
-/// The Block Control state for all `M` banks.
+/// The Block Control state for all `M` banks. [`BankPower::cycle`]
+/// sweeps every bank every cycle: it is the scalar `Simulator::step`
+/// path and the oracle for [`IdleEvents`](crate::IdleEvents), the
+/// `O(1)`-per-access form every other user takes.
 ///
 /// # Examples
 ///
@@ -36,12 +39,13 @@ pub enum BankState {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BankPower {
-    breakeven: u32,
-    counters: Vec<u32>,
-    states: Vec<BankState>,
-    sleep_cycles: Vec<u64>,
-    wakes: Vec<u64>,
-    cycles: u64,
+    // Crate-visible so `IdleEvents` can load and store them.
+    pub(crate) breakeven: u32,
+    pub(crate) counters: Vec<u32>,
+    pub(crate) states: Vec<BankState>,
+    pub(crate) sleep_cycles: Vec<u64>,
+    pub(crate) wakes: Vec<u64>,
+    pub(crate) cycles: u64,
 }
 
 /// What happened during one [`BankPower::cycle`].
@@ -137,43 +141,6 @@ impl BankPower {
             }
         }
         ev
-    }
-
-    /// Cycles of the idle run after an access at cycle `last` that the
-    /// bank spends drowsy within `(from, until]`: the run drowses from
-    /// cycle `last + breakeven` on.
-    fn slept(&self, last: u64, from: u64, until: u64) -> u64 {
-        (until + 1).saturating_sub((last + u64::from(self.breakeven)).max(from + 1))
-    }
-
-    /// Batched-kernel hook: `bank`, last accessed at cycle `last`, is
-    /// accessed drowsy at cycle `now` and wakes. Counts the wake and
-    /// credits the run's sleep after cycle `from` (the cycles up to
-    /// `from` were credited when they ran).
-    pub(crate) fn wake(&mut self, bank: usize, last: u64, from: u64, now: u64) {
-        self.wakes[bank] += 1;
-        self.sleep_cycles[bank] += self.slept(last, from, now - 1);
-    }
-
-    /// Batched-kernel hook: settles the controller at cycle `now` from
-    /// each bank's last-access cycle, as [`BankPower::cycle`] would have
-    /// left it, crediting open runs' sleep after cycle `from`.
-    ///
-    /// Exact because a bank's counter is its idle run capped at the
-    /// breakeven time and it is drowsy exactly when the cap is reached.
-    pub(crate) fn settle(&mut self, from: u64, now: u64, last: &[u64]) {
-        let be = u64::from(self.breakeven);
-        for (b, &l) in last.iter().enumerate() {
-            let run = now - l;
-            self.counters[b] = run.min(be) as u32;
-            self.states[b] = if run >= be {
-                BankState::Drowsy
-            } else {
-                BankState::Active
-            };
-            self.sleep_cycles[b] += self.slept(l, from, now);
-        }
-        self.cycles = now;
     }
 
     /// Fraction of elapsed time `bank` spent asleep.

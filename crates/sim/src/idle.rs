@@ -5,11 +5,14 @@
 //! of idle intervals of a block that are longer than its breakeven time."
 //! (§III-A2, time-weighted as in Table I.)
 
+use crate::bank::{BankPower, BankState};
+use crate::stats::BankStats;
+
 /// Number of power-of-two histogram buckets (intervals up to 2³¹ cycles).
 const BUCKETS: usize = 32;
 
 /// Aggregated idle-interval statistics for one bank.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IdleStats {
     /// Total cycles spent idle (in any interval).
     pub idle_cycles: u64,
@@ -24,16 +27,6 @@ pub struct IdleStats {
 }
 
 impl IdleStats {
-    fn new() -> Self {
-        Self {
-            idle_cycles: 0,
-            long_idle_cycles: 0,
-            intervals: 0,
-            long_intervals: 0,
-            histogram: [0; BUCKETS],
-        }
-    }
-
     /// Longest completed interval bucket (log2), if any interval completed.
     pub fn max_bucket(&self) -> Option<usize> {
         self.histogram.iter().rposition(|&c| c > 0)
@@ -45,6 +38,10 @@ impl IdleStats {
 /// An *idle interval* of a bank is a maximal run of cycles in which the
 /// bank is not accessed. Intervals longer than the breakeven time are
 /// "useful": the Block Control can profitably sleep the bank through them.
+///
+/// [`IdleTracker::record`] sweeps every bank every cycle: with
+/// [`BankPower::cycle`], it is the scalar `Simulator::step` path and the
+/// oracle for [`IdleEvents`], the form every other user takes.
 ///
 /// # Examples
 ///
@@ -80,7 +77,7 @@ impl IdleTracker {
         Self {
             breakeven,
             open_run: vec![0; banks as usize],
-            stats: (0..banks).map(|_| IdleStats::new()).collect(),
+            stats: vec![IdleStats::default(); banks as usize],
             cycles: 0,
         }
     }
@@ -97,7 +94,7 @@ impl IdleTracker {
             if accessed == Some(b as u32) {
                 let run = self.open_run[b];
                 if run > 0 {
-                    Self::close(&mut self.stats[b], run, self.breakeven);
+                    close(&mut self.stats[b], run, self.breakeven);
                     self.open_run[b] = 0;
                 }
             } else {
@@ -106,76 +103,12 @@ impl IdleTracker {
         }
     }
 
-    /// Closes an idle interval of `run` cycles; `run == 0` (an access
-    /// right after an access) closes nothing.
-    fn close(stats: &mut IdleStats, run: u64, breakeven: u32) {
-        stats.intervals += u64::from(run > 0);
-        stats.idle_cycles += run;
-        Self::close_bucket(stats, run);
-        Self::close_long(stats, run, breakeven);
-    }
-
-    /// Batched-kernel hook, paid on every access: counts a closed
-    /// interval of `run` cycles (none if `run == 0`) in its histogram
-    /// bucket. The kernel leaves `intervals` and `idle_cycles` to
-    /// [`IdleTracker::settle`], which derives them. Branch-free, because
-    /// whether a bank's run is empty is as random as the trace's bank
-    /// sequence.
-    pub(crate) fn close_bucket(stats: &mut IdleStats, run: u64) {
-        let bucket = (63 - (run | 1).leading_zeros()) as usize;
-        stats.histogram[bucket.min(BUCKETS - 1)] += u64::from(run > 0);
-    }
-
-    /// Batched-kernel hook: counts `run` as a long interval if it is
-    /// longer than the breakeven time. Only a run of at least the
-    /// breakeven time can be, and exactly those wake their bank, so the
-    /// kernel pays this only on a wake.
-    pub(crate) fn close_long(stats: &mut IdleStats, run: u64, breakeven: u32) {
-        let long = u64::from(run > u64::from(breakeven));
-        stats.long_intervals += long;
-        stats.long_idle_cycles += run * long;
-    }
-
-    /// Batched-kernel hook: writes each bank's last-access cycle into
-    /// `last` (0 for a bank not accessed yet).
-    pub(crate) fn last_access(&self, last: &mut Vec<u64>) {
-        last.clear();
-        last.extend(self.open_run.iter().map(|&run| self.cycles - run));
-    }
-
-    /// Batched-kernel hook: every bank's statistics and the breakeven
-    /// time, for the kernel to close intervals in as an access after
-    /// them would in [`IdleTracker::record`].
-    pub(crate) fn stats_mut(&mut self) -> (&mut [IdleStats], u32) {
-        (&mut self.stats, self.breakeven)
-    }
-
-    /// Batched-kernel hook: settles the tracker at cycle `now` from each
-    /// bank's last-access cycle and total access count, and derives the
-    /// counts the kernel does not keep per access. Every closed interval
-    /// sits in one histogram bucket, and every cycle up to a bank's last
-    /// access is either an access to it or part of a closed interval.
-    pub(crate) fn settle(&mut self, now: u64, last: &[u64], accesses: &[u64]) {
-        for (((open, stats), &l), &n) in self
-            .open_run
-            .iter_mut()
-            .zip(&mut self.stats)
-            .zip(last)
-            .zip(accesses)
-        {
-            *open = now - l;
-            stats.intervals = stats.histogram.iter().sum();
-            stats.idle_cycles = l - n;
-        }
-        self.cycles = now;
-    }
-
     /// Closes all open intervals and returns the per-bank statistics.
     pub fn finish(mut self) -> Vec<IdleStats> {
         for b in 0..self.open_run.len() {
             let run = self.open_run[b];
             if run > 0 {
-                Self::close(&mut self.stats[b], run, self.breakeven);
+                close(&mut self.stats[b], run, self.breakeven);
             }
         }
         self.stats
@@ -188,6 +121,179 @@ impl IdleTracker {
             return 0.0;
         }
         self.stats[bank as usize].long_idle_cycles as f64 / self.cycles as f64
+    }
+}
+
+/// The histogram bucket of an idle run of `run > 0` cycles.
+fn bucket(run: u64) -> usize {
+    ((63 - run.leading_zeros()) as usize).min(BUCKETS - 1)
+}
+
+/// Closes an idle interval of `run > 0` cycles.
+fn close(stats: &mut IdleStats, run: u64, breakeven: u32) {
+    stats.intervals += 1;
+    stats.idle_cycles += run;
+    stats.histogram[bucket(run)] += 1;
+    if run > u64::from(breakeven) {
+        stats.long_intervals += 1;
+        stats.long_idle_cycles += run;
+    }
+}
+
+/// The idle-and-sleep rule in event form, over any number of units: what
+/// [`BankPower::cycle`] and [`IdleTracker::record`] compute by sweeping
+/// every unit every cycle, computed per access for the accessed unit.
+///
+/// An access at cycle `now` closes the unit's idle run since its last
+/// access (cycle 0 before its first). A run of at least the breakeven
+/// time left the unit drowsy: the access wakes it and credits the run's
+/// `run + 1 - breakeven` drowsy cycles, less those a
+/// [`settle`](IdleEvents::settle) already credited. A settle brings
+/// every unit to a cycle in one pass, so accounting costs
+/// O(accesses + units).
+///
+/// Its users are the batched [`Simulator`](crate::Simulator) kernel
+/// (units are banks) and the line-level study (units are cache lines).
+///
+/// # Examples
+///
+/// ```
+/// use cache_sim::IdleEvents;
+///
+/// let mut events = IdleEvents::new(2, 4); // 2 units, breakeven 4
+/// events.access(0, 1);
+/// assert!(events.access(0, 10)); // an 8-cycle run, drowsy from cycle 5
+/// let units = events.finish(12);
+/// assert_eq!((units[0].sleep_cycles, units[0].wakes), (5, 1));
+/// // Unit 1 was never accessed: one open 12-cycle run, drowsy from 4.
+/// assert_eq!((units[1].sleep_cycles, units[1].idle.idle_cycles), (9, 12));
+/// ```
+#[derive(Debug, Clone)]
+pub struct IdleEvents {
+    breakeven: u32,
+    /// The cycle up to which every open run's drowsy cycles are credited.
+    settled: u64,
+    units: Vec<Unit>,
+}
+
+/// One unit: its last-access cycle and its totals, whose `idle` keeps
+/// only the histogram and the long-interval counts between settles.
+#[derive(Debug, Clone, Default)]
+struct Unit {
+    last: u64,
+    totals: BankStats,
+}
+
+impl IdleEvents {
+    /// Creates the rule for `units` units with the given breakeven time,
+    /// settled at cycle 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` or `breakeven` is zero.
+    pub fn new(units: u32, breakeven: u32) -> Self {
+        assert!(units > 0, "at least one unit");
+        assert!(breakeven > 0, "breakeven must be positive");
+        Self {
+            breakeven,
+            settled: 0,
+            units: vec![Unit::default(); units as usize],
+        }
+    }
+
+    /// `unit` is accessed at cycle `now`, after its last access and the
+    /// last settle. Returns whether the access woke it.
+    #[inline]
+    pub fn access(&mut self, unit: usize, now: u64) -> bool {
+        let be = u64::from(self.breakeven);
+        let Unit { last, totals: u } = &mut self.units[unit];
+        let run = now - 1 - *last;
+        // Branch-free: whether a run is empty is as random as the trace.
+        u.idle.histogram[bucket(run | 1)] += u64::from(run > 0);
+        u.accesses += 1;
+        let woke = run >= be;
+        if woke {
+            if run > be {
+                u.idle.long_intervals += 1;
+                u.idle.long_idle_cycles += run;
+            }
+            u.wakes += 1;
+            u.sleep_cycles += now - (*last + be).max(self.settled + 1);
+        }
+        *last = now;
+        woke
+    }
+
+    /// Brings every unit to cycle `now`: credits each open run's drowsy
+    /// cycles so far, and derives the interval count (one histogram entry
+    /// each) and idle cycles (the cycles up to the last access that were
+    /// not accesses).
+    pub fn settle(&mut self, now: u64) {
+        let be = u64::from(self.breakeven);
+        for Unit { last, totals: u } in &mut self.units {
+            u.sleep_cycles += (now + 1).saturating_sub((*last + be).max(self.settled + 1));
+            u.idle.intervals = u.idle.histogram.iter().sum();
+            u.idle.idle_cycles = *last - u.accesses;
+        }
+        self.settled = now;
+    }
+
+    /// Settles at cycle `now`, closes the open runs there as
+    /// [`IdleTracker::finish`] does, and returns every unit's totals.
+    pub fn finish(mut self, now: u64) -> Vec<BankStats> {
+        self.settle(now);
+        let close_at = |Unit { last, mut totals }: Unit| {
+            if now > last {
+                close(&mut totals.idle, now - last, self.breakeven);
+            }
+            totals
+        };
+        self.units.into_iter().map(close_at).collect()
+    }
+
+    /// Each unit's last-access cycle.
+    pub(crate) fn last(&self) -> impl Iterator<Item = u64> + '_ {
+        self.units.iter().map(|u| u.last)
+    }
+
+    /// The state the per-cycle pair and the per-unit access counts have
+    /// reached, settled at their cycle.
+    pub(crate) fn load(power: &BankPower, idle: &IdleTracker, accesses: &[u64]) -> Self {
+        let units = (0..accesses.len()).map(|b| Unit {
+            last: idle.cycles - idle.open_run[b],
+            totals: BankStats {
+                accesses: accesses[b],
+                sleep_cycles: power.sleep_cycles[b],
+                wakes: power.wakes[b],
+                idle: idle.stats[b].clone(),
+            },
+        });
+        Self {
+            breakeven: idle.breakeven,
+            settled: idle.cycles,
+            units: units.collect(),
+        }
+    }
+
+    /// Stores the settled state back as the per-cycle pair would hold
+    /// it: a unit's counter is its open run capped at the breakeven
+    /// time, and it is drowsy exactly when the cap is reached.
+    pub(crate) fn store(self, power: &mut BankPower, idle: &mut IdleTracker, accesses: &mut [u64]) {
+        let now = self.settled;
+        for (b, Unit { last, totals: u }) in self.units.into_iter().enumerate() {
+            let run = now - last;
+            let drowsy = run >= u64::from(self.breakeven);
+            power.counters[b] = if drowsy { self.breakeven } else { run as u32 };
+            power.states[b] = if drowsy {
+                BankState::Drowsy
+            } else {
+                BankState::Active
+            };
+            (power.sleep_cycles[b], power.wakes[b]) = (u.sleep_cycles, u.wakes);
+            (idle.open_run[b], idle.stats[b]) = (run, u.idle);
+            accesses[b] = u.accesses;
+        }
+        (power.cycles, idle.cycles) = (now, now);
     }
 }
 

@@ -56,7 +56,7 @@ pub use cache::{AccessKind, AccessResult, CacheArray};
 pub use error::SimError;
 pub use geometry::CacheGeometry;
 pub use hierarchy::{CacheHierarchy, HierarchyOutcome};
-pub use idle::{IdleStats, IdleTracker};
+pub use idle::{IdleEvents, IdleStats, IdleTracker};
 pub use mapping::{is_bijective, BankMapping, FnMapping, IdentityMapping};
 pub use replacement::{ReplacementPolicy, ReplacementRegistry, DEFAULT_REPLACEMENT};
 pub use run::{Access, SimConfig, Simulator};

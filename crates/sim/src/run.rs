@@ -4,7 +4,7 @@ use crate::bank::{BankPower, BankState};
 use crate::cache::{AccessKind, AccessResult, CacheArray};
 use crate::error::SimError;
 use crate::geometry::CacheGeometry;
-use crate::idle::IdleTracker;
+use crate::idle::{IdleEvents, IdleTracker};
 use crate::mapping::{is_bijective, BankMapping};
 use crate::replacement::ReplacementPolicy;
 use crate::stats::{BankStats, SimOutcome};
@@ -65,10 +65,10 @@ impl AddressSplit {
 /// The active-bank count at the end of cycle `now`, given each bank's
 /// last-access cycle, and the earliest later cycle at which an active
 /// bank drowses (`u64::MAX` if none is active).
-fn drowse_watermark(last: &[u64], breakeven: u64, now: u64) -> (u32, u64) {
+fn drowse_watermark(last: impl Iterator<Item = u64>, breakeven: u64, now: u64) -> (u32, u64) {
     let mut active = 0;
     let mut next = u64::MAX;
-    for &l in last {
+    for l in last {
         let due = l + breakeven;
         if due > now {
             active += 1;
@@ -178,7 +178,8 @@ impl SimConfig {
 ///
 /// Drives four coupled models per cycle: the tag array ([`CacheArray`]),
 /// the Block Control power-state machine ([`BankPower`]), the idle-interval
-/// tracker ([`IdleTracker`]) and the energy ledger.
+/// tracker ([`IdleTracker`]) and the energy ledger. The batched path runs
+/// the middle two in event form ([`IdleEvents`]).
 ///
 /// # Examples
 ///
@@ -213,16 +214,12 @@ pub struct Simulator {
     split: AddressSplit,
     /// Logical → physical bank, refreshed whenever the mapping updates.
     lut: Vec<u32>,
-    /// Per-cycle leakage indexed by the active-bank count.
+    /// Per-cycle leakage indexed by the active-bank count, on both paths.
     leak_lut: Vec<f64>,
-    /// Each bank's last-access cycle during a batch (kernel scratch).
-    last: Vec<u64>,
     // Pre-computed per-event energies (fJ).
     access_fj: f64,
     access_overhead_fj: f64,
     wake_fj: f64,
-    leak_active_fj: f64,
-    leak_drowsy_fj: f64,
     leak_overhead_factor: f64,
 }
 
@@ -267,7 +264,6 @@ impl Simulator {
         let leak_lut = (0..=banks)
             .map(|active| {
                 let drowsy = banks - active;
-                // Exactly charge_leakage's expression, per possible count.
                 active as f64 * leak_active_fj + drowsy as f64 * leak_drowsy_fj
             })
             .collect();
@@ -285,12 +281,9 @@ impl Simulator {
             split: AddressSplit::new(config.geometry()),
             lut: Vec::with_capacity(banks as usize),
             leak_lut,
-            last: Vec::with_capacity(banks as usize),
             access_fj,
             access_overhead_fj,
             wake_fj,
-            leak_active_fj,
-            leak_drowsy_fj,
             leak_overhead_factor,
             config,
         };
@@ -367,14 +360,10 @@ impl Simulator {
     /// * the address split uses shifts and masks fixed at construction,
     ///   and the virtual `map_bank` dispatch is a logical→physical bank
     ///   table refreshed only by [`Simulator::update_mapping`];
-    /// * the Block Control and the idle tracker share one last-access
-    ///   cycle per bank: an access closes its bank's idle interval and
-    ///   settles its wake in `O(1)`, and banks are swept only when the
-    ///   clock reaches the earliest cycle at which one can drowse;
-    /// * closing an interval costs an access one histogram bucket: only
-    ///   a run that wakes its bank can be longer than the breakeven
-    ///   time, so the long-interval counts are paid on a wake, and the
-    ///   interval count and idle cycles are derived when a batch ends;
+    /// * the Block Control and the idle tracker run in event form
+    ///   ([`IdleEvents`], settled once per batch), and the active-bank
+    ///   count for leakage is swept only when the clock reaches the
+    ///   earliest cycle at which a bank can drowse;
     /// * the tag lookup is chosen once per batch: a branch-free
     ///   built-in-LRU lookup specialized for 1 or 4 ways (a tag-match
     ///   bit mask and a select tree for the victim, returning only hit
@@ -382,11 +371,11 @@ impl Simulator {
     ///   (registered policies, other widths);
     /// * the loop's state is batch-local: the energy sums, the
     ///   hit/miss/write-back counters and the tag store's clock are
-    ///   locals written back once per batch, and every array it
-    ///   touches is a slice taken before the loop, so no store forces
-    ///   a reload of another array's header or an accumulator;
-    /// * per-cycle leakage is a table lookup by active-bank count, and
-    ///   every energy accumulator receives its terms in the scalar
+    ///   locals written back once per batch, as is the `IdleEvents`,
+    ///   and every array it touches is a slice taken before the loop, so
+    ///   no store forces a reload of another array's header or an
+    ///   accumulator;
+    /// * every energy accumulator receives its terms in the scalar
     ///   path's per-cycle order.
     ///
     /// The two paths are interchangeable: scalar `step` calls may
@@ -439,7 +428,8 @@ impl Simulator {
     ) {
         let start = self.power.cycles();
         let be = u64::from(self.power.breakeven());
-        self.idle.last_access(&mut self.last);
+        // A local, so the loop keeps its fields in registers.
+        let mut events = IdleEvents::load(&self.power, &self.idle, &self.bank_accesses);
         let split = self.split;
         let access_fj = self.access_fj;
         let access_overhead_fj = self.access_overhead_fj;
@@ -456,21 +446,13 @@ impl Simulator {
             writebacks,
             lut,
             leak_lut,
-            last,
             ..
         } = self;
         let (lut, leak_lut): (&[u32], &[f64]) = (lut, leak_lut);
-        // One length for every per-bank slice, so one bounds check
-        // covers an access's bank.
-        let banks = lut.len();
-        let (last, bank_accesses) = (&mut last[..banks], &mut bank_accesses[..banks]);
-        let (idle_stats, idle_breakeven) = idle.stats_mut();
-        debug_assert_eq!(u64::from(idle_breakeven), be, "one breakeven time");
-        let idle_stats = &mut idle_stats[..banks];
         let mut store = cache.store();
         let mut energy = *ledger;
         let (mut n_hits, mut n_misses, mut n_writebacks) = (*hits, *misses, *writebacks);
-        let (mut active, mut next_drowse) = drowse_watermark(last, be, start);
+        let (mut active, mut next_drowse) = drowse_watermark(events.last(), be, start);
         let mut now = start;
         for (i, cycle) in cycles.enumerate() {
             now += 1;
@@ -498,24 +480,16 @@ impl Simulator {
                         energy.overhead_fj += access_overhead_fj;
                     }
                 }
-                let b = bank as usize;
-                bank_accesses[b] += 1;
-                let run = now - 1 - last[b];
-                let stats = &mut idle_stats[b];
-                IdleTracker::close_bucket(stats, run);
-                if run >= be {
-                    IdleTracker::close_long(stats, run, idle_breakeven);
-                    power.wake(b, last[b], start, now);
+                if events.access(bank as usize, now) {
                     energy.wake_fj += wake_fj;
                     active += 1;
                 }
-                last[b] = now;
                 next_drowse = next_drowse.min(now + be);
                 energy.dynamic_fj += access_fj;
                 energy.overhead_fj += access_overhead_fj;
             }
             if now >= next_drowse {
-                (active, next_drowse) = drowse_watermark(last, be, now);
+                (active, next_drowse) = drowse_watermark(events.last(), be, now);
             }
             let leak = leak_lut[active as usize];
             energy.leakage_fj += leak;
@@ -524,8 +498,8 @@ impl Simulator {
         drop(store);
         *ledger = energy;
         (*hits, *misses, *writebacks) = (n_hits, n_misses, n_writebacks);
-        power.settle(start, now, last);
-        idle.settle(now, last, bank_accesses);
+        events.settle(now);
+        events.store(power, idle, bank_accesses);
     }
 
     /// Advances one cycle with no cache access (a processor stall or
@@ -545,8 +519,7 @@ impl Simulator {
                 active += 1;
             }
         }
-        let drowsy = banks - active;
-        let leak = active as f64 * self.leak_active_fj + drowsy as f64 * self.leak_drowsy_fj;
+        let leak = self.leak_lut[active as usize];
         self.ledger.leakage_fj += leak;
         self.ledger.overhead_fj += leak * self.leak_overhead_factor;
     }

@@ -4,7 +4,7 @@ use crate::idle::IdleStats;
 use sram_power::EnergyLedger;
 
 /// Per-bank statistics of one simulation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BankStats {
     /// Accesses served by this (physical) bank.
     pub accesses: u64,

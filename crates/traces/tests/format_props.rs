@@ -6,6 +6,9 @@
 //!   1-based line number, wherever it is injected.
 //! * **Strict batching**: `next_batch(max)` never overshoots `max`,
 //!   even across Lackey's two-access `M` records.
+//! * **Untrusted bytes**: arbitrary, truncated and non-UTF-8 input ends
+//!   in `Ok` or a typed `TraceError` for every reader, never a panic,
+//!   within a time bound.
 
 use cache_sim::{Access, AccessKind};
 use quickprop::Gen;
@@ -119,4 +122,75 @@ fn every_access_kind_survives_each_format() {
         assert_eq!(back, stream, "{format}");
         assert!(back.iter().any(|a| a.kind == AccessKind::Write));
     }
+}
+
+/// Bytes a reader may be handed: noise over the formats' alphabets, a
+/// well-formed trace cut at an arbitrary byte, or one with bytes
+/// overwritten, non-UTF-8 included.
+fn untrusted_bytes(g: &mut Gen) -> Vec<u8> {
+    const ALPHABET: &[u8] = b"0123456789abcdefxX ,:;#ILSMrwRW\t\r\n\xff\xc3\x80";
+    match g.u32_in(0..3) {
+        0 => (0..g.usize_in(0..512))
+            .map(|_| match g.u32_in(0..4) {
+                0 => g.u32_in(0..256) as u8,
+                _ => *g.pick(ALPHABET),
+            })
+            .collect(),
+        kind => {
+            let format = *g.pick(&TraceFormat::ALL);
+            let len = g.usize_in(1..60);
+            let mut bytes = emit(format, &random_stream(g, len)).into_bytes();
+            if kind == 1 {
+                bytes.truncate(g.usize_in(0..bytes.len() + 1));
+            } else {
+                for _ in 0..g.usize_in(1..8) {
+                    let at = g.usize_in(0..bytes.len());
+                    bytes[at] = g.u32_in(0..256) as u8;
+                }
+            }
+            bytes
+        }
+    }
+}
+
+/// Every untrusted input to every reader ends in `Ok` or a typed
+/// `TraceError`, never a panic, within a time bound, and yields at most
+/// two accesses (a Lackey `M` record) per input byte.
+#[test]
+fn untrusted_bytes_parse_or_fail_typed_within_a_bound() {
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(1);
+    quickprop::cases(if cfg!(debug_assertions) { 256 } else { 2048 }, |g| {
+        let bytes = untrusted_bytes(g);
+        let batch = [1, 2, 7, 64, 4096][g.usize_in(0..5)];
+        for format in TraceFormat::ALL {
+            let started = std::time::Instant::now();
+            let mut source = format.reader(std::io::Cursor::new(bytes.clone()));
+            let mut buf = Vec::new();
+            let outcome = loop {
+                match source.next_batch(&mut buf, batch) {
+                    Ok(0) => break Ok(()),
+                    Ok(n) => assert!(n <= batch, "{format}: batch overshot"),
+                    Err(e) => break Err(e),
+                }
+                assert!(
+                    buf.len() <= 2 * bytes.len(),
+                    "{format}: {} accesses from {} bytes",
+                    buf.len(),
+                    bytes.len()
+                );
+            };
+            if let Err(e) = outcome {
+                assert!(
+                    !e.to_string().is_empty(),
+                    "{format}: an error names its cause"
+                );
+            }
+            let elapsed = started.elapsed();
+            assert!(
+                elapsed < BOUND,
+                "{format}: {} bytes took {elapsed:?}",
+                bytes.len()
+            );
+        }
+    });
 }
