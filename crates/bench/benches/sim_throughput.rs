@@ -8,16 +8,17 @@
 //! one suite stream fanned out to the three Table II direct-mapped
 //! sizes, and a 4-way L1 in front of a 4-way L2 — plus a single 16 kB
 //! 2-way `mru` level, which takes the general tag lookup, and writes
-//! their ns/access into `BENCH_study.json` as the `sim_hotpath` row.
+//! the median over several runs of their ns/access into
+//! `BENCH_study.json` as the `sim_hotpath` row. The host's scheduling
+//! moves these figures by more than a kernel change does, so rows are
+//! comparable only when both were written pinned to one CPU,
 //!
-//! ```sh
-//! cargo bench -p repro-bench --bench sim_throughput
-//! ```
+//! `taskset -c 0 cargo bench -p repro-bench --bench sim_throughput`
 
 use aging_cache::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use aging_cache::PolicyRegistry;
 use cache_sim::{Access, CacheGeometry, ReplacementRegistry};
-use repro_bench::harness::{write_baseline, Harness};
+use repro_bench::harness::{median, write_baseline, Harness};
 use std::time::{Duration, Instant};
 use trace_synth::source::SliceSource;
 use trace_synth::suite;
@@ -26,6 +27,9 @@ const CYCLES: usize = 100_000;
 
 /// Accesses per suite workload in the `hotpath` shapes.
 const HOTPATH_CYCLES: usize = 64_000;
+
+/// How many harness runs each `sim_hotpath` figure is the median of.
+const HOTPATH_RUNS: usize = 5;
 
 fn arch(geom: CacheGeometry, policy: &str) -> PartitionedCache {
     PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).expect("arch")
@@ -164,14 +168,14 @@ fn bench_hotpath() {
             arch(geom, "probing")
         })
         .collect();
-    let fanout = g.bench_throughput("dm_fanout_8_16_32kb", accesses, || {
+    let fanout = || {
         run(&|| {
             sizes
                 .iter()
                 .map(|a| SimTarget::Level(a.simulator().expect("simulator")))
                 .collect()
         })
-    });
+    };
 
     // The hierarchy study: 16 kB 4-way L1 in front of a 64 kB 4-way L2.
     let level = |kb: u64| {
@@ -179,9 +183,7 @@ fn bench_hotpath() {
         arch(geom, "probing")
     };
     let (l1, l2) = (level(16), level(64));
-    let hierarchy = g.bench_throughput("l1_16kb_4way_l2_64kb_4way", accesses, || {
-        run(&|| vec![SimTarget::Hierarchy(l1.hierarchy(&l2).expect("hierarchy"))])
-    });
+    let hierarchy = || run(&|| vec![SimTarget::Hierarchy(l1.hierarchy(&l2).expect("hierarchy"))]);
 
     // A registered policy on a width without a built-in-LRU kernel:
     // the general `CacheArray::access` lookup.
@@ -191,9 +193,19 @@ fn bench_hotpath() {
     )
     .with_replacement("mru", ReplacementRegistry::global().clone())
     .expect("mru is registered");
-    let generic = g.bench_throughput("l1_16kb_2way_mru", accesses, || {
-        run(&|| vec![SimTarget::Level(mru.simulator().expect("simulator"))])
-    });
+    let generic = || run(&|| vec![SimTarget::Level(mru.simulator().expect("simulator"))]);
+
+    let (mut fanouts, mut hierarchies, mut generics) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..HOTPATH_RUNS {
+        fanouts.push(g.bench_throughput("dm_fanout_8_16_32kb", accesses, fanout));
+        hierarchies.push(g.bench_throughput("l1_16kb_4way_l2_64kb_4way", accesses, hierarchy));
+        generics.push(g.bench_throughput("l1_16kb_2way_mru", accesses, generic));
+    }
+    let (fanout, hierarchy, generic) = (
+        median(&mut fanouts),
+        median(&mut hierarchies),
+        median(&mut generics),
+    );
 
     let dm_ns = fanout / accesses as f64 / sizes.len() as f64;
     let l1_l2_ns = hierarchy / accesses as f64;
@@ -209,6 +221,7 @@ fn bench_hotpath() {
         "sim_hotpath",
         &[
             ("accesses_per_shape", accesses as f64),
+            ("runs", HOTPATH_RUNS as f64),
             ("dm_fanout_ns_per_access_per_geometry", dm_ns),
             ("l1_l2_ns_per_access", l1_l2_ns),
             ("mru_2way_ns_per_access", mru_ns),

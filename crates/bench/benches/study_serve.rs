@@ -17,7 +17,7 @@
 
 use aging_cache::rescache::JsonlCache;
 use aging_cache::serve::{ServeOptions, StudyServer};
-use repro_bench::harness::write_baseline;
+use repro_bench::harness::{median, write_baseline};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -76,12 +76,6 @@ fn roundtrip(stream: &mut TcpStream, method: &str, target: &str) -> (u16, usize)
         body_have += n;
     }
     (status, content_length)
-}
-
-/// The median of `values` (sorted in place).
-fn median(values: &mut [f64]) -> f64 {
-    values.sort_by(f64::total_cmp);
-    values[values.len() / 2]
 }
 
 fn main() {

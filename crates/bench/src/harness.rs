@@ -43,8 +43,9 @@ impl Harness {
     }
 
     /// Benchmarks a closure, discarding its result via `black_box`.
-    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) {
-        self.run(name, None, f);
+    /// Returns the mean ns per call.
+    pub fn bench<R>(&mut self, name: &str, f: impl FnMut() -> R) -> f64 {
+        self.run(name, None, f)
     }
 
     /// Benchmarks a closure that processes `elems` elements per call and
@@ -131,6 +132,17 @@ pub fn write_baseline(path: &str, bench: &str, fields: &[(&str, f64)]) -> std::i
     let mut text = lines.join("\n");
     text.push('\n');
     std::fs::write(path, text)
+}
+
+/// The median of `values` (sorted in place): the figure a baseline row
+/// records from several runs, so one run the host slowed cannot move it.
+///
+/// # Panics
+///
+/// Panics if `values` is empty.
+pub fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
 }
 
 /// Formats a positive quantity with 3 significant-ish digits and

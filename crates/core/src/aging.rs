@@ -22,7 +22,7 @@
 use crate::error::CoreError;
 use crate::rescache::relock;
 use cache_sim::BankMapping;
-use nbti_model::{LifetimeSolver, SleepMode, StressProfile};
+use nbti_model::{LifetimeSolver, NbtiError, SleepMode, StressProfile};
 
 /// Default update interval: one day, the paper's suggested frequency.
 pub const DEFAULT_UPDATE_INTERVAL_YEARS: f64 = 1.0 / 365.25;
@@ -62,10 +62,12 @@ pub struct AgingAnalysis {
     mode: SleepMode,
     update_interval_years: f64,
     horizon_years: f64,
-    /// Memo of `(p0, critical effective years)` pairs: the SNM bisection
-    /// is the expensive step and depends only on `p0`, which whole
-    /// experiment sweeps share. A mutex keeps the type `Send + Sync`.
-    critical_memo: std::sync::Mutex<Vec<(f64, f64)>>,
+    /// Memo of `(minor_ratio bits, ΔV*)` pairs: the critical-shift
+    /// bisection is the expensive step and depends only on the minor
+    /// device's share of the stress, which whole experiment sweeps share
+    /// (every `p0 = 0.5` query asks for ratio 1). A mutex keeps the type
+    /// `Send + Sync`.
+    critical_memo: std::sync::Mutex<Vec<(u64, f64)>>,
 }
 
 impl Clone for AgingAnalysis {
@@ -158,13 +160,6 @@ impl AgingAnalysis {
     ///
     /// Propagates SNM solver failures.
     pub fn critical_effective_years(&self, p0: f64) -> Result<f64, CoreError> {
-        let memo = relock(self.critical_memo.lock())
-            .iter()
-            .find(|(p, _)| (p - p0).abs() < 1e-12)
-            .copied();
-        if let Some((_, t)) = memo {
-            return Ok(t);
-        }
         let duty_max = p0.max(1.0 - p0);
         let duty_min = p0.min(1.0 - p0);
         let minor_ratio = if duty_max <= 0.0 {
@@ -172,10 +167,24 @@ impl AgingAnalysis {
         } else {
             (duty_min / duty_max).powf(self.solver.rd().n())
         };
-        let dv_star = self.solver.critical_shift(minor_ratio)?;
-        let t = self.solver.rd().effective_years_for(dv_star);
-        relock(self.critical_memo.lock()).push((p0, t));
-        Ok(t)
+        let dv_star = self.critical_shift(minor_ratio)?;
+        Ok(self.solver.rd().effective_years_for(dv_star))
+    }
+
+    /// [`LifetimeSolver::critical_shift`], answered from the memo when
+    /// this `minor_ratio` (by its exact bits) was solved before.
+    fn critical_shift(&self, minor_ratio: f64) -> Result<f64, NbtiError> {
+        let key = minor_ratio.to_bits();
+        let memo = relock(self.critical_memo.lock())
+            .iter()
+            .find(|&&(k, _)| k == key)
+            .map(|&(_, dv)| dv);
+        if let Some(dv) = memo {
+            return Ok(dv);
+        }
+        let dv = self.solver.critical_shift(minor_ratio)?;
+        relock(self.critical_memo.lock()).push((key, dv));
+        Ok(dv)
     }
 
     /// Lifetime of one isolated bank (no rotation) with sleep fraction
@@ -186,7 +195,9 @@ impl AgingAnalysis {
     /// Propagates model errors.
     pub fn bank_lifetime(&self, s: f64, p0: f64) -> Result<f64, CoreError> {
         let profile = StressProfile::new(p0, s, self.mode)?;
-        Ok(self.solver.lifetime_years(&profile)?)
+        Ok(self
+            .solver
+            .lifetime_years_with(&profile, |minor_ratio| self.critical_shift(minor_ratio))?)
     }
 
     /// Cache lifetime under a policy resolved by registry name, from a
@@ -248,10 +259,11 @@ impl AgingAnalysis {
 
         let dt = self.update_interval_years;
         let mut accumulated = vec![0.0f64; m];
+        let mut period_rate = vec![0.0f64; m];
         let mut t = 0.0f64;
         while t <= self.horizon_years {
             // Physical stress rates for this update period.
-            let mut period_rate = vec![0.0f64; m];
+            period_rate.fill(0.0);
             for (l, &rate) in rates.iter().enumerate() {
                 let phys = mapping.map_bank(l as u32, m as u32) as usize;
                 period_rate[phys] += rate;
@@ -303,6 +315,17 @@ mod tests {
             .cache_lifetime(&[0.0, 0.0, 0.0, 0.0], 0.5, "identity", 1)
             .unwrap();
         assert!((lt - 2.93).abs() < 0.03, "lt = {lt}");
+    }
+
+    #[test]
+    fn bank_and_cache_lifetimes_share_one_critical_solve() {
+        let a = aging();
+        a.cache_lifetime(&[0.2, 0.4], 0.5, "identity", 1).unwrap();
+        let memoized = a.bank_lifetime(0.3, 0.5).unwrap();
+        assert_eq!(relock(a.critical_memo.lock()).len(), 1);
+        let profile = StressProfile::new(0.5, 0.3, a.mode()).unwrap();
+        let solved = a.solver().lifetime_years(&profile).unwrap();
+        assert_eq!(memoized.to_bits(), solved.to_bits());
     }
 
     #[test]

@@ -130,6 +130,21 @@ impl Mosfet {
         (v_gs - self.vth).max(0.0)
     }
 
+    /// The gate-drive half of the alpha-power law at gate-source
+    /// magnitude `v_gs`: the saturation current and voltage, each one
+    /// `powf`. A solver that holds the gate still while it searches over
+    /// the drain voltage computes them once.
+    pub(crate) fn saturation(&self, v_gs: f64) -> Saturation {
+        let od = self.overdrive(v_gs);
+        if od <= 0.0 {
+            return Saturation::CUTOFF;
+        }
+        Saturation {
+            i_dsat: self.k * od.powf(self.alpha),
+            v_dsat: self.kv * od.powf(self.alpha / 2.0),
+        }
+    }
+
     /// Drain current in amperes for gate-source and drain-source voltage
     /// *magnitudes* (both ≥ 0; negative inputs are treated as 0).
     ///
@@ -138,28 +153,45 @@ impl Mosfet {
     /// modulation is neglected — the SNM solver needs monotonicity, not
     /// output-resistance fidelity).
     pub fn drain_current(&self, v_gs: f64, v_ds: f64) -> f64 {
-        let v_ds = v_ds.max(0.0);
-        let od = self.overdrive(v_gs);
-        if od <= 0.0 || v_ds == 0.0 {
-            return 0.0;
-        }
-        let i_dsat = self.k * od.powf(self.alpha);
-        let v_dsat = self.kv * od.powf(self.alpha / 2.0);
-        if v_ds >= v_dsat {
-            i_dsat
-        } else {
-            let x = v_ds / v_dsat;
-            i_dsat * (2.0 - x) * x
-        }
+        self.saturation(v_gs).drain_current(v_ds)
     }
 
     /// Saturation current at the given gate overdrive voltage.
     pub fn saturation_current(&self, v_gs: f64) -> f64 {
-        let od = self.overdrive(v_gs);
-        if od <= 0.0 {
-            0.0
+        self.saturation(v_gs).i_dsat
+    }
+}
+
+/// A device's saturation point at one gate drive (see
+/// [`Mosfet::saturation`]); [`drain_current`](Self::drain_current) is
+/// the cheap drain-voltage half of the model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Saturation {
+    /// Saturation current `I_dsat`, amperes (0 in cutoff).
+    i_dsat: f64,
+    /// Saturation voltage `V_dsat`, volts (0 in cutoff).
+    v_dsat: f64,
+}
+
+impl Saturation {
+    /// A device below threshold: no current at any drain voltage.
+    const CUTOFF: Self = Self {
+        i_dsat: 0.0,
+        v_dsat: 0.0,
+    };
+
+    /// Drain current in amperes at drain-source magnitude `v_ds`
+    /// (negative treated as 0): triode below `V_dsat`, `I_dsat` above.
+    pub(crate) fn drain_current(&self, v_ds: f64) -> f64 {
+        let v_ds = v_ds.max(0.0);
+        if v_ds == 0.0 {
+            return 0.0;
+        }
+        if v_ds >= self.v_dsat {
+            self.i_dsat
         } else {
-            self.k * od.powf(self.alpha)
+            let x = v_ds / self.v_dsat;
+            self.i_dsat * (2.0 - x) * x
         }
     }
 }

@@ -401,13 +401,29 @@ impl LifetimeSolver {
     ///
     /// Propagates SNM solver failures.
     pub fn lifetime_years(&self, profile: &StressProfile) -> Result<f64, NbtiError> {
+        self.lifetime_years_with(profile, |minor_ratio| self.critical_shift(minor_ratio))
+    }
+
+    /// [`lifetime_years`](Self::lifetime_years) with the critical shift
+    /// supplied by `critical_shift`, which is called at most once, with
+    /// the profile's `minor_ratio` — so a caller can answer from a memo
+    /// of [`critical_shift`](Self::critical_shift) results.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the errors of `critical_shift`.
+    pub fn lifetime_years_with(
+        &self,
+        profile: &StressProfile,
+        critical_shift: impl FnOnce(f64) -> Result<f64, NbtiError>,
+    ) -> Result<f64, NbtiError> {
         let (ra, rb) = self.device_rates(profile);
         let r_max = ra.max(rb);
         if r_max <= 0.0 {
             return Ok(f64::INFINITY);
         }
         let minor_ratio = (ra.min(rb) / r_max).powf(self.rd.n());
-        let dv_star = self.critical_shift(minor_ratio)?;
+        let dv_star = critical_shift(minor_ratio)?;
         Ok(self.rd.effective_years_for(dv_star) / r_max)
     }
 }

@@ -19,11 +19,18 @@
 //! upper-left lobe is swept in the `+d` direction and the lower-right lobe
 //! in `−d`, and `SNM = min(lobe₊, lobe₋)`.
 //!
+//! Only segments whose ends straddle the diagonal can meet it. Along a
+//! sampled VTC the diagonal coordinate `x − y` is monotone, so those
+//! segments are one contiguous run, found by binary search; a curve
+//! without that order is scanned segment by segment, with the same
+//! arithmetic and so the same answer.
+//!
 //! A cell that has lost bistability (curves cross only once) has a vanished
 //! lobe and the extraction correctly reports `SNM = 0`.
 
 use crate::error::NbtiError;
 use crate::vtc::{ReadInverter, VtcSolver};
+use std::ops::Range;
 
 /// Default number of VTC samples per curve.
 const DEFAULT_SAMPLES: usize = 161;
@@ -115,6 +122,8 @@ impl SnmSolver {
 
     /// Samples the butterfly curves for a pair of (possibly aged) inverters.
     ///
+    /// Equal inverters have one VTC, so it is sampled once and mirrored.
+    ///
     /// # Errors
     ///
     /// Propagates VTC solver failures.
@@ -123,8 +132,12 @@ impl SnmSolver {
         inverter1: &ReadInverter,
         inverter2: &ReadInverter,
     ) -> Result<ButterflyCurves, NbtiError> {
-        let vtc1 = VtcSolver::sample(inverter1, self.samples)?;
         let vtc2 = VtcSolver::sample(inverter2, self.samples)?;
+        let vtc1 = if inverter1 == inverter2 {
+            vtc2.clone()
+        } else {
+            VtcSolver::sample(inverter1, self.samples)?
+        };
         // Curve 1: V_A = f1(V_B)  → points (f1(v), v).
         let curve1 = vtc1.samples().iter().map(|&(u, v)| (v, u)).collect();
         // Curve 2: V_B = f2(V_A)  → points (v, f2(v)).
@@ -151,8 +164,10 @@ impl SnmSolver {
 
     /// Runs the diagonal-sweep extraction on pre-sampled curves.
     pub fn extract_from_curves(curves: &ButterflyCurves) -> SnmExtraction {
-        let lobe_pos = Self::lobe(&curves.curve1, &curves.curve2, Direction::Plus);
-        let lobe_neg = Self::lobe(&curves.curve1, &curves.curve2, Direction::Minus);
+        let curve1 = Diagonal::new(&curves.curve1);
+        let curve2 = Diagonal::new(&curves.curve2);
+        let lobe_pos = Self::lobe(&curve1, &curve2, Direction::Plus);
+        let lobe_neg = Self::lobe(&curve1, &curve2, Direction::Minus);
         SnmExtraction {
             snm: lobe_pos.min(lobe_neg).max(0.0),
             lobe_pos,
@@ -162,16 +177,16 @@ impl SnmSolver {
 
     /// Sweeps every point of `from`, shooting the 45° diagonal in the given
     /// direction, and returns the largest guarded square side.
-    fn lobe(from: &[(f64, f64)], to: &[(f64, f64)], dir: Direction) -> f64 {
+    fn lobe(from: &Diagonal, to: &Diagonal, dir: Direction) -> f64 {
         let mut best = 0.0_f64;
-        for (i, &p) in from.iter().enumerate() {
+        for (i, &p) in from.points.iter().enumerate() {
             // Nearest crossing with the target curve.
-            let Some(d_target) = nearest_crossing(p, to, dir, None) else {
+            let Some(d_target) = to.nearest_crossing(p, dir, None) else {
                 continue;
             };
             // Nearest re-crossing with our own curve (ignoring the segments
             // adjacent to the launch point).
-            let d_self = nearest_crossing(p, from, dir, Some(i));
+            let d_self = from.nearest_crossing(p, dir, Some(i));
             if let Some(d_self) = d_self {
                 if d_self < d_target {
                     // The diagonal exits the lobe through our own curve
@@ -194,51 +209,133 @@ enum Direction {
     Minus,
 }
 
-/// Finds the nearest intersection of the diagonal through `p` with the
-/// polyline `curve`, in direction `dir`, returning the |distance| along the
-/// `V_A` axis. `skip_around` excludes the two segments adjacent to a launch
-/// index (used when intersecting a curve with itself).
-fn nearest_crossing(
-    p: (f64, f64),
-    curve: &[(f64, f64)],
-    dir: Direction,
-    skip_around: Option<usize>,
-) -> Option<f64> {
-    let line_level = p.0 - p.1;
-    let mut nearest: Option<f64> = None;
-    for j in 0..curve.len().saturating_sub(1) {
-        if let Some(skip) = skip_around {
-            // Exclude segments that touch the launch sample.
-            if j + 1 == skip || j == skip {
+/// A sampled curve with each point's diagonal coordinate `x − y`.
+///
+/// A diagonal through `p` meets segment `j` only if the segment's ends
+/// lie on both sides of (or on) the level `p.x − p.y`. Along a sampled
+/// VTC that coordinate is monotone — curve 2's input rises while its
+/// output falls, and curve 1 is its mirror — so those segments form one
+/// contiguous run that a binary search finds. A curve whose coordinate
+/// is not monotone is scanned whole.
+struct Diagonal<'a> {
+    points: &'a [(f64, f64)],
+    level: Vec<f64>,
+    order: Order,
+}
+
+/// How a curve's diagonal coordinate runs along its points.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Order {
+    /// Non-decreasing.
+    Rising,
+    /// Non-increasing.
+    Falling,
+    /// Neither, or not comparable (a NaN).
+    Unordered,
+}
+
+impl<'a> Diagonal<'a> {
+    fn new(points: &'a [(f64, f64)]) -> Self {
+        let level: Vec<f64> = points.iter().map(|&(x, y)| x - y).collect();
+        let order = if level.windows(2).all(|w| w[0] <= w[1]) {
+            Order::Rising
+        } else if level.windows(2).all(|w| w[0] >= w[1]) {
+            Order::Falling
+        } else {
+            Order::Unordered
+        };
+        Self {
+            points,
+            level,
+            order,
+        }
+    }
+
+    /// Every segment index, the scan's range.
+    fn segments(&self) -> Range<usize> {
+        0..self.points.len().saturating_sub(1)
+    }
+
+    /// The segments whose ends straddle or touch level `l` — on a
+    /// monotone curve, the only ones [`crossing_over`](Self::crossing_over)
+    /// does not skip.
+    fn candidates(&self, l: f64) -> Range<usize> {
+        // `first` is the first point at or past `l`, `past` the first
+        // point strictly past it: segment j is a candidate iff
+        // j + 1 >= first and j < past.
+        let (first, past) = match self.order {
+            Order::Rising => (
+                self.level.partition_point(|&h| h < l),
+                self.level.partition_point(|&h| h <= l),
+            ),
+            Order::Falling => (
+                self.level.partition_point(|&h| h > l),
+                self.level.partition_point(|&h| h >= l),
+            ),
+            Order::Unordered => return self.segments(),
+        };
+        first.saturating_sub(1)..past.min(self.points.len().saturating_sub(1))
+    }
+
+    /// Finds the nearest intersection of the diagonal through `p` with
+    /// this curve, in direction `dir`, returning the |distance| along the
+    /// `V_A` axis. `skip_around` excludes the two segments adjacent to a
+    /// launch index (used when intersecting a curve with itself).
+    fn nearest_crossing(
+        &self,
+        p: (f64, f64),
+        dir: Direction,
+        skip_around: Option<usize>,
+    ) -> Option<f64> {
+        let line_level = p.0 - p.1;
+        self.crossing_over(self.candidates(line_level), p, dir, skip_around)
+    }
+
+    /// [`nearest_crossing`](Self::nearest_crossing) over the segments in
+    /// `segments` only.
+    fn crossing_over(
+        &self,
+        segments: Range<usize>,
+        p: (f64, f64),
+        dir: Direction,
+        skip_around: Option<usize>,
+    ) -> Option<f64> {
+        let line_level = p.0 - p.1;
+        let mut nearest: Option<f64> = None;
+        for j in segments {
+            if let Some(skip) = skip_around {
+                // Exclude segments that touch the launch sample.
+                if j + 1 == skip || j == skip {
+                    continue;
+                }
+            }
+            let (ax, _) = self.points[j];
+            let (bx, _) = self.points[j + 1];
+            let ha = self.level[j] - line_level;
+            let hb = self.level[j + 1] - line_level;
+            if (ha > 0.0 && hb > 0.0) || (ha < 0.0 && hb < 0.0) {
                 continue;
             }
+            let denom = ha - hb;
+            let t = if denom.abs() < f64::EPSILON {
+                0.0
+            } else {
+                ha / denom
+            };
+            let qx = ax + t * (bx - ax);
+            let d = qx - p.0;
+            let dist = match dir {
+                Direction::Plus if d > 1e-12 => d,
+                Direction::Minus if d < -1e-12 => -d,
+                _ => continue,
+            };
+            nearest = Some(match nearest {
+                Some(cur) => cur.min(dist),
+                None => dist,
+            });
         }
-        let (ax, ay) = curve[j];
-        let (bx, by) = curve[j + 1];
-        let ha = (ax - ay) - line_level;
-        let hb = (bx - by) - line_level;
-        if (ha > 0.0 && hb > 0.0) || (ha < 0.0 && hb < 0.0) {
-            continue;
-        }
-        let denom = ha - hb;
-        let t = if denom.abs() < f64::EPSILON {
-            0.0
-        } else {
-            ha / denom
-        };
-        let qx = ax + t * (bx - ax);
-        let d = qx - p.0;
-        let dist = match dir {
-            Direction::Plus if d > 1e-12 => d,
-            Direction::Minus if d < -1e-12 => -d,
-            _ => continue,
-        };
-        nearest = Some(match nearest {
-            Some(cur) => cur.min(dist),
-            None => dist,
-        });
+        nearest
     }
-    nearest
 }
 
 #[cfg(test)]
@@ -370,5 +467,155 @@ mod tests {
             coarse.snm,
             fine.snm
         );
+    }
+
+    /// Bit-exact form of a crossing, so `None`, `-0.0` and NaN compare.
+    fn bits(d: Option<f64>) -> Option<u64> {
+        d.map(f64::to_bits)
+    }
+
+    /// Asserts the searched crossing equals the full scan for the
+    /// diagonal through `p`, both directions; returns the length of
+    /// the candidate run.
+    fn check_against_scan(curve: &Diagonal, p: (f64, f64), skip_around: Option<usize>) -> usize {
+        for dir in [Direction::Plus, Direction::Minus] {
+            let searched = curve.nearest_crossing(p, dir, skip_around);
+            let scanned = curve.crossing_over(curve.segments(), p, dir, skip_around);
+            assert_eq!(
+                bits(searched),
+                bits(scanned),
+                "p = {p:?}, {dir:?}, skip {skip_around:?}, run {:?}, curve {:?}",
+                curve.candidates(p.0 - p.1),
+                curve.points
+            );
+        }
+        curve.candidates(p.0 - p.1).len()
+    }
+
+    /// The searched crossing equals the scan bit for bit on random
+    /// polylines with a monotone diagonal coordinate: rising and
+    /// falling, with plateaus of equal `x − y`, diagonals through
+    /// vertices, between them and off either end, and each vertex as a
+    /// launch point on its own curve with its neighbours skipped.
+    ///
+    /// Coordinates are multiples of 1/64, so `x − y` is exact and the
+    /// plateaus and vertex hits are real ties, not near-misses.
+    #[test]
+    fn searched_crossing_equals_the_scan_on_monotone_polylines() {
+        let cases = if cfg!(debug_assertions) { 256 } else { 4096 };
+        let (mut plateaus, mut vertex_hits, mut falling, mut self_runs) = (0, 0, 0, 0);
+        quickprop::cases(cases, |g| {
+            let n = g.usize_in(1..24);
+            let mut level = g.u64_in(0..8) as i64;
+            let mut points: Vec<(f64, f64)> = (0..n)
+                .map(|_| {
+                    // Repeats make plateaus; steps of 1-3 make rises.
+                    if g.u64_in(0..3) != 0 {
+                        level += g.u64_in(1..4) as i64;
+                    }
+                    let x = g.u64_in(0..96) as i64 - 32;
+                    ((x as f64) / 64.0, ((x - level) as f64) / 64.0)
+                })
+                .collect();
+            if g.u64_in(0..2) == 0 {
+                points.reverse();
+            }
+            let curve = Diagonal::new(&points);
+            assert_ne!(curve.order, Order::Unordered, "{points:?}");
+            if curve.order == Order::Falling {
+                falling += 1;
+            }
+            if curve.level.windows(2).any(|w| w[0] == w[1]) {
+                plateaus += 1;
+            }
+            for (i, &(x, y)) in points.iter().enumerate() {
+                if check_against_scan(&curve, (x, y), Some(i)) > 0 {
+                    self_runs += 1;
+                }
+                // A diagonal through a vertex from off the curve.
+                let dx = g.u64_in(0..64) as f64 / 64.0 - 0.5;
+                let through = (x + dx, y + dx);
+                vertex_hits += usize::from(check_against_scan(&curve, through, None) > 0);
+            }
+            for _ in 0..8 {
+                let p = (g.f64_in(-1.0..1.5), g.f64_in(-1.0..1.5));
+                check_against_scan(&curve, p, None);
+            }
+        });
+        // Every shape the property claims to cover occurred.
+        for (what, count) in [
+            ("plateau", plateaus),
+            ("vertex hit", vertex_hits),
+            ("falling curve", falling),
+            ("self-curve run", self_runs),
+        ] {
+            assert!(count > 0, "no {what} generated");
+        }
+    }
+
+    /// The same equality on real butterflies: every sample of either
+    /// curve launched at both curves, read and hold, fresh and aged,
+    /// symmetric and not — and both VTC curves classify as monotone, so
+    /// the extraction never falls back to the scan.
+    #[test]
+    fn searched_crossing_equals_the_scan_on_butterflies() {
+        let d = design();
+        let hold = |vdd: f64, dv: f64| {
+            ReadInverter::new(d.pullup().with_vth_shift(dv), d.pulldown(), None, vdd).unwrap()
+        };
+        let pairs = [
+            (
+                ReadInverter::from_design(&d, 0.0),
+                ReadInverter::from_design(&d, 0.0),
+            ),
+            (
+                ReadInverter::from_design(&d, 0.08),
+                ReadInverter::from_design(&d, 0.02),
+            ),
+            (
+                ReadInverter::from_design(&d, 0.0),
+                ReadInverter::from_design(&d, 0.3),
+            ),
+            (
+                ReadInverter::from_design(&d, 0.5),
+                ReadInverter::from_design(&d, 0.5),
+            ),
+            (hold(1.1, 0.0), hold(1.1, 0.0)),
+            (hold(0.3, 0.08), hold(0.3, 0.0)),
+        ];
+        let solver = SnmSolver::with_samples(81).unwrap();
+        for (i1, i2) in &pairs {
+            let curves = solver.butterfly(i1, i2).unwrap();
+            let c1 = Diagonal::new(&curves.curve1);
+            let c2 = Diagonal::new(&curves.curve2);
+            assert_eq!(c1.order, Order::Falling);
+            assert_eq!(c2.order, Order::Rising);
+            for (from, to) in [(&c1, &c2), (&c2, &c1)] {
+                for (i, &p) in from.points.iter().enumerate() {
+                    check_against_scan(to, p, None);
+                    check_against_scan(from, p, Some(i));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unordered_curves_are_scanned_whole() {
+        let points = [(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (1.0, 0.0)];
+        let curve = Diagonal::new(&points);
+        assert_eq!(curve.order, Order::Unordered);
+        assert_eq!(curve.candidates(0.25), curve.segments());
+        check_against_scan(&curve, (0.25, 0.0), None);
+    }
+
+    #[test]
+    fn equal_inverters_sample_one_curve_exactly() {
+        let d = design();
+        let inv = ReadInverter::from_design(&d, 0.04);
+        let curves = SnmSolver::new().butterfly(&inv, &inv).unwrap();
+        let vtc = VtcSolver::sample(&inv, SnmSolver::new().samples()).unwrap();
+        assert_eq!(curves.curve2, vtc.samples());
+        let mirrored: Vec<(f64, f64)> = vtc.samples().iter().map(|&(u, v)| (v, u)).collect();
+        assert_eq!(curves.curve1, mirrored);
     }
 }

@@ -100,23 +100,6 @@ impl ReadInverter {
         self.vdd
     }
 
-    /// KCL residual at output voltage `v` for input voltage `u`:
-    /// current pushed into the node minus current pulled out. Positive
-    /// residual means the node will rise.
-    fn residual(&self, u: f64, v: f64) -> f64 {
-        // Pull-up pMOS: source at Vdd, gate at u, drain at v.
-        let i_up = self.pullup.drain_current(self.vdd - u, self.vdd - v);
-        // Access nMOS: gate and drain (bitline) at Vdd, source at v.
-        let i_acc = self
-            .access
-            .as_ref()
-            .map(|a| a.drain_current(self.vdd - v, self.vdd - v))
-            .unwrap_or(0.0);
-        // Pull-down nMOS: gate at u, drain at v, source at ground.
-        let i_dn = self.pulldown.drain_current(u, v);
-        i_up + i_acc - i_dn
-    }
-
     /// Solves the inverter output voltage for input `u` by bisection on the
     /// monotone KCL residual.
     ///
@@ -126,10 +109,26 @@ impl ReadInverter {
     /// sign over `[0, vdd]` within tolerance (never happens for physical
     /// device parameters; guarded for robustness).
     pub fn output(&self, u: f64) -> Result<f64, NbtiError> {
+        // Pull-up pMOS: source at Vdd, gate at u, drain at v. Pull-down
+        // nMOS: gate at u, drain at v, source at ground. Their gate
+        // drives are fixed for the whole bisection.
+        let up = self.pullup.saturation(self.vdd - u);
+        let down = self.pulldown.saturation(u);
+        // KCL residual at output voltage v: current pushed into the node
+        // minus current pulled out. Positive means the node will rise.
+        let residual = |v: f64| {
+            // Access nMOS: gate and drain (bitline) at Vdd, source at v.
+            let i_acc = self
+                .access
+                .as_ref()
+                .map(|a| a.drain_current(self.vdd - v, self.vdd - v))
+                .unwrap_or(0.0);
+            up.drain_current(self.vdd - v) + i_acc - down.drain_current(v)
+        };
         let mut lo = 0.0_f64;
         let mut hi = self.vdd;
-        let r_lo = self.residual(u, lo);
-        let r_hi = self.residual(u, hi);
+        let r_lo = residual(lo);
+        let r_hi = residual(hi);
         // residual(lo) >= 0 (nothing can pull below ground) and
         // residual(hi) <= 0 (nothing can push above Vdd). If a degenerate
         // device set makes both zero, any point is an operating point.
@@ -141,7 +140,7 @@ impl ReadInverter {
         }
         for _ in 0..MAX_ITER {
             let mid = 0.5 * (lo + hi);
-            let r = self.residual(u, mid);
+            let r = residual(mid);
             if r > 0.0 {
                 lo = mid;
             } else {
