@@ -820,6 +820,74 @@ mod tests {
         assert!(t.to_string().contains("Probing vs Scrambling"));
     }
 
+    /// The suite `a`, `b` at each of `sizes` (kB) and `lines` (bytes).
+    fn grid(sizes: &[u64], lines: &[u32]) -> Vec<ScenarioRecord> {
+        let mut records = Vec::new();
+        for &kb in sizes {
+            for &line in lines {
+                for (wi, w) in ["a", "b"].iter().enumerate() {
+                    let mut r = record(w, wi, kb, 4, "probing");
+                    r.scenario.line_bytes = line;
+                    records.push(r);
+                }
+            }
+        }
+        records
+    }
+
+    fn shape_error(
+        view: fn(&StudyReport) -> Result<Table, CoreError>,
+        records: Vec<ScenarioRecord>,
+    ) -> String {
+        view(&StudyReport::from_records("bad", records))
+            .unwrap_err()
+            .to_string()
+    }
+
+    #[test]
+    fn table2_shape_errors_name_the_view_and_the_fault() {
+        assert!(table2(&StudyReport::from_records("ok", grid(&[8, 16, 32], &[16]))).is_ok());
+        assert_eq!(
+            shape_error(table2, grid(&[8, 16], &[16])),
+            "study report error: table2 view: expected 3 cache sizes, got 2"
+        );
+        let mut unbalanced = grid(&[8, 16, 32], &[16]);
+        unbalanced.remove(3);
+        assert_eq!(
+            shape_error(table2, unbalanced),
+            "study report error: table2 view: unbalanced size groups: [(8, 2), (16, 1), (32, 2)]"
+        );
+        let mut missing = grid(&[8, 16, 32], &[16]);
+        missing[5].metrics = Metrics::from_pairs([("lt0_years", 3.0)]);
+        assert_eq!(
+            shape_error(table2, missing),
+            "study report error: table2 view: record for `b` (model `nbti-45nm`) \
+             lacks metric `lt_years`"
+        );
+    }
+
+    #[test]
+    fn table3_shape_errors_name_the_view_and_the_fault() {
+        assert!(table3(&StudyReport::from_records("ok", grid(&[16], &[16, 32]))).is_ok());
+        assert_eq!(
+            shape_error(table3, grid(&[16], &[16, 32, 64])),
+            "study report error: table3 view: expected 2 line sizes, got 3"
+        );
+        let mut unbalanced = grid(&[16], &[16, 32]);
+        unbalanced.remove(0);
+        assert_eq!(
+            shape_error(table3, unbalanced),
+            "study report error: table3 view: unbalanced line-size groups: 1 vs 2"
+        );
+        let mut missing = grid(&[16], &[16, 32]);
+        missing[2].metrics = Metrics::from_pairs([("lt0_years", 3.0)]);
+        assert_eq!(
+            shape_error(table3, missing),
+            "study report error: table3 view: record for `a` (model `nbti-45nm`) \
+             lacks metric `lt_years`"
+        );
+    }
+
     #[test]
     fn claims_groups_by_size() {
         let mut records = Vec::new();

@@ -9,7 +9,8 @@
 //! segment for every diagonal; they hash `f64`s by their bits.
 
 use nbti_model::{
-    CellDesign, DrvAnalysis, LifetimeSolver, ReadInverter, SnmSolver, VariationModel, VtcSolver,
+    AgingLut, CellDesign, DrvAnalysis, LifetimeSolver, ReadInverter, SleepMode, SnmSolver,
+    VariationModel, VtcSolver,
 };
 use std::sync::OnceLock;
 
@@ -155,6 +156,29 @@ fn variation_table_is_pinned() {
     assert_eq!(
         h.0, 0xc2db_aaf1_c68c_1f27,
         "variation-table digest moved: {:#018x}",
+        h.0
+    );
+}
+
+#[test]
+fn aging_lut_is_pinned() {
+    // A 9 x 9 table in both sleep modes (power gating clamps the
+    // always-asleep column to the cap), read at every grid point and
+    // every midpoint between them.
+    let mut h = Fnv::new();
+    for mode in [SleepMode::VoltageScaled, SleepMode::power_gated()] {
+        let lut = AgingLut::build(solver(), mode, 9, 9, 500.0).unwrap();
+        for i in 0..=16 {
+            for j in 0..=16 {
+                h.f(lut
+                    .lifetime_years(f64::from(i) / 16.0, f64::from(j) / 16.0)
+                    .unwrap());
+            }
+        }
+    }
+    assert_eq!(
+        h.0, 0x5233_95cf_1e77_9143,
+        "AgingLut digest moved: {:#018x}",
         h.0
     );
 }

@@ -1,5 +1,7 @@
 //! Renderer determinism goldens: the Table II preset's Markdown and
-//! CSV renderings, pinned byte-for-byte against checked-in fixtures.
+//! CSV renderings, pinned byte-for-byte against checked-in fixtures,
+//! and every study-backed paper view's text rendering, pinned against
+//! the `study preset` stdout fixtures.
 //!
 //! The input is the PR-2-era Table II report fixture (see
 //! `report_compat.rs` — generated by the pre-model-axis codebase and
@@ -13,9 +15,11 @@
 
 use nbti_cache_repro::arch::analysis::{self, Axis};
 use nbti_cache_repro::arch::render::{self, Format};
+use nbti_cache_repro::arch::report::Table;
 use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::arch::views;
+use nbti_cache_repro::arch::CoreError;
 
 const REPORT_JSON: &str = include_str!("fixtures/pr2_table2_report.json");
 const RENDERED_TEXT: &str = include_str!("fixtures/pr2_table2_rendered.txt");
@@ -170,4 +174,66 @@ fn table2_json_rendering_is_canonical_and_reparses() {
         RENDERED_MD,
         "a re-parsed report renders identically"
     );
+}
+
+/// A paper view: report in, table out.
+type View = fn(&StudyReport) -> Result<Table, CoreError>;
+
+/// The view's part of a `study preset` stdout: everything after the
+/// section rule some presets open with (a blank line, a rule, the
+/// title and a rule), or the whole stdout.
+fn after_section(stdout: &str) -> &str {
+    match stdout.strip_prefix('\n') {
+        Some(rest) => rest.splitn(4, '\n').last().unwrap_or(rest),
+        None => stdout,
+    }
+}
+
+/// Renders a report captured with `study preset <name> --format json`
+/// through `view` as text, and checks it equals the view's bytes in the
+/// preset's stdout fixture (the rendering plus the newline the verb
+/// appends). The fixtures are the ones CI's preset byte-parity step
+/// `cmp`s, so no simulation runs here.
+fn check_view(view: View, report_json: &str, stdout: &str, what: &str) {
+    let report = StudyReport::from_json(report_json).expect("captured report parses");
+    let text = render::report(&report, view, Format::Text).expect("view renders");
+    assert_eq!(
+        format!("{text}\n"),
+        after_section(stdout),
+        "the {what} view drifted from its preset fixture"
+    );
+}
+
+/// One view golden: the test, the view, its captured report (a path
+/// under `tests/`) and its preset's stdout fixture.
+macro_rules! view_golden {
+    ($($test:ident: $view:ident, $report:literal, $preset:literal;)*) => {$(
+        #[test]
+        fn $test() {
+            check_view(
+                views::$view,
+                include_str!($report),
+                include_str!(concat!("../crates/bench/tests/fixtures/presets/", $preset)),
+                stringify!($view),
+            );
+        }
+    )*};
+}
+
+view_golden! {
+    table1_view_golden: table1, "fixtures/views/table1.json", "table1.txt";
+    table2_view_golden: table2,
+        "../crates/bench/tests/fixtures/presets/table2.json.txt", "table2.txt";
+    table3_view_golden: table3, "fixtures/views/table3.json", "table3.txt";
+    table4_view_golden: table4, "fixtures/views/table4.json", "table4.txt";
+    claims_view_golden: claims,
+        "../crates/bench/tests/fixtures/presets/table2.json.txt", "claims.txt";
+    policy_equivalence_view_golden: policy_equivalence,
+        "fixtures/views/policy_equivalence.json", "policy_equivalence.txt";
+    ablation_temperature_view_golden: ablation_temperature,
+        "fixtures/views/ablation_temperature.json", "ablation_temperature.txt";
+    ablation_vlow_view_golden: ablation_vlow,
+        "fixtures/views/ablation_vlow.json", "ablation_vlow.txt";
+    variation_study_view_golden: variation_study,
+        "fixtures/views/variation_study.json", "variation_study.txt";
 }
