@@ -10,6 +10,7 @@
 
 use crate::default_config;
 use aging_cache::aging::AgingAnalysis;
+use aging_cache::analysis::Reduce;
 use aging_cache::arch::{PartitionedCache, UpdateSchedule};
 use aging_cache::fine_grain::FineGrainStudy;
 use aging_cache::flip::CellFlip;
@@ -364,22 +365,14 @@ fn ablation_fine_grain(out: &mut Out<'_>) -> Result<(), CoreError> {
             "gap %".into(),
         ],
     );
-    for (i, p) in suite::mediabench().iter().enumerate() {
-        let seed = cfg.seed + i as u64;
-        let sim = simulate(
-            geom,
-            p,
-            seed,
-            cfg.trace_cycles,
-            UpdateSchedule::Never,
-            "identity",
-        )?;
-        let bank_lt = aging.cache_lifetime(&sim.sleep_fraction_all(), p.p0(), "probing", 1)?;
-        let fine = study.measure(p, cfg.trace_cycles, seed)?;
+    for r in out.session.run(&presets::table1(&cfg))?.records() {
+        let p = benchmark(&r.scenario.workload)?;
+        let bank_lt = aging.cache_lifetime(&r.sleep_fractions, p.p0(), "probing", 1)?;
+        let fine = study.measure(&p, cfg.trace_cycles, r.scenario.trace_seed)?;
         let line_lt = study.ideal_lifetime(&aging, &fine, p.p0())?;
         t.push_row(vec![
             p.name().to_string(),
-            format!("{:.1}", 100.0 * sim.avg_sleep_fraction()),
+            format!("{:.1}", 100.0 * Reduce::Mean.apply(&r.sleep_fractions)?),
             format!("{:.1}", 100.0 * fine.avg_sleep),
             years(bank_lt),
             years(line_lt),
@@ -446,20 +439,11 @@ fn ablation_gating(out: &mut Out<'_>) -> Result<(), CoreError> {
             "gated gain %".into(),
         ],
     );
-    let geom = cfg.geometry()?;
-    for (i, p) in suite::mediabench().iter().enumerate() {
-        let seed = cfg.seed + i as u64;
-        let sim = simulate(
-            geom,
-            p,
-            seed,
-            cfg.trace_cycles,
-            UpdateSchedule::Never,
-            "identity",
-        )?;
-        let sleep = sim.sleep_fraction_all();
-        let lt_vs = drowsy.cache_lifetime(&sleep, p.p0(), "probing", 1)?;
-        let lt_pg = gated.cache_lifetime(&sleep, p.p0(), "probing", 1)?;
+    for r in out.session.run(&presets::table1(&cfg))?.records() {
+        let p = benchmark(&r.scenario.workload)?;
+        let sleep = &r.sleep_fractions;
+        let lt_vs = drowsy.cache_lifetime(sleep, p.p0(), "probing", 1)?;
+        let lt_pg = gated.cache_lifetime(sleep, p.p0(), "probing", 1)?;
         t.push_row(vec![
             p.name().to_string(),
             years(lt_vs),
@@ -536,25 +520,16 @@ fn ablation_narrow_lfsr(out: &mut Out<'_>) -> Result<(), CoreError> {
             "narrow loss %".into(),
         ],
     );
-    let geom = cfg.geometry()?;
-    for (i, p) in suite::mediabench().iter().enumerate() {
-        let seed = cfg.seed + i as u64;
-        let sim = simulate(
-            geom,
-            p,
-            seed,
-            cfg.trace_cycles,
-            UpdateSchedule::Never,
-            "identity",
-        )?;
-        let sleep = sim.sleep_fraction_all();
-        let probing = aging.cache_lifetime(&sleep, p.p0(), "probing", 1)?;
+    for r in out.session.run(&presets::table1(&cfg))?.records() {
+        let p = benchmark(&r.scenario.workload)?;
+        let sleep = &r.sleep_fractions;
+        let probing = aging.cache_lifetime(sleep, p.p0(), "probing", 1)?;
         let narrow = lifetime_with(
-            &sleep,
+            sleep,
             p.p0(),
             Box::new(Scrambling::with_lfsr_width(cfg.banks, p_bits, 1)?),
         )?;
-        let wide = lifetime_with(&sleep, p.p0(), Box::new(Scrambling::new(cfg.banks, 1)?))?;
+        let wide = lifetime_with(sleep, p.p0(), Box::new(Scrambling::new(cfg.banks, 1)?))?;
         t.push_row(vec![
             p.name().to_string(),
             years(probing),

@@ -160,14 +160,7 @@ impl AgingAnalysis {
     ///
     /// Propagates SNM solver failures.
     pub fn critical_effective_years(&self, p0: f64) -> Result<f64, CoreError> {
-        let duty_max = p0.max(1.0 - p0);
-        let duty_min = p0.min(1.0 - p0);
-        let minor_ratio = if duty_max <= 0.0 {
-            1.0
-        } else {
-            (duty_min / duty_max).powf(self.solver.rd().n())
-        };
-        let dv_star = self.critical_shift(minor_ratio)?;
+        let dv_star = self.critical_shift(self.solver.rd().minor_ratio(p0))?;
         Ok(self.solver.rd().effective_years_for(dv_star))
     }
 

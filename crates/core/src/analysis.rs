@@ -400,7 +400,14 @@ pub fn metric_value(r: &ScenarioRecord, metric: &str) -> Option<f64> {
     }
 }
 
-fn require_metric(r: &ScenarioRecord, metric: &str) -> Result<f64, CoreError> {
+/// [`metric_value`], or an error naming the record that lacks the
+/// metric.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Report`] naming the record's workload, model
+/// and the missing metric.
+pub fn require_metric(r: &ScenarioRecord, metric: &str) -> Result<f64, CoreError> {
     metric_value(r, metric).ok_or_else(|| CoreError::Report {
         message: format!(
             "record for `{}` (model `{}`) lacks metric `{metric}`",

@@ -1320,30 +1320,6 @@ impl StudyReport {
         &self.records
     }
 
-    /// Records matching a predicate, preserving order.
-    pub fn select<'a>(
-        &'a self,
-        mut pred: impl FnMut(&ScenarioRecord) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a ScenarioRecord> {
-        self.records.iter().filter(move |r| pred(r))
-    }
-
-    /// Mean of a metric over records matching a predicate; `None` if
-    /// nothing matches.
-    pub fn mean_over(
-        &self,
-        pred: impl FnMut(&ScenarioRecord) -> bool,
-        metric: impl Fn(&ScenarioRecord) -> f64,
-    ) -> Option<f64> {
-        let mut pred = pred;
-        let (mut sum, mut n) = (0.0f64, 0usize);
-        for r in self.records.iter().filter(|r| pred(r)) {
-            sum += metric(r);
-            n += 1;
-        }
-        (n > 0).then(|| sum / n as f64)
-    }
-
     /// Serializes to deterministic compact JSON.
     pub fn to_json(&self) -> String {
         Json::obj(vec![

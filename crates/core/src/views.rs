@@ -8,12 +8,12 @@
 //! custom specs, and a report parsed back from JSON renders the same
 //! table a live run would.
 //!
-//! Views sit on the analysis layer: grouping order comes from
-//! [`crate::analysis`], and the [`Table`]s they return render in any
-//! [`crate::render::Format`] (the historic stdout is
+//! Each view is a query plus a layout: groupings and means are
+//! [`analysis::Query`] and [`Reduce::Mean`], so a view and an ad-hoc
+//! query agree on group order and on every bit of a mean. The [`Table`]s
+//! render in any [`crate::render::Format`] (the historic stdout is
 //! [`Format::Text`](crate::render::Format::Text), byte for byte). For
-//! ad-hoc slices that no fixed view covers, query the report directly
-//! with [`crate::analysis::Query`].
+//! ad-hoc slices that no fixed view covers, query the report directly.
 //!
 //! # Examples
 //!
@@ -32,72 +32,29 @@
 //! # }
 //! ```
 
+use crate::analysis::{self, Axis, AxisValue, Query, Reduce};
 use crate::error::CoreError;
 use crate::model::{ModelKey, METRIC_LT, METRIC_LT0, REFERENCE_TEMP_C, REFERENCE_VLOW};
 use crate::paper;
 use crate::report::{factor, pct, years, Table};
-use crate::study::{ScenarioRecord, StudyReport};
+use crate::study::{Scenario, ScenarioRecord, StudyReport};
 use nbti_model::RdModel;
 use trace_synth::suite;
 
-fn shape_err<T>(view: &str, detail: String) -> Result<T, CoreError> {
-    Err(CoreError::Report {
-        message: format!("{view} view: {detail}"),
-    })
+/// A report without the shape `view` expects.
+fn shape_err<T>(view: &'static str, detail: String) -> Result<T, CoreError> {
+    Err(in_view(view)(CoreError::Report { message: detail }))
 }
 
-/// Mean of a metric over a record subset, or a shape error naming the
-/// view and the axis value whose subset came up empty (an empty subset
-/// used to silently render `NaN`).
-fn mean_of(
-    view: &str,
-    what: &str,
-    values: impl IntoIterator<Item = Result<f64, CoreError>>,
-) -> Result<f64, CoreError> {
-    let values = values.into_iter().collect::<Result<Vec<f64>, _>>()?;
-    if values.is_empty() {
-        return shape_err(view, format!("no records for {what}"));
+/// Names the view in a report error: its own shape checks, and the
+/// analysis layer's (a record that lacks a metric).
+fn in_view(view: &'static str) -> impl Fn(CoreError) -> CoreError {
+    move |e| match e {
+        CoreError::Report { message } => CoreError::Report {
+            message: format!("{view} view: {message}"),
+        },
+        other => other,
     }
-    Ok(values.iter().sum::<f64>() / values.len() as f64)
-}
-
-/// A named metric of one record, or a shape error saying which record
-/// lacks it (a model that does not emit the metric).
-fn metric_of(view: &str, r: &ScenarioRecord, name: &str) -> Result<f64, CoreError> {
-    match r.metric(name) {
-        Some(v) => Ok(v),
-        None => shape_err(
-            view,
-            format!(
-                "record for `{}` (model `{}`) lacks metric `{name}`",
-                r.scenario.workload, r.scenario.model
-            ),
-        ),
-    }
-}
-
-/// Distinct values of a scenario key, in order of first appearance —
-/// the analysis layer's ordering ([`crate::analysis::distinct_by`]),
-/// so views and [`crate::analysis::Query::groups`] always agree on
-/// group order.
-fn distinct<'a, K: PartialEq + Copy>(
-    report: &'a StudyReport,
-    key: impl Fn(&'a ScenarioRecord) -> K,
-) -> Vec<K> {
-    crate::analysis::distinct_by(report.records(), key)
-}
-
-/// Records for one value of a key, preserving order.
-fn group<'a, K: PartialEq + Copy>(
-    report: &'a StudyReport,
-    key: impl Fn(&'a ScenarioRecord) -> K + 'a,
-    value: K,
-) -> Vec<&'a ScenarioRecord> {
-    report
-        .records()
-        .iter()
-        .filter(|r| key(r) == value)
-        .collect()
 }
 
 /// **Table I** — distribution of useful idleness, measured next to the
@@ -133,7 +90,7 @@ pub fn table1(report: &StudyReport) -> Result<Table, CoreError> {
         ],
     );
     for r in records {
-        if r.useful_idleness.len() != 4 {
+        let &[i0, i1, i2, i3] = r.useful_idleness.as_slice() else {
             return shape_err(
                 "table1",
                 format!(
@@ -142,7 +99,7 @@ pub fn table1(report: &StudyReport) -> Result<Table, CoreError> {
                     r.useful_idleness.len()
                 ),
             );
-        }
+        };
         // Pair by name, not position: custom specs may order the
         // workload axis differently from the suite.
         let Some((_, paper_row)) = reference
@@ -157,26 +114,121 @@ pub fn table1(report: &StudyReport) -> Result<Table, CoreError> {
                 ),
             );
         };
-        let paper_avg = paper_row.iter().sum::<f64>() / 4.0;
-        t.push_row(vec![
-            r.scenario.workload.clone(),
-            pct(r.useful_idleness[0]),
-            pct(r.useful_idleness[1]),
-            pct(r.useful_idleness[2]),
-            pct(r.useful_idleness[3]),
-            pct(r.avg_useful_idleness()),
-            pct(paper_avg),
-        ]);
+        let mut row = vec![r.scenario.workload.clone()];
+        row.extend([i0, i1, i2, i3, r.avg_useful_idleness()].map(pct));
+        row.push(pct(Reduce::Mean.apply(paper_row)?));
+        t.push_row(row);
     }
-    let overall_esav = mean_of("table1", "the suite", records.iter().map(|r| Ok(r.esav)))?;
-    let avg_idle =
-        records.iter().map(|r| r.avg_useful_idleness()).sum::<f64>() / records.len() as f64;
+    let paper_avgs = reference
+        .iter()
+        .map(|(_, row)| Reduce::Mean.apply(row))
+        .collect::<Result<Vec<_>, _>>()?;
+    let avg_idle = Reduce::Mean.apply(
+        &records
+            .iter()
+            .map(ScenarioRecord::avg_useful_idleness)
+            .collect::<Vec<_>>(),
+    )?;
+    let esav = Reduce::Mean.apply(&records.iter().map(|r| r.esav).collect::<Vec<_>>())?;
     t.push_note(format!(
-        "suite average idleness {} % (paper: 41.71 %); Esav at this configuration {} %",
+        "suite average idleness {} % (paper: {:.2} %); Esav at this configuration {} %",
         pct(avg_idle),
-        pct(overall_esav)
+        100.0 * Reduce::Mean.apply(&paper_avgs)?,
+        pct(esav)
     ));
     Ok(t)
+}
+
+/// A column of a [`Blocks`] table: its header after the block label,
+/// the metric it shows ([`analysis::metric_value`] names) and how the
+/// value prints.
+type Column = (&'static str, &'static str, fn(f64) -> String);
+
+const ESAV: Column = ("Esav%", "esav", pct);
+const LT0: Column = ("LT0", METRIC_LT0, years);
+const LT: Column = ("LT", METRIC_LT, years);
+
+/// The layout of Tables II and III: one column block per value of one
+/// axis, in report order, and one row per benchmark. Blocks pair their
+/// records by position, so every block must hold the same count.
+struct Blocks {
+    view: &'static str,
+    title: &'static str,
+    axis: Axis,
+    /// How many axis values the table expects, and what they are.
+    count: usize,
+    noun: &'static str,
+    /// A block's header label, from one of its scenarios.
+    label: fn(&Scenario) -> String,
+    /// The shape error for blocks of unequal size.
+    unbalanced: fn(&[(&Scenario, usize)]) -> String,
+    columns: &'static [Column],
+}
+
+impl Blocks {
+    /// The table: each benchmark's columns block by block, then an
+    /// `Average` row of each block's means.
+    fn table(&self, report: &StudyReport) -> Result<Table, CoreError> {
+        let query = Query::new(report).group_by([self.axis]);
+        let groups = query.groups();
+        if groups.len() != self.count {
+            let detail = format!(
+                "expected {} {}, got {}",
+                self.count,
+                self.noun,
+                groups.len()
+            );
+            return shape_err(self.view, detail);
+        }
+        let blocks: Vec<(&Scenario, usize)> = groups
+            .iter()
+            .filter_map(|g| Some((&g.records.first()?.scenario, g.records.len())))
+            .collect();
+        let rows = blocks.first().map_or(0, |&(_, n)| n);
+        if blocks.iter().any(|&(_, n)| n != rows) {
+            return shape_err(self.view, (self.unbalanced)(&blocks));
+        }
+        let mut headers = vec!["bench".to_string()];
+        for (scenario, _) in &blocks {
+            let label = (self.label)(scenario);
+            headers.extend(
+                self.columns
+                    .iter()
+                    .map(|(name, ..)| format!("{label} {name}")),
+            );
+        }
+        let mut t = Table::new(self.title, headers);
+        for i in 0..rows {
+            let mut row = Vec::new();
+            for r in groups.iter().filter_map(|g| g.records.get(i)) {
+                if row.is_empty() {
+                    row.push(r.scenario.workload.clone());
+                }
+                for &(_, metric, show) in self.columns {
+                    row.push(show(
+                        analysis::require_metric(r, metric).map_err(in_view(self.view))?,
+                    ));
+                }
+            }
+            t.push_row(row);
+        }
+        let means = self
+            .columns
+            .iter()
+            .map(|&(_, metric, show)| {
+                let rows = query
+                    .reduce(metric, Reduce::Mean)
+                    .map_err(in_view(self.view))?;
+                Ok(rows.iter().map(|row| show(row.value)).collect::<Vec<_>>())
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        let mut average = vec!["Average".to_string()];
+        for block in 0..groups.len() {
+            average.extend(means.iter().filter_map(|m| m.get(block)).cloned());
+        }
+        t.push_row(average);
+        Ok(t)
+    }
 }
 
 /// **Table II** — energy savings and lifetime vs cache size. Expects the
@@ -186,75 +238,35 @@ pub fn table1(report: &StudyReport) -> Result<Table, CoreError> {
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn table2(report: &StudyReport) -> Result<Table, CoreError> {
-    let sizes = distinct(report, |r| r.scenario.cache_bytes);
-    if sizes.len() != 3 {
-        return shape_err(
-            "table2",
-            format!("expected 3 cache sizes, got {}", sizes.len()),
-        );
+    let mut t = Blocks {
+        view: "table2",
+        title: "Table II - energy savings and lifetime vs cache size (measured)",
+        axis: Axis::CacheBytes,
+        count: 3,
+        noun: "cache sizes",
+        label: |s| format!("{}k", s.cache_bytes / 1024),
+        unbalanced: |sizes| {
+            let kb: Vec<_> = sizes
+                .iter()
+                .map(|(s, n)| (s.cache_bytes / 1024, *n))
+                .collect();
+            format!("unbalanced size groups: {kb:?}")
+        },
+        columns: &[ESAV, LT0, LT],
     }
-    let data: Vec<(u64, Vec<&ScenarioRecord>)> = sizes
-        .iter()
-        .map(|&s| (s / 1024, group(report, |r| r.scenario.cache_bytes, s)))
-        .collect();
-    let benches = data[0].1.len();
-    if data.iter().any(|(_, records)| records.len() != benches) {
-        return shape_err(
-            "table2",
-            format!(
-                "unbalanced size groups: {:?}",
-                data.iter()
-                    .map(|(kb, r)| (*kb, r.len()))
-                    .collect::<Vec<_>>()
-            ),
-        );
-    }
-    let mut headers = vec!["bench".into()];
-    for (kb, _) in &data {
-        headers.push(format!("{kb}k Esav%"));
-        headers.push(format!("{kb}k LT0"));
-        headers.push(format!("{kb}k LT"));
-    }
-    let mut t = Table::new(
-        "Table II - energy savings and lifetime vs cache size (measured)",
-        headers,
-    );
-    for i in 0..benches {
-        let mut row = vec![data[0].1[i].scenario.workload.clone()];
-        for (_, records) in &data {
-            let r = records[i];
-            row.push(pct(r.esav));
-            row.push(years(metric_of("table2", r, METRIC_LT0)?));
-            row.push(years(metric_of("table2", r, METRIC_LT)?));
-        }
-        t.push_row(row);
-    }
-    let mut avg_row = vec!["Average".to_string()];
+    .table(report)?;
+    let (esav, lt0, lt) = paper::TABLE2_AVG;
     let mut paper_row = vec!["(paper avg)".to_string()];
-    for (s, (kb, records)) in data.iter().enumerate() {
-        let what = format!("{kb} kB");
-        avg_row.push(pct(mean_of(
-            "table2",
-            &what,
-            records.iter().map(|r| Ok(r.esav)),
-        )?));
-        avg_row.push(years(mean_of(
-            "table2",
-            &what,
-            records.iter().map(|r| metric_of("table2", r, METRIC_LT0)),
-        )?));
-        avg_row.push(years(mean_of(
-            "table2",
-            &what,
-            records.iter().map(|r| metric_of("table2", r, METRIC_LT)),
-        )?));
-        paper_row.push(pct(paper::TABLE2_AVG.0[s]));
-        paper_row.push(years(paper::TABLE2_AVG.1[s]));
-        paper_row.push(years(paper::TABLE2_AVG.2[s]));
+    for ((esav, lt0), lt) in esav.into_iter().zip(lt0).zip(lt) {
+        paper_row.extend([pct(esav), years(lt0), years(lt)]);
     }
-    t.push_row(avg_row);
     t.push_row(paper_row);
-    t.push_note("paper averages: Esav 32.2/44.3/55.5 %, LT0 3.22/3.19/3.20 y, LT 4.34/4.31/4.62 y");
+    t.push_note(format!(
+        "paper averages: Esav {} %, LT0 {} y, LT {} y",
+        esav.map(pct).join("/"),
+        lt0.map(years).join("/"),
+        lt.map(years).join("/"),
+    ));
     Ok(t)
 }
 
@@ -265,65 +277,27 @@ pub fn table2(report: &StudyReport) -> Result<Table, CoreError> {
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn table3(report: &StudyReport) -> Result<Table, CoreError> {
-    let lines = distinct(report, |r| r.scenario.line_bytes);
-    if lines.len() != 2 {
-        return shape_err(
-            "table3",
-            format!("expected 2 line sizes, got {}", lines.len()),
-        );
+    let mut t = Blocks {
+        view: "table3",
+        title: "Table III - energy savings and lifetime vs line size (measured)",
+        axis: Axis::LineBytes,
+        count: 2,
+        noun: "line sizes",
+        label: |s| format!("LS{}", s.line_bytes),
+        unbalanced: |sizes| {
+            let counts: Vec<_> = sizes.iter().map(|(_, n)| n.to_string()).collect();
+            format!("unbalanced line-size groups: {}", counts.join(" vs "))
+        },
+        columns: &[ESAV, LT],
     }
-    let ls16 = group(report, |r| r.scenario.line_bytes, lines[0]);
-    let ls32 = group(report, |r| r.scenario.line_bytes, lines[1]);
-    if ls16.len() != ls32.len() {
-        return shape_err(
-            "table3",
-            format!(
-                "unbalanced line-size groups: {} vs {}",
-                ls16.len(),
-                ls32.len()
-            ),
-        );
-    }
-    let mut t = Table::new(
-        "Table III - energy savings and lifetime vs line size (measured)",
-        vec![
-            "bench".into(),
-            "LS16 Esav%".into(),
-            "LS16 LT".into(),
-            "LS32 Esav%".into(),
-            "LS32 LT".into(),
-        ],
-    );
-    for i in 0..ls16.len() {
-        t.push_row(vec![
-            ls16[i].scenario.workload.clone(),
-            pct(ls16[i].esav),
-            years(metric_of("table3", ls16[i], METRIC_LT)?),
-            pct(ls32[i].esav),
-            years(metric_of("table3", ls32[i], METRIC_LT)?),
-        ]);
-    }
-    t.push_row(vec![
-        "Average".into(),
-        pct(mean_of("table3", "LS16", ls16.iter().map(|r| Ok(r.esav)))?),
-        years(mean_of(
-            "table3",
-            "LS16",
-            ls16.iter().map(|r| metric_of("table3", r, METRIC_LT)),
-        )?),
-        pct(mean_of("table3", "LS32", ls32.iter().map(|r| Ok(r.esav)))?),
-        years(mean_of(
-            "table3",
-            "LS32",
-            ls32.iter().map(|r| metric_of("table3", r, METRIC_LT)),
-        )?),
-    ]);
+    .table(report)?;
+    let [esav16, lt16, esav32, lt32] = paper::TABLE3_AVG;
     t.push_note(format!(
         "paper averages: Esav {} / {} %, LT {} / {} y",
-        pct(paper::TABLE3_AVG[0]),
-        pct(paper::TABLE3_AVG[2]),
-        years(paper::TABLE3_AVG[1]),
-        years(paper::TABLE3_AVG[3]),
+        pct(esav16),
+        pct(esav32),
+        years(lt16),
+        years(lt32),
     ));
     Ok(t)
 }
@@ -335,12 +309,9 @@ pub fn table3(report: &StudyReport) -> Result<Table, CoreError> {
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn table4(report: &StudyReport) -> Result<Table, CoreError> {
-    let sizes = distinct(report, |r| r.scenario.cache_bytes);
-    let bank_counts = {
-        let mut b = distinct(report, |r| r.scenario.banks);
-        b.sort_unstable();
-        b
-    };
+    let sizes = analysis::distinct_by(report.records(), |r| r.scenario.cache_bytes);
+    let mut bank_counts = analysis::distinct_by(report.records(), |r| r.scenario.banks);
+    bank_counts.sort_unstable();
     if sizes.len() != 3 || bank_counts.len() != 3 {
         return shape_err(
             "table4",
@@ -351,109 +322,112 @@ pub fn table4(report: &StudyReport) -> Result<Table, CoreError> {
             ),
         );
     }
+    let cells = Query::new(report).group_by([Axis::CacheBytes, Axis::Banks]);
+    let idle = cells
+        .reduce("useful_idleness", Reduce::Mean)
+        .map_err(in_view("table4"))?;
+    let lt = cells
+        .reduce(METRIC_LT, Reduce::Mean)
+        .map_err(in_view("table4"))?;
+    let mut headers = vec!["size".to_string()];
+    for banks in &bank_counts {
+        headers.extend([format!("M={banks} idl%"), format!("M={banks} LT")]);
+    }
     let mut t = Table::new(
         "Table IV - average idleness and lifetime vs cache size and banks (measured | paper)",
-        vec![
-            "size".into(),
-            "M=2 idl%".into(),
-            "M=2 LT".into(),
-            "M=4 idl%".into(),
-            "M=4 LT".into(),
-            "M=8 idl%".into(),
-            "M=8 LT".into(),
-        ],
+        headers,
     );
-    for (row_idx, &bytes) in sizes.iter().enumerate() {
+    for (bytes, published) in sizes.into_iter().zip(paper::TABLE4) {
         let mut row = vec![format!("{}kB", bytes / 1024)];
         for &banks in &bank_counts {
-            let cell: Vec<&ScenarioRecord> = report
-                .records()
-                .iter()
-                .filter(|r| r.scenario.cache_bytes == bytes && r.scenario.banks == banks)
-                .collect();
+            let key = [AxisValue::from(bytes), AxisValue::from(banks)];
             // A sparse grid can leave a (size, banks) cell empty even
-            // when both axes pass the 3×3 check; an empty mean used to
-            // render NaN here.
-            let what = format!("{}kB / M={banks}", bytes / 1024);
-            let idle = mean_of(
-                "table4",
-                &what,
-                cell.iter().map(|r| Ok(r.avg_useful_idleness())),
-            )?;
-            let lt = mean_of(
-                "table4",
-                &what,
-                cell.iter().map(|r| metric_of("table4", r, METRIC_LT)),
-            )?;
-            row.push(pct(idle));
-            row.push(years(lt));
+            // when both axes pass the 3×3 check.
+            let Some((idle, lt)) = idle.iter().zip(&lt).find(|(cell, _)| cell.key == key) else {
+                let cell = format!("{}kB / M={banks}", bytes / 1024);
+                return shape_err("table4", format!("no records for {cell}"));
+            };
+            row.extend([pct(idle.value), years(lt.value)]);
         }
         t.push_row(row);
-        let p = paper::TABLE4[row_idx];
-        t.push_row(vec![
-            format!("(paper {}kB)", p.size_kb),
-            pct(p.per_banks[0].0),
-            years(p.per_banks[0].1),
-            pct(p.per_banks[1].0),
-            years(p.per_banks[1].1),
-            pct(p.per_banks[2].0),
-            years(p.per_banks[2].1),
-        ]);
+        let mut paper_row = vec![format!("(paper {}kB)", published.size_kb)];
+        for (idle, lt) in published.per_banks {
+            paper_row.extend([pct(idle), years(lt)]);
+        }
+        t.push_row(paper_row);
     }
     Ok(t)
 }
 
-/// The headline quantities of §IV-B1, computed from measured data.
-struct ClaimsSummary {
-    /// Mean LT0 / 2.93 − 1 at the first size (paper: ≈ 9 % at 8 kB).
-    lt0_gain: f64,
-    /// Mean (LT − LT0)/LT0 at the first size (paper: ≈ 38 % at 8 kB).
-    reindex_further_gain: f64,
-    /// `(kB, mean LT / 2.93 − 1)` per size (paper: 48 / 47.1 / 57.6 %).
-    extension_per_size: Vec<(u64, f64)>,
-    /// The largest single LT / 2.93 across suite and sizes with its
-    /// benchmark (paper: sha, ≈ 2x).
-    best_case: (String, f64),
-    /// The smallest single LT / 2.93 across suite and sizes (paper:
-    /// ≥ 22 % gain for the worst configuration).
-    worst_case: (String, f64),
-}
-
-/// Computes the headline claims from a Table II-shaped report: records
-/// grouped by cache size in grid order, the first size standing for
-/// the paper's 8 kB column.
-fn claims_from(report: &StudyReport) -> Result<ClaimsSummary, CoreError> {
+/// §IV-B1 headline-claims comparison, from a Table II-shaped report:
+/// records grouped by cache size in grid order, the first size standing
+/// for the paper's 8 kB column, and lifetimes measured against the
+/// paper's 2.93-year cell.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Report`] if the report shape does not match.
+pub fn claims(report: &StudyReport) -> Result<Table, CoreError> {
     let base = paper::CELL_LIFETIME_YEARS;
+    let by_size = Query::new(report).group_by([Axis::CacheBytes]);
+    let groups = by_size.groups();
     let mut lifetimes = Vec::new();
-    for bytes in distinct(report, |r| r.scenario.cache_bytes) {
-        let mut cell = Vec::new();
-        for r in group(report, |r| r.scenario.cache_bytes, bytes) {
-            let lt0 = metric_of("claims", r, METRIC_LT0)?;
-            let lt = metric_of("claims", r, METRIC_LT)?;
-            cell.push((r.scenario.workload.as_str(), lt0, lt));
-        }
-        lifetimes.push((bytes / 1024, cell));
+    for r in groups.iter().flat_map(|g| &g.records) {
+        let lt0 = analysis::require_metric(r, METRIC_LT0).map_err(in_view("claims"))?;
+        let lt = analysis::require_metric(r, METRIC_LT).map_err(in_view("claims"))?;
+        lifetimes.push((r.scenario.workload.as_str(), lt0, lt));
     }
-    let Some((_, first)) = lifetimes.first() else {
+    let Some(first) = groups.first() else {
         return shape_err("claims", "report is empty".into());
     };
-    let n = first.len() as f64;
-    let lt0_gain = first.iter().map(|c| c.1).sum::<f64>() / n / base - 1.0;
-    let reindex_further_gain = first
+    if groups.len() != paper::claims::EXTENSION_PER_SIZE.len() {
+        return shape_err(
+            "claims",
+            format!("expected 3 cache sizes, got {}", groups.len()),
+        );
+    }
+    let first_size = lifetimes.get(..first.records.len()).unwrap_or_default();
+    let lt0_mean = Reduce::Mean.apply(&first_size.iter().map(|c| c.1).collect::<Vec<_>>())?;
+    let gains: Vec<f64> = first_size
         .iter()
         .map(|&(_, lt0, lt)| (lt - lt0) / lt0)
-        .sum::<f64>()
-        / n;
-    let extension_per_size = lifetimes
-        .iter()
-        .map(|(kb, cell)| {
-            let mean = cell.iter().map(|c| c.2).sum::<f64>() / cell.len() as f64;
-            (*kb, mean / base - 1.0)
-        })
         .collect();
+    let percent = |v: f64| format!("{} %", pct(v));
+    let mut t = Table::new(
+        "Headline claims (measured vs paper)",
+        vec!["claim".into(), "measured".into(), "paper".into()],
+    );
+    t.push_row(vec![
+        "LT0 gain from power mgmt alone (8kB)".into(),
+        percent(lt0_mean / base - 1.0),
+        percent(paper::claims::LT0_IMPROVEMENT),
+    ]);
+    t.push_row(vec![
+        "further gain from re-indexing (8kB)".into(),
+        percent(Reduce::Mean.apply(&gains)?),
+        percent(paper::claims::REINDEX_FURTHER_IMPROVEMENT),
+    ]);
+    let lt_means = by_size.reduce(METRIC_LT, Reduce::Mean)?;
+    for ((g, mean), published) in groups
+        .iter()
+        .zip(lt_means)
+        .zip(paper::claims::EXTENSION_PER_SIZE)
+    {
+        let kb = g
+            .records
+            .first()
+            .map_or(0, |r| r.scenario.cache_bytes / 1024);
+        t.push_row(vec![
+            format!("lifetime extension at {kb} kB"),
+            percent(mean.value / base - 1.0),
+            percent(published),
+        ]);
+    }
+    // The largest and smallest single LT / 2.93 across suite and sizes
+    // (paper: sha at about 2x; at least 22 % for the worst).
     let mut best = ("", 0.0f64);
     let mut worst = ("", f64::INFINITY);
-    for &(name, _, lt) in lifetimes.iter().flat_map(|(_, cell)| cell) {
+    for &(name, _, lt) in &lifetimes {
         let f = lt / base;
         if f > best.1 {
             best = (name, f);
@@ -462,61 +436,14 @@ fn claims_from(report: &StudyReport) -> Result<ClaimsSummary, CoreError> {
             worst = (name, f);
         }
     }
-    Ok(ClaimsSummary {
-        lt0_gain,
-        reindex_further_gain,
-        extension_per_size,
-        best_case: (best.0.to_string(), best.1),
-        worst_case: (worst.0.to_string(), worst.1),
-    })
-}
-
-/// §IV-B1 headline-claims comparison, from a Table II-shaped report.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Report`] if the report shape does not match.
-pub fn claims(report: &StudyReport) -> Result<Table, CoreError> {
-    let s = claims_from(report)?;
-    if s.extension_per_size.len() != paper::claims::EXTENSION_PER_SIZE.len() {
-        return shape_err(
-            "claims",
-            format!("expected 3 cache sizes, got {}", s.extension_per_size.len()),
-        );
-    }
-    let mut t = Table::new(
-        "Headline claims (measured vs paper)",
-        vec!["claim".into(), "measured".into(), "paper".into()],
-    );
     t.push_row(vec![
-        "LT0 gain from power mgmt alone (8kB)".into(),
-        format!("{} %", pct(s.lt0_gain)),
-        format!("{} %", pct(paper::claims::LT0_IMPROVEMENT)),
-    ]);
-    t.push_row(vec![
-        "further gain from re-indexing (8kB)".into(),
-        format!("{} %", pct(s.reindex_further_gain)),
-        format!("{} %", pct(paper::claims::REINDEX_FURTHER_IMPROVEMENT)),
-    ]);
-    for ((kb, ext), published) in s
-        .extension_per_size
-        .iter()
-        .zip(paper::claims::EXTENSION_PER_SIZE)
-    {
-        t.push_row(vec![
-            format!("lifetime extension at {kb} kB"),
-            format!("{} %", pct(*ext)),
-            format!("{} %", pct(published)),
-        ]);
-    }
-    t.push_row(vec![
-        format!("best case ({})", s.best_case.0),
-        factor(s.best_case.1),
+        format!("best case ({})", best.0),
+        factor(best.1),
         format!("{} (sha)", factor(paper::claims::BEST_CASE_FACTOR)),
     ]);
     t.push_row(vec![
-        format!("worst case ({})", s.worst_case.0),
-        factor(s.worst_case.1),
+        format!("worst case ({})", worst.0),
+        factor(worst.1),
         format!(">= {}", factor(1.0 + paper::claims::WORST_CASE_GAIN)),
     ]);
     Ok(t)
@@ -530,37 +457,37 @@ pub fn claims(report: &StudyReport) -> Result<Table, CoreError> {
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn policy_equivalence(report: &StudyReport) -> Result<Table, CoreError> {
-    let policies = distinct(report, |r| r.scenario.policy.as_str());
-    if policies.len() != 2 {
+    let groups = Query::new(report).group_by([Axis::Policy]).groups();
+    let [a, b] = groups.as_slice() else {
+        let policies: Vec<String> = groups.iter().map(|g| g.label()).collect();
         return shape_err(
             "policy_equivalence",
-            format!("expected 2 policies, got {:?}", policies),
+            format!("expected 2 policies, got {policies:?}"),
         );
-    }
-    let a = group(report, |r| r.scenario.policy.as_str(), policies[0]);
-    let b = group(report, |r| r.scenario.policy.as_str(), policies[1]);
-    if a.len() != b.len() {
+    };
+    if a.records.len() != b.records.len() {
         return shape_err(
             "policy_equivalence",
-            format!("unbalanced policy groups: {} vs {}", a.len(), b.len()),
+            format!(
+                "unbalanced policy groups: {} vs {}",
+                a.records.len(),
+                b.records.len()
+            ),
         );
     }
+    let (pa, pb) = (a.label(), b.label());
     let mut t = Table::new(
-        format!(
-            "{} vs {} lifetimes",
-            capitalize(policies[0]),
-            capitalize(policies[1])
-        ),
+        format!("{} vs {} lifetimes", capitalize(&pa), capitalize(&pb)),
         vec![
             "bench".into(),
-            format!("LT {}", policies[0]),
-            format!("LT {}", policies[1]),
+            format!("LT {pa}"),
+            format!("LT {pb}"),
             "delta %".into(),
         ],
     );
-    for (ra, rb) in a.iter().zip(&b) {
-        let lta = metric_of("policy_equivalence", ra, METRIC_LT)?;
-        let ltb = metric_of("policy_equivalence", rb, METRIC_LT)?;
+    for (ra, rb) in a.records.iter().zip(&b.records) {
+        let lta = analysis::require_metric(ra, METRIC_LT).map_err(in_view("policy_equivalence"))?;
+        let ltb = analysis::require_metric(rb, METRIC_LT).map_err(in_view("policy_equivalence"))?;
         t.push_row(vec![
             ra.scenario.workload.clone(),
             years(lta),
@@ -571,12 +498,45 @@ pub fn policy_equivalence(report: &StudyReport) -> Result<Table, CoreError> {
     Ok(t)
 }
 
-/// The drowsy rail a record's model operates at (the reference 0.75 V
-/// unless its key overrides `vlow`).
-fn vlow_of(model: &str) -> Result<f64, CoreError> {
-    Ok(ModelKey::parse(model)?
-        .and_then(|k| k.params.vdd_low)
-        .unwrap_or(REFERENCE_VLOW))
+/// The layout of the model-axis ablations: one row per model key, in
+/// report order, labelled from the key; the mean of each of `metrics`
+/// and then of LT0 and LT over the key's records; and the re-indexing
+/// gain between those two means. `t` holds the title and headers.
+fn model_rows(
+    view: &'static str,
+    report: &StudyReport,
+    mut t: Table,
+    label: impl Fn(&str) -> Result<String, CoreError>,
+    metrics: &[&str],
+) -> Result<Table, CoreError> {
+    let by_model = Query::new(report).group_by([Axis::Model]);
+    let groups = by_model.groups();
+    if groups.is_empty() {
+        return shape_err(view, "report is empty".into());
+    }
+    let mut means = metrics
+        .iter()
+        .chain(&[METRIC_LT0, METRIC_LT])
+        .map(|m| {
+            Ok(by_model
+                .reduce(m, Reduce::Mean)
+                .map_err(in_view(view))?
+                .into_iter())
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    for g in &groups {
+        let mut row = vec![label(&g.label())?];
+        let values: Vec<f64> = means
+            .iter_mut()
+            .filter_map(|m| Some(m.next()?.value))
+            .collect();
+        row.extend(values.iter().map(|&v| years(v)));
+        if let &[.., lt0, lt] = values.as_slice() {
+            row.push(format!("{:+.1}", 100.0 * (lt - lt0) / lt0));
+        }
+        t.push_row(row);
+    }
+    Ok(t)
 }
 
 /// Ablation view: operating temperature vs LT0/LT, one row per model
@@ -587,12 +547,10 @@ fn vlow_of(model: &str) -> Result<f64, CoreError> {
 ///
 /// Returns [`CoreError::Report`] if the report shape does not match.
 pub fn ablation_temperature(report: &StudyReport) -> Result<Table, CoreError> {
-    let models = distinct(report, |r| r.scenario.model.as_str());
-    if models.is_empty() {
-        return shape_err("ablation_temperature", "report is empty".into());
-    }
-    let mut t = Table::new(
-        "Ablation: operating temperature (calibration fixed at 85 degC)",
+    let t = Table::new(
+        format!(
+            "Ablation: operating temperature (calibration fixed at {REFERENCE_TEMP_C:.0} degC)"
+        ),
         vec![
             "temperature".into(),
             "LT0".into(),
@@ -600,32 +558,11 @@ pub fn ablation_temperature(report: &StudyReport) -> Result<Table, CoreError> {
             "reindex gain %".into(),
         ],
     );
-    for key in models {
-        let records = group(report, |r| r.scenario.model.as_str(), key);
-        let celsius = ModelKey::parse(key)?
-            .and_then(|k| k.params.temp_c)
-            .unwrap_or(REFERENCE_TEMP_C);
-        let lt0 = mean_of(
-            "ablation_temperature",
-            key,
-            records
-                .iter()
-                .map(|r| metric_of("ablation_temperature", r, METRIC_LT0)),
-        )?;
-        let lt = mean_of(
-            "ablation_temperature",
-            key,
-            records
-                .iter()
-                .map(|r| metric_of("ablation_temperature", r, METRIC_LT)),
-        )?;
-        t.push_row(vec![
-            format!("{celsius:.0} degC"),
-            years(lt0),
-            years(lt),
-            format!("{:+.1}", 100.0 * (lt - lt0) / lt0),
-        ]);
-    }
+    let celsius = |key: &str| {
+        let temp = ModelKey::parse(key)?.and_then(|k| k.params.temp_c);
+        Ok(format!("{:.0} degC", temp.unwrap_or(REFERENCE_TEMP_C)))
+    };
+    let mut t = model_rows("ablation_temperature", report, t, celsius, &[])?;
     t.push_note("the re-indexing gain is a pure ratio and survives any uniform rate scaling");
     Ok(t)
 }
@@ -640,17 +577,23 @@ pub fn ablation_temperature(report: &StudyReport) -> Result<Table, CoreError> {
 /// Returns [`CoreError::Report`] if a rail value lacks either its
 /// lifetime or its retention-margin records.
 pub fn ablation_vlow(report: &StudyReport) -> Result<Table, CoreError> {
-    let mut vlows: Vec<f64> = Vec::new();
-    for r in report.records() {
-        let v = vlow_of(&r.scenario.model)?;
-        if !vlows.contains(&v) {
-            vlows.push(v);
-        }
-    }
+    // The rail is part of the model key, not a query axis: group by it
+    // here, and average each metric over the rail's records that emit it.
+    let rails = report
+        .records()
+        .iter()
+        .map(|r| {
+            // The reference rail unless the key overrides `vlow`.
+            let vlow = ModelKey::parse(&r.scenario.model)?.and_then(|k| k.params.vdd_low);
+            Ok((vlow.unwrap_or(REFERENCE_VLOW), r))
+        })
+        .collect::<Result<Vec<_>, CoreError>>()?;
+    let mut vlows: Vec<f64> = rails.iter().map(|&(vlow, _)| vlow).collect();
     if vlows.is_empty() {
         return shape_err("ablation_vlow", "report is empty".into());
     }
     vlows.sort_by(f64::total_cmp);
+    vlows.dedup();
     // Calibration only re-fits the drift coefficient; the voltage
     // acceleration exponent and voltage anchors are design constants,
     // so the published R–D model reproduces the solver's ratio exactly.
@@ -665,22 +608,19 @@ pub fn ablation_vlow(report: &StudyReport) -> Result<Table, CoreError> {
             "aged DRV margin".into(),
         ],
     );
-    for &vlow in &vlows {
-        let at_rail: Vec<&ScenarioRecord> = report
-            .records()
-            .iter()
-            .filter(|r| vlow_of(&r.scenario.model).is_ok_and(|v| v == vlow))
-            .collect();
-        let pick = |metric: &str| -> Result<f64, CoreError> {
-            mean_of(
-                "ablation_vlow",
-                &format!("vlow={vlow} metric {metric}"),
-                at_rail
-                    .iter()
-                    .filter_map(|r| r.metric(metric))
-                    .map(Ok)
-                    .collect::<Vec<_>>(),
-            )
+    for vlow in vlows {
+        let pick = |metric: &str| {
+            let values: Vec<f64> = rails
+                .iter()
+                .filter(|&&(v, _)| v == vlow)
+                .filter_map(|(_, r)| r.metric(metric))
+                .collect();
+            Reduce::Mean.apply(&values).or_else(|_| {
+                shape_err(
+                    "ablation_vlow",
+                    format!("no records for vlow={vlow} metric {metric}"),
+                )
+            })
         };
         t.push_row(vec![
             format!("{vlow:.2} V"),
@@ -690,10 +630,10 @@ pub fn ablation_vlow(report: &StudyReport) -> Result<Table, CoreError> {
             format!("{:+.0} mV", 1000.0 * pick("drv_margin_aged_v")?),
         ]);
     }
-    t.push_note(
+    t.push_note(format!(
         "lower rails slow aging but aging costs ~80 mV of retention margin over life; \
-         the paper's 0.75 V keeps a comfortable aged margin while tripling sleep relief",
-    );
+         the paper's {REFERENCE_VLOW:.2} V keeps a comfortable aged margin while tripling sleep relief"
+    ));
     Ok(t)
 }
 
@@ -706,11 +646,7 @@ pub fn ablation_vlow(report: &StudyReport) -> Result<Table, CoreError> {
 /// Returns [`CoreError::Report`] if a record's model is not a
 /// variation model or lacks the quantile metrics.
 pub fn variation_study(report: &StudyReport) -> Result<Table, CoreError> {
-    let models = distinct(report, |r| r.scenario.model.as_str());
-    if models.is_empty() {
-        return shape_err("variation_study", "report is empty".into());
-    }
-    let mut t = Table::new(
+    let t = Table::new(
         "Bank lifetime quantiles vs Vth mismatch sigma (years)",
         vec![
             "sigma".into(),
@@ -720,34 +656,14 @@ pub fn variation_study(report: &StudyReport) -> Result<Table, CoreError> {
             "reindex gain %".into(),
         ],
     );
-    for key in models {
-        let Some(sigma) = ModelKey::parse(key)?.and_then(|k| k.sigma_mv) else {
-            return shape_err(
-                "variation_study",
-                format!("model `{key}` is not a variation model"),
-            );
-        };
-        let records = group(report, |r| r.scenario.model.as_str(), key);
-        let pick = |metric: &str| -> Result<f64, CoreError> {
-            mean_of(
-                "variation_study",
-                key,
-                records
-                    .iter()
-                    .map(|r| metric_of("variation_study", r, metric)),
-            )
-        };
-        let q10 = pick("lt0_q10_years")?;
-        let q50 = pick(METRIC_LT0)?;
-        let q50_re = pick(METRIC_LT)?;
-        t.push_row(vec![
-            format!("{sigma:.0} mV"),
-            years(q10),
-            years(q50),
-            years(q50_re),
-            format!("{:+.1}", 100.0 * (q50_re - q50) / q50),
-        ]);
-    }
+    let sigma = |key: &str| match ModelKey::parse(key)?.and_then(|k| k.sigma_mv) {
+        Some(sigma) => Ok(format!("{sigma:.0} mV")),
+        None => shape_err(
+            "variation_study",
+            format!("model `{key}` is not a variation model"),
+        ),
+    };
+    let mut t = model_rows("variation_study", report, t, sigma, &["lt0_q10_years"])?;
     t.push_note(
         "variation shortens absolute lifetimes (worst cell of 37k), but the \
          re-indexing gain is rate-relative and survives unchanged",
@@ -924,12 +840,19 @@ mod tests {
             mk("a", 0, 32, 3.0, 4.6),
             mk("b", 1, 32, 3.2, 4.9),
         ];
-        let s = claims_from(&StudyReport::from_records("t2", records)).unwrap();
-        assert!((s.lt0_gain - (3.1 / 2.93 - 1.0)).abs() < 1e-9);
-        assert_eq!(s.best_case.0, "b");
-        assert!((s.best_case.1 - 6.0 / 2.93).abs() < 1e-9);
-        assert_eq!(s.worst_case.0, "a");
-        assert_eq!(s.extension_per_size.len(), 3);
+        let t = claims(&StudyReport::from_records("t2", records)).unwrap();
+        let measured = |row: usize| t.rows()[row][1].clone();
+        assert_eq!(measured(0), format!("{} %", pct(3.1 / 2.93 - 1.0)));
+        assert_eq!(
+            measured(1),
+            format!("{} %", pct((1.0 / 3.0 + 2.8 / 3.2) / 2.0))
+        );
+        assert_eq!(measured(2), format!("{} %", pct(5.0 / 2.93 - 1.0)));
+        assert_eq!(t.rows().len(), 7, "two gains, three sizes, best, worst");
+        assert_eq!(t.rows()[5][0], "best case (b)");
+        assert_eq!(measured(5), factor(6.0 / 2.93));
+        assert_eq!(t.rows()[6][0], "worst case (a)");
+        assert_eq!(measured(6), factor(4.0 / 2.93));
     }
 
     #[test]

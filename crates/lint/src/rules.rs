@@ -215,6 +215,7 @@ fn panic_zone(path: &str) -> bool {
         "crates/core/src/serve.rs",
         "crates/core/src/search.rs",
         "crates/core/src/workload.rs",
+        "crates/core/src/views.rs",
         "crates/sim/src/hierarchy.rs",
         "crates/traces/src/formats.rs",
     ]
@@ -228,7 +229,6 @@ fn wallclock_zone(path: &str) -> bool {
 fn unordered_zone(path: &str) -> bool {
     panic_zone(path)
         || [
-            "crates/core/src/views.rs",
             "crates/core/src/session.rs",
             "crates/core/src/study.rs",
             "crates/core/src/model.rs",

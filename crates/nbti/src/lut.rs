@@ -48,8 +48,9 @@ impl AgingLut {
     /// faithfully.
     ///
     /// The builder exploits the solver structure: the critical threshold
-    /// shift depends only on the `p0` row, so each row costs one SNM
-    /// bisection regardless of the number of sleep points.
+    /// shift depends only on the `p0` row's duty split, so each distinct
+    /// split costs one SNM bisection regardless of the number of sleep
+    /// points, and rows `p0` and `1 − p0` share theirs.
     ///
     /// # Errors
     ///
@@ -90,20 +91,23 @@ impl AgingLut {
         let sleep_axis: Vec<f64> = (0..sleep_points)
             .map(|i| i as f64 / (sleep_points - 1) as f64)
             .collect();
-        let n = solver.rd().n();
         let mut values = Vec::with_capacity(p0_points * sleep_points);
+        // Failure budgets by the bits of their duty ratio: the ratio
+        // fixes the shape of the failure condition independent of
+        // sleep, and mirrored rows give the same bits.
+        let mut budgets: Vec<(u64, f64)> = Vec::new();
         for &p0 in &p0_axis {
-            // One bisection per row: the per-device duty ratio fixes the
-            // shape of the failure condition independent of sleep.
-            let duty_max = p0.max(1.0 - p0);
-            let duty_min = p0.min(1.0 - p0);
-            let minor_ratio = if duty_max == 0.0 {
-                1.0
-            } else {
-                (duty_min / duty_max).powf(n)
+            let minor_ratio = solver.rd().minor_ratio(p0);
+            let key = minor_ratio.to_bits();
+            let t_eff_star = match budgets.iter().find(|&&(k, _)| k == key) {
+                Some(&(_, budget)) => budget,
+                None => {
+                    let dv_star = solver.critical_shift(minor_ratio)?;
+                    let budget = solver.rd().effective_years_for(dv_star);
+                    budgets.push((key, budget));
+                    budget
+                }
             };
-            let dv_star = solver.critical_shift(minor_ratio)?;
-            let t_eff_star = solver.rd().effective_years_for(dv_star);
             for &s in &sleep_axis {
                 let profile = StressProfile::new(p0, s, mode)?;
                 let (ra, rb) = solver.device_rates(&profile);

@@ -180,6 +180,22 @@ impl RdModel {
         self.vth_p
     }
 
+    /// The `minor_ratio` of [`LifetimeSolver::critical_shift`](crate::LifetimeSolver::critical_shift)
+    /// for a cell storing `0` with probability `p0`: the two pull-ups
+    /// are stressed for `p0` and `1 − p0` of the time, so the less
+    /// stressed one carries `(duty_min / duty_max)^n` of the other's
+    /// shift. A cell whose devices never see stress counts as balanced
+    /// (`1`).
+    pub fn minor_ratio(&self, p0: f64) -> f64 {
+        let duty_max = p0.max(1.0 - p0);
+        let duty_min = p0.min(1.0 - p0);
+        if duty_max <= 0.0 {
+            1.0
+        } else {
+            (duty_min / duty_max).powf(self.n)
+        }
+    }
+
     /// Voltage-acceleration factor relative to the nominal stress voltage.
     ///
     /// Returns 0 for voltages at or below the pMOS threshold (no channel
@@ -221,6 +237,22 @@ impl RdModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mirrored_duty_splits_share_their_minor_ratio() {
+        let rd = RdModel::default_45nm();
+        assert_eq!(rd.minor_ratio(0.5), 1.0);
+        assert_eq!(rd.minor_ratio(0.0), 0.0);
+        assert_eq!(rd.minor_ratio(1.0), 0.0);
+        for i in 0..=8 {
+            let p0 = f64::from(i) / 8.0;
+            let mirrored = f64::from(8 - i) / 8.0;
+            assert_eq!(
+                rd.minor_ratio(p0).to_bits(),
+                rd.minor_ratio(mirrored).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn default_is_valid_and_round_trips() {

@@ -10,6 +10,7 @@
 //! six distinct geometries they span; the memo returns identical
 //! measurements, so sharing changes no value.
 
+use nbti_cache_repro::arch::analysis::{Axis, Query};
 use nbti_cache_repro::arch::experiment::ExperimentConfig;
 use nbti_cache_repro::arch::paper::CELL_LIFETIME_YEARS;
 use nbti_cache_repro::arch::presets;
@@ -107,10 +108,10 @@ fn headline_claims_within_tolerance() {
     let report = run(&presets::claims(&cfg()));
     let sizes: Vec<Vec<&ScenarioRecord>> = [8u64, 16, 32]
         .iter()
-        .map(|kb| {
-            report
-                .select(move |r| r.scenario.cache_bytes == kb * 1024)
-                .collect()
+        .map(|&kb| {
+            Query::new(&report)
+                .filter(Axis::CacheBytes, kb * 1024)
+                .records()
         })
         .collect();
     let eight = sizes[0].iter().copied();
@@ -179,8 +180,9 @@ fn sha_is_a_standout_case() {
     assert_eq!(report.records().len(), 18);
     let gain_of = |r: &ScenarioRecord| (r.lt_years() - r.lt0_years()) / r.lt0_years();
     let sha = report
-        .select(|r| r.scenario.workload == "sha")
-        .next()
+        .records()
+        .iter()
+        .find(|r| r.scenario.workload == "sha")
         .expect("sha");
     let gain = gain_of(sha);
     let avg_gain = mean(report.records(), gain_of);
