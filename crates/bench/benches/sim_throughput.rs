@@ -16,8 +16,8 @@
 //! `taskset -c 0 cargo bench -p repro-bench --bench sim_throughput`
 
 use aging_cache::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
-use aging_cache::PolicyRegistry;
-use cache_sim::{Access, CacheGeometry, ReplacementRegistry};
+use aging_cache::{PolicyRegistry, ReplacementRegistry};
+use cache_sim::{Access, CacheGeometry};
 use repro_bench::harness::{median, write_baseline, Harness};
 use std::time::{Duration, Instant};
 use trace_synth::source::SliceSource;

@@ -129,7 +129,8 @@ fn aging() -> AgingAnalysis {
 }
 
 fn benchmark(name: &str) -> Result<WorkloadProfile, CoreError> {
-    suite::by_name(name).ok_or_else(|| CoreError::UnknownWorkload {
+    suite::by_name(name).ok_or_else(|| CoreError::Unknown {
+        kind: "workload",
         name: name.to_string(),
         known: suite::mediabench()
             .iter()

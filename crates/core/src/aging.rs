@@ -199,7 +199,7 @@ impl AgingAnalysis {
     ///
     /// # Errors
     ///
-    /// Propagates model errors; returns [`CoreError::UnknownPolicy`] for
+    /// Propagates model errors; returns [`CoreError::Unknown`] for
     /// an unregistered name, [`CoreError::HorizonExceeded`] if no bank
     /// fails within the horizon.
     pub fn cache_lifetime(

@@ -535,30 +535,25 @@ impl<'a> Query<'a> {
     }
 
     /// Partitions the filtered records by the grouping axes, groups in
-    /// order of first appearance.
+    /// order of first appearance. One pass: each record is keyed once
+    /// and appended to its group.
     pub fn groups(&self) -> Vec<Group<'a>> {
-        let records = self.records();
-        let keys = distinct_by(records.iter().copied(), |r| {
-            self.groups
+        let mut groups: Vec<Group<'a>> = Vec::new();
+        for r in self.records() {
+            let key: Vec<AxisValue> = self
+                .groups
                 .iter()
                 .map(|a| a.value_of(&r.scenario))
-                .collect::<Vec<_>>()
-        });
-        keys.into_iter()
-            .map(|key| Group {
-                records: records
-                    .iter()
-                    .copied()
-                    .filter(|r| {
-                        self.groups
-                            .iter()
-                            .zip(&key)
-                            .all(|(a, want)| a.value_of(&r.scenario) == *want)
-                    })
-                    .collect(),
-                key,
-            })
-            .collect()
+                .collect();
+            match groups.iter_mut().find(|g| g.key == key) {
+                Some(group) => group.records.push(r),
+                None => groups.push(Group {
+                    key,
+                    records: vec![r],
+                }),
+            }
+        }
+        groups
     }
 
     /// Reduces a named metric within each group: one [`Row`] per
@@ -861,7 +856,7 @@ impl ReportDiff {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownWorkload`] / [`CoreError::Trace`]
+    /// Returns [`CoreError::Unknown`] / [`CoreError::Trace`]
     /// when a record's workload key no longer resolves (e.g. a moved
     /// trace file), or [`CoreError::Cache`] on journal backend
     /// failures.

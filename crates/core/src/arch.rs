@@ -4,10 +4,11 @@ use crate::control::BlockControlSpec;
 use crate::decoder::Decoder;
 use crate::error::CoreError;
 use crate::registry::PolicyRegistry;
+use crate::replacement::ReplacementRegistry;
 use crate::selector::BlockSelector;
 use cache_sim::{
-    Access, CacheGeometry, CacheHierarchy, HierarchyOutcome, ReplacementRegistry, SimConfig,
-    SimOutcome, Simulator, DEFAULT_REPLACEMENT,
+    Access, CacheGeometry, CacheHierarchy, HierarchyOutcome, SimConfig, SimOutcome, Simulator,
+    DEFAULT_REPLACEMENT,
 };
 use trace_synth::{IterSource, TraceSource, BATCH_ACCESSES};
 
@@ -65,7 +66,7 @@ impl PartitionedCache {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] for a monolithic
-    /// geometry, or [`CoreError::UnknownPolicy`] for an unregistered
+    /// geometry, or [`CoreError::Unknown`] for an unregistered
     /// policy name.
     pub fn new(
         geometry: CacheGeometry,
@@ -80,10 +81,7 @@ impl PartitionedCache {
             });
         }
         if registry.get(policy_name).is_none() {
-            return Err(CoreError::UnknownPolicy {
-                name: policy_name.to_string(),
-                known: registry.names().join(", "),
-            });
+            return Err(registry.unknown(policy_name));
         }
         Ok(Self {
             geometry,
@@ -112,8 +110,7 @@ impl PartitionedCache {
     ///
     /// # Errors
     ///
-    /// Returns [`cache_sim::SimError::UnknownReplacement`] (wrapped in
-    /// [`CoreError::Sim`]) for an unregistered name.
+    /// Returns [`CoreError::Unknown`] for an unregistered name.
     pub fn with_replacement(
         mut self,
         name: &str,

@@ -648,7 +648,7 @@ mod tests {
         // expand() reports exactly one of these: the first on the list.
         assert!(matches!(
             spec.expand(),
-            Err(CoreError::UnknownPolicy { name, .. }) if name == "no-such-policy"
+            Err(CoreError::Unknown { kind: "policy", name, .. }) if name == "no-such-policy"
         ));
     }
 
@@ -659,7 +659,7 @@ mod tests {
         let cache = JsonlCache::in_dir(&dir).unwrap();
         let grid = small_spec().expand().unwrap();
         let scenario = &grid.scenarios()[0];
-        let workload = &grid.workloads()[scenario.workload_index];
+        let workload = &grid.workloads[scenario.workload_index];
         let fp = Fingerprint::for_scenario(scenario, workload.as_ref());
         let m = CachedMeasurement {
             sim_cycles: 4_000,
@@ -698,7 +698,7 @@ mod tests {
         let spec = small_spec();
         let grid = spec.expand().unwrap();
         let scenario = &grid.scenarios()[0];
-        let workload = &grid.workloads()[scenario.workload_index];
+        let workload = &grid.workloads[scenario.workload_index];
         let warm_key = Fingerprint::for_scenario(scenario, workload.as_ref())
             .canonical()
             .to_string();

@@ -28,40 +28,21 @@ pub enum CoreError {
         /// The horizon that was searched, in years.
         horizon_years: f64,
     },
-    /// A policy name was not found in the registry.
-    UnknownPolicy {
-        /// The unresolved name.
-        name: String,
-        /// Comma-separated list of registered names.
-        known: String,
-    },
-    /// A policy name was registered twice.
-    DuplicatePolicy {
-        /// The colliding name.
-        name: String,
-    },
-    /// A workload key resolved to nothing in the registry.
-    UnknownWorkload {
+    /// A registry key resolved to nothing.
+    Unknown {
+        /// The registry's kind of entry (`"policy"`, `"workload"`,
+        /// `"model"`, `"replacement policy"`).
+        kind: &'static str,
         /// The unresolved key.
         name: String,
-        /// Comma-separated list of registered names.
+        /// Comma-separated list of registered keys.
         known: String,
     },
-    /// A workload name was registered twice.
-    DuplicateWorkload {
-        /// The colliding name.
-        name: String,
-    },
-    /// A model key resolved to nothing in the registry.
-    UnknownModel {
-        /// The unresolved key.
-        name: String,
-        /// Comma-separated list of registered names.
-        known: String,
-    },
-    /// A model name was registered twice.
-    DuplicateModel {
-        /// The colliding name.
+    /// A registry key was registered twice.
+    Duplicate {
+        /// The registry's kind of entry, as for [`CoreError::Unknown`].
+        kind: &'static str,
+        /// The colliding key.
         name: String,
     },
     /// A parameterized model key failed to parse.
@@ -113,33 +94,23 @@ impl fmt::Display for CoreError {
             CoreError::HorizonExceeded { horizon_years } => {
                 write!(f, "no bank failed within the {horizon_years}-year horizon")
             }
-            CoreError::UnknownPolicy { name, known } => {
-                write!(f, "unknown policy `{name}` (registered: {known})")
+            CoreError::Unknown { kind, name, known } => {
+                // The kinds with dynamic keys say how to spell one.
+                let hint = match *kind {
+                    "workload" => {
+                        "; file-backed workloads use `csv:`, `din:`, `lackey:` or `file:` \
+                         keys, pinned profiles use `profile:s0,s1,…`"
+                    }
+                    "model" => {
+                        "; parameterized keys use `nbti:temp=…,vlow=…,sleep=…,fail=…`, \
+                         `variation:<sigma-mv>` or `drv:vlow=…`"
+                    }
+                    _ => "",
+                };
+                write!(f, "unknown {kind} `{name}` (registered: {known}{hint})")
             }
-            CoreError::DuplicatePolicy { name } => {
-                write!(f, "policy `{name}` is already registered")
-            }
-            CoreError::UnknownWorkload { name, known } => {
-                write!(
-                    f,
-                    "unknown workload `{name}` (registered: {known}; file-backed \
-                     workloads use `csv:`, `din:`, `lackey:` or `file:` keys, \
-                     pinned profiles use `profile:s0,s1,…`)"
-                )
-            }
-            CoreError::DuplicateWorkload { name } => {
-                write!(f, "workload `{name}` is already registered")
-            }
-            CoreError::UnknownModel { name, known } => {
-                write!(
-                    f,
-                    "unknown model `{name}` (registered: {known}; parameterized \
-                     keys use `nbti:temp=…,vlow=…,sleep=…,fail=…`, \
-                     `variation:<sigma-mv>` or `drv:vlow=…`)"
-                )
-            }
-            CoreError::DuplicateModel { name } => {
-                write!(f, "model `{name}` is already registered")
+            CoreError::Duplicate { kind, name } => {
+                write!(f, "{kind} `{name}` is already registered")
             }
             CoreError::InvalidModelKey { key, message } => {
                 write!(f, "invalid model key `{key}`: {message}")

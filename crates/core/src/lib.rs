@@ -19,9 +19,12 @@
 //!   pieces to the trace-driven simulator;
 //! * [`aging`] — the lifetime pipeline: per-bank sleep fractions → policy
 //!   rotation over update periods → SNM-based cache lifetime;
-//! * [`registry`] — the open, string-keyed [`registry::PolicyRegistry`]:
-//!   five built-in policies (`identity`, `probing`, `scrambling`,
-//!   `gray`, `rotate-xor`) plus user-registered ones;
+//! * [`registry`] — the one string-keyed [`registry::Registry`] behind
+//!   every named axis, and the [`registry::PolicyRegistry`]: five
+//!   built-in policies (`identity`, `probing`, `scrambling`, `gray`,
+//!   `rotate-xor`) plus user-registered ones;
+//! * [`replacement`] — the [`replacement::ReplacementRegistry`] naming
+//!   the simulator's victim-selection policies (`lru`, `mru`);
 //! * [`workload`] — the open workload axis: the
 //!   [`workload::WorkloadRegistry`] resolves suite names and
 //!   file-backed trace keys (`csv:path`, `din:path`, `lackey:path`) to
@@ -142,6 +145,7 @@ pub mod policy;
 pub mod presets;
 pub mod registry;
 pub mod render;
+pub mod replacement;
 pub mod report;
 pub mod rescache;
 pub mod search;
@@ -166,8 +170,9 @@ pub use model::{
 };
 pub use onehot::OneHotEncoder;
 pub use policy::{GrayRotation, Probing, RotateXor, Scrambling};
-pub use registry::{IndexingPolicy, PolicyRegistry};
+pub use registry::{IndexingPolicy, PolicyRegistry, Registry};
 pub use render::Format;
+pub use replacement::ReplacementRegistry;
 pub use rescache::{
     CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache, ENGINE_VERSION,
 };

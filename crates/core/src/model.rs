@@ -62,10 +62,11 @@
 
 use crate::aging::AgingAnalysis;
 use crate::error::CoreError;
+use crate::registry::{Entry, Registry};
 use crate::rescache::relock;
 use cache_sim::{BankMapping, IdentityMapping};
 use nbti_model::{calibration, DrvAnalysis, LifetimeSolver, SleepMode, VariationModel};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -107,8 +108,8 @@ impl Metrics {
         let mut positions: HashMap<String, usize> = HashMap::new();
         for (name, value) in pairs {
             let name = name.into();
-            match positions.get(&name) {
-                Some(&at) => entries[at].1 = value,
+            match positions.get(&name).and_then(|&at| entries.get_mut(at)) {
+                Some(entry) => entry.1 = value,
                 None => {
                     positions.insert(name.clone(), entries.len());
                     entries.push((name, value));
@@ -353,6 +354,8 @@ pub struct ModelKey {
     pub aged_shift: Option<f64>,
 }
 
+const NEEDS_SIGMA: &str = "the variation family needs a sigma: `variation:<sigma-mv>`";
+
 fn key_err(key: &str, message: impl Into<String>) -> CoreError {
     CoreError::InvalidModelKey {
         key: key.to_string(),
@@ -402,10 +405,7 @@ impl ModelKey {
         };
         let Some(tail) = tail else {
             if family == "variation" {
-                return Err(key_err(
-                    key,
-                    "the variation family needs a sigma: `variation:<sigma-mv>`",
-                ));
+                return Err(key_err(key, NEEDS_SIGMA));
             }
             return Ok(Some(parsed));
         };
@@ -462,10 +462,7 @@ impl ModelKey {
             }
         }
         if family == "variation" && parsed.sigma_mv.is_none() {
-            return Err(key_err(
-                key,
-                "the variation family needs a sigma: `variation:<sigma-mv>`",
-            ));
+            return Err(key_err(key, NEEDS_SIGMA));
         }
         Ok(Some(parsed))
     }
@@ -506,7 +503,7 @@ impl ModelKey {
     fn build(&self) -> Result<Arc<dyn AgingModel>, CoreError> {
         Ok(match self.family.as_str() {
             "nbti" => Arc::new(NbtiModel::new(self.params)),
-            "variation" => Arc::new(VariationAgingModel::new(self)),
+            "variation" => Arc::new(VariationAgingModel::new(self)?),
             "drv" => Arc::new(DrvModel::new(self)),
             other => {
                 return Err(CoreError::InvalidModelKey {
@@ -716,14 +713,20 @@ struct VariationAgingModel {
 }
 
 impl VariationAgingModel {
-    fn new(parsed: &ModelKey) -> Self {
-        Self {
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidModelKey`] for a key without a sigma
+    /// ([`ModelKey::parse`] never emits one, but the fields are public).
+    fn new(parsed: &ModelKey) -> Result<Self, CoreError> {
+        Ok(Self {
             key: parsed.canonical(),
             params: parsed.params,
-            sigma_mv: parsed.sigma_mv.expect("variation keys carry a sigma"),
+            sigma_mv: parsed
+                .sigma_mv
+                .ok_or_else(|| key_err(&parsed.canonical(), NEEDS_SIGMA))?,
             cells: parsed.cells.unwrap_or(DEFAULT_CELLS),
             quantile: parsed.quantile.unwrap_or(DEFAULT_QUANTILE),
-        }
+        })
     }
 }
 
@@ -797,8 +800,15 @@ impl CalibratedModel for VariationCalibrated {
         let mut accumulated = vec![0.0f64; banks];
         for _ in 0..updates {
             for (logical, &rate) in rates.iter().enumerate() {
-                let phys = mapping.map_bank(logical as u32, banks as u32) as usize;
-                accumulated[phys] += rate;
+                let phys = mapping.map_bank(logical as u32, banks as u32);
+                let Some(slot) = accumulated.get_mut(phys as usize) else {
+                    return Err(CoreError::InvalidParameter {
+                        name: "physical bank",
+                        value: f64::from(phys),
+                        expected: "a bank the policy maps below the bank count",
+                    });
+                };
+                *slot += rate;
             }
             mapping.update();
         }
@@ -914,45 +924,32 @@ where
     }
 }
 
-/// The string-keyed model registry.
-///
-/// Keys are ordered (a `BTreeMap`), so listings are deterministic
-/// regardless of registration order. Parameterized family keys
+/// The string-keyed model registry. Parameterized family keys
 /// (`nbti:…`, `variation:…`, `drv:…`) resolve dynamically without
 /// registration, exactly like file-backed workload keys.
-#[derive(Clone, Default)]
-pub struct ModelRegistry {
-    entries: BTreeMap<String, Arc<dyn AgingModel>>,
-}
+pub type ModelRegistry = Registry<dyn AgingModel>;
 
-impl std::fmt::Debug for ModelRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelRegistry")
-            .field("models", &self.names())
-            .finish()
+impl Entry for dyn AgingModel {
+    const KIND: &'static str = "model";
+
+    fn key(&self) -> &str {
+        self.name()
     }
 }
 
 impl ModelRegistry {
-    /// An empty registry (no models at all).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The registry with the named built-ins: `nbti-45nm` (the paper's
     /// reference) and `drv` (retention margins at the reference rail).
     /// Parameterized keys resolve dynamically on top.
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register(Arc::new(NbtiModel::new(ModelParams::none())))
-            .expect("fresh registry");
-        r.register(Arc::new(DrvModel::new(
-            &ModelKey::parse("drv")
-                .expect("static key")
-                .expect("family key"),
-        )))
-        .expect("fresh registry");
-        r
+        let nbti: Arc<dyn AgingModel> = Arc::new(NbtiModel::new(ModelParams::none()));
+        // A static family key, so it always parses; the listing test
+        // pins both built-ins.
+        let drv = ModelKey::parse("drv")
+            .ok()
+            .flatten()
+            .map(|key| Arc::new(DrvModel::new(&key)) as Arc<dyn AgingModel>);
+        Self::of(std::iter::once(nbti).chain(drv))
     }
 
     /// A shared, immutable instance of [`ModelRegistry::builtin`] for
@@ -962,26 +959,12 @@ impl ModelRegistry {
         GLOBAL.get_or_init(ModelRegistry::builtin)
     }
 
-    /// Registers a model object. Fails if the name is already taken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DuplicateModel`] on a name collision.
-    pub fn register(&mut self, model: Arc<dyn AgingModel>) -> Result<(), CoreError> {
-        let name = model.name().to_string();
-        if self.entries.contains_key(&name) {
-            return Err(CoreError::DuplicateModel { name });
-        }
-        self.entries.insert(name, model);
-        Ok(())
-    }
-
     /// Registers a model from a calibration closure — the one-liner
     /// path for user code and examples.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DuplicateModel`] on a name collision.
+    /// Returns [`CoreError::Duplicate`] on a name collision.
     pub fn register_fn<F>(
         &mut self,
         name: &str,
@@ -1000,54 +983,24 @@ impl ModelRegistry {
         }))
     }
 
-    /// Looks up a registered model by exact name (no dynamic family
-    /// resolution; see [`ModelRegistry::resolve`]).
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn AgingModel>> {
-        self.entries.get(name)
-    }
-
     /// Resolves a model key: registered names first (before and after
     /// canonicalization), then dynamic parameterized family keys.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownModel`] for an unresolvable key, or
+    /// Returns [`CoreError::Unknown`] for an unresolvable key, or
     /// [`CoreError::InvalidModelKey`] for a malformed family key.
     pub fn resolve(&self, key: &str) -> Result<Arc<dyn AgingModel>, CoreError> {
-        if let Some(m) = self.entries.get(key) {
+        if let Some(m) = self.get(key) {
             return Ok(Arc::clone(m));
         }
         if let Some(parsed) = ModelKey::parse(key)? {
-            let canonical = parsed.canonical();
-            if let Some(m) = self.entries.get(&canonical) {
+            if let Some(m) = self.get(&parsed.canonical()) {
                 return Ok(Arc::clone(m));
             }
             return parsed.build();
         }
-        Err(CoreError::UnknownModel {
-            name: key.to_string(),
-            known: self.names().join(", "),
-        })
-    }
-
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Number of registered models.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(name, model)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<dyn AgingModel>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        Err(self.unknown(key))
     }
 }
 
@@ -1202,6 +1155,11 @@ mod tests {
                 other.map(|m| m.name().to_string())
             ),
         }
+        // A variation key stripped of its sigma fails the same way.
+        key.family = "variation".to_string();
+        let e = key.build().err().expect("no sigma, no model");
+        assert!(matches!(e, CoreError::InvalidModelKey { .. }), "{e:?}");
+        assert!(e.to_string().contains("needs a sigma"), "{e}");
     }
 
     fn eval_with<'a>(
@@ -1307,17 +1265,8 @@ mod tests {
         assert_eq!(r.resolve("variation:30").unwrap().name(), "variation:30");
         assert_eq!(r.resolve("drv:vlow=0.6").unwrap().name(), "drv:vlow=0.6");
         let e = r.resolve("quantum-cell").err().expect("must fail");
-        assert!(matches!(e, CoreError::UnknownModel { .. }));
+        assert!(matches!(e, CoreError::Unknown { kind: "model", .. }));
         assert!(e.to_string().contains("nbti-45nm"), "{e}");
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut r = ModelRegistry::builtin();
-        let e = r
-            .register(Arc::new(NbtiModel::new(ModelParams::none())))
-            .unwrap_err();
-        assert!(matches!(e, CoreError::DuplicateModel { .. }));
     }
 
     #[test]

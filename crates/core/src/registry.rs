@@ -1,4 +1,9 @@
-//! The open, string-keyed indexing-policy registry.
+//! The one string-keyed [`Registry`] type, and the open
+//! indexing-policy registry built on it.
+//!
+//! Every named axis — indexing policies, workloads, device models and
+//! replacement policies — is a [`Registry`] of trait objects; each kind
+//! adds only its built-in table and how a name becomes an object.
 //!
 //! The paper evaluates three indexing functions, and the original
 //! reproduction froze them into a closed enum. Related work varies exactly this axis — decoder-level
@@ -49,7 +54,7 @@ use crate::error::CoreError;
 use crate::policy::{GrayRotation, Probing, RotateXor, Scrambling};
 use cache_sim::{BankMapping, IdentityMapping};
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A named factory for bank-indexing functions.
 ///
@@ -111,13 +116,154 @@ pub fn derive_policy_seed(base_seed: u64, scenario_id: u64, policy_name: &str) -
     mix64(mix64(base_seed ^ hash_name(policy_name)).wrapping_add(scenario_id))
 }
 
-struct FnPolicy<F> {
-    name: String,
-    description: String,
-    build: F,
+/// What a [`Registry`] holds: a trait object that knows its own key.
+///
+/// Implemented for the four registered trait-object types (`dyn`
+/// [`IndexingPolicy`], [`Workload`](crate::workload::Workload),
+/// [`AgingModel`](crate::model::AgingModel) and
+/// [`ReplacementPolicy`](cache_sim::ReplacementPolicy)), so none of
+/// those traits gains a method.
+pub trait Entry {
+    /// The kind of entry, as registry errors name it (`"policy"`).
+    const KIND: &'static str;
+
+    /// The registry key.
+    fn key(&self) -> &str;
 }
 
-impl<F> IndexingPolicy for FnPolicy<F>
+/// An ordered, string-keyed table of named trait objects: the one
+/// implementation behind [`PolicyRegistry`],
+/// [`WorkloadRegistry`](crate::workload::WorkloadRegistry),
+/// [`ModelRegistry`](crate::model::ModelRegistry) and
+/// [`ReplacementRegistry`](crate::replacement::ReplacementRegistry).
+///
+/// Keys are ordered (a `BTreeMap`), so listings and expanded grids are
+/// deterministic regardless of registration order. Each kind adds only
+/// what differs: its built-in table, and how a name becomes an object
+/// (`build` for policies, `resolve` with dynamic keys for the rest).
+pub struct Registry<T: ?Sized> {
+    entries: BTreeMap<String, Arc<T>>,
+}
+
+impl<T: ?Sized> Clone for Registry<T> {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+}
+
+impl<T: ?Sized + Entry> std::fmt::Debug for Registry<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Registry")
+            .field("kind", &T::KIND)
+            .field("names", &self.names())
+            .finish()
+    }
+}
+
+impl<T: ?Sized + Entry> Registry<T> {
+    /// An empty registry.
+    pub fn empty() -> Self {
+        Self {
+            entries: BTreeMap::new(),
+        }
+    }
+
+    /// A registry of `entries`, which must have distinct keys (a
+    /// repeated key keeps the last entry): the built-in tables.
+    pub(crate) fn of(entries: impl IntoIterator<Item = Arc<T>>) -> Self {
+        let entries = entries
+            .into_iter()
+            .map(|entry| (entry.key().to_string(), entry))
+            .collect();
+        Self { entries }
+    }
+
+    /// Registers an entry under its own key. Fails if the key is taken.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Duplicate`] on a key collision.
+    pub fn register(&mut self, entry: Arc<T>) -> Result<(), CoreError> {
+        let name = entry.key().to_string();
+        if self.entries.contains_key(&name) {
+            return Err(CoreError::Duplicate {
+                kind: T::KIND,
+                name,
+            });
+        }
+        self.entries.insert(name, entry);
+        Ok(())
+    }
+
+    /// The error for a key this registry cannot resolve: names the
+    /// kind and lists the registered keys.
+    pub(crate) fn unknown(&self, name: &str) -> CoreError {
+        CoreError::Unknown {
+            kind: T::KIND,
+            name: name.to_string(),
+            known: self.names().join(", "),
+        }
+    }
+
+    /// Looks up an entry by exact key (no dynamic key resolution).
+    pub fn get(&self, name: &str) -> Option<&Arc<T>> {
+        self.entries.get(name)
+    }
+
+    /// The registered keys, sorted.
+    pub fn names(&self) -> Vec<String> {
+        self.entries.keys().cloned().collect()
+    }
+
+    /// Number of registered entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the registry is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Iterates over `(key, entry)` pairs in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<T>)> {
+        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+    }
+}
+
+/// The string-keyed indexing-policy registry.
+pub type PolicyRegistry = Registry<dyn IndexingPolicy>;
+
+impl Entry for dyn IndexingPolicy {
+    const KIND: &'static str = "policy";
+
+    fn key(&self) -> &str {
+        self.name()
+    }
+}
+
+/// A closure-backed entry: a name, a description and the closure that
+/// does the entry's one job (building a policy's mapping, choosing a
+/// replacement victim).
+pub(crate) struct FnEntry<F> {
+    pub(crate) name: String,
+    pub(crate) description: String,
+    pub(crate) run: F,
+}
+
+impl<F> FnEntry<F> {
+    pub(crate) fn new(name: &str, description: &str, run: F) -> Self {
+        Self {
+            name: name.to_string(),
+            description: description.to_string(),
+            run,
+        }
+    }
+}
+
+impl<F> IndexingPolicy for FnEntry<F>
 where
     F: Fn(u32, u64) -> Result<Box<dyn BankMapping>, CoreError> + Send + Sync,
 {
@@ -130,37 +276,24 @@ where
     }
 
     fn build(&self, banks: u32, seed: u64) -> Result<Box<dyn BankMapping>, CoreError> {
-        (self.build)(banks, seed)
+        (self.run)(banks, seed)
     }
 }
 
-/// The string-keyed policy registry.
-///
-/// Keys are ordered (a `BTreeMap`), so listings and expanded grids are
-/// deterministic regardless of registration order.
-#[derive(Clone, Default)]
-pub struct PolicyRegistry {
-    entries: BTreeMap<String, Arc<dyn IndexingPolicy>>,
-}
-
-impl std::fmt::Debug for PolicyRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyRegistry")
-            .field("policies", &self.names())
-            .finish()
-    }
+/// A policy object from a closure: what [`PolicyRegistry::register_fn`]
+/// registers, and how the built-in table is written.
+fn policy_fn<F>(name: &str, description: &str, build: F) -> Arc<dyn IndexingPolicy>
+where
+    F: Fn(u32, u64) -> Result<Box<dyn BankMapping>, CoreError> + Send + Sync + 'static,
+{
+    Arc::new(FnEntry::new(name, description, build))
 }
 
 impl PolicyRegistry {
-    /// An empty registry (no policies at all).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// A shared, immutable instance of [`PolicyRegistry::builtin`] for
     /// hot paths that would otherwise rebuild the map per call.
     pub fn global() -> &'static PolicyRegistry {
-        static GLOBAL: std::sync::OnceLock<PolicyRegistry> = std::sync::OnceLock::new();
+        static GLOBAL: OnceLock<PolicyRegistry> = OnceLock::new();
         GLOBAL.get_or_init(PolicyRegistry::builtin)
     }
 
@@ -168,52 +301,33 @@ impl PolicyRegistry {
     /// `probing`, `scrambling` (the paper's three), plus `gray` and
     /// `rotate-xor` (openness proofs — see [`crate::policy`]).
     pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register_fn(
-            "identity",
-            "no re-indexing: the paper's power-managed LT0 baseline",
-            |_banks, _seed| Ok(Box::new(IdentityMapping)),
-        )
-        .expect("fresh registry");
-        r.register_fn(
-            "probing",
-            "modular-increment rotation (paper Fig. 3a, optimal)",
-            |banks, _seed| Ok(Box::new(Probing::new(banks)?)),
-        )
-        .expect("fresh registry");
-        r.register_fn(
-            "scrambling",
-            "LFSR-XOR masking (paper Fig. 3b, asymptotically optimal)",
-            |banks, seed| Ok(Box::new(Scrambling::new(banks, fold_seed(seed))?)),
-        )
-        .expect("fresh registry");
-        r.register_fn(
-            "gray",
-            "Gray-coded rotation: single-bit remap transitions per update",
-            |banks, _seed| Ok(Box::new(GrayRotation::new(banks)?)),
-        )
-        .expect("fresh registry");
-        r.register_fn(
-            "rotate-xor",
-            "rotation + LFSR-XOR hybrid of probing and scrambling",
-            |banks, seed| Ok(Box::new(RotateXor::new(banks, fold_seed(seed))?)),
-        )
-        .expect("fresh registry");
-        r
-    }
-
-    /// Registers a policy object. Fails if the name is already taken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DuplicatePolicy`] on a name collision.
-    pub fn register(&mut self, policy: Arc<dyn IndexingPolicy>) -> Result<(), CoreError> {
-        let name = policy.name().to_string();
-        if self.entries.contains_key(&name) {
-            return Err(CoreError::DuplicatePolicy { name });
-        }
-        self.entries.insert(name, policy);
-        Ok(())
+        Self::of([
+            policy_fn(
+                "identity",
+                "no re-indexing: the paper's power-managed LT0 baseline",
+                |_banks, _seed| Ok(Box::new(IdentityMapping)),
+            ),
+            policy_fn(
+                "probing",
+                "modular-increment rotation (paper Fig. 3a, optimal)",
+                |banks, _seed| Ok(Box::new(Probing::new(banks)?)),
+            ),
+            policy_fn(
+                "scrambling",
+                "LFSR-XOR masking (paper Fig. 3b, asymptotically optimal)",
+                |banks, seed| Ok(Box::new(Scrambling::new(banks, fold_seed(seed))?)),
+            ),
+            policy_fn(
+                "gray",
+                "Gray-coded rotation: single-bit remap transitions per update",
+                |banks, _seed| Ok(Box::new(GrayRotation::new(banks)?)),
+            ),
+            policy_fn(
+                "rotate-xor",
+                "rotation + LFSR-XOR hybrid of probing and scrambling",
+                |banks, seed| Ok(Box::new(RotateXor::new(banks, fold_seed(seed))?)),
+            ),
+        ])
     }
 
     /// Registers a policy from a closure — the one-liner path for user
@@ -221,7 +335,7 @@ impl PolicyRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DuplicatePolicy`] on a name collision.
+    /// Returns [`CoreError::Duplicate`] on a name collision.
     pub fn register_fn<F>(
         &mut self,
         name: &str,
@@ -231,57 +345,23 @@ impl PolicyRegistry {
     where
         F: Fn(u32, u64) -> Result<Box<dyn BankMapping>, CoreError> + Send + Sync + 'static,
     {
-        self.register(Arc::new(FnPolicy {
-            name: name.to_string(),
-            description: description.to_string(),
-            build,
-        }))
-    }
-
-    /// Looks up a policy by name.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn IndexingPolicy>> {
-        self.entries.get(name)
+        self.register(policy_fn(name, description, build))
     }
 
     /// Instantiates a named policy.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownPolicy`] for an unregistered name, or
-    /// the policy's own construction error.
+    /// Returns [`CoreError::Unknown`] for an unregistered name, or the
+    /// policy's own construction error.
     pub fn build(
         &self,
         name: &str,
         banks: u32,
         seed: u64,
     ) -> Result<Box<dyn BankMapping>, CoreError> {
-        match self.entries.get(name) {
-            Some(policy) => policy.build(banks, seed),
-            None => Err(CoreError::UnknownPolicy {
-                name: name.to_string(),
-                known: self.names().join(", "),
-            }),
-        }
-    }
-
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Number of registered policies.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(name, policy)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<dyn IndexingPolicy>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        let policy = self.get(name).ok_or_else(|| self.unknown(name))?;
+        policy.build(banks, seed)
     }
 }
 
@@ -323,15 +403,6 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("nope"), "{text}");
         assert!(text.contains("probing"), "{text}");
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut r = PolicyRegistry::builtin();
-        let e = r
-            .register_fn("probing", "clash", |_b, _s| Ok(Box::new(IdentityMapping)))
-            .unwrap_err();
-        assert!(matches!(e, CoreError::DuplicatePolicy { .. }));
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl WorkloadKey {
 /// outside the grid's workload axis.
 pub(crate) fn grid_fingerprints(grid: &ScenarioGrid) -> Result<Vec<Fingerprint>, CoreError> {
     let workloads: Vec<WorkloadKey> = grid
-        .workloads()
+        .workloads
         .iter()
         .map(|w| WorkloadKey::of(w.as_ref()))
         .collect();
@@ -1418,7 +1418,7 @@ mod key_pins {
         assert_eq!(built.len(), grid.len());
         let mut joined = String::new();
         for (scenario, fp) in grid.scenarios().iter().zip(&built) {
-            let workload = grid.workloads()[scenario.workload_index].as_ref();
+            let workload = grid.workloads[scenario.workload_index].as_ref();
             assert_eq!(fp, &Fingerprint::for_scenario(scenario, workload));
             assert_eq!(fp.canonical(), oracle(scenario, workload));
             joined.push_str(fp.canonical());

@@ -86,11 +86,9 @@ use std::sync::Arc;
 use crate::analysis::{metric_value, scenario_key, Axis, AxisValue, Reduce};
 use crate::error::CoreError;
 use crate::json::Json;
-use crate::registry::PolicyRegistry;
 use crate::report::Table;
 use crate::session::StudySession;
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
-use crate::workload::Workload;
 
 /// Spacing between the derived trace seeds of seed-ensemble members.
 ///
@@ -332,54 +330,27 @@ impl ScenarioSpace {
     /// a union whose right operand uses a policy the left registry
     /// does not know, or a space that expands to nothing.
     pub fn expand(&self) -> Result<ScenarioGrid, CoreError> {
-        let parts = expand_node(&self.node)?;
-        if parts.scenarios.is_empty() {
+        let grid = expand_node(&self.node)?;
+        if grid.scenarios.is_empty() {
             return report_err(format!(
                 "scenario space `{}` expands to no scenarios (filters removed everything?)",
-                parts.name
+                grid.name
             ));
         }
-        Ok(ScenarioGrid::from_parts(
-            parts.name,
-            parts.scenarios,
-            parts.workloads,
-            parts.registry,
-            parts.replacement_registry,
-            parts.threads,
-        ))
+        Ok(grid)
     }
 }
 
-/// Expanded space parts before the empty check (an empty *branch* of
-/// a union is legal; an empty *result* is not).
-struct SpaceParts {
-    name: String,
-    scenarios: Vec<Scenario>,
-    workloads: Vec<Arc<dyn Workload>>,
-    registry: PolicyRegistry,
-    replacement_registry: cache_sim::ReplacementRegistry,
-    /// The worker cap: a union takes its left operand's, or else its
-    /// right's.
-    threads: Option<usize>,
-}
-
-fn expand_node(node: &SpaceNode) -> Result<SpaceParts, CoreError> {
+/// Expands a node before the empty check (an empty *branch* of a
+/// union is legal; an empty *result* is not). A union keeps its left
+/// operand's registries and worker cap, or else its right's cap.
+fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
     match node {
-        SpaceNode::Grid(spec) => {
-            let grid = spec.expand()?;
-            Ok(SpaceParts {
-                name: grid.name().to_string(),
-                scenarios: grid.scenarios().to_vec(),
-                workloads: grid.workloads().to_vec(),
-                registry: grid.policy_registry().clone(),
-                replacement_registry: grid.replacement_registry().clone(),
-                threads: grid.threads_cap(),
-            })
-        }
+        SpaceNode::Grid(spec) => spec.expand(),
         SpaceNode::Filter { inner, pred } => {
-            let mut parts = expand_node(inner)?;
-            parts.scenarios.retain(|s| pred(s));
-            Ok(parts)
+            let mut grid = expand_node(inner)?;
+            grid.scenarios.retain(|s| pred(s));
+            Ok(grid)
         }
         SpaceNode::Union(l, r) => {
             let mut left = expand_node(l)?;
@@ -1329,14 +1300,16 @@ impl Prober<'_> {
                 members.push(m);
             }
         }
-        let batch_grid = ScenarioGrid::from_parts(
-            self.grid.name().to_string(),
-            members,
-            self.grid.workloads().to_vec(),
-            self.grid.policy_registry().clone(),
-            self.grid.replacement_registry().clone(),
-            self.grid.threads_cap(),
-        );
+        // Members keep their ids in the full space, offset per
+        // ensemble replica.
+        let batch_grid = ScenarioGrid {
+            name: self.grid.name.clone(),
+            scenarios: members,
+            workloads: self.grid.workloads.clone(),
+            registry: self.grid.registry.clone(),
+            replacement_registry: self.grid.replacement_registry.clone(),
+            threads: self.grid.threads,
+        };
         let report = self.session.run_grid(&batch_grid)?;
 
         let mut probes = Vec::with_capacity(fresh.len());

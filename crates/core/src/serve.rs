@@ -78,6 +78,7 @@ use crate::render::{self, Format};
 use crate::rescache::{grid_fingerprints, relock, CachedMeasurement, Fingerprint, ResultCache};
 use crate::session::{StudySession, WarmRead};
 use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
+use crate::workload::WorkloadRegistry;
 
 /// The report name served specs run under — the same literal the
 /// `study` CLI has always used, so `/render?format=json` bodies are
@@ -690,8 +691,10 @@ pub struct StudyServer {
 }
 
 impl StudyServer {
-    /// Binds a server over `cache` with a default session (global
-    /// registries).
+    /// Binds a server over `cache` with a fresh session, whose result
+    /// cache is the coalescing decorator over `cache`. Requests build
+    /// their specs with [`StudySpec::new`], so they resolve names
+    /// against the built-in registries.
     ///
     /// # Errors
     ///
@@ -700,25 +703,9 @@ impl StudyServer {
         cache: impl ResultCache + 'static,
         options: ServeOptions,
     ) -> Result<StudyServer, CoreError> {
-        Self::bind_with(cache, options, |session| session)
-    }
-
-    /// [`StudyServer::bind`] with a session-configuration hook: the
-    /// hook can install an observer or custom registries. The
-    /// coalescing cache is attached *after* the hook, so it cannot be
-    /// accidentally replaced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Report`] when the address cannot be bound.
-    pub fn bind_with(
-        cache: impl ResultCache + 'static,
-        options: ServeOptions,
-        configure: impl FnOnce(StudySession) -> StudySession,
-    ) -> Result<StudyServer, CoreError> {
         let inner: Arc<dyn ResultCache> = Arc::new(cache);
         let inflight = Arc::new(Inflight::default());
-        let session = configure(StudySession::new()).cache(CoalesceCache {
+        let session = StudySession::new().cache(CoalesceCache {
             inner: Arc::clone(&inner),
             inflight: Arc::clone(&inflight),
             backstop: Duration::from_millis(options.coalesce_wait_ms.max(1)),
@@ -1103,7 +1090,7 @@ impl StudyServer {
         let diff = ReportDiff::against_cache(
             &report,
             self.inner.as_ref(),
-            self.session.workload_registry_ref(),
+            WorkloadRegistry::global(),
             params.tol,
         )?;
         Ok(Response {

@@ -1,8 +1,9 @@
 //! The [`StudySession`] front door of the execution layer: one
-//! long-lived object owning the [`ModelContext`], the policy and
-//! workload registries, a session-scoped simulation memo and an
-//! optional [`ResultCache`] — so repeated and overlapping studies are
-//! incremental instead of from-scratch.
+//! long-lived object owning the [`ModelContext`], a session-scoped
+//! simulation memo and an optional [`ResultCache`] — so repeated and
+//! overlapping studies are incremental instead of from-scratch. The
+//! policy, workload and replacement registries ride on each
+//! [`StudySpec`] (and the grid it expands into), not on the session.
 //!
 //! [`StudySession::run`] is the one way to execute a study. Holding
 //! one session across runs is what makes them incremental:
@@ -48,11 +49,12 @@
 //!
 //! ```no_run
 //! use aging_cache::session::StudySession;
+//! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let session = StudySession::new();
-//! let narrow = session.spec("narrow").cache_kb([16]).workload_names(["sha"])?;
-//! let wide = session.spec("wide").cache_kb([8, 16]).workload_names(["sha"])?;
+//! let narrow = StudySpec::new("narrow").cache_kb([16]).workload_names(["sha"])?;
+//! let wide = StudySpec::new("wide").cache_kb([8, 16]).workload_names(["sha"])?;
 //! session.run(&narrow)?;
 //! session.run(&wide)?;
 //! let stats = session.stats();
@@ -68,10 +70,11 @@
 //! ```no_run
 //! use aging_cache::rescache::JsonlCache;
 //! use aging_cache::session::StudySession;
+//! use aging_cache::study::StudySpec;
 //!
 //! # fn main() -> Result<(), aging_cache::CoreError> {
 //! let session = StudySession::new().cache(JsonlCache::in_dir("./study-cache")?);
-//! let spec = session.spec("sweep").cache_kb([8, 16]).workload_names(["sha"])?;
+//! let spec = StudySpec::new("sweep").cache_kb([8, 16]).workload_names(["sha"])?;
 //! let report = session.run(&spec)?;
 //! // … later, in a fresh process:
 //! let resumed = StudySession::new().cache(JsonlCache::in_dir("./study-cache")?);
@@ -87,11 +90,12 @@ use crate::error::CoreError;
 use crate::exec::{self, ExecObserver, RecordOrigin};
 use crate::model::{CalibratedModel, ModelContext, ModelEval};
 use crate::registry::PolicyRegistry;
+use crate::replacement::ReplacementRegistry;
 use crate::rescache::{
     grid_fingerprints, relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache,
 };
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
-use crate::workload::{Workload, WorkloadRegistry};
+use crate::workload::Workload;
 use cache_sim::CacheGeometry;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -210,9 +214,6 @@ impl Counters {
 /// session-wide) and the simulation memo fills as grids run.
 pub struct StudySession {
     ctx: ModelContext,
-    policies: PolicyRegistry,
-    workloads: WorkloadRegistry,
-    replacements: cache_sim::ReplacementRegistry,
     memo: SimMemo,
     cache: Option<Box<dyn ResultCache>>,
     observer: Option<Box<dyn ExecObserver>>,
@@ -235,8 +236,7 @@ impl Default for StudySession {
 }
 
 impl StudySession {
-    /// A session over the built-in registries and a fresh
-    /// [`ModelContext`], no result cache.
+    /// A session over a fresh [`ModelContext`], no result cache.
     pub fn new() -> Self {
         Self::with_context(ModelContext::new())
     }
@@ -246,9 +246,6 @@ impl StudySession {
     pub fn with_context(ctx: ModelContext) -> Self {
         Self {
             ctx,
-            policies: PolicyRegistry::global().clone(),
-            workloads: WorkloadRegistry::global().clone(),
-            replacements: cache_sim::ReplacementRegistry::global().clone(),
             memo: SimMemo::default(),
             cache: None,
             observer: None,
@@ -270,30 +267,6 @@ impl StudySession {
         self
     }
 
-    /// Replaces the session's policy registry (used by
-    /// [`StudySession::spec`]).
-    #[must_use]
-    pub fn policy_registry(mut self, registry: PolicyRegistry) -> Self {
-        self.policies = registry;
-        self
-    }
-
-    /// Replaces the session's workload registry (used by
-    /// [`StudySession::spec`]).
-    #[must_use]
-    pub fn workload_registry(mut self, registry: WorkloadRegistry) -> Self {
-        self.workloads = registry;
-        self
-    }
-
-    /// Replaces the session's replacement-policy registry (used by
-    /// [`StudySession::spec`]).
-    #[must_use]
-    pub fn replacement_registry(mut self, registry: cache_sim::ReplacementRegistry) -> Self {
-        self.replacements = registry;
-        self
-    }
-
     /// The model context (registry + calibration memo) this session
     /// owns.
     pub fn context(&self) -> &ModelContext {
@@ -303,22 +276,6 @@ impl StudySession {
     /// The attached result cache, if any.
     pub fn result_cache(&self) -> Option<&dyn ResultCache> {
         self.cache.as_deref()
-    }
-
-    /// The session's workload registry (the server resolves request
-    /// workload keys against it).
-    pub(crate) fn workload_registry_ref(&self) -> &WorkloadRegistry {
-        &self.workloads
-    }
-
-    /// A new [`StudySpec`] pre-wired with the session's policy,
-    /// workload and replacement registries — the spec-building front
-    /// door.
-    pub fn spec(&self, name: impl Into<String>) -> StudySpec {
-        StudySpec::new(name)
-            .registry(self.policies.clone())
-            .workload_registry(self.workloads.clone())
-            .replacement_registry(self.replacements.clone())
     }
 
     /// Expands and runs a spec through this session.
@@ -377,31 +334,6 @@ impl StudySession {
     /// A snapshot of the session's cumulative execution counters.
     pub fn stats(&self) -> SessionStats {
         self.counters.snapshot()
-    }
-
-    /// Verifies a report against this session's result cache, cell by
-    /// cell with absolute tolerance `tolerance` — the analysis layer's
-    /// [`ReportDiff::against_cache`](crate::analysis::ReportDiff::against_cache)
-    /// wired to the session's cache and workload registry. No
-    /// simulation and no model evaluation runs: a report replayed from
-    /// a warm journal diffs empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Report`] when the session has no cache
-    /// attached, and propagates workload-resolution and cache backend
-    /// errors.
-    pub fn diff_cached(
-        &self,
-        report: &StudyReport,
-        tolerance: f64,
-    ) -> Result<crate::analysis::ReportDiff, CoreError> {
-        let Some(cache) = self.cache.as_deref() else {
-            return Err(CoreError::Report {
-                message: "diff_cached: this session has no result cache attached".into(),
-            });
-        };
-        crate::analysis::ReportDiff::against_cache(report, cache, &self.workloads, tolerance)
     }
 }
 
@@ -509,7 +441,7 @@ fn replay_or_compute(
     }
 
     if !misses.is_empty() {
-        let workers = exec::workers(grid.threads_cap(), misses.len());
+        let workers = exec::workers(grid.threads, misses.len());
         let plan = TracePlan::new(workers, &replayed);
         let task = |j: usize| {
             let i = misses[j];
@@ -605,11 +537,11 @@ fn run_one(
 ) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {
     session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
     let scenario = &grid.scenarios()[index];
-    let workload = &grid.workloads()[scenario.workload_index];
+    let workload = &grid.workloads[scenario.workload_index];
     let measured = measure(grid, index, plan, session)?;
     let model = &models[scenario.model.as_str()];
     let policy_builder = || {
-        grid.policy_registry()
+        grid.registry
             .build(&scenario.policy, scenario.banks, scenario.policy_seed)
     };
     let mut metrics = model.evaluate(&ModelEval {
@@ -705,7 +637,7 @@ impl<'a> TracePlan<'a> {
         self.traces.get_or_init(|| {
             let mut traces = TraceMembers::new();
             for (id, scenario) in grid.scenarios().iter().enumerate() {
-                let workload = grid.workloads()[scenario.workload_index].as_ref();
+                let workload = grid.workloads[scenario.workload_index].as_ref();
                 if workload.pinned_profile().is_some() {
                     continue;
                 }
@@ -794,7 +726,7 @@ fn measure(
     session: &StudySession,
 ) -> Result<Arc<SimMeasurement>, CoreError> {
     let scenario = &grid.scenarios()[index];
-    let workload = grid.workloads()[scenario.workload_index].as_ref();
+    let workload = grid.workloads[scenario.workload_index].as_ref();
     if let Some(profile) = workload.pinned_profile() {
         return Ok(Arc::new(SimMeasurement {
             cycles: 0,
@@ -873,7 +805,7 @@ impl Drop for InFlightGuard<'_> {
 /// Builds scenario's single-level cache, or its L1+L2 hierarchy.
 fn build_target(
     scenario: &Scenario,
-    replacements: &cache_sim::ReplacementRegistry,
+    replacements: &ReplacementRegistry,
 ) -> Result<SimTarget, CoreError> {
     let level = |bytes: u64, ways: u32| -> Result<PartitionedCache, CoreError> {
         let geom = CacheGeometry::new(bytes, scenario.line_bytes, ways, scenario.banks)?;
@@ -926,7 +858,7 @@ fn simulate_group(
     let mut keys = Vec::with_capacity(claimed.len());
     let mut targets = Vec::with_capacity(claimed.len());
     for (i, (key, id)) in claimed.iter().enumerate() {
-        match build_target(&grid.scenarios()[*id], grid.replacement_registry()) {
+        match build_target(&grid.scenarios()[*id], &grid.replacement_registry) {
             Ok(target) => {
                 keys.push(key);
                 targets.push(target);
@@ -938,7 +870,7 @@ fn simulate_group(
     // Stream the workload through the batched fast path: synthetic
     // generators and multi-GB trace files both run in constant memory,
     // with bitwise-identical outcomes to the scalar loop.
-    let mut source = grid.workloads()[leader.workload_index].open(leader.trace_seed)?;
+    let mut source = grid.workloads[leader.workload_index].open(leader.trace_seed)?;
     session.counters.trace_opens.fetch_add(1, Ordering::Relaxed);
     simulate_fanout(
         source.as_mut(),
@@ -968,9 +900,8 @@ mod tests {
     use crate::model::Metrics;
     use crate::rescache::MemoryCache;
 
-    fn tiny_spec(session: &StudySession, name: &str) -> StudySpec {
-        session
-            .spec(name)
+    fn tiny_spec(name: &str) -> StudySpec {
+        StudySpec::new(name)
             .workload_names(["sha", "CRC32"])
             .unwrap()
             .trace_cycles(40_000)
@@ -979,14 +910,14 @@ mod tests {
     #[test]
     fn session_memo_shares_simulations_across_runs() {
         let session = StudySession::new();
-        let spec = tiny_spec(&session, "first").policies(["probing", "gray"]);
+        let spec = tiny_spec("first").policies(["probing", "gray"]);
         session.run(&spec).unwrap();
         let s1 = session.stats();
         assert_eq!(s1.scenarios, 4);
         assert_eq!(s1.simulations, 2, "two workloads, one geometry");
         assert_eq!(s1.sim_memo_hits, 2);
         // A second, overlapping run simulates nothing new.
-        let again = tiny_spec(&session, "second").policies(["scrambling"]);
+        let again = tiny_spec("second").policies(["scrambling"]);
         session.run(&again).unwrap();
         let s2 = session.stats();
         assert_eq!(s2.scenarios, 6);
@@ -997,7 +928,7 @@ mod tests {
     #[test]
     fn warm_cache_skips_simulation_and_evaluation() {
         let session = StudySession::new().cache(MemoryCache::new());
-        let spec = tiny_spec(&session, "cached");
+        let spec = tiny_spec("cached");
         let cold = session.run(&spec).unwrap();
         assert_eq!(session.stats().cache_stores, 2);
         let warm = session.run(&spec).unwrap();
@@ -1022,7 +953,7 @@ mod tests {
             .register_fn("bomb", "panics on evaluate", "none", || Ok(Arc::new(Bomb)))
             .unwrap();
         let session = StudySession::with_context(ModelContext::with_registry(registry));
-        let spec = tiny_spec(&session, "boom").models(["bomb"]).threads(1);
+        let spec = tiny_spec("boom").models(["bomb"]).threads(1);
         let e = session.run(&spec).unwrap_err();
         let CoreError::ScenarioPanicked { scenario, message } = &e else {
             panic!("expected ScenarioPanicked, got {e:?}");
@@ -1068,7 +999,7 @@ mod tests {
         let session = StudySession::new()
             .cache(MemoryCache::new())
             .observer(Arc::clone(&counting));
-        let spec = tiny_spec(&session, "observed");
+        let spec = tiny_spec("observed");
         session.run(&spec).unwrap();
         session.run(&spec).unwrap();
         assert_eq!(counting.started.load(Ordering::Relaxed), 4);

@@ -101,10 +101,11 @@ use crate::error::CoreError;
 use crate::json::Json;
 use crate::model::{self, Metrics, ModelParams};
 use crate::registry::{derive_policy_seed, PolicyRegistry};
+use crate::replacement::ReplacementRegistry;
 use crate::workload::{
     builtin_suite, SyntheticWorkload, Workload, WorkloadRegistry, WorkloadSourceInfo,
 };
-use cache_sim::{CacheGeometry, ReplacementRegistry, SimError, DEFAULT_REPLACEMENT};
+use cache_sim::{CacheGeometry, SimError, DEFAULT_REPLACEMENT};
 use std::sync::Arc;
 use trace_synth::WorkloadProfile;
 
@@ -345,7 +346,7 @@ impl StudySpec {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownWorkload`] for an unresolvable key,
+    /// Returns [`CoreError::Unknown`] for an unresolvable key,
     /// or [`CoreError::Trace`] when a trace file cannot be read.
     pub fn workload_names<S: AsRef<str>>(
         mut self,
@@ -547,19 +548,14 @@ impl StudySpec {
             if self.registry.get(name).is_none() {
                 let known = self.registry.names().join(", ");
                 let message = format!("unknown policy `{name}` (known: {known})");
-                let name = name.clone();
-                push(
-                    "spec-policy",
-                    message,
-                    Some(CoreError::UnknownPolicy { name, known }),
-                );
+                push("spec-policy", message, Some(self.registry.unknown(name)));
             }
         }
         for name in &self.replacements {
             if let Err(e) = self.replacement_registry.resolve(name) {
                 let known = self.replacement_registry.names().join(", ");
                 let message = format!("unknown replacement policy `{name}` (known: {known})");
-                push("spec-replacement", message, Some(e.into()));
+                push("spec-replacement", message, Some(e));
             }
         }
         let positive: fn(f64) -> bool = |x| x > 0.0;
@@ -1078,14 +1074,24 @@ impl Scenario {
 }
 
 /// An expanded grid, ready to run.
+///
+/// Fields are crate-visible: the search layer assembles grids for
+/// expanded spaces and probe batches, where scenarios keep whatever
+/// ids they carry and the full workload axis rides along so
+/// `workload_index` stays valid.
 #[derive(Clone)]
 pub struct ScenarioGrid {
-    name: String,
-    scenarios: Vec<Scenario>,
-    workloads: Vec<Arc<dyn Workload>>,
-    registry: PolicyRegistry,
-    replacement_registry: ReplacementRegistry,
-    threads: Option<usize>,
+    pub(crate) name: String,
+    pub(crate) scenarios: Vec<Scenario>,
+    /// The workload objects the scenarios' `workload_index` values
+    /// resolve into.
+    pub(crate) workloads: Vec<Arc<dyn Workload>>,
+    /// The policy registry scenarios build their mappings from.
+    pub(crate) registry: PolicyRegistry,
+    /// The registry scenarios resolve their `replacement` names from.
+    pub(crate) replacement_registry: ReplacementRegistry,
+    /// The spec-level worker cap, if one was set.
+    pub(crate) threads: Option<usize>,
 }
 
 impl std::fmt::Debug for ScenarioGrid {
@@ -1102,30 +1108,6 @@ impl std::fmt::Debug for ScenarioGrid {
 }
 
 impl ScenarioGrid {
-    /// A grid assembled from pre-expanded parts — the search layer's
-    /// path for expanded spaces and probe batches. Scenarios keep
-    /// whatever ids they carry (a probe batch keeps its members' ids
-    /// in the full space, offset per ensemble replica), the full
-    /// workload axis rides along so `workload_index` stays valid, and
-    /// `threads` carries the spec's worker cap.
-    pub(crate) fn from_parts(
-        name: String,
-        scenarios: Vec<Scenario>,
-        workloads: Vec<Arc<dyn Workload>>,
-        registry: PolicyRegistry,
-        replacement_registry: ReplacementRegistry,
-        threads: Option<usize>,
-    ) -> Self {
-        Self {
-            name,
-            scenarios,
-            workloads,
-            registry,
-            replacement_registry,
-            threads,
-        }
-    }
-
     /// The grid (study) name.
     pub fn name(&self) -> &str {
         &self.name
@@ -1134,28 +1116,6 @@ impl ScenarioGrid {
     /// The scenarios, in id order.
     pub fn scenarios(&self) -> &[Scenario] {
         &self.scenarios
-    }
-
-    /// The workload objects the scenarios' `workload_index` values
-    /// resolve into.
-    pub(crate) fn workloads(&self) -> &[Arc<dyn Workload>] {
-        &self.workloads
-    }
-
-    /// The policy registry scenarios build their mappings from.
-    pub(crate) fn policy_registry(&self) -> &PolicyRegistry {
-        &self.registry
-    }
-
-    /// The replacement-policy registry scenarios resolve their
-    /// `replacement` names from.
-    pub(crate) fn replacement_registry(&self) -> &ReplacementRegistry {
-        &self.replacement_registry
-    }
-
-    /// The spec-level worker cap, if one was set.
-    pub(crate) fn threads_cap(&self) -> Option<usize> {
-        self.threads
     }
 
     /// Number of grid points.
@@ -1363,13 +1323,11 @@ mod tests {
         // The suite is built once per process: a per-call rebuild would
         // hand out fresh objects and fail the pointer checks.
         let (a, b) = (StudySpec::new("a"), StudySpec::new("b"));
-        let session = StudySession::new();
-        let from_session = session.spec("c");
+        let fresh = WorkloadRegistry::builtin();
         assert_eq!(a.workloads.len(), 18);
         for (i, w) in a.workloads.iter().enumerate() {
             assert!(Arc::ptr_eq(w, &b.workloads[i]), "{}", w.name());
-            assert!(Arc::ptr_eq(w, &from_session.workloads[i]), "{}", w.name());
-            for registry in [&a.workload_registry, &from_session.workload_registry] {
+            for registry in [&a.workload_registry, &fresh] {
                 let registered = registry.get(w.name()).expect("registered");
                 assert!(Arc::ptr_eq(w, registered), "{}", w.name());
             }
@@ -1448,7 +1406,7 @@ mod tests {
     #[test]
     fn unknown_policy_is_rejected_at_expansion() {
         let e = tiny_spec().policies(["warp-drive"]).expand();
-        assert!(matches!(e, Err(CoreError::UnknownPolicy { .. })));
+        assert!(matches!(e, Err(CoreError::Unknown { kind: "policy", .. })));
     }
 
     #[test]
@@ -1624,7 +1582,13 @@ mod tests {
         // An unknown replacement policy.
         let e = tiny_spec().replacement(["belady"]).expand();
         assert!(
-            matches!(e, Err(CoreError::Sim(SimError::UnknownReplacement { .. }))),
+            matches!(
+                e,
+                Err(CoreError::Unknown {
+                    kind: "replacement policy",
+                    ..
+                })
+            ),
             "{e:?}"
         );
     }

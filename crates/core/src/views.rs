@@ -32,7 +32,7 @@
 //! # }
 //! ```
 
-use crate::analysis::{self, Axis, AxisValue, Query, Reduce};
+use crate::analysis::{self, Axis, AxisValue, Group, Query, Reduce};
 use crate::error::CoreError;
 use crate::model::{ModelKey, METRIC_LT, METRIC_LT0, REFERENCE_TEMP_C, REFERENCE_VLOW};
 use crate::paper;
@@ -148,9 +148,41 @@ const ESAV: Column = ("Esav%", "esav", pct);
 const LT0: Column = ("LT0", METRIC_LT0, years);
 const LT: Column = ("LT", METRIC_LT, years);
 
+/// Pairs the records of `groups` (column blocks named by `labels`) by
+/// benchmark: one row per record of the first block, in its order,
+/// holding that record and, from each other block, the record of the
+/// same workload (a workload's k-th record pairs with its k-th). A
+/// block without the row's workload is a shape error naming the view,
+/// the block and the workload.
+fn pair_by_workload<'a>(
+    view: &'static str,
+    labels: &[String],
+    groups: &[Group<'a>],
+) -> Result<Vec<Vec<&'a ScenarioRecord>>, CoreError> {
+    let Some((first, rest)) = groups.split_first() else {
+        return Ok(Vec::new());
+    };
+    let mut rows = Vec::with_capacity(first.records.len());
+    for (i, &r) in first.records.iter().enumerate() {
+        let workload = &r.scenario.workload;
+        let same = |p: &&&ScenarioRecord| p.scenario.workload == *workload;
+        let nth = first.records.iter().take(i).filter(same).count();
+        let mut row = vec![r];
+        for (label, block) in labels.iter().skip(1).zip(rest) {
+            let Some(&p) = block.records.iter().filter(same).nth(nth) else {
+                return shape_err(view, format!("{label} has no record for `{workload}`"));
+            };
+            row.push(p);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
+}
+
 /// The layout of Tables II and III: one column block per value of one
-/// axis, in report order, and one row per benchmark. Blocks pair their
-/// records by position, so every block must hold the same count.
+/// axis, in report order, and one row per benchmark. Every block must
+/// hold the same count, and blocks pair their records by workload
+/// ([`pair_by_workload`]).
 struct Blocks {
     view: &'static str,
     title: &'static str,
@@ -188,9 +220,9 @@ impl Blocks {
         if blocks.iter().any(|&(_, n)| n != rows) {
             return shape_err(self.view, (self.unbalanced)(&blocks));
         }
+        let labels: Vec<String> = blocks.iter().map(|(s, _)| (self.label)(s)).collect();
         let mut headers = vec!["bench".to_string()];
-        for (scenario, _) in &blocks {
-            let label = (self.label)(scenario);
+        for label in &labels {
             headers.extend(
                 self.columns
                     .iter()
@@ -198,9 +230,9 @@ impl Blocks {
             );
         }
         let mut t = Table::new(self.title, headers);
-        for i in 0..rows {
+        for records in pair_by_workload(self.view, &labels, &groups)? {
             let mut row = Vec::new();
-            for r in groups.iter().filter_map(|g| g.records.get(i)) {
+            for r in records {
                 if row.is_empty() {
                     row.push(r.scenario.workload.clone());
                 }
@@ -476,6 +508,7 @@ pub fn policy_equivalence(report: &StudyReport) -> Result<Table, CoreError> {
         );
     }
     let (pa, pb) = (a.label(), b.label());
+    let rows = pair_by_workload("policy_equivalence", &[pa.clone(), pb.clone()], &groups)?;
     let mut t = Table::new(
         format!("{} vs {} lifetimes", capitalize(&pa), capitalize(&pb)),
         vec![
@@ -485,7 +518,10 @@ pub fn policy_equivalence(report: &StudyReport) -> Result<Table, CoreError> {
             "delta %".into(),
         ],
     );
-    for (ra, rb) in a.records.iter().zip(&b.records) {
+    for row in &rows {
+        let &[ra, rb] = row.as_slice() else {
+            continue; // every row holds one record per policy
+        };
         let lta = analysis::require_metric(ra, METRIC_LT).map_err(in_view("policy_equivalence"))?;
         let ltb = analysis::require_metric(rb, METRIC_LT).map_err(in_view("policy_equivalence"))?;
         t.push_row(vec![
@@ -734,6 +770,53 @@ mod tests {
         let t = policy_equivalence(&report).unwrap();
         assert_eq!(t.rows().len(), 1);
         assert!(t.to_string().contains("Probing vs Scrambling"));
+    }
+
+    #[test]
+    fn policy_equivalence_pairs_records_by_workload_not_position() {
+        let sha = record("sha", 0, 16, 4, "probing");
+        let mut crc = record("CRC32", 1, 16, 4, "probing");
+        crc.metrics = Metrics::from_pairs([("lt0_years", 3.0), ("lt_years", 6.0)]);
+        let scrambled = |r: &ScenarioRecord| {
+            let mut r = r.clone();
+            r.scenario.policy = "scrambling".into();
+            r
+        };
+        // The second block lists the benchmarks in the other order.
+        let swapped = vec![sha.clone(), crc.clone(), scrambled(&crc), scrambled(&sha)];
+        let t = policy_equivalence(&StudyReport::from_records("eq", swapped)).unwrap();
+        let rows: Vec<_> = t
+            .rows()
+            .iter()
+            .map(|r| (r[0].as_str(), r[3].as_str()))
+            .collect();
+        assert_eq!(rows, [("sha", "+0.00"), ("CRC32", "+0.00")]);
+        let mut other = scrambled(&crc);
+        other.scenario.workload = "dijkstra".into();
+        let lacking = vec![sha, crc.clone(), scrambled(&crc), other];
+        assert_eq!(
+            shape_error(policy_equivalence, lacking),
+            "study report error: policy_equivalence view: scrambling has no record for `sha`"
+        );
+    }
+
+    #[test]
+    fn table2_pairs_records_by_workload_not_position() {
+        let mut records = grid(&[8, 16, 32], &[16]);
+        for r in records.iter_mut().filter(|r| r.scenario.workload == "b") {
+            r.esav = 0.5;
+            r.metrics = Metrics::from_pairs([("lt0_years", 3.5), ("lt_years", 5.5)]);
+        }
+        let in_order = table2(&StudyReport::from_records("t2", records.clone())).unwrap();
+        assert_ne!(in_order.rows()[0][1..], in_order.rows()[1][1..]);
+        records.swap(2, 3); // the 16 kB block lists `b` before `a`
+        let swapped = table2(&StudyReport::from_records("t2", records.clone())).unwrap();
+        assert_eq!(swapped.to_string(), in_order.to_string());
+        records[5].scenario.workload = "c".into(); // the 32 kB block: `a`, `c`
+        assert_eq!(
+            shape_error(table2, records),
+            "study report error: table2 view: 32k has no record for `b`"
+        );
     }
 
     /// The suite `a`, `b` at each of `sizes` (kB) and `lines` (bytes).

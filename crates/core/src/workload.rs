@@ -1,5 +1,5 @@
 //! The open, string-keyed workload registry — the workload axis'
-//! counterpart of [`crate::registry`].
+//! [`Registry`].
 //!
 //! The paper's evaluation fixes the workload axis to the 18 synthetic
 //! MediaBench-like profiles, yet everything downstream — bank idleness,
@@ -59,7 +59,7 @@
 //! ```
 
 use crate::error::CoreError;
-use std::collections::BTreeMap;
+use crate::registry::{Entry, Registry};
 use std::fs::File;
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -413,59 +413,31 @@ pub(crate) fn builtin_suite() -> &'static [Arc<dyn Workload>] {
     })
 }
 
-/// The string-keyed workload registry.
-///
-/// Keys are ordered (a `BTreeMap`), so listings and expanded grids are
-/// deterministic regardless of registration order. File-backed keys
-/// (`format:path`) resolve dynamically without registration.
-#[derive(Clone, Default)]
-pub struct WorkloadRegistry {
-    entries: BTreeMap<String, Arc<dyn Workload>>,
-}
+/// The string-keyed workload registry. File-backed keys
+/// (`format:path`) and pinned profiles (`profile:…`) resolve
+/// dynamically without registration.
+pub type WorkloadRegistry = Registry<dyn Workload>;
 
-impl std::fmt::Debug for WorkloadRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkloadRegistry")
-            .field("workloads", &self.names())
-            .finish()
+impl Entry for dyn Workload {
+    const KIND: &'static str = "workload";
+
+    fn key(&self) -> &str {
+        self.name()
     }
 }
 
 impl WorkloadRegistry {
-    /// An empty registry (no workloads at all).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
     /// The registry with the full 18-benchmark MediaBench-like suite,
     /// over the workload objects the process builds once.
     pub fn builtin() -> Self {
-        let entries = builtin_suite()
-            .iter()
-            .map(|workload| (workload.name().to_string(), Arc::clone(workload)))
-            .collect();
-        Self { entries }
+        Self::of(builtin_suite().iter().cloned())
     }
 
     /// A shared, immutable instance of [`WorkloadRegistry::builtin`];
-    /// sessions and specs start from clones of it.
+    /// specs start from clones of it.
     pub fn global() -> &'static WorkloadRegistry {
         static GLOBAL: OnceLock<WorkloadRegistry> = OnceLock::new();
         GLOBAL.get_or_init(WorkloadRegistry::builtin)
-    }
-
-    /// Registers a workload object. Fails if the name is already taken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::DuplicateWorkload`] on a name collision.
-    pub fn register(&mut self, workload: Arc<dyn Workload>) -> Result<(), CoreError> {
-        let name = workload.name().to_string();
-        if self.entries.contains_key(&name) {
-            return Err(CoreError::DuplicateWorkload { name });
-        }
-        self.entries.insert(name, workload);
-        Ok(())
     }
 
     /// Registers a synthetic profile under `name` — the one-liner path
@@ -473,7 +445,7 @@ impl WorkloadRegistry {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::DuplicateWorkload`] on a name collision.
+    /// Returns [`CoreError::Duplicate`] on a name collision.
     pub fn register_profile(
         &mut self,
         name: &str,
@@ -482,23 +454,17 @@ impl WorkloadRegistry {
         self.register(Arc::new(SyntheticWorkload::named(name, profile)))
     }
 
-    /// Looks up a registered workload by exact name (no dynamic
-    /// file-key resolution; see [`WorkloadRegistry::resolve`]).
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn Workload>> {
-        self.entries.get(name)
-    }
-
     /// Resolves a workload key: registered names first, then dynamic
     /// `profile:s0,s1,…` pinned-profile keys and `format:path` file
     /// keys.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::UnknownWorkload`] for an unresolvable key,
+    /// Returns [`CoreError::Unknown`] for an unresolvable key,
     /// or [`CoreError::Trace`] when a file key names an unreadable
     /// file.
     pub fn resolve(&self, key: &str) -> Result<Arc<dyn Workload>, CoreError> {
-        if let Some(w) = self.entries.get(key) {
+        if let Some(w) = self.get(key) {
             return Ok(Arc::clone(w));
         }
         if key.starts_with("profile:") {
@@ -507,30 +473,7 @@ impl WorkloadRegistry {
         if formats::parse_spec(key).is_ok() {
             return Ok(Arc::new(FileWorkload::from_spec(key)?));
         }
-        Err(CoreError::UnknownWorkload {
-            name: key.to_string(),
-            known: self.names().join(", "),
-        })
-    }
-
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Number of registered workloads.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(name, workload)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<dyn Workload>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        Err(self.unknown(key))
     }
 }
 
@@ -572,15 +515,6 @@ mod tests {
         let text = e.to_string();
         assert!(text.contains("quake3"), "{text}");
         assert!(text.contains("sha"), "{text}");
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut r = WorkloadRegistry::builtin();
-        let e = r
-            .register_profile("sha", trace_synth::suite::by_name("sha").unwrap())
-            .unwrap_err();
-        assert!(matches!(e, CoreError::DuplicateWorkload { .. }));
     }
 
     #[test]

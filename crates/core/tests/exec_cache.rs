@@ -21,9 +21,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
-fn grid_spec(session: &StudySession) -> StudySpec {
-    session
-        .spec("exec equivalence")
+fn grid_spec() -> StudySpec {
+    StudySpec::new("exec equivalence")
         .cache_kb([8, 16])
         .policies(["probing", "gray"])
         .workload_names(["sha", "CRC32"])
@@ -34,30 +33,24 @@ fn grid_spec(session: &StudySession) -> StudySpec {
 #[test]
 fn sequential_threaded_and_cache_warm_reports_are_byte_identical() {
     let sequential = StudySession::new();
-    let reference = sequential
-        .run(&grid_spec(&sequential).threads(1))
-        .unwrap()
-        .to_json();
+    let reference = sequential.run(&grid_spec().threads(1)).unwrap().to_json();
 
     let threaded = StudySession::new();
     assert_eq!(
-        threaded.run(&grid_spec(&threaded)).unwrap().to_json(),
+        threaded.run(&grid_spec()).unwrap().to_json(),
         reference,
         "threaded vs sequential"
     );
 
     let two_workers = StudySession::new();
     assert_eq!(
-        two_workers
-            .run(&grid_spec(&two_workers).threads(2))
-            .unwrap()
-            .to_json(),
+        two_workers.run(&grid_spec().threads(2)).unwrap().to_json(),
         reference,
         "capped worker pool"
     );
 
     let cached = StudySession::new().cache(MemoryCache::new());
-    let spec = grid_spec(&cached);
+    let spec = grid_spec();
     assert_eq!(cached.run(&spec).unwrap().to_json(), reference, "cold");
     assert_eq!(cached.run(&spec).unwrap().to_json(), reference, "warm");
     let stats = cached.stats();
@@ -71,13 +64,13 @@ fn reopened_journal_replays_without_simulating() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let cold = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    let reference = cold.run(&grid_spec(&cold)).unwrap().to_json();
+    let reference = cold.run(&grid_spec()).unwrap().to_json();
     assert_eq!(cold.stats().cache_stores, 8);
 
     // A fresh session over the reopened journal — a second process, in
     // effect. Zero simulations, zero model evaluations, same bytes.
     let warm = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    assert_eq!(warm.run(&grid_spec(&warm)).unwrap().to_json(), reference);
+    assert_eq!(warm.run(&grid_spec()).unwrap().to_json(), reference);
     let stats = warm.stats();
     assert_eq!(stats.simulations, 0);
     assert_eq!(stats.evaluations, 0);
@@ -86,10 +79,10 @@ fn reopened_journal_replays_without_simulating() {
     // A widened grid computes only the missing points (the presets pin
     // the policy seed, so shared points keep their fingerprints).
     let wider = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    let spec = grid_spec(&wider).policy_seed(1);
+    let spec = grid_spec().policy_seed(1);
     wider.run(&spec).unwrap();
     let before = wider.stats();
-    let widened = grid_spec(&wider).policy_seed(1).cache_kb([8, 16, 32]);
+    let widened = grid_spec().policy_seed(1).cache_kb([8, 16, 32]);
     wider.run(&widened).unwrap();
     let after = wider.stats();
     assert_eq!(
@@ -117,8 +110,7 @@ fn poisoned_journal_is_rejected_with_fingerprint_not_deserialized() {
     let dir = std::env::temp_dir().join(format!("nbti-exec-poison-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let session = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    let spec = session
-        .spec("poison")
+    let spec = StudySpec::new("poison")
         .workload_names(["sha"])
         .unwrap()
         .trace_cycles(40_000);
@@ -158,15 +150,15 @@ fn resume_after_interruption_computes_only_missing_points() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let full = StudySession::new();
-    let reference = full.run(&grid_spec(&full).policy_seed(1)).unwrap();
+    let reference = full.run(&grid_spec().policy_seed(1)).unwrap();
 
     let half = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    let half_spec = grid_spec(&half).policy_seed(1).policies(["probing"]); // 4 of 8 points
+    let half_spec = grid_spec().policy_seed(1).policies(["probing"]); // 4 of 8 points
     half.run(&half_spec).unwrap();
     assert_eq!(half.stats().cache_stores, 4);
 
     let resumed = StudySession::new().cache(JsonlCache::in_dir(&dir).unwrap());
-    let report = resumed.run(&grid_spec(&resumed).policy_seed(1)).unwrap();
+    let report = resumed.run(&grid_spec().policy_seed(1)).unwrap();
     let stats = resumed.stats();
     assert_eq!(stats.cache_hits, 4, "the journaled half replays");
     assert_eq!(stats.evaluations, 4, "only the missing half computes");
@@ -291,8 +283,7 @@ fn a_search_keeps_the_specs_worker_cap() {
     // run under the spec's cap: `threads(1)` computes every probe on
     // the calling thread.
     let session = StudySession::new();
-    let spec = session
-        .spec("one-thread search")
+    let spec = StudySpec::new("one-thread search")
         .cache_kb([8, 16, 32])
         .policies(["probing", "gray"])
         .workload_names(["sha"])
@@ -321,9 +312,8 @@ fn a_search_keeps_the_specs_worker_cap() {
 #[test]
 fn a_cell_repeated_in_one_grid_is_looked_up_once() {
     // With the policy seed pinned, both 8 kB points share a fingerprint.
-    let spec = |session: &StudySession| {
-        session
-            .spec("repeated cell")
+    let spec = || {
+        StudySpec::new("repeated cell")
             .cache_kb([8, 8])
             .workload_names(["sha"])
             .unwrap()
@@ -331,12 +321,12 @@ fn a_cell_repeated_in_one_grid_is_looked_up_once() {
             .policy_seed(1)
     };
     let reference = StudySession::new();
-    let reference = reference.run(&spec(&reference)).unwrap().to_json();
+    let reference = reference.run(&spec()).unwrap().to_json();
     let counting = Counting::default();
     let session = StudySession::new().cache(counting.clone());
-    assert_eq!(session.run(&spec(&session)).unwrap().to_json(), reference);
+    assert_eq!(session.run(&spec()).unwrap().to_json(), reference);
     assert_eq!(counting.take().0, 1, "cold");
-    assert_eq!(session.run(&spec(&session)).unwrap().to_json(), reference);
+    assert_eq!(session.run(&spec()).unwrap().to_json(), reference);
     assert_eq!(counting.take().0, 1, "warm");
 }
 
@@ -392,8 +382,7 @@ fn overlapping_runs_in_opposite_orders_do_not_wait_on_each_other() {
         let (server, start, tx) = (Arc::clone(&server), Arc::clone(&start), tx.clone());
         std::thread::spawn(move || {
             let session = server.session();
-            let spec = session
-                .spec("opposite orders")
+            let spec = StudySpec::new("opposite orders")
                 .cache_kb(sizes)
                 .workload_names(["sha", "CRC32"])
                 .unwrap()

@@ -18,7 +18,7 @@ use aging_cache::json::Json;
 use aging_cache::model::Metrics;
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, ResultCache};
 use aging_cache::session::StudySession;
-use aging_cache::study::StudyReport;
+use aging_cache::study::{StudyReport, StudySpec};
 use quickprop::Gen;
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -159,8 +159,7 @@ fn study() -> &'static (String, String) {
     STUDY.get_or_init(|| {
         let dir = scratch_dir("study");
         let session = StudySession::new().cache(JsonlCache::in_dir(&dir).expect("open journal"));
-        let spec = session
-            .spec("codec props")
+        let spec = StudySpec::new("codec props")
             .cache_kb([8, 16])
             .banks([8])
             .workload_names(["sha", "CRC32"])

@@ -11,6 +11,7 @@ use aging_cache::render::{self, Format};
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
 use aging_cache::serve::{ServeOptions, StudyServer, REPORT_NAME};
 use aging_cache::session::{SessionStats, StudySession};
+use aging_cache::study::StudySpec;
 use aging_cache::CoreError;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -23,8 +24,7 @@ const SPEC_QUERY: &str = "cache-kb=8,16&policies=probing,gray&workloads=sha&trac
 /// The same spec through the library front door — the byte-parity
 /// reference the server must reproduce.
 fn reference_report(session: &StudySession) -> aging_cache::study::StudyReport {
-    let spec = session
-        .spec(REPORT_NAME)
+    let spec = StudySpec::new(REPORT_NAME)
         .cache_kb([8, 16])
         .policies(["probing", "gray"])
         .workload_names(["sha"])
@@ -315,8 +315,7 @@ fn compare_agrees_with_the_journal_and_flags_divergence() {
         // A report the journal has never seen: its fingerprints miss,
         // and a missing cell is a divergence, not a silent pass.
         let other = StudySession::new();
-        let spec = other
-            .spec(REPORT_NAME)
+        let spec = StudySpec::new(REPORT_NAME)
             .cache_kb([8, 16])
             .policies(["probing", "gray"])
             .workload_names(["sha"])

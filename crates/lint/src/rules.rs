@@ -211,6 +211,9 @@ fn panic_zone(path: &str) -> bool {
         "crates/core/src/report.rs",
         "crates/core/src/json.rs",
         "crates/core/src/analysis.rs",
+        "crates/core/src/model.rs",
+        "crates/core/src/registry.rs",
+        "crates/core/src/replacement.rs",
         "crates/core/src/rescache.rs",
         "crates/core/src/serve.rs",
         "crates/core/src/search.rs",
@@ -231,7 +234,6 @@ fn unordered_zone(path: &str) -> bool {
         || [
             "crates/core/src/session.rs",
             "crates/core/src/study.rs",
-            "crates/core/src/model.rs",
             "crates/core/src/check.rs",
         ]
         .contains(&path)
@@ -248,7 +250,6 @@ fn registry_zone(path: &str) -> bool {
         "crates/core/src/workload.rs",
         "crates/core/src/serve.rs",
         "crates/core/src/search.rs",
-        "crates/sim/src/replacement.rs",
     ]
     .contains(&path)
 }
@@ -435,8 +436,9 @@ fn no_env_in_core(file: &SourceFile, code: &[&Token], diags: &mut Vec<Diagnostic
 }
 
 /// Built-in registry key literals: the first string argument of
-/// `register_fn(`, `ModelKey::parse(`, and `endpoint(` calls in
-/// non-test code (the serve module's route table is a registry too —
+/// `register_fn(`, `policy_fn(` (the built-in policy table's entry
+/// constructor), `ModelKey::parse(`, and `endpoint(` calls in non-test
+/// code (the serve module's route table is a registry too —
 /// `endpoint()` takes the path first for exactly this check).
 fn registry_doc_coherence(
     file: &SourceFile,
@@ -445,7 +447,9 @@ fn registry_doc_coherence(
     diags: &mut Vec<Diagnostic>,
 ) {
     for i in 0..code.len() {
-        let registers = is_ident(code.get(i), "register_fn") && is_punct(code.get(i + 1), "(");
+        let registers = (is_ident(code.get(i), "register_fn")
+            || is_ident(code.get(i), "policy_fn"))
+            && is_punct(code.get(i + 1), "(");
         let routes = is_ident(code.get(i), "endpoint") && is_punct(code.get(i + 1), "(");
         let parses_key = is_ident(code.get(i), "parse")
             && after_path_sep(code, i)
@@ -565,11 +569,13 @@ fn builtin(reg: &mut Registry) {
     reg.register_fn("documented-key", "d", |x| x);
     reg.register_fn("missing-key", "d", |x| x);
     let _ = ModelKey::parse("nbti-45nm");
+    let _ = Registry::of([policy_fn("documented-key", "d", |x| x), policy_fn("missing-entry", "d", |x| x)]);
 }
 "#;
         let out = run("registry.rs", src, &[REGISTRY_DOC_COHERENCE]);
-        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out.len(), 2, "{out:?}");
         assert!(out[0].contains("missing-key"), "{out:?}");
+        assert!(out[1].contains("missing-entry"), "{out:?}");
     }
 
     #[test]

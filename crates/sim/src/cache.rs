@@ -534,11 +534,9 @@ mod tests {
 
     #[test]
     fn registered_lru_matches_builtin_victim_order() {
-        use crate::replacement::ReplacementRegistry;
         let g = CacheGeometry::new(4096, 16, 4, 1).unwrap();
         let mut builtin = CacheArray::new(g);
-        let lru = ReplacementRegistry::global().resolve("lru").unwrap();
-        let mut registered = CacheArray::with_replacement(g, lru);
+        let mut registered = CacheArray::with_replacement(g, Arc::new(crate::Lru));
         let mut x = 0x1234_5678_u64;
         for _ in 0..20_000 {
             x ^= x << 13;
@@ -560,14 +558,12 @@ mod tests {
 
     #[test]
     fn mru_diverges_from_lru_on_a_looping_working_set() {
-        use crate::replacement::ReplacementRegistry;
         // A cyclic loop one line larger than the associativity: LRU
         // misses every access (classic thrash), MRU retains most of the
         // loop, so their hit counts must differ.
         let g = CacheGeometry::new(4 * 16, 16, 4, 1).unwrap(); // 1 set, 4 ways
-        let reg = ReplacementRegistry::global();
-        let mut lru = CacheArray::with_replacement(g, reg.resolve("lru").unwrap());
-        let mut mru = CacheArray::with_replacement(g, reg.resolve("mru").unwrap());
+        let mut lru = CacheArray::with_replacement(g, Arc::new(crate::Lru));
+        let mut mru = CacheArray::with_replacement(g, Arc::new(crate::Mru));
         let period = g.size_bytes();
         let (mut lru_hits, mut mru_hits) = (0u64, 0u64);
         for _round in 0..100u64 {

@@ -24,18 +24,6 @@ pub enum SimError {
         /// Human-readable description of the problem.
         reason: &'static str,
     },
-    /// A replacement-policy name was already registered.
-    DuplicateReplacement {
-        /// The colliding registry key.
-        name: String,
-    },
-    /// A replacement-policy name was not found in the registry.
-    UnknownReplacement {
-        /// The unresolved registry key.
-        name: String,
-        /// Comma-separated list of registered keys.
-        known: String,
-    },
     /// An underlying power-model error.
     Power(sram_power::PowerError),
 }
@@ -53,15 +41,6 @@ impl fmt::Display for SimError {
             ),
             SimError::InvalidConfig { name, reason } => {
                 write!(f, "configuration `{name}` is invalid: {reason}")
-            }
-            SimError::DuplicateReplacement { name } => {
-                write!(f, "replacement policy `{name}` is already registered")
-            }
-            SimError::UnknownReplacement { name, known } => {
-                write!(
-                    f,
-                    "unknown replacement policy `{name}` (registered: {known})"
-                )
             }
             SimError::Power(e) => write!(f, "power model error: {e}"),
         }

@@ -58,6 +58,6 @@ pub use geometry::CacheGeometry;
 pub use hierarchy::{CacheHierarchy, HierarchyOutcome};
 pub use idle::{IdleEvents, IdleStats, IdleTracker};
 pub use mapping::{is_bijective, BankMapping, FnMapping, IdentityMapping};
-pub use replacement::{ReplacementPolicy, ReplacementRegistry, DEFAULT_REPLACEMENT};
+pub use replacement::{Lru, Mru, ReplacementPolicy, DEFAULT_REPLACEMENT};
 pub use run::{Access, SimConfig, Simulator};
 pub use stats::{BankStats, SimOutcome};

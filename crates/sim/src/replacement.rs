@@ -1,12 +1,11 @@
-//! The open, string-keyed replacement-policy registry.
+//! Victim selection for set-associative caches.
 //!
 //! The paper's reference cache is direct-mapped, where replacement is
 //! vacuous; opening the associativity axis makes the victim choice a
-//! real policy. This module mirrors the indexing-policy registry idiom
-//! of the core crate (`PolicyRegistry`): a [`ReplacementPolicy`] trait,
-//! a [`ReplacementRegistry`] keyed by stable lowercase names, two
-//! built-ins (`lru`, `mru`), and a closure-based registration hook so
-//! user code can study custom policies without forking the simulator.
+//! real policy. This module holds the [`ReplacementPolicy`] trait and
+//! the two built-ins, [`Lru`] and [`Mru`]; the string-keyed registry
+//! that resolves them by name lives with the other registries in the
+//! core crate (`aging_cache::registry::ReplacementRegistry`).
 //!
 //! The [`CacheArray`](crate::CacheArray) keeps one invariant to itself:
 //! an invalid way is always filled before any valid way is evicted.
@@ -14,11 +13,7 @@
 //! per way and nothing else — enough for recency-order policies, and a
 //! deliberate bottleneck that keeps replay byte-deterministic.
 
-use crate::error::SimError;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// The default replacement policy name ([`ReplacementRegistry`] key).
+/// The default replacement policy name (the registry key of [`Lru`]).
 pub const DEFAULT_REPLACEMENT: &str = "lru";
 
 /// A victim-selection policy for full set-associative sets.
@@ -42,175 +37,49 @@ pub trait ReplacementPolicy: Send + Sync {
     fn victim(&self, stamps: &[u64]) -> usize;
 }
 
-/// Index of the minimum stamp (first on ties) — the LRU way.
-fn min_stamp_index(stamps: &[u64]) -> usize {
-    stamps
-        .iter()
-        .enumerate()
-        .min_by_key(|&(_, s)| *s)
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
+/// Evicts the least-recently-used way (first on ties): the default,
+/// and the exact victim order direct-mapped history was produced under.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Lru;
 
-/// Index of the maximum stamp (first on ties) — the MRU way.
-fn max_stamp_index(stamps: &[u64]) -> usize {
-    stamps
-        .iter()
-        .enumerate()
-        .max_by_key(|&(_, s)| *s)
-        .map(|(i, _)| i)
-        .unwrap_or(0)
-}
-
-struct FnReplacement<F> {
-    name: String,
-    description: String,
-    victim: F,
-}
-
-impl<F> ReplacementPolicy for FnReplacement<F>
-where
-    F: Fn(&[u64]) -> usize + Send + Sync,
-{
+impl ReplacementPolicy for Lru {
     fn name(&self) -> &str {
-        &self.name
+        DEFAULT_REPLACEMENT
     }
 
     fn description(&self) -> &str {
-        &self.description
+        "evict the least-recently-used way (the classic default)"
     }
 
     fn victim(&self, stamps: &[u64]) -> usize {
-        (self.victim)(stamps)
+        stamps
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, s)| *s)
+            .map_or(0, |(i, _)| i)
     }
 }
 
-/// The string-keyed replacement-policy registry.
-///
-/// Keys are ordered (a `BTreeMap`), so listings and expanded grids are
-/// deterministic regardless of registration order.
-#[derive(Clone, Default)]
-pub struct ReplacementRegistry {
-    entries: BTreeMap<String, Arc<dyn ReplacementPolicy>>,
-}
+/// Evicts the most-recently-used way (first on ties): an openness proof
+/// with visibly different conflict behaviour on looping working sets.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mru;
 
-impl std::fmt::Debug for ReplacementRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplacementRegistry")
-            .field("policies", &self.names())
-            .finish()
-    }
-}
-
-impl ReplacementRegistry {
-    /// An empty registry (no policies at all).
-    pub fn empty() -> Self {
-        Self::default()
+impl ReplacementPolicy for Mru {
+    fn name(&self) -> &str {
+        "mru"
     }
 
-    /// A shared, immutable instance of [`ReplacementRegistry::builtin`]
-    /// for hot paths that would otherwise rebuild the map per call.
-    pub fn global() -> &'static ReplacementRegistry {
-        static GLOBAL: std::sync::OnceLock<ReplacementRegistry> = std::sync::OnceLock::new();
-        GLOBAL.get_or_init(ReplacementRegistry::builtin)
+    fn description(&self) -> &str {
+        "evict the most-recently-used way (thrash-resistant on loops)"
     }
 
-    /// The registry with the two built-in policies: `lru` (the default,
-    /// and the exact victim order direct-mapped history was produced
-    /// under) and `mru` (an openness proof with visibly different
-    /// conflict behaviour on looping working sets).
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register_fn(
-            "lru",
-            "evict the least-recently-used way (the classic default)",
-            min_stamp_index,
-        )
-        .expect("fresh registry");
-        r.register_fn(
-            "mru",
-            "evict the most-recently-used way (thrash-resistant on loops)",
-            max_stamp_index,
-        )
-        .expect("fresh registry");
-        r
-    }
-
-    /// Registers a policy object. Fails if the name is already taken.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DuplicateReplacement`] on a name collision.
-    pub fn register(&mut self, policy: Arc<dyn ReplacementPolicy>) -> Result<(), SimError> {
-        let name = policy.name().to_string();
-        if self.entries.contains_key(&name) {
-            return Err(SimError::DuplicateReplacement { name });
-        }
-        self.entries.insert(name, policy);
-        Ok(())
-    }
-
-    /// Registers a policy from a closure — the one-liner path for user
-    /// code and examples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DuplicateReplacement`] on a name collision.
-    pub fn register_fn<F>(
-        &mut self,
-        name: &str,
-        description: &str,
-        victim: F,
-    ) -> Result<(), SimError>
-    where
-        F: Fn(&[u64]) -> usize + Send + Sync + 'static,
-    {
-        self.register(Arc::new(FnReplacement {
-            name: name.to_string(),
-            description: description.to_string(),
-            victim,
-        }))
-    }
-
-    /// Looks up a policy by name.
-    pub fn get(&self, name: &str) -> Option<&Arc<dyn ReplacementPolicy>> {
-        self.entries.get(name)
-    }
-
-    /// Resolves a named policy to a shareable handle.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownReplacement`] for an unregistered
-    /// name, listing the known keys.
-    pub fn resolve(&self, name: &str) -> Result<Arc<dyn ReplacementPolicy>, SimError> {
-        match self.entries.get(name) {
-            Some(policy) => Ok(Arc::clone(policy)),
-            None => Err(SimError::UnknownReplacement {
-                name: name.to_string(),
-                known: self.names().join(", "),
-            }),
-        }
-    }
-
-    /// The registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.keys().cloned().collect()
-    }
-
-    /// Number of registered policies.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over `(name, policy)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<dyn ReplacementPolicy>)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+    fn victim(&self, stamps: &[u64]) -> usize {
+        stamps
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, s)| *s)
+            .map_or(0, |(i, _)| i)
     }
 }
 
@@ -219,47 +88,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_has_lru_and_mru() {
-        let r = ReplacementRegistry::builtin();
-        assert_eq!(r.names(), vec!["lru", "mru"]);
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
-        assert!(r.get("lru").is_some());
-    }
-
-    #[test]
     fn lru_and_mru_pick_opposite_ends() {
-        let r = ReplacementRegistry::builtin();
         let stamps = [7u64, 3, 9, 5];
-        assert_eq!(r.resolve("lru").unwrap().victim(&stamps), 1);
-        assert_eq!(r.resolve("mru").unwrap().victim(&stamps), 2);
-    }
-
-    #[test]
-    fn unknown_replacement_reports_known_names() {
-        let e = ReplacementRegistry::builtin()
-            .resolve("nope")
-            .err()
-            .expect("must fail");
-        let text = e.to_string();
-        assert!(text.contains("nope"), "{text}");
-        assert!(text.contains("lru"), "{text}");
-    }
-
-    #[test]
-    fn duplicate_registration_is_rejected() {
-        let mut r = ReplacementRegistry::builtin();
-        let e = r.register_fn("lru", "clash", min_stamp_index).unwrap_err();
-        assert!(matches!(e, SimError::DuplicateReplacement { .. }));
-    }
-
-    #[test]
-    fn custom_registration_resolves_by_name() {
-        let mut r = ReplacementRegistry::empty();
-        // A "pin way 0" policy: always evict the first way.
-        r.register_fn("pin-zero", "always evict way 0", |_| 0)
-            .unwrap();
-        assert_eq!(r.resolve("pin-zero").unwrap().victim(&[1, 2, 3]), 0);
-        assert!(r.resolve("lru").is_err(), "empty registry has no builtins");
+        assert_eq!(Lru.victim(&stamps), 1);
+        assert_eq!(Mru.victim(&stamps), 2);
+        assert_eq!((Lru.name(), Mru.name()), ("lru", "mru"));
     }
 }

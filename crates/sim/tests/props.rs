@@ -3,8 +3,8 @@
 use cache_sim::cache::ReferenceCache;
 use cache_sim::{
     Access, AccessKind, AccessResult, BankMapping, BankPower, CacheArray, CacheGeometry,
-    CacheHierarchy, IdentityMapping, IdleTracker, ReplacementPolicy, ReplacementRegistry,
-    SimConfig, SimOutcome, Simulator,
+    CacheHierarchy, IdentityMapping, IdleTracker, Lru, Mru, ReplacementPolicy, SimConfig,
+    SimOutcome, Simulator,
 };
 use quickprop::Gen;
 use sram_power::BreakevenAnalysis;
@@ -203,24 +203,35 @@ fn kernel_geometry(g: &mut Gen, min_log: u32) -> CacheGeometry {
     .expect("constructed geometry is valid")
 }
 
-/// The built-in LRU (`None`), the registered `lru` and `mru`, or a
-/// closure-registered policy — so both the specialized built-in-LRU
+/// Evicts the second-oldest way: a policy outside the built-ins.
+struct SecondOldest;
+
+impl ReplacementPolicy for SecondOldest {
+    fn name(&self) -> &str {
+        "second-oldest"
+    }
+
+    fn victim(&self, stamps: &[u64]) -> usize {
+        let oldest = stamps.iter().min().copied().unwrap_or(0);
+        stamps
+            .iter()
+            .enumerate()
+            .filter(|&(_, &s)| s != oldest)
+            .min_by_key(|&(_, &s)| s)
+            .map_or(0, |(i, _)| i)
+    }
+}
+
+/// The built-in LRU (`None`), the `lru` and `mru` policy objects, or a
+/// policy outside the built-ins — so both the specialized built-in-LRU
 /// lookup and the general path run.
 fn replacement(g: &mut Gen) -> Option<Arc<dyn ReplacementPolicy>> {
-    let mut registry = ReplacementRegistry::builtin();
-    registry
-        .register_fn("second-oldest", "evict the second-oldest way", |stamps| {
-            let oldest = stamps.iter().min().copied().unwrap_or(0);
-            stamps
-                .iter()
-                .enumerate()
-                .filter(|&(_, &s)| s != oldest)
-                .min_by_key(|&(_, &s)| s)
-                .map_or(0, |(i, _)| i)
-        })
-        .expect("fresh name");
-    let name = *g.pick(&["builtin", "lru", "mru", "second-oldest"]);
-    registry.resolve(name).ok()
+    match *g.pick(&["builtin", "lru", "mru", "second-oldest"]) {
+        "lru" => Some(Arc::new(Lru)),
+        "mru" => Some(Arc::new(Mru)),
+        "second-oldest" => Some(Arc::new(SecondOldest)),
+        _ => None,
+    }
 }
 
 /// A simulator with a random breakeven time (down to one cycle, so
@@ -502,13 +513,10 @@ fn packed_tag_store_matches_way_array() {
         }
         .expect("constructed geometry is valid");
         let policy = *g.pick(&["builtin", "lru", "mru"]);
-        let repl = match policy {
-            "builtin" => None,
-            name => Some(
-                ReplacementRegistry::global()
-                    .resolve(name)
-                    .expect("built-in"),
-            ),
+        let repl: Option<Arc<dyn ReplacementPolicy>> = match policy {
+            "lru" => Some(Arc::new(Lru)),
+            "mru" => Some(Arc::new(Mru)),
+            _ => None,
         };
         let mut packed = match &repl {
             None => CacheArray::new(geom),

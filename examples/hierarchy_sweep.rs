@@ -11,8 +11,8 @@
 use nbti_cache_repro::arch::analysis::{self, Axis};
 use nbti_cache_repro::arch::render::{self, Format};
 use nbti_cache_repro::arch::session::StudySession;
+use nbti_cache_repro::arch::ReplacementRegistry;
 use nbti_cache_repro::arch::StudySpec;
-use nbti_cache_repro::sim::ReplacementRegistry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Start from the built-ins (`lru`, `mru`) and add a user policy:

@@ -18,6 +18,7 @@
 use nbti_cache_repro::arch::model::{ModelContext, ModelRegistry};
 use nbti_cache_repro::arch::report::years;
 use nbti_cache_repro::arch::session::StudySession;
+use nbti_cache_repro::arch::StudySpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A pinned idleness profile drives the physics directly — no trace
@@ -29,8 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    `nbti:vlow=0.75` canonicalizes back to `nbti-45nm`, so it
     //    reuses the reference calibration.
     let session = StudySession::new();
-    let spec = session
-        .spec("device-model sweep")
+    let spec = StudySpec::new("device-model sweep")
         .models([
             "nbti-45nm",        // the paper's reference, bit-for-bit
             "nbti:temp=45",     // cooler silicon, same calibrated drift model
@@ -76,8 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         move || hotspot.calibrate(),
     )?;
     let session = StudySession::with_context(ModelContext::with_registry(registry));
-    let spec = session
-        .spec("custom model")
+    let spec = StudySpec::new("custom model")
         .models(["hotspot"])
         .workload_names([profile])?;
     let report = session.run(&spec)?;

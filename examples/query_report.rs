@@ -16,15 +16,14 @@ use nbti_cache_repro::arch::analysis::{Axis, Query, Reduce, ReportDiff};
 use nbti_cache_repro::arch::render::{self, Format};
 use nbti_cache_repro::arch::report::Table;
 use nbti_cache_repro::arch::session::StudySession;
-use nbti_cache_repro::arch::study::StudyReport;
+use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Measure once: the paper's comparative pair — the conventional
     //    identity-indexed cache vs the Probing rotation — over two
     //    sizes and two workloads.
     let session = StudySession::new();
-    let spec = session
-        .spec("query demo")
+    let spec = StudySpec::new("query demo")
         .cache_kb([8, 16])
         .policies(["identity", "probing"])
         .workload_names(["sha", "CRC32"])?

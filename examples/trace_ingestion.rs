@@ -21,6 +21,7 @@
 use nbti_cache_repro::arch::report::{pct, years, Table};
 use nbti_cache_repro::arch::rescache::JsonlCache;
 use nbti_cache_repro::arch::session::StudySession;
+use nbti_cache_repro::arch::StudySpec;
 use nbti_cache_repro::traces::formats::write_csv;
 use nbti_cache_repro::traces::suite;
 
@@ -50,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_dir_all(&cache_dir); // fresh demo
     let key = format!("csv:{}", path.display());
     let session = StudySession::new().cache(JsonlCache::in_dir(&cache_dir)?);
-    let spec = session
-        .spec("Table II on an external trace")
+    let spec = StudySpec::new("Table II on an external trace")
         .cache_kb([8, 16, 32])
         .policies(["probing"])
         .workload_names([key.as_str()])?

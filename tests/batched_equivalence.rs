@@ -4,10 +4,9 @@
 //! number.
 
 use nbti_cache_repro::arch::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
-use nbti_cache_repro::arch::PolicyRegistry;
+use nbti_cache_repro::arch::{PolicyRegistry, ReplacementRegistry};
 use nbti_cache_repro::sim::{
-    Access, CacheGeometry, CacheHierarchy, IdentityMapping, ReplacementRegistry, SimConfig,
-    SimOutcome, Simulator,
+    Access, CacheGeometry, CacheHierarchy, IdentityMapping, SimConfig, SimOutcome, Simulator,
 };
 use nbti_cache_repro::traces::formats::{write_csv, write_din, write_lackey, TraceFormat};
 use nbti_cache_repro::traces::source::SliceSource;

@@ -11,8 +11,8 @@
 
 use nbti_cache_repro::arch::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use nbti_cache_repro::arch::PolicyRegistry;
+use nbti_cache_repro::arch::ReplacementRegistry;
 use nbti_cache_repro::power::EnergyLedger;
-use nbti_cache_repro::sim::ReplacementRegistry;
 use nbti_cache_repro::sim::{BankStats, CacheGeometry, IdleStats, SimOutcome};
 use nbti_cache_repro::traces::suite;
 

@@ -60,9 +60,8 @@ fn one_trace_many_geometries_splits_across_workers() {
     // Six geometries on one trace: a single group would run every
     // simulation on one worker while the other waits, so the groups are
     // capped at ceil(6 pairs / 2 workers) = 3 geometries each.
-    let geometry_grid = |session: &StudySession, threads: usize| {
-        session
-            .spec("one-trace")
+    let geometry_grid = |threads: usize| {
+        StudySpec::new("one-trace")
             .threads(threads)
             .ways([1, 2, 4])
             .replacement(["lru", "mru"])
@@ -73,19 +72,13 @@ fn one_trace_many_geometries_splits_across_workers() {
     };
 
     let sequential = StudySession::new();
-    let reference = sequential
-        .run(&geometry_grid(&sequential, 1))
-        .unwrap()
-        .to_json();
+    let reference = sequential.run(&geometry_grid(1)).unwrap().to_json();
     let stats = sequential.stats();
     assert_eq!(stats.simulations, 6);
     assert_eq!(stats.trace_opens, 1, "one worker, one group");
 
     let threaded = StudySession::new();
-    let report = threaded
-        .run(&geometry_grid(&threaded, 2))
-        .unwrap()
-        .to_json();
+    let report = threaded.run(&geometry_grid(2)).unwrap().to_json();
     assert_eq!(report, reference);
     let stats = threaded.stats();
     assert_eq!(stats.simulations, 6);
@@ -123,9 +116,9 @@ impl Workload for FusedWorkload {
     }
 }
 
-fn fused_spec(session: &StudySession, workloads: &[&str]) -> StudySpec {
-    session
-        .spec("fused")
+fn fused_spec(registry: &WorkloadRegistry, workloads: &[&str]) -> StudySpec {
+    StudySpec::new("fused")
+        .workload_registry(registry.clone())
         .threads(2)
         .cache_kb([8, 16, 32])
         .workload_names(workloads.iter().copied())
@@ -137,8 +130,8 @@ fn fused_spec(session: &StudySession, workloads: &[&str]) -> StudySpec {
 fn a_panicking_group_fails_its_lowest_scenario_and_releases_its_claims() {
     let mut registry = WorkloadRegistry::builtin();
     registry.register(Arc::new(FusedWorkload)).unwrap();
-    let session = Arc::new(StudySession::new().workload_registry(registry));
-    let spec = fused_spec(&session, &["sha", "fused"]);
+    let session = Arc::new(StudySession::new());
+    let spec = fused_spec(&registry, &["sha", "fused"]);
     let lowest = spec
         .expand()
         .unwrap()
@@ -160,7 +153,7 @@ fn a_panicking_group_fails_its_lowest_scenario_and_releases_its_claims() {
         assert!(message.contains("blew"), "{message}");
     }
     // The session stays usable: the healthy workload still runs.
-    let healthy = fused_spec(&session, &["sha"]);
+    let healthy = fused_spec(&registry, &["sha"]);
     let runner = Arc::clone(&session);
     let report = within_bound("a healthy run after the failure", move || {
         runner.run(&healthy)
@@ -173,8 +166,7 @@ fn concurrent_overlapping_runs_simulate_each_pair_once() {
     let session = Arc::new(StudySession::new());
     let workloads = ["sha", "CRC32", "dijkstra"];
     let spec = |kb: [u64; 2]| {
-        session
-            .spec("overlap")
+        StudySpec::new("overlap")
             .cache_kb(kb)
             .workload_names(workloads)
             .unwrap()
