@@ -1270,6 +1270,15 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_registration_is_rejected() {
+        let mut r = ModelRegistry::builtin();
+        let e = r
+            .register(Arc::new(NbtiModel::new(ModelParams::none())))
+            .unwrap_err();
+        assert!(matches!(e, CoreError::Duplicate { kind: "model", .. }));
+    }
+
+    #[test]
     fn context_calibrates_once_per_canonical_key() {
         let ctx = ModelContext::new();
         let a = ctx.calibrated("nbti-45nm").unwrap();

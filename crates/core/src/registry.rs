@@ -406,6 +406,18 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_registration_is_rejected() {
+        let mut r = PolicyRegistry::builtin();
+        let e = r
+            .register_fn("probing", "clash", |_b, _s| Ok(Box::new(IdentityMapping)))
+            .unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Duplicate { kind: "policy", ref name } if name == "probing"
+        ));
+    }
+
+    #[test]
     fn fold_seed_is_identity_below_u16() {
         assert_eq!(fold_seed(0), 0);
         assert_eq!(fold_seed(1), 1);

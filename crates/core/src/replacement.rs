@@ -109,6 +109,16 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_registration_is_rejected() {
+        let mut r = ReplacementRegistry::builtin();
+        let e = r.register_fn("lru", "clash", |_| 0).unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Duplicate { kind: "replacement policy", ref name } if name == "lru"
+        ));
+    }
+
+    #[test]
     fn custom_registration_resolves_by_name() {
         let mut r = ReplacementRegistry::empty();
         // A "pin way 0" policy: always evict the first way.

@@ -518,6 +518,18 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_registration_is_rejected() {
+        let mut r = WorkloadRegistry::builtin();
+        let e = r
+            .register_profile("sha", trace_synth::suite::by_name("sha").unwrap())
+            .unwrap_err();
+        assert!(matches!(
+            e,
+            CoreError::Duplicate { kind: "workload", ref name } if name == "sha"
+        ));
+    }
+
+    #[test]
     fn file_key_resolves_with_provenance() {
         let trace: Vec<_> = trace_synth::suite::by_name("sha")
             .unwrap()
