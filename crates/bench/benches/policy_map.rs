@@ -1,12 +1,10 @@
 //! Latency of the dynamic-indexing primitives: `f()` evaluation (on the
-//! critical cache-access path!), the `update` pulse, and a full decoder
-//! route. The paper's feasibility argument rests on `f()` being a couple
-//! of gates; these benches confirm the software model is nanoseconds.
+//! critical cache-access path!) and the `update` pulse. The paper's
+//! feasibility argument rests on `f()` being a couple of gates; these
+//! benches confirm the software model is nanoseconds.
 
-use aging_cache::decoder::Decoder;
 use aging_cache::policy::{GrayRotation, Probing, RotateXor, Scrambling};
-use aging_cache::registry::PolicyRegistry;
-use cache_sim::{BankMapping, CacheGeometry, IdentityMapping};
+use cache_sim::{BankMapping, IdentityMapping};
 use repro_bench::harness::Harness;
 use std::hint::black_box;
 
@@ -42,23 +40,7 @@ fn bench_update() {
     g.bench("rotate-xor", || h.update());
 }
 
-fn bench_decoder_route() {
-    let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).expect("geometry");
-    let registry = PolicyRegistry::global();
-    let mut g = Harness::new("decoder/route");
-    for name in registry.names() {
-        let dec =
-            Decoder::new(geom, registry.build(&name, 4, 3).expect("policy")).expect("decoder");
-        let mut addr = 0u64;
-        g.bench(&name, || {
-            addr = addr.wrapping_add(0x9e37).wrapping_mul(0x85eb) % (64 * 1024);
-            black_box(dec.route(black_box(addr)).expect("route"))
-        });
-    }
-}
-
 fn main() {
     bench_map();
     bench_update();
-    bench_decoder_route();
 }

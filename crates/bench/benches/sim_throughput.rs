@@ -17,7 +17,7 @@
 
 use aging_cache::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use aging_cache::{PolicyRegistry, ReplacementRegistry};
-use cache_sim::{Access, CacheGeometry};
+use cache_sim::{Access, CacheGeometry, SimOutcome};
 use repro_bench::harness::{median, write_baseline, Harness};
 use std::time::{Duration, Instant};
 use trace_synth::source::SliceSource;
@@ -32,7 +32,16 @@ const HOTPATH_CYCLES: usize = 64_000;
 const HOTPATH_RUNS: usize = 5;
 
 fn arch(geom: CacheGeometry, policy: &str) -> PartitionedCache {
-    PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).expect("arch")
+    PartitionedCache::new(geom, policy, PolicyRegistry::global()).expect("arch")
+}
+
+/// Streams `trace` through `arch` alone on the batched path studies
+/// run: a one-target [`simulate_fanout`] over a [`SliceSource`].
+fn stream_alone(arch: &PartitionedCache, trace: &[Access], update: UpdateSchedule) -> SimOutcome {
+    let mut target = [SimTarget::Level(arch.simulator().expect("simulator"))];
+    simulate_fanout(&mut SliceSource::new(trace), &mut target, None, update).expect("simulation");
+    let [target] = target;
+    target.finish().0
 }
 
 fn trace(workload: &str, cycles: usize) -> Vec<Access> {
@@ -47,8 +56,7 @@ fn bench_banks() {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, banks).expect("geometry");
         let arch = arch(geom, "identity");
         g.bench_throughput(&banks.to_string(), CYCLES as u64, || {
-            arch.simulate_batched(trace.iter().copied(), UpdateSchedule::Never)
-                .expect("simulation")
+            stream_alone(&arch, &trace, UpdateSchedule::Never)
         });
     }
 }
@@ -60,8 +68,7 @@ fn bench_sizes() {
         let geom = CacheGeometry::direct_mapped(kb * 1024, 16, 4).expect("geometry");
         let arch = arch(geom, "identity");
         g.bench_throughput(&kb.to_string(), CYCLES as u64, || {
-            arch.simulate_batched(trace.iter().copied(), UpdateSchedule::Never)
-                .expect("simulation")
+            stream_alone(&arch, &trace, UpdateSchedule::Never)
         });
     }
 }
@@ -76,13 +83,12 @@ fn bench_update_schedules() {
         ("every_10k", UpdateSchedule::EveryCycles(10_000)),
     ] {
         g.bench_throughput(label, CYCLES as u64, || {
-            arch.simulate_batched(trace.iter().copied(), schedule)
-                .expect("simulation")
+            stream_alone(&arch, &trace, schedule)
         });
     }
 }
 
-/// Per-access `simulate` vs the batched `simulate_batched` fast path,
+/// Per-access `simulate` vs the batched `simulate_fanout` fast path,
 /// on identical pre-generated traces. Results are bitwise-identical by
 /// construction — the gap is pure dispatch/sweep overhead.
 fn bench_batched_vs_per_access() {
@@ -96,8 +102,7 @@ fn bench_batched_vs_per_access() {
                 .expect("simulation")
         });
         g.bench_throughput(&format!("batched/M{banks}"), CYCLES as u64, || {
-            arch.simulate_batched(trace.iter().copied(), UpdateSchedule::Never)
-                .expect("simulation")
+            stream_alone(&arch, &trace, UpdateSchedule::Never)
         });
     }
 
@@ -121,9 +126,7 @@ fn bench_batched_vs_per_access() {
             .expect("simulation");
     });
     let batched = time(&|| {
-        arch.simulate_batched(trace.iter().copied(), UpdateSchedule::Never)
-            .map(std::mem::drop)
-            .expect("simulation");
+        stream_alone(&arch, &trace, UpdateSchedule::Never);
     });
     println!();
     println!(
@@ -191,7 +194,7 @@ fn bench_hotpath() {
         CacheGeometry::new(16 * 1024, 16, 2, 4).expect("geometry"),
         "probing",
     )
-    .with_replacement("mru", ReplacementRegistry::global().clone())
+    .with_replacement("mru", ReplacementRegistry::global())
     .expect("mru is registered");
     let generic = || run(&|| vec![SimTarget::Level(mru.simulator().expect("simulator"))]);
 

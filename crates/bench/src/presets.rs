@@ -11,7 +11,7 @@
 use crate::default_config;
 use aging_cache::aging::AgingAnalysis;
 use aging_cache::analysis::Reduce;
-use aging_cache::arch::{PartitionedCache, UpdateSchedule};
+use aging_cache::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use aging_cache::fine_grain::FineGrainStudy;
 use aging_cache::flip::CellFlip;
 use aging_cache::graceful::GracefulDegradation;
@@ -141,8 +141,8 @@ fn benchmark(name: &str) -> Result<WorkloadProfile, CoreError> {
 }
 
 /// Simulates `cycles` of `profile`'s trace at `seed` on `geom` under
-/// the registry policy `policy`, on the batched fast path (bit-equal to
-/// the scalar `PartitionedCache::simulate`).
+/// the registry policy `policy`, streamed through [`simulate_fanout`]
+/// (bit-equal to the scalar `PartitionedCache::simulate`).
 fn simulate(
     geom: CacheGeometry,
     profile: &WorkloadProfile,
@@ -151,8 +151,11 @@ fn simulate(
     update: UpdateSchedule,
     policy: &str,
 ) -> Result<SimOutcome, CoreError> {
-    PartitionedCache::new(geom, policy, PolicyRegistry::global().clone())?
-        .simulate_batched(profile.trace(seed).take(cycles as usize), update)
+    let cache = PartitionedCache::new(geom, policy, PolicyRegistry::global())?;
+    let mut target = [SimTarget::Level(cache.simulator()?)];
+    simulate_fanout(&mut profile.trace(seed), &mut target, Some(cycles), update)?;
+    let [target] = target;
+    Ok(target.finish().0)
 }
 
 fn table1(out: &mut Out<'_>) -> Result<(), CoreError> {

@@ -194,6 +194,20 @@ impl Axis {
             Axis::Model => AxisValue::Str(s.model.clone()),
         }
     }
+
+    /// Whether one scenario's value on this axis equals `value`: the
+    /// test `value_of(s) == *value`, with string axes compared by
+    /// reference instead of cloned.
+    pub(crate) fn matches(self, s: &Scenario, value: &AxisValue) -> bool {
+        let text = match self {
+            Axis::Replacement => &s.replacement,
+            Axis::Policy => &s.policy,
+            Axis::Workload => &s.workload,
+            Axis::Model => &s.model,
+            _ => return self.value_of(s) == *value,
+        };
+        matches!(value, AxisValue::Str(want) if want == text)
+    }
 }
 
 impl fmt::Display for Axis {
@@ -523,7 +537,7 @@ impl<'a> Query<'a> {
             .filter(|r| {
                 self.filters
                     .iter()
-                    .all(|(axis, want)| axis.value_of(&r.scenario) == *want)
+                    .all(|(axis, want)| axis.matches(&r.scenario, want))
             })
             .collect()
     }
@@ -622,7 +636,7 @@ impl<'a> Query<'a> {
             std::collections::BTreeMap::new();
         let mut any_baseline = false;
         for r in records.iter().copied() {
-            if axis.value_of(&r.scenario) == baseline {
+            if axis.matches(&r.scenario, &baseline) {
                 any_baseline = true;
                 base_index
                     .entry(join_key(&r.scenario, axis))
@@ -637,7 +651,7 @@ impl<'a> Query<'a> {
         }
         let mut out = Vec::new();
         for r in records {
-            if axis.value_of(&r.scenario) == baseline {
+            if axis.matches(&r.scenario, &baseline) {
                 continue;
             }
             let key = join_key(&r.scenario, axis);
@@ -1532,6 +1546,29 @@ mod tests {
         assert_eq!(Axis::CacheBytes.value_of(&r.scenario).to_string(), "8192");
         assert_eq!(Axis::Policy.value_of(&r.scenario).to_string(), "probing");
         assert_eq!(AxisValue::Num(1.5).to_string(), "1.5");
+    }
+
+    #[test]
+    fn matches_is_value_of_equality() {
+        let r = record("sha", 8, 4, "probing", 4.0);
+        for axis in Axis::ALL {
+            let own = axis.value_of(&r.scenario);
+            for want in [
+                own.clone(),
+                AxisValue::Num(8192.0),
+                AxisValue::Num(4.0),
+                AxisValue::Num(f64::NAN),
+                AxisValue::from("probing"),
+                AxisValue::from("sha"),
+                AxisValue::from("4"),
+            ] {
+                assert_eq!(
+                    axis.matches(&r.scenario, &want),
+                    own == want,
+                    "{axis} vs {want:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
 //! The assembled architecture: geometry + policy + simulator.
 
-use crate::control::BlockControlSpec;
-use crate::decoder::Decoder;
 use crate::error::CoreError;
-use crate::registry::PolicyRegistry;
+use crate::registry::{IndexingPolicy, PolicyRegistry};
 use crate::replacement::ReplacementRegistry;
-use crate::selector::BlockSelector;
 use cache_sim::{
-    Access, CacheGeometry, CacheHierarchy, HierarchyOutcome, SimConfig, SimOutcome, Simulator,
+    Access, CacheGeometry, CacheHierarchy, ReplacementPolicy, SimConfig, SimOutcome, Simulator,
     DEFAULT_REPLACEMENT,
 };
-use trace_synth::{IterSource, TraceSource, BATCH_ACCESSES};
+use std::sync::Arc;
+use trace_synth::{TraceSource, BATCH_ACCESSES};
 
 /// When to pulse the dynamic-indexing `update` signal during a simulated
 /// trace.
@@ -41,21 +39,31 @@ pub enum UpdateSchedule {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4)?;
-/// let cache = PartitionedCache::new(geom, "probing", PolicyRegistry::global().clone())?;
+/// let cache = PartitionedCache::new(geom, "probing", PolicyRegistry::global())?;
 /// let profile = trace_synth::suite::by_name("CRC32").unwrap();
 /// let out = cache.simulate(profile.trace(7).take(50_000), UpdateSchedule::Never)?;
 /// assert_eq!(out.accesses, 50_000);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PartitionedCache {
     geometry: CacheGeometry,
-    registry: PolicyRegistry,
-    policy_name: String,
-    replacement_name: String,
-    replacement_registry: ReplacementRegistry,
+    policy: Arc<dyn IndexingPolicy>,
+    /// `None` keeps the simulator's built-in default (`lru`) victim path.
+    replacement: Option<Arc<dyn ReplacementPolicy>>,
     seed: u64,
+}
+
+impl std::fmt::Debug for PartitionedCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PartitionedCache")
+            .field("geometry", &self.geometry)
+            .field("policy", &self.policy_name())
+            .field("replacement", &self.replacement_name())
+            .field("seed", &self.seed)
+            .finish()
+    }
 }
 
 impl PartitionedCache {
@@ -71,7 +79,7 @@ impl PartitionedCache {
     pub fn new(
         geometry: CacheGeometry,
         policy_name: &str,
-        registry: PolicyRegistry,
+        registry: &PolicyRegistry,
     ) -> Result<Self, CoreError> {
         if geometry.banks() < 2 {
             return Err(CoreError::InvalidParameter {
@@ -80,15 +88,13 @@ impl PartitionedCache {
                 expected: "at least 2 banks",
             });
         }
-        if registry.get(policy_name).is_none() {
-            return Err(registry.unknown(policy_name));
-        }
+        let policy = registry
+            .get(policy_name)
+            .ok_or_else(|| registry.unknown(policy_name))?;
         Ok(Self {
             geometry,
-            registry,
-            policy_name: policy_name.to_string(),
-            replacement_name: DEFAULT_REPLACEMENT.to_string(),
-            replacement_registry: ReplacementRegistry::global().clone(),
+            policy: Arc::clone(policy),
+            replacement: None,
             seed: 1,
         })
     }
@@ -114,17 +120,18 @@ impl PartitionedCache {
     pub fn with_replacement(
         mut self,
         name: &str,
-        registry: ReplacementRegistry,
+        registry: &ReplacementRegistry,
     ) -> Result<Self, CoreError> {
-        registry.resolve(name)?;
-        self.replacement_name = name.to_string();
-        self.replacement_registry = registry;
+        let policy = registry.resolve(name)?;
+        self.replacement = (name != DEFAULT_REPLACEMENT).then_some(policy);
         Ok(self)
     }
 
     /// The replacement policy's registry name (`lru` by default).
     pub fn replacement_name(&self) -> &str {
-        &self.replacement_name
+        self.replacement
+            .as_ref()
+            .map_or(DEFAULT_REPLACEMENT, |policy| policy.name())
     }
 
     /// The cache geometry.
@@ -134,21 +141,7 @@ impl PartitionedCache {
 
     /// The indexing policy's registry name.
     pub fn policy_name(&self) -> &str {
-        &self.policy_name
-    }
-
-    /// Builds a fresh decoder `D` for inspection or custom loops.
-    ///
-    /// # Errors
-    ///
-    /// Propagates policy/encoder construction errors.
-    pub fn decoder(&self) -> Result<Decoder, CoreError> {
-        Decoder::new(self.geometry, self.build_mapping()?)
-    }
-
-    fn build_mapping(&self) -> Result<Box<dyn cache_sim::BankMapping>, CoreError> {
-        self.registry
-            .build(&self.policy_name, self.geometry.banks(), self.seed)
+        self.policy.name()
     }
 
     /// Builds the fully configured per-level [`Simulator`]: geometry,
@@ -160,12 +153,9 @@ impl PartitionedCache {
     ///
     /// Propagates configuration and policy construction errors.
     pub fn simulator(&self) -> Result<Simulator, CoreError> {
-        let mut config = SimConfig::new(self.geometry)?;
-        if self.replacement_name != DEFAULT_REPLACEMENT {
-            let policy = self.replacement_registry.resolve(&self.replacement_name)?;
-            config = config.with_replacement(Some(policy));
-        }
-        Ok(Simulator::new(config, self.build_mapping()?)?)
+        let config = SimConfig::new(self.geometry)?.with_replacement(self.replacement.clone());
+        let mapping = self.policy.build(self.geometry.banks(), self.seed)?;
+        Ok(Simulator::new(config, mapping)?)
     }
 
     /// Builds an L1+L2 [`CacheHierarchy`] with `self` as the L1 — one
@@ -179,31 +169,9 @@ impl PartitionedCache {
         Ok(CacheHierarchy::new(self.simulator()?, l2.simulator()?)?)
     }
 
-    /// Sizes the Block Control for this geometry (counter widths etc.).
-    ///
-    /// # Errors
-    ///
-    /// Propagates power-model errors.
-    pub fn block_control(&self) -> Result<BlockControlSpec, CoreError> {
-        let cfg = SimConfig::new(self.geometry)?;
-        BlockControlSpec::new(self.geometry.banks(), cfg.breakeven())
-    }
-
-    /// The Block Selector for this geometry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parameter errors.
-    pub fn block_selector(&self) -> Result<BlockSelector, CoreError> {
-        BlockSelector::new(self.geometry.banks())
-    }
-
     /// Runs a trace through the power-managed cache, one access at a
-    /// time — the reference scalar path.
-    ///
-    /// Prefer [`PartitionedCache::simulate_batched`] (same results,
-    /// bitwise, measurably faster) unless you are benchmarking against
-    /// it.
+    /// time — the reference scalar path, and the oracle the batched
+    /// [`simulate_fanout`] is held to bit for bit.
     ///
     /// # Errors
     ///
@@ -223,78 +191,6 @@ impl PartitionedCache {
             }
         }
         Ok(sim.finish())
-    }
-
-    /// Runs a trace through the batched fast path
-    /// ([`Simulator::step_batch`]): bitwise-identical outcomes to
-    /// [`PartitionedCache::simulate`], with per-access dispatch, power
-    /// sweeps and stats updates amortized over fixed-size batches.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction/update errors.
-    pub fn simulate_batched(
-        &self,
-        trace: impl IntoIterator<Item = Access>,
-        update: UpdateSchedule,
-    ) -> Result<SimOutcome, CoreError> {
-        let mut source = IterSource::new(trace.into_iter());
-        self.simulate_source(&mut source, None, update)
-    }
-
-    /// Streams a [`TraceSource`] through the batched fast path in
-    /// constant memory: accesses are pulled in chunks of at most
-    /// [`BATCH_ACCESSES`], so multi-gigabyte trace files never
-    /// materialize in RAM. A one-target [`simulate_fanout`].
-    ///
-    /// `limit` caps the number of accesses consumed (mandatory for
-    /// infinite synthetic sources); `None` runs the source dry.
-    /// Batches are clipped at update-schedule boundaries, so updates
-    /// fire on exactly the cycles the scalar path would pick.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator construction/update errors and trace
-    /// decode errors ([`CoreError::Trace`]).
-    pub fn simulate_source(
-        &self,
-        source: &mut dyn TraceSource,
-        limit: Option<u64>,
-        update: UpdateSchedule,
-    ) -> Result<SimOutcome, CoreError> {
-        let mut target = [SimTarget::Level(self.simulator()?)];
-        simulate_fanout(source, &mut target, limit, update)?;
-        let [target] = target;
-        Ok(target.finish().0)
-    }
-
-    /// Streams a [`TraceSource`] through a two-level hierarchy built
-    /// from `self` (the L1) and `l2`, on the batched fast path: the L2
-    /// access stream is exactly the L1 miss stream
-    /// ([`CacheHierarchy`]), and the composition is bitwise-identical
-    /// to stepping the hierarchy scalar access by access. A one-target
-    /// [`simulate_fanout`].
-    ///
-    /// Each level keeps its own policy, seed and replacement; updates
-    /// fire on both levels at the same cycle boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates construction errors from either level (including an
-    /// L2 smaller than the L1), update errors, and trace decode errors.
-    pub fn simulate_hierarchy_source(
-        &self,
-        l2: &PartitionedCache,
-        source: &mut dyn TraceSource,
-        limit: Option<u64>,
-        update: UpdateSchedule,
-    ) -> Result<HierarchyOutcome, CoreError> {
-        let mut target = [SimTarget::Hierarchy(self.hierarchy(l2)?)];
-        simulate_fanout(source, &mut target, limit, update)?;
-        let [SimTarget::Hierarchy(hier)] = target else {
-            unreachable!("built as a hierarchy above")
-        };
-        Ok(hier.finish())
     }
 }
 
@@ -356,9 +252,13 @@ impl SimTarget {
 ///
 /// Every target sees exactly the chunk sequence it would see alone, and
 /// the batched path is chunking-invariant, so each outcome is
-/// bitwise-identical to simulating that target by itself. `limit` and
-/// `update` behave as in [`PartitionedCache::simulate_source`]; chunks
-/// are clipped at the update boundaries of every target.
+/// bitwise-identical to simulating that target by itself, and to the
+/// scalar [`PartitionedCache::simulate`].
+///
+/// `limit` caps the number of accesses consumed (mandatory for infinite
+/// synthetic sources); `None` runs the source dry. Chunks are clipped
+/// at the update boundaries of every target, so updates fire on exactly
+/// the cycles the scalar path would pick.
 ///
 /// # Errors
 ///
@@ -428,13 +328,13 @@ mod tests {
 
     fn arch(policy: &str) -> PartitionedCache {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
-        PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).unwrap()
+        PartitionedCache::new(geom, policy, PolicyRegistry::global()).unwrap()
     }
 
     #[test]
     fn rejects_monolithic_geometry() {
         let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 1).unwrap();
-        assert!(PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).is_err());
+        assert!(PartitionedCache::new(geom, "identity", PolicyRegistry::global()).is_err());
     }
 
     #[test]
@@ -474,16 +374,5 @@ mod tests {
             updated.misses > baseline.misses,
             "flushes must cost something on a cache-resident workload"
         );
-    }
-
-    #[test]
-    fn hardware_specs_materialize() {
-        let a = arch("scrambling");
-        let ctl = a.block_control().unwrap();
-        assert!(ctl.in_paper_regime());
-        let sel = a.block_selector().unwrap();
-        assert_eq!(sel.banks(), 4);
-        let dec = a.decoder().unwrap();
-        assert_eq!(dec.geometry().banks(), 4);
     }
 }

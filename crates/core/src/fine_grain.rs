@@ -146,8 +146,7 @@ mod tests {
 
         let geom = CacheGeometry::direct_mapped(8 * 1024, 16, 4).unwrap();
         let arch =
-            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())
-                .unwrap();
+            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global()).unwrap();
         let out = arch
             .simulate(
                 profile.trace(5).take(80_000),
@@ -172,8 +171,7 @@ mod tests {
 
         let geom = CacheGeometry::direct_mapped(8 * 1024, 16, 4).unwrap();
         let arch =
-            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())
-                .unwrap();
+            crate::arch::PartitionedCache::new(geom, "identity", PolicyRegistry::global()).unwrap();
         let out = arch
             .simulate(
                 profile.trace(7).take(80_000),

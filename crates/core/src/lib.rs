@@ -7,16 +7,14 @@
 //! **time-varying indexing function** `f()` so that idleness — and with it
 //! the NBTI recovery opportunity — is spread uniformly over the banks:
 //!
-//! * [`onehot`] — the 1-hot encoder of decoder `D` (paper Fig. 1b);
 //! * [`lfsr`] — Galois LFSRs backing the Scrambling policy;
 //! * [`policy`] — the indexing functions: `Identity` (a conventional
 //!   power-managed partitioned cache), `Probing` (modular increment,
 //!   Fig. 3a) and `Scrambling` (LFSR XOR, Fig. 3b);
-//! * [`decoder`] — decoder `D` with the dynamic-indexing stage (Fig. 2);
-//! * [`control`] / [`selector`] — Block Control counter sizing and the
-//!   per-bank supply-rail selector (Fig. 1);
-//! * [`arch`] — [`arch::PartitionedCache`], tying the
-//!   pieces to the trace-driven simulator;
+//! * [`arch`] — [`arch::PartitionedCache`], the Fig. 1 architecture
+//!   (geometry, indexing policy, per-bank drowsy control) built into
+//!   trace-driven simulators, and [`arch::simulate_fanout`], the one
+//!   batched driver that streams a trace through them;
 //! * [`aging`] — the lifetime pipeline: per-bank sleep fractions → policy
 //!   rotation over update periods → SNM-based cache lifetime;
 //! * [`registry`] — the one string-keyed [`registry::Registry`] behind
@@ -128,8 +126,6 @@ pub mod aging;
 pub mod analysis;
 pub mod arch;
 pub mod check;
-pub mod control;
-pub mod decoder;
 pub mod error;
 pub mod exec;
 pub mod experiment;
@@ -139,7 +135,6 @@ pub mod graceful;
 pub mod json;
 pub mod lfsr;
 pub mod model;
-pub mod onehot;
 pub mod paper;
 pub mod policy;
 pub mod presets;
@@ -149,7 +144,6 @@ pub mod replacement;
 pub mod report;
 pub mod rescache;
 pub mod search;
-pub mod selector;
 pub mod serve;
 pub mod session;
 pub mod study;
@@ -160,7 +154,6 @@ pub use aging::AgingAnalysis;
 pub use analysis::{Axis, AxisValue, Query, Reduce, ReportDiff};
 pub use arch::PartitionedCache;
 pub use check::{CheckFinding, CheckLevel, CheckReport};
-pub use decoder::Decoder;
 pub use error::CoreError;
 pub use exec::{ExecObserver, RecordOrigin};
 pub use lfsr::Lfsr;
@@ -168,7 +161,6 @@ pub use model::{
     AgingModel, CalibratedModel, Metrics, ModelContext, ModelEval, ModelKey, ModelParams,
     ModelRegistry,
 };
-pub use onehot::OneHotEncoder;
 pub use policy::{GrayRotation, Probing, RotateXor, Scrambling};
 pub use registry::{IndexingPolicy, PolicyRegistry, Registry};
 pub use render::Format;
@@ -180,7 +172,6 @@ pub use search::{
     Constraint, Direction, Driver, Objective, ProbeBatch, ProbeOutcome, ScenarioSpace, Search,
     SearchReport,
 };
-pub use selector::{BlockSelector, Rail};
 pub use serve::{ServeOptions, ServeStats, StudyServer};
 pub use session::{SessionStats, StudySession};
 pub use study::{Scenario, ScenarioGrid, ScenarioRecord, SpecParser, StudyReport, StudySpec};

@@ -809,8 +809,8 @@ fn build_target(
 ) -> Result<SimTarget, CoreError> {
     let level = |bytes: u64, ways: u32| -> Result<PartitionedCache, CoreError> {
         let geom = CacheGeometry::new(bytes, scenario.line_bytes, ways, scenario.banks)?;
-        PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone())?
-            .with_replacement(&scenario.replacement, replacements.clone())
+        PartitionedCache::new(geom, "identity", PolicyRegistry::global())?
+            .with_replacement(&scenario.replacement, replacements)
     };
     let l1 = level(scenario.cache_bytes, scenario.ways)?;
     Ok(if scenario.l2_cache_bytes > 0 {

@@ -1,11 +1,9 @@
 //! Property-based tests for the architectural layer (quickprop-driven).
 
 use aging_cache::aging::AgingAnalysis;
-use aging_cache::decoder::Decoder;
 use aging_cache::policy::{Probing, Scrambling};
-use aging_cache::registry::PolicyRegistry;
 use cache_sim::mapping::is_bijective;
-use cache_sim::{BankMapping, CacheGeometry};
+use cache_sim::BankMapping;
 use nbti_model::{CellDesign, LifetimeSolver};
 use std::sync::OnceLock;
 
@@ -63,26 +61,6 @@ fn probing_window_fairness() {
         for row in &counts {
             assert!(row.iter().all(|&c| c == 1), "unfair window: {row:?}");
         }
-    });
-}
-
-/// The decoder preserves the slot bits and emits a valid one-hot word
-/// for every address and policy.
-#[test]
-fn decoder_structure() {
-    quickprop::cases(CASES, |g| {
-        let addr = g.u64_in(0..(1u64 << 28));
-        let policy = *g.pick(&PAPER_POLICIES);
-        let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 8).unwrap();
-        let mapping = PolicyRegistry::global().build(policy, 8, 3).unwrap();
-        let mut dec = Decoder::new(geom, mapping).unwrap();
-        let before = dec.route(addr).unwrap();
-        assert_eq!(before.activation.count_ones(), 1);
-        assert_eq!(before.activation.trailing_zeros(), before.physical_bank);
-        dec.update();
-        let after = dec.route(addr).unwrap();
-        assert_eq!(before.slot, after.slot, "slot bits must pass through f()");
-        assert_eq!(before.logical_bank, after.logical_bank);
     });
 }
 

@@ -87,9 +87,9 @@ fn every_registry_error_message_is_pinned() {
 #[test]
 fn unknown_replacement_through_the_architecture_is_the_registry_error() {
     let geometry = cache_sim::CacheGeometry::new(16 * 1024, 16, 4, 4).expect("geometry");
-    let cache = aging_cache::PartitionedCache::new(geometry, "probing", PolicyRegistry::builtin())
+    let cache = aging_cache::PartitionedCache::new(geometry, "probing", &PolicyRegistry::builtin())
         .expect("cache");
-    let Err(e) = cache.with_replacement("belady", ReplacementRegistry::builtin()) else {
+    let Err(e) = cache.with_replacement("belady", &ReplacementRegistry::builtin()) else {
         panic!("an unknown replacement must not resolve");
     };
     assert_eq!(

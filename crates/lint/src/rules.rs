@@ -211,6 +211,7 @@ fn panic_zone(path: &str) -> bool {
         "crates/core/src/report.rs",
         "crates/core/src/json.rs",
         "crates/core/src/analysis.rs",
+        "crates/core/src/arch.rs",
         "crates/core/src/model.rs",
         "crates/core/src/registry.rs",
         "crates/core/src/replacement.rs",

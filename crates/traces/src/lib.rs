@@ -55,7 +55,7 @@ pub use profile::{TraceGen, WorkloadProfile, WorkloadProfileBuilder};
 pub use region::{AccessPattern, Region};
 pub use rng::SplitMix64;
 pub use schedule::{ScheduleBuilder, Slot, SlotSchedule};
-pub use source::{IterSource, SliceSource, TraceError, TraceSource, BATCH_ACCESSES};
+pub use source::{SliceSource, TraceError, TraceSource, BATCH_ACCESSES};
 
 /// Reference configuration the profiles are calibrated against:
 /// 16 kB cache, 16 B lines, M = 4 banks — the paper's Table I setup.

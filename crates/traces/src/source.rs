@@ -13,8 +13,8 @@
 //!   itself (an infinite source: bound it by the access budget);
 //! * the file readers in [`crate::formats`] — Dinero `.din`, Valgrind
 //!   Lackey, and a simple CSV format;
-//! * [`IterSource`] and [`SliceSource`] — adapt any access iterator or
-//!   slice (tests, replay buffers).
+//! * [`SliceSource`] — replays an in-memory slice of accesses (tests,
+//!   replay buffers).
 //!
 //! # Examples
 //!
@@ -110,29 +110,6 @@ pub trait TraceSource {
     fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError>;
 }
 
-/// Adapts any access iterator into a [`TraceSource`], one `next` per
-/// access (the synthetic [`TraceGen`](crate::TraceGen) is a source
-/// itself and needs no adapter).
-#[derive(Debug, Clone)]
-pub struct IterSource<I> {
-    iter: I,
-}
-
-impl<I: Iterator<Item = Access>> IterSource<I> {
-    /// Wraps an iterator.
-    pub fn new(iter: I) -> Self {
-        Self { iter }
-    }
-}
-
-impl<I: Iterator<Item = Access>> TraceSource for IterSource<I> {
-    fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError> {
-        let before = buf.len();
-        buf.extend(self.iter.by_ref().take(max));
-        Ok(buf.len() - before)
-    }
-}
-
 /// A [`TraceSource`] over a borrowed slice (tests, replay buffers).
 #[derive(Debug, Clone)]
 pub struct SliceSource<'a> {
@@ -205,18 +182,6 @@ impl Fnv64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn iter_source_respects_max_and_exhausts() {
-        let accesses: Vec<Access> = (0..10).map(|i| Access::read(i * 16)).collect();
-        let mut s = IterSource::new(accesses.clone().into_iter());
-        let mut buf = Vec::new();
-        assert_eq!(s.next_batch(&mut buf, 4).unwrap(), 4);
-        assert_eq!(s.next_batch(&mut buf, 4).unwrap(), 4);
-        assert_eq!(s.next_batch(&mut buf, 4).unwrap(), 2);
-        assert_eq!(s.next_batch(&mut buf, 4).unwrap(), 0);
-        assert_eq!(buf, accesses);
-    }
 
     #[test]
     fn slice_source_round_trips() {

@@ -16,7 +16,22 @@ const CYCLES: usize = 30_000;
 
 fn arch(policy: &str, banks: u32) -> PartitionedCache {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, banks).unwrap();
-    PartitionedCache::new(geom, policy, PolicyRegistry::builtin()).unwrap()
+    PartitionedCache::new(geom, policy, PolicyRegistry::global()).unwrap()
+}
+
+/// Streams `source` through `target` alone on the batched path: a
+/// one-target [`simulate_fanout`], finished into the level's outcome
+/// (or the L1's, with the L2's beside it for a hierarchy).
+fn alone(
+    target: SimTarget,
+    source: &mut dyn TraceSource,
+    limit: Option<u64>,
+    update: UpdateSchedule,
+) -> (SimOutcome, Option<SimOutcome>) {
+    let mut targets = [target];
+    simulate_fanout(source, &mut targets, limit, update).unwrap();
+    let [target] = targets;
+    target.finish()
 }
 
 fn assert_identical(a: &SimOutcome, b: &SimOutcome, context: &str) {
@@ -40,9 +55,12 @@ fn batched_equals_per_access_on_every_builtin_workload() {
         let scalar = cache
             .simulate(profile.trace(1000).take(CYCLES), UpdateSchedule::Never)
             .unwrap();
-        let batched = cache
-            .simulate_batched(profile.trace(1000).take(CYCLES), UpdateSchedule::Never)
-            .unwrap();
+        let (batched, _) = alone(
+            SimTarget::Level(cache.simulator().unwrap()),
+            &mut profile.trace(1000),
+            Some(CYCLES as u64),
+            UpdateSchedule::Never,
+        );
         assert_identical(&scalar, &batched, profile.name());
     }
 }
@@ -51,18 +69,25 @@ fn batched_equals_per_access_on_every_builtin_workload() {
 fn batched_equals_per_access_under_updates() {
     // Mid-trace mapping updates exercise batch clipping at schedule
     // boundaries (including a period that is not a batch multiple).
+    // Every registered policy routes through the kernel the same way
+    // the scalar `step` does, before and after each update.
     let profile = suite::by_name("CRC32").unwrap();
-    for (policy, period) in [("probing", 7_000), ("scrambling", 4096), ("gray", 9_999)] {
-        let cache = arch(policy, 4);
-        let schedule = UpdateSchedule::EveryCycles(period);
-        let scalar = cache
-            .simulate(profile.trace(5).take(CYCLES), schedule)
-            .unwrap();
-        let batched = cache
-            .simulate_batched(profile.trace(5).take(CYCLES), schedule)
-            .unwrap();
-        assert_eq!(scalar.updates, (CYCLES as u64) / period);
-        assert_identical(&scalar, &batched, &format!("{policy}/{period}"));
+    for policy in PolicyRegistry::builtin().names() {
+        for period in [7_000, 4096, 9_999] {
+            let cache = arch(&policy, 4);
+            let schedule = UpdateSchedule::EveryCycles(period);
+            let scalar = cache
+                .simulate(profile.trace(5).take(CYCLES), schedule)
+                .unwrap();
+            let (batched, _) = alone(
+                SimTarget::Level(cache.simulator().unwrap()),
+                &mut profile.trace(5),
+                Some(CYCLES as u64),
+                schedule,
+            );
+            assert_eq!(scalar.updates, (CYCLES as u64) / period);
+            assert_identical(&scalar, &batched, &format!("{policy}/{period}"));
+        }
     }
 }
 
@@ -104,9 +129,9 @@ fn hierarchy_batched_equals_per_access_on_both_levels() {
 
 #[test]
 fn hierarchy_source_path_matches_the_scalar_composition() {
-    // The study session drives hierarchies through the arch-level
-    // `simulate_hierarchy_source` (batched, file- or stream-backed);
-    // it must land bit-for-bit on the hand-composed scalar hierarchy.
+    // The study session streams hierarchies through `simulate_fanout`
+    // (batched, file- or stream-backed); it must land bit-for-bit on
+    // the hand-composed scalar hierarchy.
     let profile = suite::by_name("CRC32").unwrap();
     let accesses: Vec<_> = profile.trace(13).take(CYCLES).collect();
 
@@ -115,6 +140,7 @@ fn hierarchy_source_path_matches_the_scalar_composition() {
         scalar.step(a);
     }
     let scalar = scalar.finish();
+    scalar.validate().unwrap();
 
     let dir = std::env::temp_dir().join("nbti-hierarchy-equivalence");
     std::fs::create_dir_all(&dir).unwrap();
@@ -123,26 +149,16 @@ fn hierarchy_source_path_matches_the_scalar_composition() {
     let path = dir.join("t.din");
     std::fs::write(&path, &text).unwrap();
 
-    let l1 = PartitionedCache::new(
-        CacheGeometry::new(16 * 1024, 16, 2, 4).unwrap(),
-        "identity",
-        PolicyRegistry::builtin(),
-    )
-    .unwrap();
-    let l2 = PartitionedCache::new(
-        CacheGeometry::new(64 * 1024, 16, 4, 4).unwrap(),
-        "identity",
-        PolicyRegistry::builtin(),
-    )
-    .unwrap();
+    let level = |kb: u64, ways: u32| {
+        let geom = CacheGeometry::new(kb * 1024, 16, ways, 4).unwrap();
+        PartitionedCache::new(geom, "identity", PolicyRegistry::global()).unwrap()
+    };
+    let target = SimTarget::Hierarchy(level(16, 2).hierarchy(&level(64, 4)).unwrap());
     let mut source = nbti_cache_repro::traces::formats::open_path(TraceFormat::Din, &path).unwrap();
-    let from_source = l1
-        .simulate_hierarchy_source(&l2, source.as_mut(), None, UpdateSchedule::Never)
-        .unwrap();
-    from_source.validate().unwrap();
+    let (l1, l2) = alone(target, source.as_mut(), None, UpdateSchedule::Never);
 
-    assert_identical(&scalar.l1, &from_source.l1, "L1/source");
-    assert_identical(&scalar.l2, &from_source.l2, "L2/source");
+    assert_identical(&scalar.l1, &l1, "L1/source");
+    assert_identical(&scalar.l2, &l2.unwrap(), "L2/source");
 }
 
 #[test]
@@ -168,9 +184,12 @@ fn file_backed_sources_match_the_in_memory_stream() {
         let path = dir.join(format!("t.{format}"));
         std::fs::write(&path, &text).unwrap();
         let mut source = nbti_cache_repro::traces::formats::open_path(format, &path).unwrap();
-        let from_file = cache
-            .simulate_source(source.as_mut(), None, UpdateSchedule::Never)
-            .unwrap();
+        let (from_file, _) = alone(
+            SimTarget::Level(cache.simulator().unwrap()),
+            source.as_mut(),
+            None,
+            UpdateSchedule::Never,
+        );
         assert_identical(&reference, &from_file, format.key());
     }
 }
@@ -205,14 +224,14 @@ fn one_source_fanned_out_equals_each_target_simulated_alone() {
     let accesses: Vec<_> = profile.trace(21).take(CYCLES).collect();
     let level = |kb: u64, ways: u32| {
         let geom = CacheGeometry::new(kb * 1024, 16, ways, 4).unwrap();
-        PartitionedCache::new(geom, "probing", PolicyRegistry::builtin()).unwrap()
+        PartitionedCache::new(geom, "probing", PolicyRegistry::global()).unwrap()
     };
     let levels = [
         level(8, 1),
         level(16, 1),
         level(32, 1),
         level(16, 4)
-            .with_replacement("lru", ReplacementRegistry::global().clone())
+            .with_replacement("lru", ReplacementRegistry::global())
             .unwrap(),
     ];
     let (l1, l2) = (level(16, 1), level(64, 4));
@@ -241,18 +260,24 @@ fn one_source_fanned_out_equals_each_target_simulated_alone() {
             let scalar = cache
                 .simulate(accesses[..taken].iter().copied(), update)
                 .unwrap();
-            let batched = cache
-                .simulate_source(&mut SliceSource::new(&accesses), limit, update)
-                .unwrap();
+            let (batched, _) = alone(
+                SimTarget::Level(cache.simulator().unwrap()),
+                &mut SliceSource::new(&accesses),
+                limit,
+                update,
+            );
             let name = format!("{context}/{:?}", cache.geometry());
             assert_identical(&scalar, &fanned, &format!("{name}/scalar"));
             assert_identical(&batched, &fanned, &format!("{name}/batched"));
         }
-        let alone = l1
-            .simulate_hierarchy_source(&l2, &mut SliceSource::new(&accesses), limit, update)
-            .unwrap();
-        assert_identical(&alone.l1, &fanned_l1, &format!("{context}/L1"));
-        assert_identical(&alone.l2, &fanned_l2, &format!("{context}/L2"));
+        let (alone_l1, alone_l2) = alone(
+            SimTarget::Hierarchy(l1.hierarchy(&l2).unwrap()),
+            &mut SliceSource::new(&accesses),
+            limit,
+            update,
+        );
+        assert_identical(&alone_l1, &fanned_l1, &format!("{context}/L1"));
+        assert_identical(&alone_l2.unwrap(), &fanned_l2, &format!("{context}/L2"));
         if limit.is_some() {
             assert_eq!(fanned_l1.updates, 25_000 / 7_000, "{context}");
         }

@@ -11,8 +11,7 @@ use nbti_cache_repro::traces::suite;
 fn every_benchmark_outcome_is_internally_consistent() {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     for (i, p) in suite::mediabench().iter().enumerate() {
-        let arch =
-            PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).unwrap();
+        let arch = PartitionedCache::new(geom, "identity", PolicyRegistry::global()).unwrap();
         let out = arch
             .simulate(p.trace(50 + i as u64).take(120_000), UpdateSchedule::Never)
             .unwrap();
@@ -35,8 +34,7 @@ fn every_benchmark_outcome_is_internally_consistent() {
 fn partitioned_energy_beats_monolithic_on_all_benchmarks() {
     let geom = CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     for p in suite::mediabench() {
-        let arch =
-            PartitionedCache::new(geom, "identity", PolicyRegistry::global().clone()).unwrap();
+        let arch = PartitionedCache::new(geom, "identity", PolicyRegistry::global()).unwrap();
         let out = arch
             .simulate(p.trace(7).take(100_000), UpdateSchedule::Never)
             .unwrap();
@@ -76,7 +74,7 @@ fn miss_rate_is_policy_invariant_and_update_cost_is_bounded() {
     let p = suite::by_name("lame").unwrap();
     let mut baseline_misses = None;
     for policy in ["identity", "probing", "scrambling"] {
-        let arch = PartitionedCache::new(geom, policy, PolicyRegistry::global().clone()).unwrap();
+        let arch = PartitionedCache::new(geom, policy, PolicyRegistry::global()).unwrap();
         let out = arch
             .simulate(p.trace(11).take(80_000), UpdateSchedule::Never)
             .unwrap();
@@ -86,7 +84,7 @@ fn miss_rate_is_policy_invariant_and_update_cost_is_bounded() {
         }
     }
     // Updating once per 20k cycles costs at most 4 refills of the cache.
-    let arch = PartitionedCache::new(geom, "probing", PolicyRegistry::global().clone()).unwrap();
+    let arch = PartitionedCache::new(geom, "probing", PolicyRegistry::global()).unwrap();
     let updated = arch
         .simulate(
             p.trace(11).take(80_000),
@@ -123,6 +121,5 @@ fn facade_reexports_compose() {
     let _ = power::Technology::default_45nm();
     let geom = sim::CacheGeometry::direct_mapped(16 * 1024, 16, 4).unwrap();
     let _ = traces::suite::mediabench();
-    let _ = arch::PartitionedCache::new(geom, "probing", arch::PolicyRegistry::global().clone())
-        .unwrap();
+    let _ = arch::PartitionedCache::new(geom, "probing", arch::PolicyRegistry::global()).unwrap();
 }

@@ -14,7 +14,7 @@
 //! key. It cannot be expressed through the study layer precisely
 //! because the study layer already relies on it.
 
-use nbti_cache_repro::arch::arch::{PartitionedCache, UpdateSchedule};
+use nbti_cache_repro::arch::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::{StudyReport, StudySpec};
 use nbti_cache_repro::arch::PolicyRegistry;
@@ -177,10 +177,17 @@ fn fixed_bijections_preserve_associative_miss_rates() {
     let profile = suite::by_name("mad").unwrap();
     let mut baseline = None;
     for name in registry.names() {
-        let arch = PartitionedCache::new(geom, &name, registry.clone()).unwrap();
-        let out = arch
-            .simulate_batched(profile.trace(4).take(100_000), UpdateSchedule::Never)
-            .unwrap();
+        let arch = PartitionedCache::new(geom, &name, &registry).unwrap();
+        let mut target = [SimTarget::Level(arch.simulator().unwrap())];
+        simulate_fanout(
+            &mut profile.trace(4),
+            &mut target,
+            Some(100_000),
+            UpdateSchedule::Never,
+        )
+        .unwrap();
+        let [target] = target;
+        let (out, _) = target.finish();
         match baseline {
             None => baseline = Some(out.misses),
             Some(m) => assert_eq!(out.misses, m, "{name}: bijection changed miss count"),

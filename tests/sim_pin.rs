@@ -99,7 +99,7 @@ impl Fnv {
 }
 
 fn arch(geom: CacheGeometry) -> PartitionedCache {
-    PartitionedCache::new(geom, "probing", PolicyRegistry::global().clone()).unwrap()
+    PartitionedCache::new(geom, "probing", PolicyRegistry::global()).unwrap()
 }
 
 /// Runs `targets` over `workload`'s stream and hashes every outcome.
@@ -163,7 +163,7 @@ fn registered_mru_2way_outcomes_are_pinned() {
     // The generic lookup path: a registered policy on a width the
     // built-in kernels do not specialize.
     let mru = arch(CacheGeometry::new(16 * 1024, 16, 2, 4).unwrap())
-        .with_replacement("mru", ReplacementRegistry::global().clone())
+        .with_replacement("mru", ReplacementRegistry::global())
         .unwrap();
     check("mru-2way", MRU_PINS, || {
         vec![SimTarget::Level(mru.simulator().unwrap())]
