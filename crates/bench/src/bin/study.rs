@@ -116,8 +116,8 @@
 //!   `/query` and `POST /compare` answer from cached results with
 //!   **zero simulation** (cold cells answer 409 with the coverage
 //!   gap); `POST /run` computes what is missing, and concurrent
-//!   identical requests coalesce into a single simulation. `POST
-//!   /shutdown?token=…` drains and exits.
+//!   identical requests coalesce: each missing cell is simulated and
+//!   evaluated once. `POST /shutdown?token=…` drains and exits.
 //! * `study fetch <url>` is the matching dependency-free HTTP client:
 //!   response body to stdout byte-for-byte, exit 0 on 2xx — CI smokes
 //!   the server without `curl`.
@@ -809,7 +809,8 @@ fn optimize_main(args: &[String]) {
 /// HTTP server over the study session and its journal. `GET
 /// /render|/query|/compare` answer from the warm cache; `POST /run`
 /// computes what is missing, with concurrent identical requests
-/// coalesced into one simulation. `--addr` defaults to `127.0.0.1:0`
+/// coalesced into one simulation and one evaluation per cell. `--addr`
+/// defaults to `127.0.0.1:0`
 /// (an OS-assigned port, printed — and written to `--addr-file` —
 /// once bound, so scripts can discover it). Without `--cache-dir` the
 /// results live in memory and die with the server. The process runs

@@ -342,6 +342,11 @@ impl CachedMeasurement {
 /// `store` must be safe to call concurrently. Storing a fingerprint
 /// that is already present is a no-op (identical inputs produce
 /// identical measurements, so either value is correct).
+///
+/// A [`StudySession`](crate::session::StudySession) looks each cell up
+/// once per run and coalesces concurrent runs itself: a run's lookups
+/// hold the session's claim lock, so `lookup` must answer without
+/// waiting on another caller of the same session.
 pub trait ResultCache: Send + Sync {
     /// Looks up a measurement.
     ///
@@ -349,23 +354,6 @@ pub trait ResultCache: Send + Sync {
     ///
     /// Returns [`CoreError::Cache`] on backend failures.
     fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError>;
-
-    /// Whether a measurement is cached, without side effects: unlike a
-    /// decorator's `lookup`, this never claims the fingerprint or waits
-    /// on one. The session itself never calls it: a run looks each
-    /// scenario up exactly once and plans its trace groups from those
-    /// outcomes. The default answers through `lookup`, so it is only
-    /// correct for caches whose `lookup` has no side effects: a
-    /// decorator whose `lookup` claims, waits or records must override
-    /// it (as [`MemoryCache`], [`JsonlCache`] and the serving layer's
-    /// coalescing cache do with a direct probe).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Cache`] on backend failures.
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        Ok(self.lookup(fingerprint)?.is_some())
-    }
 
     /// Stores a measurement (no-op if the fingerprint is present).
     ///
@@ -392,8 +380,8 @@ pub trait ResultCache: Send + Sync {
     ///
     /// Purely in-memory caches have nothing to absorb; the default is
     /// a no-op. [`JsonlCache`] re-reads the journal's growth so a
-    /// long-lived handle — `study serve`'s coverage checks and
-    /// `/compare` — sees cells another process (a CLI run on the same
+    /// long-lived handle — `study serve`'s reads, runs and `/compare`
+    /// — sees cells another process (a CLI run on the same
     /// `--cache-dir`) appended since it opened.
     ///
     /// # Errors
@@ -434,10 +422,6 @@ impl ResultCache for MemoryCache {
         Ok(relock(self.entries.lock())
             .get(fingerprint.canonical())
             .cloned())
-    }
-
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        Ok(relock(self.entries.lock()).contains_key(fingerprint.canonical()))
     }
 
     fn store(
@@ -1029,12 +1013,6 @@ impl ResultCache for JsonlCache {
             .cloned())
     }
 
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        Ok(relock(self.inner.lock())
-            .index
-            .contains_key(fingerprint.canonical()))
-    }
-
     fn store(
         &self,
         fingerprint: &Fingerprint,
@@ -1168,7 +1146,7 @@ mod tests {
             .collect();
         let mut text = String::new();
         trace_synth::formats::write_csv(&mut text, &trace);
-        let dir = std::env::temp_dir().join("nbti-rescache-seed");
+        let dir = std::env::temp_dir().join(format!("nbti-rescache-seed-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         std::fs::write(&path, &text).unwrap();

@@ -1,5 +1,5 @@
 //! The serving layer: a long-lived HTTP study server over the warm
-//! result cache, with request coalescing.
+//! result cache.
 //!
 //! A CLI process per request cannot serve heavy traffic: every
 //! invocation re-calibrates models, re-opens the journal, and rebuilds
@@ -39,18 +39,14 @@
 //! * `POST /shutdown` — graceful drain, gated by a token (below).
 //!
 //! **Coalescing.** Concurrent identical work must cost one simulation,
-//! not N. The session's cache is wrapped in a `CoalesceCache`: an
-//! in-flight claim table keyed by the content-addressed
-//! [`Fingerprint`]. The first request to miss a cell *claims* it and
-//! computes; every other request that misses the same cell blocks until
-//! the claimant's `store` lands, then replays the hit. Claims are
-//! per-cell, so two overlapping-but-different grids still share the
-//! cells they have in common; a run looks its cells up in fingerprint
-//! order, so two runs never wait on each other's claims in a cycle. A
-//! claimant that fails releases all of its claims (and a waiter that
-//! outlives the backstop steals the claim), so an error never wedges
-//! the table — at worst a rare duplicate computation, never a wrong or
-//! missing answer.
+//! not N. Every `/run` goes through the server's one [`StudySession`],
+//! which claims each cell a run misses until that run's task stores
+//! it: every other run that misses the same cell waits for the store,
+//! then replays the hit. Claims are per cell, so two
+//! overlapping-but-different grids still share the cells they have in
+//! common. A run that fails releases its own claims and no others, so
+//! a waiter on one of them computes the cell itself. GETs claim
+//! nothing.
 //!
 //! **Determinism.** The server adds no nondeterminism: responses are
 //! rendered by the same pure functions the CLI uses, cache replay is
@@ -64,7 +60,7 @@
 //! returning — the daemon never leaves a torn tail for the journal's
 //! truncation repair to clean up.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -75,9 +71,9 @@ use crate::analysis::{self, Axis, Query, Reduce, ReportDiff};
 use crate::error::CoreError;
 use crate::json::Json;
 use crate::render::{self, Format};
-use crate::rescache::{grid_fingerprints, relock, CachedMeasurement, Fingerprint, ResultCache};
-use crate::session::{StudySession, WarmRead};
-use crate::study::{ScenarioGrid, SpecParser, StudyReport, StudySpec};
+use crate::rescache::{relock, ResultCache};
+use crate::session::{Coverage, StudySession, WarmRead};
+use crate::study::{SpecParser, StudyReport, StudySpec};
 use crate::workload::WorkloadRegistry;
 
 /// The report name served specs run under — the same literal the
@@ -90,6 +86,16 @@ pub const REPORT_NAME: &str = "cli study";
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 /// Largest accepted request body (a `/compare` report JSON), bytes.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// The largest body a request to `path` may carry: only `/compare`
+/// reads one.
+fn body_cap(path: &str) -> usize {
+    if path == "/compare" {
+        MAX_BODY_BYTES
+    } else {
+        0
+    }
+}
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_POLL_MS: u64 = 5;
 /// How long an idle worker waits on the queue before re-checking the
@@ -144,126 +150,6 @@ pub const ENDPOINTS: [Endpoint; 7] = [
     ),
 ];
 
-/// The in-flight claim table behind [`CoalesceCache`]: which
-/// fingerprints some worker is currently computing.
-#[derive(Debug, Default)]
-struct Inflight {
-    claims: Mutex<BTreeSet<String>>,
-    released: Condvar,
-    /// How many lookups blocked behind another worker's claim —
-    /// the server-side proof that coalescing happened.
-    waits: AtomicUsize,
-}
-
-impl Inflight {
-    /// Claims `key` for the calling worker, or blocks until the
-    /// current claimant releases it. Returns `true` when the caller
-    /// now owns the claim (and must compute + `store`), `false` when
-    /// it waited a release out (and should re-check the cache).
-    ///
-    /// A wait that exhausts `backstop` without a release *steals* the
-    /// claim: the claimant is presumed failed, and a rare duplicate
-    /// computation beats a wedged request.
-    fn claim_or_wait(&self, key: &str, backstop: Duration) -> bool {
-        let mut claims = relock(self.claims.lock());
-        if claims.insert(key.to_string()) {
-            return true;
-        }
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        loop {
-            let (guard, outcome) = relock(self.released.wait_timeout(claims, backstop));
-            claims = guard;
-            if !claims.contains(key) {
-                return false;
-            }
-            if outcome.timed_out() {
-                return true;
-            }
-        }
-    }
-
-    /// Releases one claim (no-op when absent) and wakes every waiter.
-    fn release(&self, key: &str) {
-        if relock(self.claims.lock()).remove(key) {
-            self.released.notify_all();
-        }
-    }
-
-    /// Releases every claim — the error path: a failed grid run cannot
-    /// name which of its claims it got around to storing.
-    fn release_all(&self) {
-        relock(self.claims.lock()).clear();
-        self.released.notify_all();
-    }
-
-    fn waits(&self) -> usize {
-        self.waits.load(Ordering::Relaxed)
-    }
-}
-
-/// A [`ResultCache`] decorator that coalesces concurrent identical
-/// work: the first worker to miss a fingerprint claims it and
-/// computes; later workers block in `lookup` until the claimant's
-/// `store` lands, then replay the hit. See the module docs for the
-/// failure-path semantics.
-struct CoalesceCache {
-    inner: Arc<dyn ResultCache>,
-    inflight: Arc<Inflight>,
-    backstop: Duration,
-}
-
-impl ResultCache for CoalesceCache {
-    fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
-        loop {
-            if let Some(hit) = self.inner.lookup(fingerprint)? {
-                return Ok(Some(hit));
-            }
-            if self
-                .inflight
-                .claim_or_wait(fingerprint.canonical(), self.backstop)
-            {
-                // Our claim. A claimant may have stored and released
-                // between the miss above and the claim, so look again
-                // before computing the cell a second time. Still a
-                // miss: report it so the session computes the cell;
-                // `store` below releases the claim.
-                let recheck = self.inner.lookup(fingerprint);
-                if !matches!(recheck, Ok(None)) {
-                    self.inflight.release(fingerprint.canonical());
-                }
-                return recheck;
-            }
-            // A claimant released; its measurement is in the inner
-            // cache now — replay it.
-        }
-    }
-
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        // Never claims: a coverage probe must not block behind, or
-        // take over, another request's cell.
-        self.inner.contains(fingerprint)
-    }
-
-    fn store(
-        &self,
-        fingerprint: &Fingerprint,
-        measurement: &CachedMeasurement,
-    ) -> Result<(), CoreError> {
-        // Store before releasing, so a woken waiter's re-lookup hits.
-        let stored = self.inner.store(fingerprint, measurement);
-        self.inflight.release(fingerprint.canonical());
-        stored
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn refresh(&self) -> Result<usize, CoreError> {
-        self.inner.refresh()
-    }
-}
-
 /// How to run the server: bind address, pool size, admin gating.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
@@ -279,10 +165,6 @@ pub struct ServeOptions {
     /// endpoint always answers 403. There is no default token — an
     /// unguessable admin surface must be opted into.
     pub shutdown_token: Option<String>,
-    /// Coalescing backstop: how long a waiter blocks behind another
-    /// worker's claim before presuming the claimant failed and
-    /// stealing the cell. Default 30 000 ms.
-    pub coalesce_wait_ms: u64,
     /// Per-read socket patience; a client that stalls mid-request this
     /// long is disconnected. Default 5 000 ms.
     pub read_timeout_ms: u64,
@@ -294,7 +176,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             threads: 4,
             shutdown_token: None,
-            coalesce_wait_ms: 30_000,
             read_timeout_ms: 5_000,
         }
     }
@@ -316,9 +197,9 @@ pub struct ServeStats {
     pub requests: usize,
     /// Responses with status ≥ 400.
     pub errors: usize,
-    /// Cache lookups that blocked behind another worker's in-flight
-    /// claim — each one is a simulation that coalescing avoided
-    /// (or, rarely, deferred to a steal).
+    /// `/run` cache lookups that waited for a cell another run was
+    /// computing — each one a computation that coalescing avoided
+    /// (or, when that run failed, deferred to the waiter).
     pub coalesced_waits: usize,
 }
 
@@ -454,7 +335,7 @@ enum RequestError {
     RequestLine(String),
     /// A `Content-Length` that is not a `usize`.
     ContentLength(String),
-    /// A `Content-Length` over [`MAX_BODY_BYTES`].
+    /// A `Content-Length` over the route's cap ([`body_cap`]).
     BodyTooLarge(usize),
 }
 
@@ -531,7 +412,9 @@ fn parse_request(bytes: &[u8]) -> Result<Parsed, RequestError> {
             keep_alive = !value.eq_ignore_ascii_case("close");
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    let (path_raw, query_raw) = target.split_once('?').unwrap_or((target, ""));
+    let path = percent_decode(path_raw);
+    if content_length > body_cap(&path) {
         return Err(RequestError::BodyTooLarge(content_length));
     }
 
@@ -539,10 +422,9 @@ fn parse_request(bytes: &[u8]) -> Result<Parsed, RequestError> {
     let Some(body) = body.get(..content_length) else {
         return Ok(Parsed::Partial { in_body: true });
     };
-    let (path_raw, query_raw) = target.split_once('?').unwrap_or((target, ""));
     Ok(Parsed::Request(Request {
         method: method.to_string(),
-        path: percent_decode(path_raw),
+        path,
         query: parse_query(query_raw),
         raw_query: query_raw.to_string(),
         body: body.to_vec(),
@@ -677,12 +559,6 @@ pub struct StudyServer {
     listener: TcpListener,
     local: SocketAddr,
     session: StudySession,
-    /// The undecorated cache handle: coverage probes and `/compare`
-    /// walks go here, NOT through the session's [`CoalesceCache`] —
-    /// a read-only walk must never claim cells it has no intention of
-    /// computing.
-    inner: Arc<dyn ResultCache>,
-    inflight: Arc<Inflight>,
     options: ServeOptions,
     shutdown: Arc<AtomicBool>,
     requests: AtomicUsize,
@@ -691,10 +567,9 @@ pub struct StudyServer {
 }
 
 impl StudyServer {
-    /// Binds a server over `cache` with a fresh session, whose result
-    /// cache is the coalescing decorator over `cache`. Requests build
-    /// their specs with [`StudySpec::new`], so they resolve names
-    /// against the built-in registries.
+    /// Binds a server over a fresh session whose result cache is
+    /// `cache`. Requests build their specs with [`StudySpec::new`], so
+    /// they resolve names against the built-in registries.
     ///
     /// # Errors
     ///
@@ -703,13 +578,7 @@ impl StudyServer {
         cache: impl ResultCache + 'static,
         options: ServeOptions,
     ) -> Result<StudyServer, CoreError> {
-        let inner: Arc<dyn ResultCache> = Arc::new(cache);
-        let inflight = Arc::new(Inflight::default());
-        let session = StudySession::new().cache(CoalesceCache {
-            inner: Arc::clone(&inner),
-            inflight: Arc::clone(&inflight),
-            backstop: Duration::from_millis(options.coalesce_wait_ms.max(1)),
-        });
+        let session = StudySession::new().cache(cache);
         let listener = TcpListener::bind(&options.addr).map_err(|e| CoreError::Report {
             message: format!("serve: cannot bind {}: {e}", options.addr),
         })?;
@@ -720,8 +589,6 @@ impl StudyServer {
             listener,
             local,
             session,
-            inner,
-            inflight,
             options,
             shutdown: Arc::new(AtomicBool::new(false)),
             requests: AtomicUsize::new(0),
@@ -760,7 +627,7 @@ impl StudyServer {
         ServeStats {
             requests: self.requests.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
-            coalesced_waits: self.inflight.waits(),
+            coalesced_waits: self.session.claim_waits(),
         }
     }
 
@@ -829,7 +696,15 @@ impl StudyServer {
             }
             available.notify_all();
         });
-        self.inner.refresh().map(|_| ())
+        self.cache()?.refresh().map(|_| ())
+    }
+
+    /// The session's result cache, which [`StudyServer::bind`] always
+    /// attaches.
+    fn cache(&self) -> Result<&dyn ResultCache, CoreError> {
+        self.session.result_cache().ok_or_else(|| CoreError::Cache {
+            message: "serve: the session has no result cache".to_string(),
+        })
     }
 
     /// One connection: requests are answered in order until the client
@@ -903,29 +778,14 @@ impl StudyServer {
         }
     }
 
-    /// Cache coverage of a grid: `(warm, missing)` cell counts,
-    /// probed through the **inner** cache with `contains`, so nothing
-    /// is claimed or cloned. The journal is refreshed first, so cells
-    /// another process appended since the last request count as warm.
-    fn coverage(&self, grid: &ScenarioGrid) -> Result<(usize, usize), CoreError> {
-        self.inner.refresh()?;
-        let mut warm = 0usize;
-        for fingerprint in grid_fingerprints(grid)? {
-            if self.inner.contains(&fingerprint)? {
-                warm += 1;
-            }
-        }
-        Ok((warm, grid.len() - warm))
-    }
-
-    fn cold_response(&self, warm: usize, missing: usize, total: usize) -> Response {
+    fn cold_response(&self, coverage: Coverage, total: usize) -> Response {
         let body = Json::obj(vec![
             (
                 "error",
                 Json::Str("cold cells: GETs serve the warm cache only".to_string()),
             ),
-            ("warm", Json::Num(warm as f64)),
-            ("missing", Json::Num(missing as f64)),
+            ("warm", Json::Num(coverage.replayed as f64)),
+            ("missing", Json::Num(coverage.computed as f64)),
             ("scenarios", Json::Num(total as f64)),
             (
                 "hint",
@@ -940,14 +800,15 @@ impl StudyServer {
     }
 
     /// A GET's warm report, or its 409 coverage answer when some cell
-    /// is cold. The spec expands once, and the session looks each cell
-    /// up once in the **inner** cache (after refreshing it), so a GET
-    /// never claims, computes or stores a cell.
+    /// is cold. The spec expands once, the cache absorbs cells other
+    /// handles journaled, and the session looks each cell up once, so
+    /// a GET never claims, computes or stores a cell.
     fn warm_report(&self, params: &Params) -> Result<Result<StudyReport, Response>, CoreError> {
         let grid = params.spec.expand()?;
-        Ok(match self.session.read_warm(&grid, self.inner.as_ref())? {
+        self.cache()?.refresh()?;
+        Ok(match self.session.read_warm(&grid)? {
             WarmRead::Replayed(report) => Ok(report),
-            WarmRead::Cold { warm, missing } => Err(self.cold_response(warm, missing, grid.len())),
+            WarmRead::Cold(coverage) => Err(self.cold_response(coverage, grid.len())),
         })
     }
 
@@ -1044,18 +905,8 @@ impl StudyServer {
     fn run_response(&self, request: &Request) -> Result<Response, CoreError> {
         let params = Params::from_query(&request.query)?;
         let grid = params.spec.expand()?;
-        let (warm_before, missing_before) = self.coverage(&grid)?;
-        let report = match self.session.run_grid(&grid) {
-            Ok(report) => report,
-            Err(e) => {
-                // A failed run cannot say which of its claims it
-                // stored; release them all so waiters recover (they
-                // re-check the cache and re-claim what is still
-                // missing).
-                self.inflight.release_all();
-                return Err(e);
-            }
-        };
+        self.cache()?.refresh()?;
+        let (report, coverage) = self.session.run_counted(&grid)?;
         let stats = self.session.stats();
         let location = if request.raw_query.is_empty() {
             "/render".to_string()
@@ -1064,8 +915,8 @@ impl StudyServer {
         };
         let body = Json::obj(vec![
             ("scenarios", Json::Num(report.records().len() as f64)),
-            ("replayed", Json::Num(warm_before as f64)),
-            ("computed", Json::Num(missing_before as f64)),
+            ("replayed", Json::Num(coverage.replayed as f64)),
+            ("computed", Json::Num(coverage.computed as f64)),
             ("location", Json::Str(location)),
             ("session", session_stats_json(&stats)),
         ]);
@@ -1086,13 +937,10 @@ impl StudyServer {
             ));
         }
         let report = StudyReport::from_json(&text)?;
-        self.inner.refresh()?;
-        let diff = ReportDiff::against_cache(
-            &report,
-            self.inner.as_ref(),
-            WorkloadRegistry::global(),
-            params.tol,
-        )?;
+        let cache = self.cache()?;
+        cache.refresh()?;
+        let diff =
+            ReportDiff::against_cache(&report, cache, WorkloadRegistry::global(), params.tol)?;
         Ok(Response {
             status: if diff.is_empty() { 200 } else { 409 },
             content_type: CT_TEXT,
@@ -1130,7 +978,10 @@ impl StudyServer {
             ("requests", Json::Num(serve.requests as f64)),
             ("errors", Json::Num(serve.errors as f64)),
             ("coalesced_waits", Json::Num(serve.coalesced_waits as f64)),
-            ("cache_entries", Json::Num(self.inner.len() as f64)),
+            (
+                "cache_entries",
+                Json::Num(self.session.result_cache().map_or(0, |c| c.len()) as f64),
+            ),
             ("session", session_stats_json(&session)),
         ]);
         Response {
@@ -1170,6 +1021,7 @@ fn help_text() -> String {
 mod tests {
     use super::*;
     use crate::rescache::MemoryCache;
+    use std::collections::BTreeSet;
 
     fn _assert_server_is_sync(server: &StudyServer) -> &dyn Sync {
         server
@@ -1229,114 +1081,6 @@ mod tests {
     }
 
     #[test]
-    fn inflight_claims_block_then_replay() {
-        let inflight = Arc::new(Inflight::default());
-        assert!(inflight.claim_or_wait("k", Duration::from_millis(10)));
-        // Second claimant times out and steals.
-        assert!(inflight.claim_or_wait("k", Duration::from_millis(10)));
-        assert_eq!(inflight.waits(), 1);
-        // After release, a fresh claim succeeds immediately.
-        inflight.release("k");
-        assert!(inflight.claim_or_wait("k", Duration::from_millis(10)));
-        inflight.release_all();
-        assert!(inflight.claim_or_wait("k", Duration::from_millis(10)));
-    }
-
-    #[test]
-    fn coalesce_cache_waits_out_a_store() {
-        let inner: Arc<dyn ResultCache> = Arc::new(MemoryCache::new());
-        let inflight = Arc::new(Inflight::default());
-        let cache = CoalesceCache {
-            inner: Arc::clone(&inner),
-            inflight: Arc::clone(&inflight),
-            backstop: Duration::from_secs(5),
-        };
-        let fp = Fingerprint::from_canonical("cell");
-        // First lookup claims.
-        assert!(cache.lookup(&fp).unwrap().is_none());
-        let waiter = {
-            let inner = Arc::clone(&inner);
-            let inflight = Arc::clone(&inflight);
-            std::thread::spawn(move || {
-                let cache = CoalesceCache {
-                    inner,
-                    inflight,
-                    backstop: Duration::from_secs(5),
-                };
-                cache.lookup(&Fingerprint::from_canonical("cell")).unwrap()
-            })
-        };
-        // Give the waiter time to block, then store: it must wake with
-        // the hit, not a second miss.
-        std::thread::sleep(Duration::from_millis(50));
-        let m = CachedMeasurement {
-            sim_cycles: 1,
-            esav: 0.1,
-            miss_rate: 0.0,
-            useful_idleness: vec![0.5],
-            sleep_fractions: vec![0.5],
-            metrics: crate::model::Metrics::new(),
-        };
-        cache.store(&fp, &m).unwrap();
-        let replayed = waiter.join().unwrap();
-        assert_eq!(replayed.map(|c| c.esav), Some(0.1));
-        assert_eq!(inflight.waits(), 1);
-    }
-
-    /// An inner cache whose first miss has a peer's store land right
-    /// behind it: the window between a waiter's lookup and its claim.
-    struct StoreBehindFirstMiss {
-        inner: MemoryCache,
-        missed: std::sync::atomic::AtomicBool,
-    }
-
-    impl ResultCache for StoreBehindFirstMiss {
-        fn lookup(&self, fp: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
-            let hit = self.inner.lookup(fp)?;
-            if hit.is_none() && !self.missed.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                let m = CachedMeasurement {
-                    sim_cycles: 1,
-                    esav: 0.1,
-                    miss_rate: 0.0,
-                    useful_idleness: vec![0.5],
-                    sleep_fractions: vec![0.5],
-                    metrics: crate::model::Metrics::new(),
-                };
-                self.inner.store(fp, &m)?;
-            }
-            Ok(hit)
-        }
-
-        fn store(&self, fp: &Fingerprint, m: &CachedMeasurement) -> Result<(), CoreError> {
-            self.inner.store(fp, m)
-        }
-
-        fn len(&self) -> usize {
-            self.inner.len()
-        }
-    }
-
-    #[test]
-    fn a_claim_rechecks_for_a_store_that_landed_before_it() {
-        let inflight = Arc::new(Inflight::default());
-        let cache = CoalesceCache {
-            inner: Arc::new(StoreBehindFirstMiss {
-                inner: MemoryCache::new(),
-                missed: Default::default(),
-            }),
-            inflight: Arc::clone(&inflight),
-            backstop: Duration::from_secs(5),
-        };
-        // The peer's measurement replays: the cell is not computed a
-        // second time.
-        let hit = cache.lookup(&Fingerprint::from_canonical("cell")).unwrap();
-        assert_eq!(hit.map(|m| m.esav), Some(0.1));
-        // And the claim taken for the recheck was released.
-        assert!(inflight.claim_or_wait("cell", Duration::from_millis(10)));
-        assert_eq!(inflight.waits(), 0);
-    }
-
-    #[test]
     fn http_request_roundtrip() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1373,6 +1117,8 @@ mod tests {
             "/render?cache-kb=8%2C16&format=md",
             "/",
             "/compare?tol=0.5",
+            "/run?threads=1",
+            "/%63ompare",
             "/a?b=%zz&c&=d",
             "/%ff%fe?%e9=%",
             "",
@@ -1384,6 +1130,8 @@ mod tests {
             "",
             " 7 ",
             "+3",
+            "0",
+            "16777216",
             "16777217",
             "18446744073709551616",
             "99999999999999999999999",
@@ -1460,13 +1208,26 @@ mod tests {
             Err(RequestError::ContentLength("-1".to_string()))
         );
         assert_eq!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n"),
+            parse(b"POST /compare HTTP/1.1\r\nContent-Length: 16777217\r\n\r\n"),
             Err(RequestError::BodyTooLarge(16_777_217))
         );
         assert_eq!(
-            parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nabc"),
+            parse(b"POST /compare HTTP/1.1\r\nContent-Length: 5\r\n\r\nabc"),
             Ok(Parsed::Partial { in_body: true })
         );
+        // Every other route reads no body: a declared one fails before
+        // any body byte arrives.
+        for head in [
+            &b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\n"[..],
+            b"POST /run?threads=1 HTTP/1.1\r\nContent-Length: 5\r\n\r\n",
+            b"GET /render HTTP/1.1\r\nContent-Length: 5\r\n\r\n",
+        ] {
+            assert_eq!(parse(head), Err(RequestError::BodyTooLarge(5)));
+        }
+        assert!(matches!(
+            parse(b"POST /run HTTP/1.1\r\nContent-Length: 0\r\n\r\n"),
+            Ok(Parsed::Request(_))
+        ));
         assert_eq!(parse(b"GET / HT"), Ok(Parsed::Partial { in_body: false }));
         assert!(matches!(
             parse(b"GET / HTTP/2\r\n\r\n"),

@@ -32,7 +32,10 @@
 //!   run probes the cache once per scenario on the calling thread,
 //!   replays the hits inline and dispatches only the misses, so a
 //!   fully cached grid starts no worker threads; the trace groups
-//!   plan from that same snapshot instead of probing again;
+//!   plan from that same snapshot instead of probing again. The probe
+//!   claims each miss until the run stores it, so concurrent runs of
+//!   one session (the study server's requests) compute a shared cell
+//!   once: the others wait for the store and replay it;
 //! * the spec's [`StudySpec::threads`] caps the worker pool (default:
 //!   available parallelism; `threads(1)` runs every scenario on the
 //!   calling thread, in grid order); an **[`ExecObserver`]** streams
@@ -97,8 +100,8 @@ use crate::rescache::{
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
 use crate::workload::Workload;
 use cache_sim::CacheGeometry;
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Measured simulation outputs shared by scenarios that differ only in
@@ -147,6 +150,55 @@ struct SimMemo {
     entries: Mutex<HashMap<SimKey, MemoEntry>>,
     /// Signalled whenever in-flight entries resolve or are abandoned.
     resolved: Condvar,
+}
+
+/// The result-cache cells some run of this session missed and is
+/// computing right now, by fingerprint, so concurrent runs that miss
+/// the same cell compute it once: the others wait for the holder's
+/// store and replay it.
+#[derive(Default)]
+struct CellClaims {
+    held: Mutex<BTreeSet<String>>,
+    /// Signalled whenever claims are released.
+    released: Condvar,
+    /// Lookups that waited for another run's claim.
+    waits: AtomicUsize,
+}
+
+impl CellClaims {
+    /// Looks `fingerprint` up in `cache` once no other run holds it: a
+    /// hit replays, a miss claims the cell for the caller. The lookup
+    /// runs under the claim lock, so a holder's store and release
+    /// cannot land between a miss and the claim.
+    fn lookup(
+        &self,
+        cache: &dyn ResultCache,
+        fingerprint: &Fingerprint,
+    ) -> Result<Option<CachedMeasurement>, CoreError> {
+        let key = fingerprint.canonical();
+        let mut held = relock(self.held.lock());
+        if held.contains(key) {
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            while held.contains(key) {
+                held = relock(self.released.wait(held));
+            }
+        }
+        let hit = cache.lookup(fingerprint)?;
+        if hit.is_none() {
+            held.insert(key.to_string());
+        }
+        Ok(hit)
+    }
+
+    /// Releases `keys` and wakes every waiter.
+    fn release<'k>(&self, keys: impl IntoIterator<Item = &'k str>) {
+        let mut held = relock(self.held.lock());
+        for key in keys {
+            held.remove(key);
+        }
+        drop(held);
+        self.released.notify_all();
+    }
 }
 
 /// Cumulative execution counters, snapshot by [`StudySession::stats`].
@@ -215,6 +267,7 @@ impl Counters {
 pub struct StudySession {
     ctx: ModelContext,
     memo: SimMemo,
+    claims: CellClaims,
     cache: Option<Box<dyn ResultCache>>,
     observer: Option<Box<dyn ExecObserver>>,
     counters: Counters,
@@ -247,6 +300,7 @@ impl StudySession {
         Self {
             ctx,
             memo: SimMemo::default(),
+            claims: CellClaims::default(),
             cache: None,
             observer: None,
             counters: Counters::default(),
@@ -296,39 +350,96 @@ impl StudySession {
     /// errors, the first scenario error by grid order, or
     /// [`CoreError::ScenarioPanicked`] if a scenario task panicked.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> Result<StudyReport, CoreError> {
-        execute(grid, self)
+        self.run_counted(grid).map(|(report, _)| report)
     }
 
-    /// Replays `grid` from `cache` when every cell is warm, and
-    /// computes nothing. One pass: refresh `cache`, fingerprint and
-    /// look up each cell once, then either replay those lookups through
-    /// the inline path [`StudySession::run_grid`] takes (the counters
-    /// and the observer move exactly as they do there) or report the
-    /// coverage. `cache` must be one whose `lookup` never claims (the
-    /// server passes its undecorated cache), so a cold read leaves
-    /// nothing behind. A lookup error fails the read.
-    pub(crate) fn read_warm(
+    /// [`StudySession::run_grid`], also answering how many cells its
+    /// lookup pass replayed and how many it left to compute.
+    pub(crate) fn run_counted(
         &self,
         grid: &ScenarioGrid,
-        cache: &dyn ResultCache,
-    ) -> Result<WarmRead, CoreError> {
-        cache.refresh()?;
-        let fingerprints = grid_fingerprints(grid)?;
-        let lookups = lookup_all(&fingerprints, cache);
-        let mut warm = 0;
-        for lookup in &lookups {
-            match lookup {
-                Ok(Some(_)) => warm += 1,
-                Ok(None) => {}
-                Err(e) => return Err(e.clone()),
-            }
+    ) -> Result<(StudyReport, Coverage), CoreError> {
+        let models = calibrate(grid, self)?;
+        let lookups = self.lookup_pass(grid, true)?;
+        let coverage = lookups.coverage();
+        replay_or_compute(grid, self, &models, lookups).map(|report| (report, coverage))
+    }
+
+    /// Replays `grid` when every cell is warm, and computes nothing:
+    /// one lookup pass that claims nothing, then either a replay of
+    /// those lookups through the inline path [`StudySession::run_grid`]
+    /// takes (the counters and the observer move exactly as they do
+    /// there) or the coverage. A lookup error fails the read.
+    pub(crate) fn read_warm(&self, grid: &ScenarioGrid) -> Result<WarmRead, CoreError> {
+        let lookups = self.lookup_pass(grid, false)?;
+        if let Some(Err(e)) = lookups.outcomes.iter().find(|o| o.is_err()) {
+            return Err(e.clone());
         }
-        if warm < grid.len() {
-            let missing = grid.len() - warm;
-            return Ok(WarmRead::Cold { warm, missing });
+        let coverage = lookups.coverage();
+        if coverage.computed > 0 {
+            return Ok(WarmRead::Cold(coverage));
         }
         let models = calibrate(grid, self)?;
-        replay_or_compute(grid, self, &models, &fingerprints, lookups).map(WarmRead::Replayed)
+        replay_or_compute(grid, self, &models, lookups).map(WarmRead::Replayed)
+    }
+
+    /// The one lookup pass of a run or a warm read: fingerprints each
+    /// cell and looks it up once in the result cache. With `claim`, each
+    /// miss is claimed for the caller ([`CellClaims::lookup`]). Without
+    /// a cache it looks nothing up, and every cell is a miss.
+    ///
+    /// The lookups run in fingerprint order, not grid order: taking
+    /// claims in one global order means two runs can never wait on
+    /// each other in a cycle. A fingerprint repeated within the grid is
+    /// looked up once and shares the outcome, since a second lookup
+    /// would wait on the pass's own claim.
+    fn lookup_pass(&self, grid: &ScenarioGrid, claim: bool) -> Result<Lookups<'_>, CoreError> {
+        let n = grid.len();
+        let mut lookups = Lookups {
+            fingerprints: Vec::new(),
+            outcomes: vec![Ok(None); n],
+            held: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            claims: &self.claims,
+        };
+        let Some(cache) = self.cache.as_deref() else {
+            return Ok(lookups);
+        };
+        lookups.fingerprints = grid_fingerprints(grid)?;
+        let fingerprints = &lookups.fingerprints;
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| {
+            fingerprints[a].canonical().cmp(fingerprints[b].canonical())
+        });
+        let mut previous: Option<usize> = None;
+        for i in order {
+            lookups.outcomes[i] = match previous {
+                Some(p) if fingerprints[p] == fingerprints[i] => lookups.outcomes[p].clone(),
+                _ => {
+                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        if claim {
+                            self.claims.lookup(cache, &fingerprints[i])
+                        } else {
+                            cache.lookup(&fingerprints[i])
+                        }
+                    }))
+                    .unwrap_or_else(|payload| {
+                        Err(CoreError::ScenarioPanicked {
+                            scenario: i,
+                            message: panic_message(payload),
+                        })
+                    });
+                    *lookups.held[i].get_mut() = claim && matches!(outcome, Ok(None));
+                    outcome
+                }
+            };
+            previous = Some(i);
+        }
+        Ok(lookups)
+    }
+
+    /// How many lookups waited for a cell another run was computing.
+    pub(crate) fn claim_waits(&self) -> usize {
+        self.claims.waits.load(Ordering::Relaxed)
     }
 
     /// A snapshot of the session's cumulative execution counters.
@@ -351,29 +462,69 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub(crate) enum WarmRead {
     /// Every cell was warm: the replayed report.
     Replayed(StudyReport),
-    /// Some cell was cold: how many were warm and how many missing.
-    Cold { warm: usize, missing: usize },
+    /// Some cell was cold.
+    Cold(Coverage),
+}
+
+/// What one lookup pass found, by cell.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Coverage {
+    /// Cells the result cache answers.
+    pub(crate) replayed: usize,
+    /// Cells left to compute.
+    pub(crate) computed: usize,
+}
+
+/// One lookup pass over a grid ([`StudySession::lookup_pass`]): each
+/// cell's fingerprint and lookup outcome, in grid order, and which
+/// cells' claims the pass holds. Each computed cell's task releases
+/// its claim once it returns; dropping the pass releases whatever is
+/// left (errors, caught panics, cells never dispatched), so a failed
+/// run never strands a waiter.
+pub(crate) struct Lookups<'s> {
+    /// Empty without a result cache.
+    fingerprints: Vec<Fingerprint>,
+    outcomes: Vec<Result<Option<CachedMeasurement>, CoreError>>,
+    held: Vec<AtomicBool>,
+    claims: &'s CellClaims,
+}
+
+impl Lookups<'_> {
+    fn coverage(&self) -> Coverage {
+        let replayed = self
+            .outcomes
+            .iter()
+            .filter(|o| matches!(o, Ok(Some(_))))
+            .count();
+        Coverage {
+            replayed,
+            computed: self.outcomes.len() - replayed,
+        }
+    }
+
+    /// Releases cell `index`'s claim, if this pass still holds it.
+    fn release(&self, index: usize) {
+        if self.held[index].swap(false, Ordering::SeqCst) {
+            self.claims.release([self.fingerprints[index].canonical()]);
+        }
+    }
+}
+
+impl Drop for Lookups<'_> {
+    fn drop(&mut self) {
+        let left: Vec<&str> = (self.held.iter().zip(&self.fingerprints))
+            .filter(|(held, _)| held.swap(false, Ordering::SeqCst))
+            .map(|(_, fingerprint)| fingerprint.canonical())
+            .collect();
+        if !left.is_empty() {
+            self.claims.release(left);
+        }
+    }
 }
 
 /// The calibrated model of every scenario, keyed by model key.
 // aging-lint: allow(no-unordered-iter) probed per scenario; iteration order never observed
 type Models<'g> = HashMap<&'g str, Arc<dyn CalibratedModel>>;
-
-/// Runs a grid: calibrates its models, probes the result cache once
-/// per scenario on the calling thread ([`lookup_all`]), then replays
-/// and computes ([`replay_or_compute`]).
-fn execute(grid: &ScenarioGrid, session: &StudySession) -> Result<StudyReport, CoreError> {
-    let models = calibrate(grid, session)?;
-    let (fingerprints, lookups) = match session.cache.as_deref() {
-        Some(cache) => {
-            let fingerprints = grid_fingerprints(grid)?;
-            let lookups = lookup_all(&fingerprints, cache);
-            (fingerprints, lookups)
-        }
-        None => (Vec::new(), Vec::new()),
-    };
-    replay_or_compute(grid, session, &models, &fingerprints, lookups)
-}
 
 /// Calibrates every distinct model of `grid` once, serially and in
 /// grid order: deterministic first-error, and the workers only ever
@@ -388,16 +539,15 @@ fn calibrate<'g>(grid: &'g ScenarioGrid, session: &StudySession) -> Result<Model
     Ok(models)
 }
 
-/// Replays every hit of `lookups` (one outcome per scenario, in grid
-/// order; empty without a cache) inline and dispatches only the misses
-/// to the worker pool. A fully cached grid therefore starts no worker
-/// threads at all, and every `on_record` fires on the calling thread.
+/// Replays every hit of `lookups` inline and dispatches only the
+/// misses to the worker pool. A fully cached grid therefore starts no
+/// worker threads at all, and every `on_record` fires on the calling
+/// thread.
 fn replay_or_compute(
     grid: &ScenarioGrid,
     session: &StudySession,
     models: &Models<'_>,
-    fingerprints: &[Fingerprint],
-    lookups: Vec<Result<Option<CachedMeasurement>, CoreError>>,
+    mut lookups: Lookups<'_>,
 ) -> Result<StudyReport, CoreError> {
     if let Some(obs) = session.observer.as_deref() {
         obs.on_start(grid.name(), grid.len());
@@ -417,12 +567,12 @@ fn replay_or_compute(
         *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
     };
 
-    let mut lookups = lookups.into_iter();
+    let mut outcomes = std::mem::take(&mut lookups.outcomes).into_iter();
     // Which scenarios replayed: the snapshot trace groups plan from.
     let mut replayed = vec![false; n];
     let mut misses = Vec::with_capacity(n);
     for (i, scenario) in grid.scenarios().iter().enumerate() {
-        match lookups.next() {
+        match outcomes.next() {
             Some(Ok(Some(hit))) => {
                 session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
                 session.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -449,7 +599,7 @@ fn replay_or_compute(
             // error — with its id and message — instead of tearing down
             // the whole process at scope join.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_one(grid, i, fingerprints.get(i), models, &plan, session)
+                run_one(grid, i, lookups.fingerprints.get(i), models, &plan, session)
             }))
             .unwrap_or_else(|payload| {
                 Err(CoreError::ScenarioPanicked {
@@ -457,47 +607,14 @@ fn replay_or_compute(
                     message: panic_message(payload),
                 })
             });
+            // `run_one` stored first, so a run waiting on the claim
+            // hits when it looks again.
+            lookups.release(i);
             finish(i, outcome);
         };
         exec::run_tasks(misses.len(), workers, &task);
     }
     assemble(grid, slots, session)
-}
-
-/// Looks every fingerprint up in `cache` exactly once, returning the
-/// outcomes in grid order.
-///
-/// The lookups run in fingerprint order, not grid order. A claiming
-/// cache (the server's coalescing decorator) claims each miss for this
-/// run and blocks on fingerprints another run has claimed; taking
-/// claims in one global order means two runs can never wait on each
-/// other in a cycle. A fingerprint repeated within the grid is looked
-/// up once and shares the outcome, since a second lookup would wait on
-/// this run's own claim.
-fn lookup_all(
-    fingerprints: &[Fingerprint],
-    cache: &dyn ResultCache,
-) -> Vec<Result<Option<CachedMeasurement>, CoreError>> {
-    let mut order: Vec<usize> = (0..fingerprints.len()).collect();
-    order.sort_unstable_by(|&a, &b| fingerprints[a].canonical().cmp(fingerprints[b].canonical()));
-    let mut lookups = vec![Ok(None); fingerprints.len()];
-    let mut previous: Option<usize> = None;
-    for i in order {
-        lookups[i] = match previous {
-            Some(p) if fingerprints[p] == fingerprints[i] => lookups[p].clone(),
-            _ => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                cache.lookup(&fingerprints[i])
-            }))
-            .unwrap_or_else(|payload| {
-                Err(CoreError::ScenarioPanicked {
-                    scenario: i,
-                    message: panic_message(payload),
-                })
-            }),
-        };
-        previous = Some(i);
-    }
-    lookups
 }
 
 /// Collects the per-scenario slots into the id-ordered report and
@@ -526,7 +643,7 @@ fn assemble(
 /// without one): measure it (from the session memo, or by leading its
 /// trace group), hand the measured sleep fractions to the scenario's
 /// calibrated device model, and journal the record under
-/// `fingerprint`, the one [`execute`] looked up.
+/// `fingerprint`, the one [`StudySession::lookup_pass`] looked up.
 fn run_one(
     grid: &ScenarioGrid,
     index: usize,

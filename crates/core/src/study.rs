@@ -1442,7 +1442,8 @@ mod tests {
             .collect();
         let mut text = String::new();
         trace_synth::formats::write_csv(&mut text, &accesses);
-        let dir = std::env::temp_dir().join("nbti-study-short-trace");
+        let dir =
+            std::env::temp_dir().join(format!("nbti-study-short-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("short.csv");
         std::fs::write(&path, &text).unwrap();

@@ -538,7 +538,7 @@ mod tests {
             .collect();
         let mut text = String::new();
         write_csv(&mut text, &trace);
-        let dir = std::env::temp_dir().join("nbti-workload-test");
+        let dir = std::env::temp_dir().join(format!("nbti-workload-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.csv");
         std::fs::write(&path, &text).unwrap();

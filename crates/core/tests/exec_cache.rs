@@ -7,11 +7,12 @@
 
 use aging_cache::exec::{ExecObserver, RecordOrigin};
 use aging_cache::experiment::ExperimentConfig;
-use aging_cache::model::DEFAULT_MODEL;
+use aging_cache::model::{
+    CalibratedModel, Metrics, ModelContext, ModelEval, ModelRegistry, DEFAULT_MODEL,
+};
 use aging_cache::presets;
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
 use aging_cache::search::{Driver, Objective, ScenarioSpace, Search};
-use aging_cache::serve::{ServeOptions, StudyServer};
 use aging_cache::session::StudySession;
 use aging_cache::study::{ScenarioRecord, StudySpec};
 use aging_cache::CoreError;
@@ -175,16 +176,14 @@ struct Counting(Arc<Counts>);
 struct Counts {
     inner: MemoryCache,
     lookups: AtomicUsize,
-    contains: AtomicUsize,
     stores: AtomicUsize,
 }
 
 impl Counting {
-    /// `(lookups, contains, stores)` since the last call.
-    fn take(&self) -> (usize, usize, usize) {
+    /// `(lookups, stores)` since the last call.
+    fn take(&self) -> (usize, usize) {
         (
             self.0.lookups.swap(0, Ordering::SeqCst),
-            self.0.contains.swap(0, Ordering::SeqCst),
             self.0.stores.swap(0, Ordering::SeqCst),
         )
     }
@@ -194,11 +193,6 @@ impl ResultCache for Counting {
     fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
         self.0.lookups.fetch_add(1, Ordering::SeqCst);
         self.0.inner.lookup(fingerprint)
-    }
-
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        self.0.contains.fetch_add(1, Ordering::SeqCst);
-        self.0.inner.contains(fingerprint)
     }
 
     fn store(
@@ -242,11 +236,7 @@ fn table2_replay_probes_each_cell_once_and_replays_on_the_calling_thread() {
     // from those outcomes instead of probing the cache again.
     let cold = threaded().cache(counting.clone());
     let reference = cold.run(&spec).unwrap().to_json();
-    assert_eq!(
-        counting.take(),
-        (cells, 0, cells),
-        "(lookups, contains, stores)"
-    );
+    assert_eq!(counting.take(), (cells, cells), "(lookups, stores)");
 
     // Warm, on a fresh threaded session: one lookup per cell, nothing
     // else, and every record delivered on this thread.
@@ -259,11 +249,7 @@ fn table2_replay_probes_each_cell_once_and_replays_on_the_calling_thread() {
         reference,
         "byte-equal replay"
     );
-    assert_eq!(
-        counting.take(),
-        (cells, 0, 0),
-        "(lookups, contains, stores)"
-    );
+    assert_eq!(counting.take(), (cells, 0), "(lookups, stores)");
     let stats = warm.stats();
     assert_eq!((stats.cache_hits, stats.simulations), (cells, 0));
     let delivered = deliveries.0.lock().unwrap();
@@ -356,32 +342,18 @@ impl ResultCache for Slow {
 
 #[test]
 fn overlapping_runs_in_opposite_orders_do_not_wait_on_each_other() {
-    // The server's session claims each cell it misses until it stores
-    // it. Two runs that meet the same cells in opposite grid orders
-    // must not each hold one claim while waiting for the other's: a
-    // cycle would stall both until the (here: far longer than the
-    // bound) coalescing backstop.
-    let server = StudyServer::bind(
-        Slow::default(),
-        ServeOptions {
-            coalesce_wait_ms: 600_000,
-            ..ServeOptions::default()
-        },
-    )
-    .unwrap();
-    let server = Arc::new(server);
+    // A session claims each cell a run misses until the run's task
+    // stores it. Two runs that meet the same cells in opposite grid
+    // orders must not each hold one claim while waiting for the
+    // other's: with no timer to break it, a cycle would stall both.
+    let session = Arc::new(StudySession::new().cache(Slow::default()));
     // Calibrate up front, so neither run starts its lookups late.
-    server
-        .session()
-        .context()
-        .calibrated(DEFAULT_MODEL)
-        .unwrap();
+    session.context().calibrated(DEFAULT_MODEL).unwrap();
     let start = Arc::new(Barrier::new(2));
     let (tx, rx) = mpsc::channel();
     for sizes in [[8, 16, 32], [32, 16, 8]] {
-        let (server, start, tx) = (Arc::clone(&server), Arc::clone(&start), tx.clone());
+        let (session, start, tx) = (Arc::clone(&session), Arc::clone(&start), tx.clone());
         std::thread::spawn(move || {
-            let session = server.session();
             let spec = StudySpec::new("opposite orders")
                 .cache_kb(sizes)
                 .workload_names(["sha", "CRC32"])
@@ -395,8 +367,78 @@ fn overlapping_runs_in_opposite_orders_do_not_wait_on_each_other() {
     for _ in 0..2 {
         let done = rx
             .recv_timeout(Duration::from_secs(120))
-            .expect("both runs finish without waiting out the backstop");
+            .expect("both runs finish without waiting on each other");
         assert_eq!(done.unwrap(), 6);
     }
-    assert_eq!(server.session().stats().simulations, 6, "each cell once");
+    let stats = session.stats();
+    assert_eq!(stats.simulations, 6, "each cell once");
+    assert_eq!(stats.evaluations, 6, "each cell once");
+}
+
+/// A model whose every evaluation fails.
+struct Broken;
+
+impl CalibratedModel for Broken {
+    fn evaluate(&self, _: &ModelEval<'_>) -> Result<Metrics, CoreError> {
+        Err(CoreError::Report {
+            message: "the broken model never evaluates".to_string(),
+        })
+    }
+}
+
+#[test]
+fn a_failing_run_leaves_the_shared_cells_computed_once() {
+    // Two runs share every default-model cell; the first also holds
+    // cells whose model fails. Lookups take milliseconds, so the runs
+    // walk their claims in lockstep and wait on each other's cells.
+    let spec = |models: &[&str]| {
+        StudySpec::new("shared cells")
+            .cache_kb([8, 16])
+            .workload_names(["sha", "CRC32"])
+            .unwrap()
+            .trace_cycles(20_000)
+            .policy_seed(1)
+            .models(models.iter().copied())
+    };
+    let healthy = || spec(&[DEFAULT_MODEL]);
+    let shared = 4;
+    let reference = StudySession::new()
+        .run(&healthy().threads(1))
+        .unwrap()
+        .to_json();
+
+    let mut registry = ModelRegistry::builtin();
+    registry
+        .register_fn("broken", "fails every evaluation", "none", || {
+            Ok(Arc::new(Broken))
+        })
+        .unwrap();
+    let session = Arc::new(
+        StudySession::with_context(ModelContext::with_registry(registry)).cache(Slow::default()),
+    );
+    let start = Arc::new(Barrier::new(2));
+    let (tx, rx) = mpsc::channel();
+    for (failing, spec) in [(true, spec(&[DEFAULT_MODEL, "broken"])), (false, healthy())] {
+        let (session, start, tx) = (Arc::clone(&session), Arc::clone(&start), tx.clone());
+        std::thread::spawn(move || {
+            start.wait();
+            let _ = tx.send((failing, session.run(&spec).map(|r| r.to_json())));
+        });
+    }
+    for _ in 0..2 {
+        let (failing, outcome) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("neither run is stranded behind the other's claims");
+        if failing {
+            let e = outcome.unwrap_err();
+            assert!(e.to_string().contains("never evaluates"), "{e}");
+        } else {
+            assert_eq!(outcome.unwrap(), reference, "the healthy run's bytes");
+        }
+    }
+    assert_eq!(
+        session.stats().evaluations,
+        shared,
+        "every shared cell evaluated once"
+    );
 }

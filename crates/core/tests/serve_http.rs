@@ -410,16 +410,14 @@ fn overflowing_kb_sizes_are_bad_requests() {
 #[derive(Default)]
 struct CallCounts {
     lookups: AtomicUsize,
-    contains: AtomicUsize,
     stores: AtomicUsize,
 }
 
 impl CallCounts {
-    /// `(lookups, contains, stores)` so far.
-    fn get(&self) -> (usize, usize, usize) {
+    /// `(lookups, stores)` so far.
+    fn get(&self) -> (usize, usize) {
         (
             self.lookups.load(Ordering::SeqCst),
-            self.contains.load(Ordering::SeqCst),
             self.stores.load(Ordering::SeqCst),
         )
     }
@@ -434,11 +432,6 @@ impl ResultCache for CountingCache {
     fn lookup(&self, fingerprint: &Fingerprint) -> Result<Option<CachedMeasurement>, CoreError> {
         self.counts.lookups.fetch_add(1, Ordering::SeqCst);
         self.inner.lookup(fingerprint)
-    }
-
-    fn contains(&self, fingerprint: &Fingerprint) -> Result<bool, CoreError> {
-        self.counts.contains.fetch_add(1, Ordering::SeqCst);
-        self.inner.contains(fingerprint)
     }
 
     fn store(
@@ -463,13 +456,9 @@ fn a_get_looks_each_cell_up_once_and_never_claims_or_stores() {
         inner: MemoryCache::new(),
         counts: Arc::clone(&counts),
     };
-    // A short backstop: a claim a GET leaked would make the `/run`
-    // below wait it out, and count as a coalesced wait.
-    let options = ServeOptions {
-        coalesce_wait_ms: 200,
-        ..ServeOptions::default()
-    };
-    let server = StudyServer::bind(cache, options).unwrap();
+    // A claim a GET leaked would make the `/run` below wait on it,
+    // and count as a coalesced wait.
+    let server = StudyServer::bind(cache, ServeOptions::default()).unwrap();
     with_server(&server, |addr| {
         // Cold: one lookup per cell answers the unchanged 409.
         for endpoint in ["/render", "/query"] {
@@ -481,15 +470,20 @@ fn a_get_looks_each_cell_up_once_and_never_claims_or_stores() {
                 text.contains("\"warm\":0,\"missing\":4,\"scenarios\":4"),
                 "{text}"
             );
-            let (lookups, contains, stores) = counts.get();
+            let (lookups, stores) = counts.get();
             assert_eq!(lookups - before.0, CELLS, "{endpoint}: one lookup per cell");
-            assert_eq!((contains, stores), (before.1, before.2), "{endpoint}");
+            assert_eq!(stores, before.1, "{endpoint}");
         }
         assert_eq!(server.session().stats(), SessionStats::default());
 
         let (status, _, body) = post(addr, &format!("/run?{SPEC_QUERY}"));
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        assert_eq!(counts.get().2, CELLS, "the run stores every cell");
+        let text = String::from_utf8(body).unwrap();
+        assert_eq!(status, 200, "{text}");
+        assert!(
+            text.contains("\"scenarios\":4,\"replayed\":0,\"computed\":4"),
+            "{text}"
+        );
+        assert_eq!(counts.get(), (3 * CELLS, CELLS), "one lookup per cell");
         assert_eq!(server.stats().coalesced_waits, 0, "no GET left a claim");
 
         // Warm: one lookup per cell replays the report; nothing is
@@ -501,13 +495,13 @@ fn a_get_looks_each_cell_up_once_and_never_claims_or_stores() {
             let before = (counts.get(), server.session().stats());
             let (status, _, body) = get(addr, &target);
             assert_eq!(status, 200, "{target}: {}", String::from_utf8_lossy(&body));
-            let (lookups, contains, stores) = counts.get();
+            let (lookups, stores) = counts.get();
             assert_eq!(
                 lookups - before.0 .0,
                 CELLS,
                 "{target}: one lookup per cell"
             );
-            assert_eq!((contains, stores), (before.0 .1, before.0 .2), "{target}");
+            assert_eq!(stores, before.0 .1, "{target}");
             let expected = SessionStats {
                 scenarios: before.1.scenarios + CELLS,
                 cache_hits: before.1.cache_hits + CELLS,

@@ -142,7 +142,8 @@ fn hierarchy_source_path_matches_the_scalar_composition() {
     let scalar = scalar.finish();
     scalar.validate().unwrap();
 
-    let dir = std::env::temp_dir().join("nbti-hierarchy-equivalence");
+    let dir =
+        std::env::temp_dir().join(format!("nbti-hierarchy-equivalence-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut text = String::new();
     write_din(&mut text, &accesses);
@@ -172,7 +173,7 @@ fn file_backed_sources_match_the_in_memory_stream() {
         .simulate(accesses.iter().copied(), UpdateSchedule::Never)
         .unwrap();
 
-    let dir = std::env::temp_dir().join("nbti-batched-equivalence");
+    let dir = std::env::temp_dir().join(format!("nbti-batched-equivalence-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for format in TraceFormat::ALL {
         let mut text = String::new();
