@@ -14,12 +14,12 @@
 //!
 //! `cargo bench -p repro-bench --bench study_exec`
 
+use aging_cache::experiment::ExperimentConfig;
 use aging_cache::presets;
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
 use aging_cache::session::StudySession;
 use aging_cache::study::{StudyReport, StudySpec};
 use aging_cache::workload::WorkloadRegistry;
-use repro_bench::default_config;
 use repro_bench::harness::{write_baseline, Harness};
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use std::time::Instant;
 const LARGE_RECORDS: usize = 1_152;
 
 fn main() {
-    let cfg = default_config();
+    let cfg = ExperimentConfig::paper_reference().with_trace_cycles(presets::TRACE_CYCLES);
     let spec = presets::table2(&cfg);
     let session = StudySession::new().cache(MemoryCache::new());
 

@@ -101,12 +101,12 @@
 //! The paper's evaluation is on the command line too:
 //!
 //! * `study preset <name> [--format text|md|csv|json]` regenerates one
-//!   row of the preset table (`repro_bench::presets`): `table1`…
-//!   `table4`, `claims`, `rng_error`, `policy_equivalence`, the
-//!   ablations, and `all`, which runs the paper-table subset on one
-//!   session and prints its memo sharing on stderr. Text output is the
-//!   historic stdout, byte for byte. With no name or an unknown one it
-//!   lists the presets and exits 2.
+//!   row of the preset table (`aging_cache::presets::PRESETS`):
+//!   `table1`… `table4`, `claims`, `rng_error`, `policy_equivalence`,
+//!   the ablations, and `all`, the paper-table subset planned as one
+//!   grid. A row that runs studies prints its session counters on
+//!   stderr. Text output is the historic stdout, byte for byte. With no
+//!   name or an unknown one it lists the presets and exits 2.
 //!
 //! The serving layer is on the command line too:
 //!
@@ -131,8 +131,7 @@ use aging_cache::search::{Constraint, Driver, Objective, ScenarioSpace, Search};
 use aging_cache::serve::{ServeLog, ServeOptions, StudyServer, REPORT_NAME};
 use aging_cache::session::StudySession;
 use aging_cache::study::{ScenarioRecord, SpecParser, StudyReport, StudySpec};
-use aging_cache::{CoreError, PolicyRegistry, WorkloadRegistry};
-use repro_bench::presets;
+use aging_cache::{presets, CoreError, PolicyRegistry, WorkloadRegistry};
 use std::io::Write;
 
 /// `--progress`: per-scenario streaming to stderr.
@@ -162,49 +161,94 @@ impl ExecObserver for Progress {
     }
 }
 
-/// Applies one `--flag value` pair to the spec parser; `false` means
-/// the flag is not a spec flag. A bad value exits 2, naming the flag.
-fn spec_flag(spec: &mut SpecParser, flag: &str, value: &str) -> bool {
-    flag.starts_with("--")
-        && spec.apply(flag, value).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
-}
-
-/// Run-path finish: resolve the workload keys or exit with a usage
-/// error.
-fn finish_spec(spec: SpecParser) -> StudySpec {
-    spec.finish().unwrap_or_else(|e| {
+/// A parsed command-line value, or its error on stderr and exit 2.
+fn or_usage<T>(parsed: Result<T, CoreError>) -> T {
+    parsed.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     })
 }
 
+/// A parsed `flag` value, or the error after the flag's name on stderr
+/// and exit 2.
+fn flag_or_usage<T>(flag: &str, parsed: Result<T, CoreError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{flag}: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Applies one `--flag value` pair to the spec parser; `false` means
+/// the flag is not a spec flag. A bad value exits 2, naming the flag.
+fn spec_flag(spec: &mut SpecParser, flag: &str, value: &str) -> bool {
+    flag.starts_with("--") && or_usage(spec.apply(flag, value))
+}
+
+/// The session a run or a search works on: `--progress` streams to
+/// stderr, `--cache-dir` journals into the directory, and `--resume`
+/// requires its journal to exist already.
+fn open_session(progress: bool, cache_dir: Option<String>, resume: bool) -> StudySession {
+    let mut session = StudySession::new();
+    if progress {
+        session = session.observer(Progress);
+    }
+    if let Some(dir) = cache_dir {
+        if resume
+            && !std::path::Path::new(&dir)
+                .join(JsonlCache::FILE_NAME)
+                .exists()
+        {
+            eprintln!(
+                "--resume: no journal at {dir}/{} — nothing to resume",
+                JsonlCache::FILE_NAME
+            );
+            std::process::exit(2);
+        }
+        let cache = match JsonlCache::in_dir(&dir) {
+            Ok(c) => c,
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+        };
+        if resume {
+            eprintln!("[cache] resuming from {} journaled scenarios", cache.len());
+        }
+        session = session.cache(cache);
+    }
+    session
+}
+
+/// Prints a journaled session's counters on stderr (nothing without a
+/// result cache).
+fn print_cache_stats(session: &StudySession) {
+    let Some(cache) = session.result_cache() else {
+        return;
+    };
+    let stats = session.stats();
+    eprintln!(
+        "[cache] hits: {}, computed: {}, simulations: {}, trace opens: {}, entries: {}",
+        stats.cache_hits,
+        stats.evaluations,
+        stats.simulations,
+        stats.trace_opens,
+        cache.len()
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("compare") {
-        compare_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("check") {
-        check_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("optimize") {
-        optimize_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        serve_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("fetch") {
-        fetch_main(&args[1..]);
-        return;
-    }
-    if args.first().map(String::as_str) == Some("preset") {
-        preset_main(&args[1..]);
+    let verb: Option<fn(&[String])> = match args.first().map(String::as_str) {
+        Some("compare") => Some(compare_main),
+        Some("check") => Some(check_main),
+        Some("optimize") => Some(optimize_main),
+        Some("serve") => Some(serve_main),
+        Some("fetch") => Some(fetch_main),
+        Some("preset") => Some(preset_main),
+        _ => None,
+    };
+    if let Some(verb) = verb {
+        verb(&args[1..]);
         return;
     }
     let mut spec_args = SpecParser::new(StudySpec::new(REPORT_NAME));
@@ -275,20 +319,12 @@ fn main() {
         match flag {
             "--cache-dir" => cache_dir = Some(value.clone()),
             "--format" => {
-                format = Format::parse(value).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
+                format = or_usage(Format::parse(value));
             }
             "--group-by" => {
                 group_by = value
                     .split(',')
-                    .map(|axis| {
-                        Axis::parse(axis).unwrap_or_else(|e| {
-                            eprintln!("{e}");
-                            std::process::exit(2);
-                        })
-                    })
+                    .map(|axis| or_usage(Axis::parse(axis)))
                     .collect();
             }
             "--baseline" => baseline = Some(value.trim().to_string()),
@@ -324,41 +360,13 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let spec = finish_spec(spec_args);
+    let spec = or_usage(spec_args.finish());
 
     if resume && cache_dir.is_none() {
         eprintln!("--resume needs --cache-dir <dir> (there is no journal to resume from)");
         std::process::exit(2);
     }
-    let mut session = StudySession::new();
-    if progress {
-        session = session.observer(Progress);
-    }
-    let caching = cache_dir.is_some();
-    if let Some(dir) = cache_dir {
-        if resume
-            && !std::path::Path::new(&dir)
-                .join(JsonlCache::FILE_NAME)
-                .exists()
-        {
-            eprintln!(
-                "--resume: no journal at {dir}/{} — nothing to resume",
-                JsonlCache::FILE_NAME
-            );
-            std::process::exit(2);
-        }
-        let cache = match JsonlCache::in_dir(&dir) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        if resume {
-            eprintln!("[cache] resuming from {} journaled scenarios", cache.len());
-        }
-        session = session.cache(cache);
-    }
+    let session = open_session(progress, cache_dir, resume);
 
     let report = match session.run(&spec) {
         Ok(r) => r,
@@ -367,17 +375,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if caching {
-        let stats = session.stats();
-        eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, trace opens: {}, entries: {}",
-            stats.cache_hits,
-            stats.evaluations,
-            stats.simulations,
-            stats.trace_opens,
-            session.result_cache().map(|c| c.len()).unwrap_or(0)
-        );
-    }
+    print_cache_stats(&session);
     if format == Format::Json {
         // JSON is the canonical full report: group-by and baseline are
         // re-derivable from it later (`study compare`, `Query`), so
@@ -535,22 +533,13 @@ fn check_main(args: &[String]) {
             // unknown metrics and driver/axis mismatches become
             // findings via `check_search`.
             "--objective" => {
-                objective = Some(Objective::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--objective: {e}");
-                    std::process::exit(2);
-                }));
+                objective = Some(flag_or_usage("--objective", Objective::parse(value)));
             }
             "--constraint" => {
-                constraints.push(Constraint::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--constraint: {e}");
-                    std::process::exit(2);
-                }));
+                constraints.push(flag_or_usage("--constraint", Constraint::parse(value)));
             }
             "--driver" => {
-                driver = Some(Driver::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--driver: {e}");
-                    std::process::exit(2);
-                }));
+                driver = Some(flag_or_usage("--driver", Driver::parse(value)));
             }
             "--budget" => {
                 budget = Some(value.parse().unwrap_or_else(|_| {
@@ -678,23 +667,14 @@ fn optimize_main(args: &[String]) {
         }
         match flag {
             "--objective" => {
-                objective = Some(Objective::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--objective: {e}");
-                    std::process::exit(2);
-                }));
+                objective = Some(flag_or_usage("--objective", Objective::parse(value)));
             }
             // Repeatable: each --constraint adds one feasibility bound.
             "--constraint" => {
-                constraints.push(Constraint::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--constraint: {e}");
-                    std::process::exit(2);
-                }));
+                constraints.push(flag_or_usage("--constraint", Constraint::parse(value)));
             }
             "--driver" => {
-                driver = Some(Driver::parse(value).unwrap_or_else(|e| {
-                    eprintln!("--driver: {e}");
-                    std::process::exit(2);
-                }));
+                driver = Some(flag_or_usage("--driver", Driver::parse(value)));
             }
             "--budget" => {
                 budget = Some(value.parse().unwrap_or_else(|_| {
@@ -710,10 +690,7 @@ fn optimize_main(args: &[String]) {
             }
             "--cache-dir" => cache_dir = Some(value.clone()),
             "--format" => {
-                format = Format::parse(value).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
+                format = or_usage(Format::parse(value));
             }
             _ => {
                 eprintln!("unknown flag {flag} for `study optimize`");
@@ -733,7 +710,7 @@ fn optimize_main(args: &[String]) {
         eprintln!("--resume needs --cache-dir <dir> (there is no journal to resume from)");
         std::process::exit(2);
     }
-    let mut search = Search::new(ScenarioSpace::grid(finish_spec(spec_args)), objective);
+    let mut search = Search::new(ScenarioSpace::grid(or_usage(spec_args.finish())), objective);
     for c in constraints {
         search = search.constraint(c);
     }
@@ -747,35 +724,7 @@ fn optimize_main(args: &[String]) {
         search = search.ensemble(n);
     }
 
-    let mut session = StudySession::new();
-    if progress {
-        session = session.observer(Progress);
-    }
-    let caching = cache_dir.is_some();
-    if let Some(dir) = cache_dir {
-        if resume
-            && !std::path::Path::new(&dir)
-                .join(JsonlCache::FILE_NAME)
-                .exists()
-        {
-            eprintln!(
-                "--resume: no journal at {dir}/{} — nothing to resume",
-                JsonlCache::FILE_NAME
-            );
-            std::process::exit(2);
-        }
-        let cache = match JsonlCache::in_dir(&dir) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(1);
-            }
-        };
-        if resume {
-            eprintln!("[cache] resuming from {} journaled scenarios", cache.len());
-        }
-        session = session.cache(cache);
-    }
+    let session = open_session(progress, cache_dir, resume);
     let report = match search.run(&session) {
         Ok(r) => r,
         Err(e) => {
@@ -783,17 +732,7 @@ fn optimize_main(args: &[String]) {
             std::process::exit(1);
         }
     };
-    if caching {
-        let stats = session.stats();
-        eprintln!(
-            "[cache] hits: {}, computed: {}, simulations: {}, trace opens: {}, entries: {}",
-            stats.cache_hits,
-            stats.evaluations,
-            stats.simulations,
-            stats.trace_opens,
-            session.result_cache().map(|c| c.len()).unwrap_or(0)
-        );
-    }
+    print_cache_stats(&session);
     if format == Format::Json {
         // Canonical emission: the probe log and incumbent round-trip
         // through `SearchReport::from_json`, and a warm re-run must
@@ -1018,8 +957,9 @@ fn preset_usage(problem: &str) -> ! {
 }
 
 /// `study preset <name> [--format text|md|csv|json]`: runs one row of
-/// the preset table on a fresh session. Whatever the preset wrote goes
-/// to stdout even when it fails part-way; a failure then exits 1.
+/// the preset table on a fresh session and prints the session counters
+/// on stderr if the row ran studies. Whatever the preset wrote goes to
+/// stdout even when it fails part-way; a failure then exits 1.
 fn preset_main(args: &[String]) {
     let mut name: Option<&str> = None;
     let mut format = Format::Text;
@@ -1046,8 +986,16 @@ fn preset_main(args: &[String]) {
         preset_usage(&format!("unknown preset `{name}`"));
     };
     let session = StudySession::new();
-    let mut out = presets::Out::new(&session, format);
-    let result = (preset.run)(&mut out);
+    let mut out = presets::Out::new(format);
+    let result = preset.run(&session, &mut out);
+    let stats = session.stats();
+    if stats.scenarios > 0 {
+        eprintln!(
+            "[session] scenarios: {}, simulations: {} ({} shared via the session memo), \
+             trace opens: {}",
+            stats.scenarios, stats.simulations, stats.sim_memo_hits, stats.trace_opens
+        );
+    }
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = stdout
         .write_all(out.text.as_bytes())

@@ -1,16 +1,19 @@
-//! The preset table behind `study preset`: presets that simulate
-//! nothing reproduce their checked-in stdout byte for byte in-process,
-//! names are unique and documented, and the verb rejects bad names and
-//! sizes with a usage exit instead of a panic.
+//! The preset table behind `study preset`
+//! (`aging_cache::presets::PRESETS`): presets that simulate nothing
+//! reproduce their checked-in stdout byte for byte in-process, names
+//! are unique and documented, `all` plans its studies as one grid, and
+//! the verb rejects bad names and sizes with a usage exit instead of a
+//! panic.
 //!
 //! The fixtures under `tests/fixtures/presets/` are the historic
 //! stdout of each preset (`all.txt` for `all`, `table2.<format>.txt`
-//! for the other formats). The simulating presets take about a minute
-//! in release mode, so CI `cmp`s those through the release binary.
+//! for the other formats). The simulating presets take seconds in
+//! release mode, so CI `cmp`s those through the release binary.
 
+use aging_cache::experiment::ExperimentConfig;
+use aging_cache::presets::{self, Out, PRESETS};
 use aging_cache::render::Format;
 use aging_cache::session::StudySession;
-use repro_bench::presets::{self, Out, PRESETS};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
@@ -37,11 +40,40 @@ fn non_simulating_presets_match_their_fixtures() {
         "ablation_vlow",
     ] {
         let preset = presets::find(name).expect("preset is in the table");
-        let mut out = Out::new(&session, Format::Text);
-        (preset.run)(&mut out).unwrap();
+        let mut out = Out::new(Format::Text);
+        preset.run(&session, &mut out).unwrap();
         assert_eq!(out.text, fixture(name), "{name}");
     }
     assert_eq!(session.stats().simulations, 0, "none of them simulates");
+}
+
+#[test]
+fn all_plans_its_studies_as_one_grid() {
+    // Tables I-IV, the claims and the policy study are 360 scenarios
+    // as separate runs; their union is Table IV's 162 cells plus the
+    // 32 B lines and the Scrambling column. Each trace streams once
+    // through its 10 geometries (the group cap, ceil(180 / 2), holds
+    // a whole trace).
+    let cfg = ExperimentConfig::paper_reference().with_trace_cycles(20_000);
+    let all = presets::find("all").expect("preset is in the table");
+    let specs: Vec<_> = (all.specs)(&cfg)
+        .into_iter()
+        .map(|spec| spec.threads(2))
+        .collect();
+    let session = StudySession::new();
+    let reports = presets::run_specs(&session, &specs).unwrap();
+    let stats = session.stats();
+    assert_eq!(stats.scenarios, 198);
+    assert_eq!(stats.simulations, 180);
+    assert_eq!(stats.evaluations, 198);
+    assert_eq!(stats.trace_opens, 18);
+
+    // Each slice is its spec's own report: name, scenario ids and
+    // measurements as a run of that spec alone.
+    let table3 = StudySession::new().run(&specs[2]).unwrap();
+    assert_eq!(reports[2].to_json(), table3.to_json());
+    let sizes: Vec<usize> = reports.iter().map(|r| r.records().len()).collect();
+    assert_eq!(sizes, [18, 54, 36, 162, 54, 36]);
 }
 
 #[test]

@@ -233,8 +233,14 @@ pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
     if scenarios > 0 {
         // One trace simulation per (geometry, workload); models,
         // update periods and policies all reuse it through the
-        // session's simulation memo.
-        let sims = geometries * spec.workloads.len();
+        // session's simulation memo. Pinned-profile workloads never
+        // simulate.
+        let traced = spec
+            .workloads
+            .iter()
+            .filter(|w| w.pinned_profile().is_none())
+            .count();
+        let sims = geometries * traced;
         let accesses = (sims as u128) * (spec.trace_cycles as u128);
         report.info(
             "spec-grid",
@@ -599,6 +605,18 @@ mod tests {
         let text = report.to_string();
         assert!(
             text.contains("grid: 2 scenarios (1 distinct trace simulation"),
+            "{text}"
+        );
+        // A pinned profile measures nothing: it costs no simulation.
+        let pinned = StudySpec::new("check-test")
+            .workload_names(["profile:0.1,0.8,0.6,0.3"])
+            .unwrap()
+            .temps_c([45.0, 65.0]);
+        let report = check_spec(&pinned, &ModelRegistry::builtin());
+        assert!(report.is_clean(), "{report}");
+        let text = report.to_string();
+        assert!(
+            text.contains("grid: 2 scenarios (0 distinct trace simulations, ≈0 simulated"),
             "{text}"
         );
     }

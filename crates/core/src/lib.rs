@@ -63,7 +63,9 @@
 //!   paper's tables as presets over the grid runner (starting from an
 //!   [`experiment::ExperimentConfig`]), rendered
 //!   by pure views with the published values embedded for side-by-side
-//!   comparison ([`paper`]);
+//!   comparison ([`paper`]); [`presets::PRESETS`] is the one table of
+//!   every paper table, claim and ablation, each row's studies planned
+//!   as one grid;
 //! * [`json`] — the dependency-free JSON codec behind report
 //!   serialization;
 //! * [`flip`] / [`graceful`] — ablations: word-level cell flipping

@@ -81,6 +81,7 @@
 //! # }
 //! ```
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use crate::analysis::{metric_value, scenario_key, Axis, AxisValue, Reduce};
@@ -368,7 +369,7 @@ fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
                     }
                 });
             }
-            let mut seen: Vec<String> = left.scenarios.iter().map(scenario_key).collect();
+            let mut seen: BTreeSet<String> = left.scenarios.iter().map(scenario_key).collect();
             for s in &right.scenarios {
                 if left.registry.get(&s.policy).is_none() {
                     return report_err(format!(
@@ -390,9 +391,7 @@ fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
                     // cannot come out of expand(); keep it harmless.
                     left.workloads.len().saturating_sub(1)
                 });
-                let key = scenario_key(&s);
-                if !seen.contains(&key) {
-                    seen.push(key);
+                if seen.insert(scenario_key(&s)) {
                     left.scenarios.push(s);
                 }
             }

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut text = String::new();
     write_csv(&mut text, &accesses);
-    let dir = std::env::temp_dir().join("nbti-trace-ingestion");
+    let dir = std::env::temp_dir().join(format!("nbti-trace-ingestion-{}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
     let path = dir.join("my_workload.csv");
     std::fs::write(&path, &text)?;
@@ -101,5 +101,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.cache_hits,
         cache_dir.join(JsonlCache::FILE_NAME).display()
     );
+    std::fs::remove_dir_all(&dir)?;
     Ok(())
 }
