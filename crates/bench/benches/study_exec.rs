@@ -7,15 +7,19 @@
 //! times single runs instead of looping a closure. The `warm_read` row
 //! times what re-reading a finished study costs: opening its on-disk
 //! journal, parsing its report JSON (and a 1,152-record report, the
-//! size of a four-axis sweep), and a full replay on a fresh threaded
-//! session. Both rows go to the machine-readable baseline
-//! `BENCH_study.json` at the workspace root, via
-//! [`repro_bench::harness::write_baseline`].
+//! size of a four-axis sweep), a full replay on a fresh threaded
+//! session, the Markdown summary of a report (`summary_md_us`), and
+//! the whole Markdown read a later `study --cache-dir DIR --format md`
+//! makes: open, fresh-session replay and summary (`warm_md_read_ms`).
+//! Both rows go to the machine-readable baseline `BENCH_study.json` at
+//! the workspace root, via [`repro_bench::harness::write_baseline`].
 //!
 //! `cargo bench -p repro-bench --bench study_exec`
 
+use aging_cache::analysis;
 use aging_cache::experiment::ExperimentConfig;
 use aging_cache::presets;
+use aging_cache::render::{self, Format};
 use aging_cache::rescache::{CachedMeasurement, Fingerprint, JsonlCache, MemoryCache, ResultCache};
 use aging_cache::session::StudySession;
 use aging_cache::study::{StudyReport, StudySpec};
@@ -134,6 +138,10 @@ fn warm_read(spec: &StudySpec, session: &StudySession, report: &StudyReport, bas
         json,
         "a warm replay must be byte-identical"
     );
+    let summary_md = |report: &StudyReport| {
+        let table = analysis::summary_table(report, &[], None).expect("summary table");
+        render::table(&table, Format::Markdown)
+    };
 
     let mut h = Harness::new("warm_read");
     let ms = 1e-6;
@@ -142,6 +150,8 @@ fn warm_read(spec: &StudySpec, session: &StudySession, report: &StudyReport, bas
     let large_ms =
         ms * h.bench_throughput("report_parse_1152", 1, || StudyReport::from_json(&large));
     let replay_ms = ms * h.bench_throughput("replay_fresh_session", 1, replay);
+    let summary_us = 1e-3 * h.bench_throughput("summary_md", 1, || summary_md(report));
+    let md_read_ms = ms * h.bench_throughput("warm_md_read", 1, || summary_md(&replay()));
     let _ = std::fs::remove_dir_all(&dir);
 
     write_baseline(
@@ -155,6 +165,8 @@ fn warm_read(spec: &StudySpec, session: &StudySession, report: &StudyReport, bas
             ("report_1152_bytes", large.len() as f64),
             ("report_1152_parse_ms", large_ms),
             ("replay_fresh_session_ms", replay_ms),
+            ("summary_md_us", summary_us),
+            ("warm_md_read_ms", md_read_ms),
         ],
     )
     .expect("write BENCH_study.json");

@@ -1094,10 +1094,6 @@ fn per_record_table(report: &StudyReport, baseline: Option<&str>) -> Result<Tabl
     let gains = baseline
         .map(|base| baseline_gains(report, base))
         .transpose()?;
-    let metric = |v: Option<f64>| match v {
-        Some(v) => years(v),
-        None => "-".into(),
-    };
     let mut headers = vec![
         "kB".into(),
         "line".into(),
@@ -1118,25 +1114,29 @@ fn per_record_table(report: &StudyReport, baseline: Option<&str>) -> Result<Tabl
         headers,
     );
     for r in report.records() {
-        let mut row = vec![
-            (r.scenario.cache_bytes / 1024).to_string(),
-            r.scenario.line_bytes.to_string(),
-            r.scenario.banks.to_string(),
-            r.scenario.model.clone(),
-            r.scenario.policy.clone(),
-            r.scenario.workload.clone(),
-            pct(r.esav),
-            pct(r.avg_useful_idleness()),
-            metric(r.metric("lt0_years")),
-            metric(r.metric("lt_years")),
-        ];
-        if let Some(gains) = &gains {
-            row.push(match gains.get(&r.scenario.id) {
-                Some(gain) => format!("{gain:.2}x"),
-                None => "-".into(), // the baseline row itself
-            });
-        }
-        t.push_row(row);
+        let s = &r.scenario;
+        t.push_row_with(|row| {
+            row.uint(s.cache_bytes / 1024)
+                .uint(u64::from(s.line_bytes))
+                .uint(u64::from(s.banks))
+                .text(&s.model)
+                .text(&s.policy)
+                .text(&s.workload)
+                .pct(r.esav)
+                .pct(r.avg_useful_idleness());
+            for name in ["lt0_years", "lt_years"] {
+                match r.metric(name) {
+                    Some(v) => row.years(v),
+                    None => row.text("-"),
+                };
+            }
+            if let Some(gains) = &gains {
+                match gains.get(&s.id) {
+                    Some(&gain) => row.factor(gain),
+                    None => row.text("-"), // the baseline row itself
+                };
+            }
+        });
     }
     Ok(t)
 }

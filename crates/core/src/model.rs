@@ -66,6 +66,7 @@ use crate::registry::{Entry, Registry};
 use crate::rescache::relock;
 use cache_sim::{BankMapping, IdentityMapping};
 use nbti_model::{calibration, DrvAnalysis, LifetimeSolver, SleepMode, VariationModel};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -81,6 +82,36 @@ pub const METRIC_LT: &str = "lt_years";
 /// The default model key: the paper's calibrated reference cell.
 pub const DEFAULT_MODEL: &str = "nbti-45nm";
 
+/// The metric names the built-in models and the L2 level emit. A map
+/// holding one of them shares this static text instead of its own copy,
+/// so a model's evaluation, a journal line and a parsed report build
+/// their names without allocating, and cloning a map copies no name.
+const BUILTIN_METRICS: [&str; 9] = [
+    METRIC_LT0,
+    METRIC_LT,
+    "lt0_q10_years",
+    "drv_fresh_v",
+    "drv_aged_v",
+    "drv_margin_fresh_v",
+    "drv_margin_aged_v",
+    "sleep_fraction_l2",
+    "lt_years_l2",
+];
+
+/// Maps up to this many metrics find a repeated name by scanning; larger
+/// ones index names in a hash map, so building any map stays linear.
+const LINEAR_METRICS: usize = 8;
+
+/// A metric name: the shared built-in text, or the map's own copy.
+type MetricName = Cow<'static, str>;
+
+fn metric_name<S: AsRef<str> + Into<String>>(name: S) -> MetricName {
+    match BUILTIN_METRICS.iter().find(|b| **b == name.as_ref()) {
+        Some(builtin) => Cow::Borrowed(builtin),
+        None => Cow::Owned(name.into()),
+    }
+}
+
 /// An ordered, string-keyed map of named model outputs.
 ///
 /// Order is the model's emission order and is preserved through JSON,
@@ -89,7 +120,7 @@ pub const DEFAULT_MODEL: &str = "nbti-45nm";
 /// codec round-trips them as tagged strings.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Metrics {
-    entries: Vec<(String, f64)>,
+    entries: Vec<(MetricName, f64)>,
 }
 
 impl Metrics {
@@ -102,30 +133,50 @@ impl Metrics {
     /// linear in the pair count. A repeated name behaves as
     /// [`Metrics::push`] does: it keeps its first position and takes
     /// its last value.
-    pub fn from_pairs<S: Into<String>>(pairs: impl IntoIterator<Item = (S, f64)>) -> Self {
-        let mut entries: Vec<(String, f64)> = Vec::new();
+    pub fn from_pairs<S: AsRef<str> + Into<String>>(
+        pairs: impl IntoIterator<Item = (S, f64)>,
+    ) -> Self {
+        let pairs = pairs.into_iter();
+        let mut entries: Vec<(MetricName, f64)> = Vec::with_capacity(pairs.size_hint().0);
         // aging-lint: allow(no-unordered-iter) probed by name only; never iterated
-        let mut positions: HashMap<String, usize> = HashMap::new();
+        let mut positions: Option<HashMap<MetricName, usize>> = None;
         for (name, value) in pairs {
-            let name = name.into();
-            match positions.get(&name).and_then(|&at| entries.get_mut(at)) {
-                Some(entry) => entry.1 = value,
-                None => {
-                    positions.insert(name.clone(), entries.len());
-                    entries.push((name, value));
-                }
+            let at = match &positions {
+                Some(positions) => positions.get(name.as_ref()).copied(),
+                None => entries.iter().position(|(n, _)| n == name.as_ref()),
+            };
+            if let Some(entry) = at.and_then(|at| entries.get_mut(at)) {
+                entry.1 = value;
+                continue;
             }
+            let name = metric_name(name);
+            match &mut positions {
+                Some(positions) => {
+                    positions.insert(name.clone(), entries.len());
+                }
+                None if entries.len() == LINEAR_METRICS => {
+                    positions = Some(
+                        entries
+                            .iter()
+                            .enumerate()
+                            .map(|(at, (n, _))| (n.clone(), at))
+                            .chain([(name.clone(), entries.len())])
+                            .collect(),
+                    );
+                }
+                None => {}
+            }
+            entries.push((name, value));
         }
         Self { entries }
     }
 
     /// Appends a metric, replacing the value in place if the name is
     /// already present.
-    pub fn push(&mut self, name: impl Into<String>, value: f64) {
-        let name = name.into();
-        match self.entries.iter_mut().find(|(n, _)| *n == name) {
+    pub fn push(&mut self, name: impl AsRef<str> + Into<String>, value: f64) {
+        match self.entries.iter_mut().find(|(n, _)| n == name.as_ref()) {
             Some((_, v)) => *v = value,
-            None => self.entries.push((name, value)),
+            None => self.entries.push((metric_name(name), value)),
         }
     }
 
@@ -139,12 +190,12 @@ impl Metrics {
 
     /// The metric names, in emission order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
+        self.entries.iter().map(|(n, _)| n.as_ref())
     }
 
     /// Iterates `(name, value)` pairs in emission order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.entries.iter().map(|&(ref n, v)| (n.as_str(), v))
+        self.entries.iter().map(|(n, v)| (n.as_ref(), *v))
     }
 
     /// Number of metrics.

@@ -832,14 +832,13 @@ mod tests {
     #[test]
     fn rng_error_decays_with_n() {
         let t = rng_error_table(2, &[64, 4096]).unwrap();
-        let rows = t.rows();
-        let err_small: f64 = rows[0][2].parse().unwrap();
-        let err_large: f64 = rows[1][2].parse().unwrap();
+        let err_small: f64 = t.cell(0, 2).unwrap().parse().unwrap();
+        let err_large: f64 = t.cell(1, 2).unwrap().parse().unwrap();
         assert!(
             err_large < err_small,
             "uniform error must decay: {err_small} -> {err_large}"
         );
-        let lfsr_large: f64 = rows[1][1].parse().unwrap();
+        let lfsr_large: f64 = t.cell(1, 1).unwrap().parse().unwrap();
         assert!(lfsr_large <= err_large, "LFSR is at least as balanced");
     }
 

@@ -122,8 +122,7 @@ pub fn table(t: &Table, format: Format) -> String {
                 "rows",
                 Json::Arr(
                     t.rows()
-                        .iter()
-                        .map(|row| Json::Arr(row.iter().map(|c| Json::Str(c.clone())).collect()))
+                        .map(|row| Json::Arr(row.map(|c| Json::Str(c.to_string())).collect()))
                         .collect(),
                 ),
             ),

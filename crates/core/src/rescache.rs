@@ -39,6 +39,7 @@
 use crate::error::CoreError;
 use crate::json::{Json, JsonError};
 use crate::model::Metrics;
+use crate::report::push_uint;
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord};
 use crate::workload::Workload;
 use std::borrow::Cow;
@@ -101,7 +102,9 @@ impl Fingerprint {
     /// builds the same keys a grid at a time, through the same
     /// builder.
     pub fn for_scenario(scenario: &Scenario, workload: &dyn Workload) -> Self {
-        WorkloadKey::of(workload).fingerprint(scenario, &scenario.update_days.to_string())
+        let head = WorkloadKey::head(scenario, &scenario.update_days.to_string());
+        let tail = WorkloadKey::of(workload).tail(scenario);
+        WorkloadKey::join(&head, scenario.policy_seed, &tail)
     }
 
     /// Builds a fingerprint directly from a canonical key string,
@@ -136,6 +139,24 @@ impl std::fmt::Display for Fingerprint {
     }
 }
 
+/// One part of a canonical key: text as it stands, or an integer in
+/// decimal.
+enum Part<'p> {
+    Text(&'p str),
+    Int(u64),
+}
+
+/// Appends `parts`, each label followed by its value.
+fn push_parts(out: &mut String, parts: &[(&str, Part<'_>)]) {
+    for (label, part) in parts {
+        out.push_str(label);
+        match *part {
+            Part::Text(text) => out.push_str(text),
+            Part::Int(n) => push_uint(out, n),
+        }
+    }
+}
+
 /// The parts of a canonical key that depend on the workload alone —
 /// its identity, whether the trace seed joins the key, and `p0` —
 /// formatted once, however many cells share the workload.
@@ -155,50 +176,92 @@ impl WorkloadKey {
         }
     }
 
-    /// The key of `scenario` over this workload, `update` being its
-    /// formatted `update_days`. The one place the key layout is
-    /// spelled; the buffer is sized up front so it never regrows.
-    fn fingerprint(&self, s: &Scenario, update: &str) -> Fingerprint {
-        // The literal text (under 120 bytes) plus nine integers of at
-        // most 20 digits each.
-        let capacity = 120
-            + 9 * 20
-            + s.replacement.len()
-            + update.len()
-            + s.policy.len()
-            + s.model.len()
-            + self.identity.len()
-            + self.p0.len();
-        let mut canonical = String::with_capacity(capacity);
-        let _ = write!(
-            canonical,
-            "v={ENGINE_VERSION};cache={};line={};banks={};ways={};repl={};l2={};l2ways={};update={update};policy={}#{};model={};workload={};seed=",
-            s.cache_bytes,
-            s.line_bytes,
-            s.banks,
-            s.ways,
-            s.replacement,
-            s.l2_cache_bytes,
-            s.l2_ways,
-            s.policy,
-            s.policy_seed,
-            s.model,
-            self.identity,
+    /// A key is `head`, the policy seed, then `tail`. The head holds
+    /// every part before the policy seed, `update` being the formatted
+    /// `update_days`. These three functions are the one place the key
+    /// layout is spelled.
+    fn head(s: &Scenario, update: &str) -> String {
+        let mut head = String::with_capacity(
+            100 + 6 * 20 + s.replacement.len() + update.len() + s.policy.len(),
         );
-        if self.seeded {
-            let _ = write!(canonical, "{}", s.trace_seed);
+        push_parts(
+            &mut head,
+            &[
+                ("v=", Part::Text(ENGINE_VERSION)),
+                (";cache=", Part::Int(s.cache_bytes)),
+                (";line=", Part::Int(s.line_bytes.into())),
+                (";banks=", Part::Int(s.banks.into())),
+                (";ways=", Part::Int(s.ways.into())),
+                (";repl=", Part::Text(&s.replacement)),
+                (";l2=", Part::Int(s.l2_cache_bytes)),
+                (";l2ways=", Part::Int(s.l2_ways.into())),
+                (";update=", Part::Text(update)),
+                (";policy=", Part::Text(&s.policy)),
+            ],
+        );
+        head
+    }
+
+    /// Every part of `s`'s key after the policy seed.
+    fn tail(&self, s: &Scenario) -> String {
+        let mut tail = String::with_capacity(
+            60 + 2 * 20 + s.model.len() + self.identity.len() + self.p0.len(),
+        );
+        let seed = if self.seeded {
+            Part::Int(s.trace_seed)
         } else {
-            canonical.push('-');
-        }
-        let _ = write!(canonical, ";cycles={};p0={}", s.trace_cycles, self.p0);
+            Part::Text("-")
+        };
+        push_parts(
+            &mut tail,
+            &[
+                (";model=", Part::Text(&s.model)),
+                (";workload=", Part::Text(&self.identity)),
+                (";seed=", seed),
+                (";cycles=", Part::Int(s.trace_cycles)),
+                (";p0=", Part::Text(&self.p0)),
+            ],
+        );
+        tail
+    }
+
+    /// The key of a cell with `head`, `policy_seed` and `tail`.
+    fn join(head: &str, policy_seed: u64, tail: &str) -> Fingerprint {
+        let mut canonical = String::with_capacity(head.len() + 21 + tail.len());
+        canonical.push_str(head);
+        canonical.push('#');
+        push_uint(&mut canonical, policy_seed);
+        canonical.push_str(tail);
         Fingerprint { canonical }
+    }
+
+    /// Whether `a` and `b` share a key head.
+    fn same_head(a: &Scenario, b: &Scenario) -> bool {
+        a.cache_bytes == b.cache_bytes
+            && a.line_bytes == b.line_bytes
+            && a.banks == b.banks
+            && a.ways == b.ways
+            && a.replacement == b.replacement
+            && a.l2_cache_bytes == b.l2_cache_bytes
+            && a.l2_ways == b.l2_ways
+            && a.update_days.to_bits() == b.update_days.to_bits()
+            && a.policy == b.policy
+    }
+
+    /// Whether `a` and `b`, both over this workload, share a key tail.
+    fn same_tail(&self, a: &Scenario, b: &Scenario) -> bool {
+        a.model == b.model
+            && a.trace_cycles == b.trace_cycles
+            && (!self.seeded || a.trace_seed == b.trace_seed)
     }
 }
 
 /// Every scenario's fingerprint, in grid order — the keys
-/// [`Fingerprint::for_scenario`] gives, with each workload's parts and
-/// each distinct `update_days` formatted once per grid rather than
-/// once per cell.
+/// [`Fingerprint::for_scenario`] gives. A cell whose key head matches
+/// the previous cell's, or whose tail matches the previous cell's on
+/// the same workload, copies that text instead of formatting it: grids
+/// vary the workload fastest, so each head is formatted once per run
+/// of workloads and each tail about once per workload.
 ///
 /// # Errors
 ///
@@ -210,24 +273,30 @@ pub(crate) fn grid_fingerprints(grid: &ScenarioGrid) -> Result<Vec<Fingerprint>,
         .iter()
         .map(|w| WorkloadKey::of(w.as_ref()))
         .collect();
-    // Grids sweep few `update_days` values; a scan beats hashing.
-    let mut updates: Vec<(u64, String)> = Vec::new();
+    let mut head: Option<(&Scenario, String)> = None;
+    let mut tails: Vec<Option<(&Scenario, String)>> = vec![None; workloads.len()];
     let mut out = Vec::with_capacity(grid.len());
     for s in grid.scenarios() {
-        let workload = workloads
-            .get(s.workload_index)
-            .ok_or_else(|| CoreError::Report {
+        let (Some(workload), Some(tail)) = (
+            workloads.get(s.workload_index),
+            tails.get_mut(s.workload_index),
+        ) else {
+            return Err(CoreError::Report {
                 message: format!(
                     "scenario {} references workload index {} out of range",
                     s.id, s.workload_index
                 ),
-            })?;
-        let bits = s.update_days.to_bits();
-        if !updates.iter().any(|(b, _)| *b == bits) {
-            updates.push((bits, s.update_days.to_string()));
-        }
-        let update = updates.iter().find(|(b, _)| *b == bits);
-        out.push(workload.fingerprint(s, update.map_or("", |(_, text)| text)));
+            });
+        };
+        let head = match head.take() {
+            Some((last, text)) if WorkloadKey::same_head(last, s) => head.insert((last, text)),
+            _ => head.insert((s, WorkloadKey::head(s, &s.update_days.to_string()))),
+        };
+        let tail = match tail.take() {
+            Some((last, text)) if workload.same_tail(last, s) => tail.insert((last, text)),
+            _ => tail.insert((s, workload.tail(s))),
+        };
+        out.push(WorkloadKey::join(&head.1, s.policy_seed, &tail.1));
     }
     Ok(out)
 }
@@ -526,9 +595,6 @@ fn read_canonical(line: &str) -> Option<JournalLine<'_>> {
     let check = c.string()?;
     c.lit(",\"key\":")?;
     let key = c.string()?;
-    if !digest_is(key.as_bytes(), &fp) {
-        return None;
-    }
     c.lit(",\"record\":")?;
     let start = c.pos;
     c.lit("{\"sim_cycles\":")?;
@@ -542,25 +608,34 @@ fn read_canonical(line: &str) -> Option<JournalLine<'_>> {
     c.lit(",\"sleep_fractions\":")?;
     let sleep_fractions = c.nums()?;
     c.lit(",\"metrics\":{")?;
-    let mut pairs = Vec::new();
-    if c.lit("}").is_none() {
-        loop {
-            let name = c.string()?;
-            if ScenarioRecord::RESERVED_FIELDS.contains(&name.as_ref()) {
-                return None;
-            }
-            c.lit(":")?;
-            pairs.push((name, c.num()?));
-            if c.lit(",").is_none() {
-                c.lit("}")?;
-                break;
-            }
+    // The pairs go straight into the map as they are read; a pair that
+    // fails ends the map early and fails the line.
+    let mut more = c.lit("}").is_none();
+    let mut failed = false;
+    let metrics = Metrics::from_pairs(std::iter::from_fn(|| {
+        if !more {
+            return None;
         }
+        let pair = c.metric();
+        failed = pair.is_none();
+        let (name, value, next) = pair?;
+        more = next;
+        Some((name, value))
+    }));
+    if failed {
+        return None;
     }
     c.lit("}")?;
     let record = line.get(start..c.pos)?;
     c.lit("}")?;
-    if c.pos != line.len() || !digest_is(record.as_bytes(), &check) {
+    if c.pos != line.len() {
+        return None;
+    }
+    // The two digests, checked together once the line has read: each
+    // is a byte-serial chain, and stepping both in one pass overlaps
+    // them.
+    let (key_hash, record_hash) = Fnv64::hash_pair(key.as_bytes(), record.as_bytes());
+    if !hex_is(key_hash, &fp) || !hex_is(record_hash, &check) {
         return None;
     }
     Some(JournalLine {
@@ -573,7 +648,7 @@ fn read_canonical(line: &str) -> Option<JournalLine<'_>> {
             miss_rate,
             useful_idleness,
             sleep_fractions,
-            metrics: Metrics::from_pairs(pairs),
+            metrics,
         }),
     })
 }
@@ -581,10 +656,14 @@ fn read_canonical(line: &str) -> Option<JournalLine<'_>> {
 /// Whether `expected` is [`digest_hex`]`(bytes)`, without formatting
 /// the digest.
 fn digest_is(bytes: &[u8], expected: &str) -> bool {
+    hex_is(Fnv64::hash(bytes), expected)
+}
+
+/// Whether `expected` is the digest text of `hash`.
+fn hex_is(hash: u64, expected: &str) -> bool {
     let Some(hex) = expected.strip_prefix("fnv1a64:") else {
         return false;
     };
-    let hash = Fnv64::hash(bytes);
     hex.len() == 16
         && hex.bytes().enumerate().all(|(i, digit)| {
             let nibble = (hash >> (60 - 4 * i)) & 0xf;
@@ -594,39 +673,189 @@ fn digest_is(bytes: &[u8], expected: &str) -> bool {
 
 /// Whether `text`, which parses to the finite `value`, is exactly what
 /// `Display` writes for `value`: its shortest round-trip digits, laid
-/// out plainly. Decided without formatting for a plain decimal (no
-/// exponent, no `+`, no leading or trailing zero) of at most 15
-/// significant digits whose value is normal: two distinct such decimals
-/// never round to the same double (15 is `f64::DIGITS`), so no other
-/// decimal as short round-trips to `value`, and `text` is its shortest
-/// form. Any other `text` is compared with `Display`'s output in
-/// `scratch`.
-fn is_display_of(text: &str, value: f64, scratch: &mut String) -> bool {
-    let body = text.strip_prefix('-').unwrap_or(text);
-    let (int, frac) = match body.split_once('.') {
-        Some((int, frac)) => (int, Some(frac)),
-        None => (body, None),
-    };
-    let plain = !int.is_empty()
-        && int.bytes().all(|b| b.is_ascii_digit())
-        && (int == "0" || !int.starts_with('0'))
-        && frac.is_none_or(|f| {
-            !f.is_empty() && f.bytes().all(|b| b.is_ascii_digit()) && !f.ends_with('0')
-        });
-    if plain && value == 0.0 {
-        return int == "0" && frac.is_none();
-    }
-    let significant = match frac {
-        Some(frac) if int == "0" => frac.trim_start_matches('0').len(),
-        Some(frac) => int.len() + frac.len(),
-        None => int.trim_end_matches('0').len(),
-    };
-    if plain && value.is_normal() && significant <= f64::DIGITS as usize {
-        return true;
+/// out plainly. `plain` is `text` read by [`Plain::of`]; where
+/// [`Plain::prints_as`] decides it no formatting happens, and any other
+/// `text` is compared with `Display`'s output in `scratch`.
+fn shows_as(plain: Option<Plain>, text: &str, value: f64, scratch: &mut String) -> bool {
+    if let Some(answer) = plain.and_then(|p| p.prints_as(value)) {
+        return answer;
     }
     scratch.clear();
     let _ = write!(scratch, "{value}");
     scratch == text
+}
+
+/// `5^k` for every `k` whose power fits a `u128`.
+const POW5: [u128; 56] = {
+    let mut pow = [1u128; 56];
+    let mut k = 1;
+    while k < pow.len() {
+        // aging-lint: allow(no-panic-in-lib) evaluated at compile time; `k` stays in range
+        pow[k] = pow[k - 1] * 5;
+        k += 1;
+    }
+    pow
+};
+
+/// A plain decimal — an optional `-`, an integer part with no leading
+/// zero (unless it is `0`) and an optional fraction with no trailing
+/// zero, the only layout `Display` writes — as its significant digits:
+/// the decimal is `±digits × 10^exp`.
+#[derive(Clone, Copy)]
+struct Plain {
+    negative: bool,
+    /// The significant digits, as an integer with no trailing zero
+    /// (zero for `0`).
+    digits: u64,
+    /// How many significant digits there are.
+    len: u32,
+    exp: i32,
+}
+
+impl Plain {
+    /// Reads `text`, in one pass; `None` unless it is plain with at
+    /// most 19 significant digits (so they fit a `u64`).
+    fn of(text: &str) -> Option<Self> {
+        let negative = text.starts_with('-');
+        let body = text.as_bytes().get(usize::from(negative)..)?;
+        let mut plain = Self {
+            negative,
+            digits: 0,
+            len: 0,
+            exp: 0,
+        };
+        let mut point = None;
+        for (at, &b) in body.iter().enumerate() {
+            match b {
+                // A leading zero is not significant.
+                b'0' if plain.digits == 0 => {}
+                b'0'..=b'9' => {
+                    plain.len += 1;
+                    if plain.len > 19 {
+                        return None;
+                    }
+                    plain.digits = plain.digits * 10 + u64::from(b - b'0');
+                }
+                b'.' if point.is_none() => point = Some(at),
+                _ => return None,
+            }
+        }
+        let int_len = point.unwrap_or(body.len());
+        if int_len == 0 || (int_len > 1 && body.first() == Some(&b'0')) {
+            return None;
+        }
+        if let Some(point) = point {
+            let frac_len = body.len() - point - 1;
+            if frac_len == 0 || body.last() == Some(&b'0') {
+                return None;
+            }
+            plain.exp = -i32::try_from(frac_len).ok()?;
+        }
+        while plain.digits != 0 && plain.digits.is_multiple_of(10) {
+            plain.digits /= 10;
+            plain.len -= 1;
+            plain.exp += 1;
+        }
+        Some(plain)
+    }
+
+    /// The double the decimal parses to, computed exactly where both
+    /// the digits (up to 2^53) and the power of ten (up to 10^22) are
+    /// exact doubles, so one correctly rounded multiply or divide is
+    /// the correctly rounded value; `None` elsewhere.
+    fn value(self) -> Option<f64> {
+        const POW10: [f64; 23] = [
+            1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+            1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+        ];
+        if self.digits > 1 << 53 {
+            return None;
+        }
+        let digits = self.digits as f64;
+        let pow = *POW10.get(self.exp.unsigned_abs() as usize)?;
+        let value = if self.exp >= 0 {
+            digits * pow
+        } else {
+            digits / pow
+        };
+        Some(if self.negative { -value } else { value })
+    }
+
+    /// Whether `Display` writes this decimal for `value`, the double it
+    /// parses to, or `None` where that takes formatting to tell.
+    ///
+    /// `Display` writes the fewest digits that round-trip and, among
+    /// those, the decimal nearest `value`. Zero is written `0`. At most
+    /// 15 digits for a normal value, the decimal is the answer: two
+    /// distinct such decimals never round to the same double (15 is
+    /// `f64::DIGITS`), so no other decimal as short round-trips.
+    /// Longer decimals are decided exactly in integers
+    /// ([`Plain::prints_as_long`]).
+    fn prints_as(self, value: f64) -> Option<bool> {
+        if value == 0.0 {
+            return Some(self.digits == 0);
+        }
+        if !value.is_normal() {
+            return None;
+        }
+        if self.len <= f64::DIGITS {
+            return Some(true);
+        }
+        self.prints_as_long(value)
+    }
+
+    /// [`Plain::prints_as`] for a decimal `d × 10^e` of more than 15
+    /// digits and a normal `|value| = m × 2^q`. The decimal is written
+    /// exactly when it lies within half a step `10^e` of `value` (so it
+    /// is the nearest decimal of its length) and neither neighbour one
+    /// digit shorter — `⌊d / 10⌋ × 10^(e+1)` and the next multiple of
+    /// `10^(e+1)` up — lies in `value`'s rounding interval (any shorter
+    /// decimal in the interval would put one of them in it). Every
+    /// quantity is scaled by `2^a × 5^-e` into a `u128`. A nearer
+    /// decimal or a shorter neighbour strictly inside the interval
+    /// answers `false`; a distance on a boundary, a lopsided interval
+    /// that leaves it open, or any overflow answers `None`.
+    fn prints_as_long(self, value: f64) -> Option<bool> {
+        fn shl(x: u128, by: i32) -> Option<u128> {
+            (by >= 0 && (x.leading_zeros() as i32) > by).then(|| x << by)
+        }
+        if self.exp > 0 {
+            return None;
+        }
+        let bits = value.abs().to_bits();
+        let biased = (bits >> 52) as i32;
+        let m = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+        let q = biased - 1075;
+        let e = self.exp;
+        let five = *POW5.get(e.unsigned_abs() as usize)?;
+        let a = (1 - e).max(2 - q);
+        let text = shl(u128::from(self.digits), e + a)?;
+        let v = shl(m.checked_mul(five)?, q + a)?;
+        // Half the gap to the next double up, and down: a power of two
+        // has its predecessor half as far away.
+        let half_up = shl(five, q + a - 1)?;
+        let lopsided = m == 1 << 52 && biased > 1;
+        let half_down = if lopsided {
+            shl(five, q + a - 2)?
+        } else {
+            half_up
+        };
+        match text.abs_diff(v).cmp(&shl(1, e + a - 1)?) {
+            std::cmp::Ordering::Less => {}
+            // Further than half a step: the decimal a step nearer
+            // `value` is nearer still, and in a symmetric interval it
+            // is in the interval too.
+            std::cmp::Ordering::Greater if !lopsided => return Some(false),
+            _ => return None,
+        }
+        let lower = shl(u128::from(self.digits - self.digits % 10), e + a)?;
+        let upper = lower.checked_add(shl(10, e + a)?)?;
+        match (v.checked_sub(lower), upper.checked_sub(v)) {
+            (Some(below), Some(above)) if below > half_down && above > half_up => Some(true),
+            (Some(below), Some(above)) if below == half_down || above == half_up => None,
+            _ => Some(false),
+        }
+    }
 }
 
 /// A cursor that moves only over canonical bytes: each reader consumes
@@ -703,15 +932,49 @@ impl<'a> Canonical<'a> {
     }
 
     /// Skips the longest run of bytes a string holds unescaped,
-    /// returning its length.
+    /// returning its length. Eight bytes at a time are tested as one
+    /// word for a `"`, a `\\` or a control byte; the word that holds
+    /// one is scanned byte by byte.
     fn raw_run(&mut self) -> usize {
+        const ONES: u64 = u64::from_le_bytes([0x01; 8]);
+        const HIGHS: u64 = u64::from_le_bytes([0x80; 8]);
+        // Whether some byte of `word` is below `n`, for `n <= 0x80`.
+        let below = |word: u64, n: u8| word.wrapping_sub(ONES * u64::from(n)) & !word & HIGHS != 0;
+        let stops = |word: u64| {
+            below(word, 0x20) || below(word ^ (ONES * 0x22), 1) || below(word ^ (ONES * 0x5c), 1)
+        };
         let rest = self.rest();
-        let run = rest
+        let mut run = 0;
+        for chunk in rest.chunks_exact(8) {
+            match <[u8; 8]>::try_from(chunk) {
+                Ok(word) if !stops(u64::from_le_bytes(word)) => run += 8,
+                _ => break,
+            }
+        }
+        let tail = rest.get(run..).unwrap_or(&[]);
+        run += tail
             .iter()
             .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-            .unwrap_or(rest.len());
+            .unwrap_or(tail.len());
         self.pos += run;
         run
+    }
+
+    /// One `"name":number` pair of a metrics map, the name not a
+    /// record field, and whether a `,` (rather than the closing `}`)
+    /// follows it.
+    fn metric(&mut self) -> Option<(Cow<'a, str>, f64, bool)> {
+        let name = self.string()?;
+        if ScenarioRecord::RESERVED_FIELDS.contains(&name.as_ref()) {
+            return None;
+        }
+        self.lit(":")?;
+        let value = self.num()?;
+        if self.lit(",").is_some() {
+            return Some((name, value, true));
+        }
+        self.lit("}")?;
+        Some((name, value, false))
     }
 
     /// A number as `Json::Num(v).emit()` writes it: the shortest
@@ -719,14 +982,17 @@ impl<'a> Canonical<'a> {
     /// `"+Inf"` or `"-Inf"`. The token spans what `Json::parse` would
     /// read as one number, and must re-format to itself.
     fn num(&mut self) -> Option<f64> {
-        for (tag, value) in [
-            ("\"NaN\"", f64::NAN),
-            ("\"+Inf\"", f64::INFINITY),
-            ("\"-Inf\"", f64::NEG_INFINITY),
-        ] {
-            if self.lit(tag).is_some() {
-                return Some(value);
+        if self.rest().first() == Some(&b'"') {
+            for (tag, value) in [
+                ("\"NaN\"", f64::NAN),
+                ("\"+Inf\"", f64::INFINITY),
+                ("\"-Inf\"", f64::NEG_INFINITY),
+            ] {
+                if self.lit(tag).is_some() {
+                    return Some(value);
+                }
             }
+            return None;
         }
         let rest = self.rest();
         let len = rest
@@ -734,8 +1000,12 @@ impl<'a> Canonical<'a> {
             .position(|b| !matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
             .unwrap_or(rest.len());
         let text = self.text.get(self.pos..self.pos + len)?;
-        let value: f64 = text.parse().ok()?;
-        if !value.is_finite() || !is_display_of(text, value, &mut self.scratch) {
+        let plain = Plain::of(text);
+        let value = match plain.and_then(Plain::value) {
+            Some(value) => value,
+            None => text.parse().ok()?,
+        };
+        if !value.is_finite() || !shows_as(plain, text, value, &mut self.scratch) {
             return None;
         }
         self.pos += len;
@@ -913,6 +1183,8 @@ impl JsonlCache {
             .map_err(|e| cache_err(format!("read {}: {e}", path.display())))?;
         let text = String::from_utf8(bytes)
             .map_err(|_| cache_err(format!("{}: journal is not valid UTF-8", path.display())))?;
+        // One entry per line at most: the index grows once, up front.
+        index.reserve(text.bytes().filter(|&b| b == b'\n').count());
         let mut consumed = 0usize;
         let mut added = 0usize;
         while consumed < text.len() {
@@ -1825,6 +2097,44 @@ mod reader_props {
         text
     }
 
+    /// A decimal of 16 to 17 significant digits near a double:
+    /// `Display`'s text of a value in a moderate range, or that text
+    /// with its last digit moved by one, cut off or extended; the value
+    /// is sometimes a power of two or one of its neighbours, where the
+    /// rounding interval is lopsided.
+    fn arb_long_decimal(g: &mut Gen) -> String {
+        let scale = 10f64.powi(g.u32_in(0..25) as i32 - 12);
+        let value = match g.u32_in(0..4) {
+            0 => {
+                let two = 2f64.powi(g.u32_in(0..80) as i32 - 40);
+                *g.pick(&[two, two.next_up(), two.next_down()])
+            }
+            _ => g.f64_unit() * scale,
+        };
+        let mut text = format!("{value}");
+        match g.u32_in(0..6) {
+            0 => {
+                let last = text.pop().map_or(0, |c| c as u8);
+                let moved = if g.u32_in(0..2) == 0 {
+                    last.saturating_add(1)
+                } else {
+                    last.saturating_sub(1)
+                };
+                if moved.is_ascii_digit() && moved != b'0' {
+                    text.push(char::from(moved));
+                } else {
+                    text.push(char::from(last));
+                }
+            }
+            1 => text.push(char::from(b'1' + g.u32_in(0..9) as u8)),
+            2 if text.contains('.') => {
+                text.pop();
+            }
+            _ => {}
+        }
+        text
+    }
+
     #[test]
     fn display_shortcut_agrees_with_display() {
         let cases = if cfg!(debug_assertions) {
@@ -1832,11 +2142,13 @@ mod reader_props {
         } else {
             20_000
         };
-        let mut shortcut = 0;
+        let (mut shortcut, mut long, mut long_shortcut) = (0u32, 0u32, 0u32);
         quickprop::cases(cases, |g| {
-            let text = match g.u32_in(0..4) {
+            let kind = g.u32_in(0..6);
+            let text = match kind {
                 0 => format!("{}", f64::from_bits(g.next_u64())),
                 1 => format!("{}", *g.pick(&SPECIAL)),
+                2 | 3 => arb_long_decimal(g),
                 _ => arb_decimal(g),
             };
             let Ok(value) = text.parse::<f64>() else {
@@ -1845,15 +2157,24 @@ mod reader_props {
             if !value.is_finite() {
                 return;
             }
+            let plain = Plain::of(&text);
+            if let Some(p) = plain.and_then(Plain::value) {
+                assert_eq!(p.to_bits(), value.to_bits(), "{text}");
+            }
             let mut scratch = String::new();
-            let verdict = is_display_of(&text, value, &mut scratch);
+            let verdict = shows_as(plain, &text, value, &mut scratch);
             assert_eq!(verdict, format!("{value}") == text, "{text}");
-            if verdict && scratch.is_empty() {
-                shortcut += 1;
+            shortcut += u32::from(scratch.is_empty());
+            if matches!(kind, 2 | 3) && plain.is_some_and(|p| p.len > f64::DIGITS) {
+                long += 1;
+                long_shortcut += u32::from(scratch.is_empty());
             }
         });
-        // The shortcut decides a fair share without formatting.
-        assert!(shortcut > cases / 10, "{shortcut}");
+        // The shortcut decides a fair share without formatting, and
+        // nearly every decimal of 16 or more digits in a moderate range.
+        assert!(shortcut > cases / 3, "{shortcut}");
+        assert!(long > cases / 10, "{long}");
+        assert!(long_shortcut * 10 > long * 9, "{long_shortcut} of {long}");
     }
 
     #[test]

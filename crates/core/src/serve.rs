@@ -60,6 +60,7 @@
 //! returning — the daemon never leaves a torn tail for the journal's
 //! truncation repair to clean up.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -805,10 +806,11 @@ impl StudyServer {
     /// a GET never claims, computes or stores a cell.
     fn warm_report(&self, params: &Params) -> Result<Result<StudyReport, Response>, CoreError> {
         let grid = params.spec.expand()?;
+        let cells = grid.len();
         self.cache()?.refresh()?;
-        Ok(match self.session.read_warm(&grid)? {
+        Ok(match self.session.read_warm(grid)? {
             WarmRead::Replayed(report) => Ok(report),
-            WarmRead::Cold(coverage) => Err(self.cold_response(coverage, grid.len())),
+            WarmRead::Cold(coverage) => Err(self.cold_response(coverage, cells)),
         })
     }
 
@@ -906,7 +908,7 @@ impl StudyServer {
         let params = Params::from_query(&request.query)?;
         let grid = params.spec.expand()?;
         self.cache()?.refresh()?;
-        let (report, coverage) = self.session.run_counted(&grid)?;
+        let (report, coverage) = self.session.run_counted(Cow::Owned(grid))?;
         let stats = self.session.stats();
         let location = if request.raw_query.is_empty() {
             "/render".to_string()

@@ -100,6 +100,7 @@ use crate::rescache::{
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
 use crate::workload::Workload;
 use cache_sim::CacheGeometry;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -338,7 +339,8 @@ impl StudySession {
     ///
     /// Propagates expansion and execution errors.
     pub fn run(&self, spec: &StudySpec) -> Result<StudyReport, CoreError> {
-        self.run_grid(&spec.expand()?)
+        self.run_counted(Cow::Owned(spec.expand()?))
+            .map(|(report, _)| report)
     }
 
     /// Runs an expanded grid through this session: session memo,
@@ -350,28 +352,36 @@ impl StudySession {
     /// errors, the first scenario error by grid order, or
     /// [`CoreError::ScenarioPanicked`] if a scenario task panicked.
     pub fn run_grid(&self, grid: &ScenarioGrid) -> Result<StudyReport, CoreError> {
-        self.run_counted(grid).map(|(report, _)| report)
+        self.run_counted(Cow::Borrowed(grid))
+            .map(|(report, _)| report)
     }
 
     /// [`StudySession::run_grid`], also answering how many cells its
-    /// lookup pass replayed and how many it left to compute.
+    /// lookup pass replayed and how many it left to compute. A grid
+    /// given up to the run whose every cell replays moves its scenarios
+    /// into the records ([`replay_all`]) instead of copying them.
     pub(crate) fn run_counted(
         &self,
-        grid: &ScenarioGrid,
+        grid: Cow<'_, ScenarioGrid>,
     ) -> Result<(StudyReport, Coverage), CoreError> {
-        let models = calibrate(grid, self)?;
-        let lookups = self.lookup_pass(grid, true)?;
+        let models = calibrate(&grid, self)?;
+        let lookups = self.lookup_pass(&grid, true)?;
         let coverage = lookups.coverage();
-        replay_or_compute(grid, self, &models, lookups).map(|report| (report, coverage))
+        if coverage.computed > 0 || matches!(grid, Cow::Borrowed(_)) {
+            return replay_or_compute(&grid, self, &models, lookups)
+                .map(|report| (report, coverage));
+        }
+        drop(models);
+        replay_all(grid.into_owned(), self, lookups).map(|report| (report, coverage))
     }
 
     /// Replays `grid` when every cell is warm, and computes nothing:
     /// one lookup pass that claims nothing, then either a replay of
-    /// those lookups through the inline path [`StudySession::run_grid`]
-    /// takes (the counters and the observer move exactly as they do
-    /// there) or the coverage. A lookup error fails the read.
-    pub(crate) fn read_warm(&self, grid: &ScenarioGrid) -> Result<WarmRead, CoreError> {
-        let lookups = self.lookup_pass(grid, false)?;
+    /// those lookups ([`replay_all`], the counters and the observer
+    /// moving exactly as a warm [`StudySession::run_grid`] moves them)
+    /// or the coverage. A lookup error fails the read.
+    pub(crate) fn read_warm(&self, grid: ScenarioGrid) -> Result<WarmRead, CoreError> {
+        let lookups = self.lookup_pass(&grid, false)?;
         if let Some(Err(e)) = lookups.outcomes.iter().find(|o| o.is_err()) {
             return Err(e.clone());
         }
@@ -379,8 +389,8 @@ impl StudySession {
         if coverage.computed > 0 {
             return Ok(WarmRead::Cold(coverage));
         }
-        let models = calibrate(grid, self)?;
-        replay_or_compute(grid, self, &models, lookups).map(WarmRead::Replayed)
+        calibrate(&grid, self)?;
+        replay_all(grid, self, lookups).map(WarmRead::Replayed)
     }
 
     /// The one lookup pass of a run or a warm read: fingerprints each
@@ -615,6 +625,45 @@ fn replay_or_compute(
         exec::run_tasks(misses.len(), workers, &task);
     }
     assemble(grid, slots, session)
+}
+
+/// Replays `grid`, every cell of which `lookups` found in the result
+/// cache, moving each scenario into its record. The counters and the
+/// observer move as they do for [`replay_or_compute`]'s inline hits.
+fn replay_all(
+    grid: ScenarioGrid,
+    session: &StudySession,
+    mut lookups: Lookups<'_>,
+) -> Result<StudyReport, CoreError> {
+    let ScenarioGrid {
+        name, scenarios, ..
+    } = grid;
+    let n = scenarios.len();
+    let observer = session.observer.as_deref();
+    if let Some(obs) = observer {
+        obs.on_start(&name, n);
+    }
+    let mut records = Vec::with_capacity(n);
+    let outcomes = std::mem::take(&mut lookups.outcomes);
+    for (scenario, outcome) in scenarios.into_iter().zip(outcomes) {
+        let Some(hit) = outcome? else {
+            return Err(CoreError::Report {
+                message: format!("scenario {} missed a fully warm replay", scenario.id),
+            });
+        };
+        session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
+        session.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
+        let record = hit.into_record(scenario);
+        if let Some(obs) = observer {
+            obs.on_record(&record, RecordOrigin::Cached, records.len() + 1, n);
+        }
+        records.push(record);
+    }
+    let report = StudyReport::from_records(name, records);
+    if let Some(obs) = observer {
+        obs.on_finish(&report, &session.counters.snapshot());
+    }
+    Ok(report)
 }
 
 /// Collects the per-scenario slots into the id-ordered report and

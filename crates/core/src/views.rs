@@ -785,10 +785,8 @@ mod tests {
         // The second block lists the benchmarks in the other order.
         let swapped = vec![sha.clone(), crc.clone(), scrambled(&crc), scrambled(&sha)];
         let t = policy_equivalence(&StudyReport::from_records("eq", swapped)).unwrap();
-        let rows: Vec<_> = t
-            .rows()
-            .iter()
-            .map(|r| (r[0].as_str(), r[3].as_str()))
+        let rows: Vec<_> = (0..t.rows().len())
+            .map(|r| (t.cell(r, 0).unwrap(), t.cell(r, 3).unwrap()))
             .collect();
         assert_eq!(rows, [("sha", "+0.00"), ("CRC32", "+0.00")]);
         let mut other = scrambled(&crc);
@@ -808,7 +806,8 @@ mod tests {
             r.metrics = Metrics::from_pairs([("lt0_years", 3.5), ("lt_years", 5.5)]);
         }
         let in_order = table2(&StudyReport::from_records("t2", records.clone())).unwrap();
-        assert_ne!(in_order.rows()[0][1..], in_order.rows()[1][1..]);
+        let cells: Vec<Vec<&str>> = in_order.rows().map(Iterator::collect).collect();
+        assert_ne!(cells[0][1..], cells[1][1..]);
         records.swap(2, 3); // the 16 kB block lists `b` before `a`
         let swapped = table2(&StudyReport::from_records("t2", records.clone())).unwrap();
         assert_eq!(swapped.to_string(), in_order.to_string());
@@ -924,7 +923,7 @@ mod tests {
             mk("b", 1, 32, 3.2, 4.9),
         ];
         let t = claims(&StudyReport::from_records("t2", records)).unwrap();
-        let measured = |row: usize| t.rows()[row][1].clone();
+        let measured = |row: usize| t.cell(row, 1).unwrap().to_string();
         assert_eq!(measured(0), format!("{} %", pct(3.1 / 2.93 - 1.0)));
         assert_eq!(
             measured(1),
@@ -932,9 +931,9 @@ mod tests {
         );
         assert_eq!(measured(2), format!("{} %", pct(5.0 / 2.93 - 1.0)));
         assert_eq!(t.rows().len(), 7, "two gains, three sizes, best, worst");
-        assert_eq!(t.rows()[5][0], "best case (b)");
+        assert_eq!(t.cell(5, 0), Some("best case (b)"));
         assert_eq!(measured(5), factor(6.0 / 2.93));
-        assert_eq!(t.rows()[6][0], "worst case (a)");
+        assert_eq!(t.cell(6, 0), Some("worst case (a)"));
         assert_eq!(measured(6), factor(4.0 / 2.93));
     }
 
@@ -996,9 +995,9 @@ mod tests {
         );
         let t = ablation_temperature(&report).unwrap();
         assert_eq!(t.rows().len(), 2);
-        assert_eq!(t.rows()[0][0], "45 degC");
-        assert_eq!(t.rows()[1][0], "125 degC");
-        assert_eq!(t.rows()[0][3], "+50.0");
+        assert_eq!(t.cell(0, 0), Some("45 degC"));
+        assert_eq!(t.cell(1, 0), Some("125 degC"));
+        assert_eq!(t.cell(0, 3), Some("+50.0"));
     }
 
     #[test]
@@ -1018,9 +1017,9 @@ mod tests {
         );
         let t = ablation_vlow(&report).unwrap();
         assert_eq!(t.rows().len(), 1);
-        assert_eq!(t.rows()[0][0], "0.55 V");
-        assert_eq!(t.rows()[0][3], "+100 mV");
-        assert_eq!(t.rows()[0][4], "+20 mV");
+        assert_eq!(t.cell(0, 0), Some("0.55 V"));
+        assert_eq!(t.cell(0, 3), Some("+100 mV"));
+        assert_eq!(t.cell(0, 4), Some("+20 mV"));
 
         // A rail with lifetimes but no margins is a shape error.
         let broken = StudyReport::from_records(
@@ -1049,8 +1048,8 @@ mod tests {
         );
         let t = variation_study(&report).unwrap();
         assert_eq!(t.rows().len(), 1);
-        assert_eq!(t.rows()[0][0], "30 mV");
-        assert_eq!(t.rows()[0][4], "+50.0");
+        assert_eq!(t.cell(0, 0), Some("30 mV"));
+        assert_eq!(t.cell(0, 4), Some("+50.0"));
 
         let wrong = StudyReport::from_records(
             "var",
