@@ -578,6 +578,8 @@ fn check_main(args: &[String]) {
         report.merge(r);
         spec = spec.workload_objects(resolved);
     }
+    // One expansion feeds the grid line and the coverage report.
+    let grid = spec.expand().ok();
     match objective {
         // `check_search` re-runs `check_spec` over every leaf of the
         // space (here: the one grid), so the plain spec check would
@@ -595,12 +597,18 @@ fn check_main(args: &[String]) {
             }
             report.merge(check::check_search(&search, ModelRegistry::global()));
         }
-        None => report.merge(check::check_spec(&spec, ModelRegistry::global())),
+        None => report.merge(check::check_spec(
+            &spec,
+            grid.as_ref(),
+            ModelRegistry::global(),
+        )),
     }
     if let Some(path) = &journal {
         let journal_check = check::check_journal(path);
         report.merge(journal_check.report);
-        report.merge(check::check_coverage(&spec, &journal_check.keys));
+        if let Some(grid) = &grid {
+            report.merge(check::check_coverage(grid, &journal_check.keys));
+        }
     }
     print!("{report}");
     if !report.is_clean() {

@@ -13,7 +13,9 @@
 use aging_cache::experiment::ExperimentConfig;
 use aging_cache::presets::{self, Out, PRESETS};
 use aging_cache::render::Format;
+use aging_cache::search::ScenarioSpace;
 use aging_cache::session::StudySession;
+use aging_cache::study::{ScenarioGrid, StudySpec};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::Command;
@@ -63,6 +65,7 @@ fn all_plans_its_studies_as_one_grid() {
     let session = StudySession::new();
     let reports = presets::run_specs(&session, &specs).unwrap();
     let stats = session.stats();
+    assert_eq!(union(&specs).cold_stats(2), stats, "predicted on 2 workers");
     assert_eq!(stats.scenarios, 198);
     assert_eq!(stats.simulations, 180);
     assert_eq!(stats.evaluations, 198);
@@ -74,6 +77,38 @@ fn all_plans_its_studies_as_one_grid() {
     assert_eq!(reports[2].to_json(), table3.to_json());
     let sizes: Vec<usize> = reports.iter().map(|r| r.records().len()).collect();
     assert_eq!(sizes, [18, 54, 36, 162, 54, 36]);
+
+    // Every row's plan counts what its union grid predicts, on one
+    // worker and on two. Each session starts from the calibrations
+    // the last one made.
+    let cfg = ExperimentConfig::paper_reference().with_trace_cycles(2_000);
+    let mut ctx = session.context().clone();
+    for row in PRESETS {
+        for threads in [1, 2] {
+            let specs: Vec<_> = (row.specs)(&cfg)
+                .into_iter()
+                .map(|spec| spec.threads(threads))
+                .collect();
+            if specs.is_empty() {
+                continue;
+            }
+            let session = StudySession::with_context(ctx.clone());
+            presets::run_specs(&session, &specs).unwrap();
+            let predicted = union(&specs).cold_stats(threads);
+            assert_eq!(predicted, session.stats(), "{} on {threads}", row.name);
+            ctx = session.context().clone();
+        }
+    }
+}
+
+/// The union grid `run_specs` plans `specs` as.
+fn union(specs: &[StudySpec]) -> ScenarioGrid {
+    let space = specs.iter().cloned().map(ScenarioSpace::grid);
+    space
+        .reduce(ScenarioSpace::union)
+        .unwrap()
+        .expand()
+        .unwrap()
 }
 
 #[test]

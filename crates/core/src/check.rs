@@ -6,9 +6,9 @@
 //! spec check resolves every key against the registries, validates
 //! geometry and parameter ranges, reports canonical-key collisions
 //! (`nbti:vlow=0.75` and `nbti-45nm` are the *same operating point* —
-//! the grid would run it once per spelling) and prints the grid
-//! cardinality with an estimated cold cost. A journal check re-derives
-//! both content digests of every line, flags duplicates and
+//! the grid would run it once per spelling) and prints the grid size
+//! with the counters a cold run of it ends with. A journal check
+//! re-derives both content digests of every line, flags duplicates and
 //! stale-engine entries, and reports the grid/journal overlap when a
 //! spec is checked alongside.
 //!
@@ -21,10 +21,11 @@ use std::path::Path;
 use std::sync::Arc;
 
 use crate::analysis::Axis;
+use crate::exec;
 use crate::model::{self, ModelRegistry};
 use crate::rescache::{grid_fingerprints, read_journal_line, RecordFault, ENGINE_VERSION};
 use crate::search::{self, Driver, Search};
-use crate::study::StudySpec;
+use crate::study::{ScenarioGrid, StudySpec};
 use crate::workload::{Workload, WorkloadRegistry};
 
 /// Severity of a [`CheckFinding`].
@@ -145,11 +146,19 @@ impl std::fmt::Display for CheckReport {
 /// The errors are the spec's own rule list — every problem `expand`
 /// would reject, not only the first — plus model keys the registry
 /// cannot resolve. On top come what `expand` tolerates: duplicate axis
-/// values, aliased model spellings and a zero trace length (warnings),
-/// and the grid size (info).
-pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
+/// values, aliased model spellings and a zero trace length (warnings).
+/// `grid` is the spec's expansion, `None` when it does not expand;
+/// from it comes the grid size and the counters a cold run of it would
+/// end with ([`ScenarioGrid::cold_stats`]) on the workers the run would
+/// use (info).
+pub fn check_spec(
+    spec: &StudySpec,
+    grid: Option<&ScenarioGrid>,
+    models: &ModelRegistry,
+) -> CheckReport {
     let mut report = CheckReport::default();
-    for problem in spec.problems() {
+    let (problems, model_keys) = spec.problems();
+    for problem in problems {
         report.error(problem.code, problem.message);
     }
     // Model resolution is the one error `expand` leaves to the run,
@@ -188,9 +197,9 @@ pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
     // Alias collisions: distinct spellings landing on one canonical
     // operating point duplicate grid scenarios (each keeps its own
     // derived policy seed, so nothing dedupes them downstream).
-    if let Ok(composed) = spec.composed_model_keys() {
+    if let Some(composed) = &model_keys {
         let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
-        for key in &composed {
+        for key in composed {
             *seen.entry(key.as_str()).or_default() += 1;
         }
         for (key, n) in seen {
@@ -206,49 +215,25 @@ pub fn check_spec(spec: &StudySpec, models: &ModelRegistry) -> CheckReport {
         }
     }
 
-    // Grid cardinality and cost estimate — only meaningful when every
-    // axis is present.
-    let models_len = spec
-        .composed_model_keys()
-        .map(|k| k.len())
-        .unwrap_or(spec.models.len());
-    // No-L2 grid points collapse the l2_ways axis (expand emits one
-    // scenario, not one per l2_ways value).
-    let l2_points: usize = spec
-        .l2_cache_bytes
-        .iter()
-        .map(|&b| if b == 0 { 1 } else { spec.l2_ways.len() })
-        .sum();
-    let geometries = spec.cache_bytes.len()
-        * spec.line_bytes.len()
-        * spec.banks.len()
-        * spec.ways.len()
-        * spec.replacements.len()
-        * l2_points;
-    let scenarios = geometries
-        * models_len
-        * spec.update_days.len()
-        * spec.policies.len()
-        * spec.workloads.len();
-    if scenarios > 0 {
-        // One trace simulation per (geometry, workload); models,
-        // update periods and policies all reuse it through the
-        // session's simulation memo. Pinned-profile workloads never
-        // simulate.
-        let traced = spec
-            .workloads
-            .iter()
-            .filter(|w| w.pinned_profile().is_none())
-            .count();
-        let sims = geometries * traced;
-        let accesses = (sims as u128) * (spec.trace_cycles as u128);
+    if let Some(grid) = grid {
+        let workers = exec::workers(grid.threads, grid.len());
+        let cold = grid.cold_stats(workers);
+        let accesses = |n: usize| n as u128 * spec.trace_cycles as u128;
         report.info(
             "spec-grid",
             format!(
-                "grid: {scenarios} scenario{} ({sims} distinct trace simulation{}, \
-                 ≈{accesses} simulated accesses cold)",
-                if scenarios == 1 { "" } else { "s" },
-                if sims == 1 { "" } else { "s" },
+                "grid: {} scenario{}; a cold run on {workers} worker{}: simulations: {}, \
+                 trace opens: {}, memo hits: {}, evaluations: {} (≈{} accesses simulated \
+                 from ≈{} streamed)",
+                cold.scenarios,
+                if cold.scenarios == 1 { "" } else { "s" },
+                if workers == 1 { "" } else { "s" },
+                cold.simulations,
+                cold.trace_opens,
+                cold.sim_memo_hits,
+                cold.evaluations,
+                accesses(cold.simulations),
+                accesses(cold.trace_opens),
             ),
         );
     }
@@ -424,19 +409,15 @@ pub fn check_journal(path: &Path) -> JournalCheck {
     out
 }
 
-/// Reports the overlap between a spec's expanded grid and a set of
-/// journal keys: how many grid points are already journaled (warm)
-/// and how many journal entries this grid will never ask about
-/// (orphaned — normal for a journal shared across studies, so an info
-/// rather than a warning). Fingerprints are computed exactly as the
-/// grid runner computes them; nothing is simulated.
-pub fn check_coverage(spec: &StudySpec, journal_keys: &[String]) -> CheckReport {
+/// Reports the overlap between an expanded grid and a set of journal
+/// keys: how many grid points are already journaled (warm) and how
+/// many journal entries this grid will never ask about (orphaned —
+/// normal for a journal shared across studies, so an info rather than
+/// a warning). Fingerprints are computed exactly as the grid runner
+/// computes them; nothing is simulated.
+pub fn check_coverage(grid: &ScenarioGrid, journal_keys: &[String]) -> CheckReport {
     let mut report = CheckReport::default();
-    let grid = match spec.expand() {
-        Ok(grid) => grid,
-        Err(_) => return report, // spec findings already cover this
-    };
-    let Ok(fingerprints) = grid_fingerprints(&grid) else {
+    let Ok(fingerprints) = grid_fingerprints(grid) else {
         return report; // expand() always indexes in range
     };
     let grid_keys: BTreeSet<String> = fingerprints
@@ -476,7 +457,7 @@ pub fn check_coverage(spec: &StudySpec, journal_keys: &[String]) -> CheckReport 
 pub fn check_search(search: &Search, models: &ModelRegistry) -> CheckReport {
     let mut report = CheckReport::default();
     for spec in search.space().specs() {
-        report.merge(check_spec(spec, models));
+        report.merge(check_spec(spec, spec.expand().ok().as_ref(), models));
     }
 
     let mut metrics: Vec<(&'static str, &'static str, &str)> = vec![(
@@ -597,34 +578,59 @@ mod tests {
             .policy_seed(1)
     }
 
+    /// Checks `spec` as `study check` does: against its own expansion.
+    fn check(spec: &StudySpec) -> CheckReport {
+        check_spec(spec, spec.expand().ok().as_ref(), &ModelRegistry::builtin())
+    }
+
     #[test]
     fn clean_spec_reports_grid_only() {
-        let report = check_spec(&small_spec(), &ModelRegistry::builtin());
+        let report = check(&small_spec().threads(2));
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.warnings(), 0, "{report}");
         let text = report.to_string();
         assert!(
-            text.contains("grid: 2 scenarios (1 distinct trace simulation"),
+            text.contains(
+                "grid: 2 scenarios; a cold run on 2 workers: simulations: 1, trace opens: 1, \
+                 memo hits: 1, evaluations: 2 (≈4000 accesses simulated from ≈4000 streamed)"
+            ),
             "{text}"
         );
         // A pinned profile measures nothing: it costs no simulation.
         let pinned = StudySpec::new("check-test")
             .workload_names(["profile:0.1,0.8,0.6,0.3"])
             .unwrap()
-            .temps_c([45.0, 65.0]);
-        let report = check_spec(&pinned, &ModelRegistry::builtin());
+            .temps_c([45.0, 65.0])
+            .threads(1);
+        let report = check(&pinned);
         assert!(report.is_clean(), "{report}");
         let text = report.to_string();
         assert!(
-            text.contains("grid: 2 scenarios (0 distinct trace simulations, ≈0 simulated"),
+            text.contains(
+                "grid: 2 scenarios; a cold run on 1 worker: simulations: 0, trace opens: 0, \
+                 memo hits: 0, evaluations: 2 (≈0 accesses simulated"
+            ),
             "{text}"
         );
     }
 
     #[test]
+    fn a_spec_that_cannot_expand_prints_no_grid_line() {
+        for spec in [
+            small_spec().policies(["warp"]),
+            small_spec().cache_kb([8]).l2_cache_kb([4]),
+        ] {
+            assert!(spec.expand().is_err(), "{spec:?}");
+            let report = check(&spec);
+            assert_eq!(report.errors(), 1, "{report}");
+            assert!(!report.to_string().contains("spec-grid"), "{report}");
+        }
+    }
+
+    #[test]
     fn unresolvable_model_key_is_an_error_not_a_panic() {
         let spec = small_spec().models(["warp-drive", "nbti:temp=oops"]);
-        let report = check_spec(&spec, &ModelRegistry::builtin());
+        let report = check(&spec);
         assert_eq!(report.errors(), 2, "{report}");
         let text = report.to_string();
         assert!(
@@ -642,7 +648,7 @@ mod tests {
         // `nbti:vlow=0.75` canonicalizes to the default operating
         // point — the same point as `nbti-45nm` spelled differently.
         let spec = small_spec().models(["nbti-45nm", "nbti:vlow=0.75"]);
-        let report = check_spec(&spec, &ModelRegistry::builtin());
+        let report = check(&spec);
         assert!(report.is_clean(), "{report}");
         assert_eq!(report.warnings(), 1, "{report}");
         assert!(
@@ -657,7 +663,7 @@ mod tests {
             .policies(["identity", "no-such-policy"])
             .banks([3]) // not a power of two
             .update_days([-1.0]);
-        let report = check_spec(&spec, &ModelRegistry::builtin());
+        let report = check(&spec);
         assert!(report.errors() >= 3, "{report}");
         let text = report.to_string();
         assert!(text.contains("spec-policy"), "{text}");
@@ -721,7 +727,7 @@ mod tests {
             .canonical()
             .to_string();
         let keys = vec![warm_key, format!("v={ENGINE_VERSION};not-in-grid")];
-        let report = check_coverage(&spec, &keys);
+        let report = check_coverage(&grid, &keys);
         let text = report.to_string();
         assert!(text.contains("coverage: 1/2"), "{text}");
         assert!(

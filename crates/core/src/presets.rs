@@ -52,10 +52,8 @@
 //! # }
 //! ```
 
-use std::collections::HashMap;
-
 use crate::aging::AgingAnalysis;
-use crate::analysis::{scenario_key, Reduce};
+use crate::analysis::Reduce;
 use crate::arch::{simulate_fanout, PartitionedCache, SimTarget, UpdateSchedule};
 use crate::error::CoreError;
 use crate::experiment::ExperimentConfig;
@@ -67,10 +65,9 @@ use crate::policy::Scrambling;
 use crate::registry::PolicyRegistry;
 use crate::render::{self, Format};
 use crate::report::{years, Table};
-use crate::rescache::CachedMeasurement;
-use crate::search::ScenarioSpace;
+use crate::search::union_into;
 use crate::session::StudySession;
-use crate::study::{StudyReport, StudySpec};
+use crate::study::{ScenarioRecord, StudyReport, StudySpec};
 use crate::views;
 use cache_sim::{BankMapping, CacheGeometry, SimOutcome};
 use nbti_model::{calibration, CellDesign, LifetimeSolver, SleepMode, StressProfile};
@@ -261,12 +258,15 @@ impl Preset {
     }
 }
 
-/// Runs `specs` as one plan: the union of their grids
-/// ([`ScenarioSpace::union`]) runs once on `session`, so each distinct
-/// cell is simulated and evaluated once and every trace streams through
-/// all the geometries any spec wants. Returns one report per spec, in
-/// order: the spec's own name and scenarios (ids included), each
-/// re-attached to its measurement from the union.
+/// Runs `specs` as one plan: each spec expands once, the grids fold
+/// into one union (the fold [`ScenarioSpace::union`] expands with),
+/// and the union runs once on `session`, so each distinct cell is
+/// simulated and evaluated once and every trace streams through all
+/// the geometries any spec wants. Returns one report per spec, in
+/// order: the spec's own name and scenarios (ids included), each with
+/// the measurement of the union cell it landed on.
+///
+/// [`ScenarioSpace::union`]: crate::search::ScenarioSpace::union
 ///
 /// # Errors
 ///
@@ -275,36 +275,29 @@ pub fn run_specs(
     session: &StudySession,
     specs: &[StudySpec],
 ) -> Result<Vec<StudyReport>, CoreError> {
-    let Some(space) = specs
+    let grids = specs
         .iter()
-        .map(|spec| ScenarioSpace::grid(spec.clone()))
-        .reduce(ScenarioSpace::union)
-    else {
+        .map(StudySpec::expand)
+        .collect::<Result<Vec<_>, _>>()?;
+    let Some((first, rest)) = grids.split_first() else {
         return Ok(Vec::new());
     };
-    let union = session.run_grid(&space.expand()?)?;
-    let measured: HashMap<String, _> = union
-        .records()
-        .iter()
-        .map(|r| (scenario_key(&r.scenario), r))
-        .collect();
-    specs
-        .iter()
-        .map(|spec| {
-            let grid = spec.expand()?;
-            let records = grid
-                .scenarios()
-                .iter()
-                .map(|s| match measured.get(&scenario_key(s)) {
-                    Some(r) => Ok(CachedMeasurement::of_record(r).into_record(s.clone())),
-                    None => Err(CoreError::Report {
-                        message: format!("scenario {} of `{}` left the union", s.id, grid.name()),
-                    }),
-                })
-                .collect::<Result<_, _>>()?;
-            Ok(StudyReport::from_records(grid.name(), records))
-        })
-        .collect()
+    let mut union = first.clone();
+    let mut slices = vec![(0..first.len()).collect::<Vec<_>>()];
+    for grid in rest {
+        slices.push(union_into(&mut union, grid)?);
+    }
+    let measured = session.run_grid(&union)?;
+    let reports = grids.into_iter().zip(slices).map(|(grid, slice)| {
+        let records = (grid.scenarios.into_iter().zip(slice))
+            .map(|(scenario, at)| ScenarioRecord {
+                scenario,
+                ..measured.records()[at].clone()
+            })
+            .collect();
+        StudyReport::from_records(grid.name, records)
+    });
+    Ok(reports.collect())
 }
 
 /// The one report a single-study row renders.

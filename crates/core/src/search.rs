@@ -81,7 +81,7 @@
 //! # }
 //! ```
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::analysis::{metric_value, scenario_key, Axis, AxisValue, Reduce};
@@ -355,51 +355,75 @@ fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
         }
         SpaceNode::Union(l, r) => {
             let mut left = expand_node(l)?;
-            let right = expand_node(r)?;
-            // Merge the right workload axis by name so workload_index
-            // stays valid on remapped scenarios.
-            let mut remap = Vec::with_capacity(right.workloads.len());
-            for w in &right.workloads {
-                let at = left.workloads.iter().position(|lw| lw.name() == w.name());
-                remap.push(match at {
-                    Some(i) => i,
-                    None => {
-                        left.workloads.push(Arc::clone(w));
-                        left.workloads.len() - 1
-                    }
-                });
-            }
-            let mut seen: BTreeSet<String> = left.scenarios.iter().map(scenario_key).collect();
-            for s in &right.scenarios {
-                if left.registry.get(&s.policy).is_none() {
-                    return report_err(format!(
-                        "union: right operand policy `{}` is unknown to the left \
-                         operand's policy registry",
-                        s.policy
-                    ));
-                }
-                if left.replacement_registry.get(&s.replacement).is_none() {
-                    return report_err(format!(
-                        "union: right operand replacement policy `{}` is unknown to \
-                         the left operand's replacement registry",
-                        s.replacement
-                    ));
-                }
-                let mut s = s.clone();
-                s.workload_index = remap.get(s.workload_index).copied().unwrap_or_else(|| {
-                    // A scenario pointing past its own workload axis
-                    // cannot come out of expand(); keep it harmless.
-                    left.workloads.len().saturating_sub(1)
-                });
-                if seen.insert(scenario_key(&s)) {
-                    left.scenarios.push(s);
-                }
-            }
-            left.name = format!("{}+{}", left.name, right.name);
-            left.threads = left.threads.or(right.threads);
+            union_into(&mut left, &expand_node(r)?)?;
             Ok(left)
         }
     }
+}
+
+/// Folds `right` into `left`: `right`'s workload axis merges into
+/// `left`'s by name, and each `right` scenario not already in `left`
+/// (by [`scenario_key`]) is appended. Answers where each `right`
+/// scenario landed in `left`, in `right`'s order. `left` keeps its
+/// registries and worker cap, or else takes `right`'s cap.
+///
+/// # Errors
+///
+/// Returns [`CoreError::Report`] when a `right` scenario's policy or
+/// replacement is unknown to `left`'s registries.
+pub(crate) fn union_into(
+    left: &mut ScenarioGrid,
+    right: &ScenarioGrid,
+) -> Result<Vec<usize>, CoreError> {
+    // Merge the right workload axis by name so workload_index stays
+    // valid on remapped scenarios.
+    let mut remap = Vec::with_capacity(right.workloads.len());
+    for w in &right.workloads {
+        let at = left.workloads.iter().position(|lw| lw.name() == w.name());
+        remap.push(match at {
+            Some(i) => i,
+            None => {
+                left.workloads.push(Arc::clone(w));
+                left.workloads.len() - 1
+            }
+        });
+    }
+    let mut seen = BTreeMap::new();
+    for (i, s) in left.scenarios.iter().enumerate() {
+        seen.entry(scenario_key(s)).or_insert(i);
+    }
+    let mut landed = Vec::with_capacity(right.scenarios.len());
+    for s in &right.scenarios {
+        if left.registry.get(&s.policy).is_none() {
+            return report_err(format!(
+                "union: right operand policy `{}` is unknown to the left \
+                 operand's policy registry",
+                s.policy
+            ));
+        }
+        if left.replacement_registry.get(&s.replacement).is_none() {
+            return report_err(format!(
+                "union: right operand replacement policy `{}` is unknown to \
+                 the left operand's replacement registry",
+                s.replacement
+            ));
+        }
+        let mut s = s.clone();
+        s.workload_index = remap.get(s.workload_index).copied().unwrap_or_else(|| {
+            // A scenario pointing past its own workload axis cannot
+            // come out of expand(); keep it harmless.
+            left.workloads.len().saturating_sub(1)
+        });
+        let next = left.scenarios.len();
+        let at = *seen.entry(scenario_key(&s)).or_insert(next);
+        if at == next {
+            left.scenarios.push(s);
+        }
+        landed.push(at);
+    }
+    left.name = format!("{}+{}", left.name, right.name);
+    left.threads = left.threads.or(right.threads);
+    Ok(landed)
 }
 
 /// Which way the objective metric should move.

@@ -779,6 +779,59 @@ fn run_one(
 /// it.
 type TraceMembers = BTreeMap<TraceKey, Vec<(GeomKey, Vec<usize>)>>;
 
+/// The trace membership of `grid`: every scenario that simulates,
+/// under its trace and geometry. Pinned-profile scenarios simulate
+/// nothing and belong to no trace.
+fn trace_members(grid: &ScenarioGrid) -> TraceMembers {
+    let mut traces = TraceMembers::new();
+    for (id, scenario) in grid.scenarios().iter().enumerate() {
+        let workload = grid.workloads[scenario.workload_index].as_ref();
+        if workload.pinned_profile().is_some() {
+            continue;
+        }
+        let (geom, trace) = sim_key(scenario, workload);
+        let members = traces.entry(trace).or_default();
+        match members.iter_mut().find(|(g, _)| *g == geom) {
+            Some((_, ids)) => ids.push(id),
+            None => members.push((geom, vec![id])),
+        }
+    }
+    traces
+}
+
+/// The most geometries one trace group holds on `workers` workers:
+/// `ceil(pairs / workers)` over every (geometry, trace) pair.
+fn group_cap(traces: &TraceMembers, workers: usize) -> usize {
+    let pairs: usize = traces.values().map(Vec::len).sum();
+    pairs.div_ceil(workers.max(1)).max(1)
+}
+
+impl ScenarioGrid {
+    /// The counters a run of this grid ends with on a fresh session
+    /// without a result cache, on `workers` workers: one evaluation
+    /// per scenario, one simulation per (geometry, trace) pair, one
+    /// trace open per group, and a memo hit for every other simulating
+    /// scenario. Groups are fixed by the grid and the worker count
+    /// (see [`StudySession`]), so the prediction is exact however the
+    /// workers interleave.
+    pub fn cold_stats(&self, workers: usize) -> SessionStats {
+        let traces = trace_members(self);
+        let cap = group_cap(&traces, workers);
+        let mut stats = SessionStats {
+            scenarios: self.len(),
+            evaluations: self.len(),
+            ..SessionStats::default()
+        };
+        for members in traces.values() {
+            stats.simulations += members.len();
+            stats.trace_opens += members.len().div_ceil(cap);
+            stats.sim_memo_hits += members.iter().map(|(_, ids)| ids.len()).sum::<usize>();
+        }
+        stats.sim_memo_hits -= stats.trace_opens;
+        stats
+    }
+}
+
 /// A run's trace groups.
 struct TracePlan<'a> {
     /// The run's worker count, which bounds a group's size.
@@ -801,21 +854,8 @@ impl<'a> TracePlan<'a> {
 
     fn traces(&self, grid: &ScenarioGrid) -> &(TraceMembers, usize) {
         self.traces.get_or_init(|| {
-            let mut traces = TraceMembers::new();
-            for (id, scenario) in grid.scenarios().iter().enumerate() {
-                let workload = grid.workloads[scenario.workload_index].as_ref();
-                if workload.pinned_profile().is_some() {
-                    continue;
-                }
-                let (geom, trace) = sim_key(scenario, workload);
-                let members = traces.entry(trace).or_default();
-                match members.iter_mut().find(|(g, _)| *g == geom) {
-                    Some((_, ids)) => ids.push(id),
-                    None => members.push((geom, vec![id])),
-                }
-            }
-            let pairs: usize = traces.values().map(Vec::len).sum();
-            let cap = pairs.div_ceil(self.workers).max(1);
+            let traces = trace_members(grid);
+            let cap = group_cap(&traces, self.workers);
             (traces, cap)
         })
     }

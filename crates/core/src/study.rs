@@ -489,23 +489,17 @@ impl StudySpec {
         Ok(keys)
     }
 
-    /// Composes the model axis: every model key crossed with the
-    /// override axes, canonicalized.
-    pub(crate) fn composed_model_keys(&self) -> Result<Vec<String>, CoreError> {
-        let mut keys = Vec::new();
-        for key in &self.models {
-            keys.extend(self.compose_key(key)?);
-        }
-        Ok(keys)
-    }
-
     /// Every rule the spec breaks, in the order [`StudySpec::expand`]
     /// checks them: kB overflow, empty axes, unknown policies and
     /// replacements, parameter ranges, model-key composition, the L1
     /// and L2 geometries, L2 ≥ L1, and pinned-profile bank counts.
     /// `expand` fails with the first; `study check` reports them all.
     /// A valid spec builds nothing, not even a message.
-    pub(crate) fn problems(&self) -> Vec<Problem> {
+    ///
+    /// The same pass composes the model axis: every model key crossed
+    /// with the override axes, canonicalized (`None` when a key does
+    /// not compose).
+    pub(crate) fn problems(&self) -> (Vec<Problem>, Option<Vec<String>>) {
         let mut out = Vec::new();
         // `None`: the error is a `CoreError::Report` of the message.
         let mut push = |code, message: String, error: Option<CoreError>| {
@@ -597,9 +591,18 @@ impl StudySpec {
                 push("spec-param", message, Some(error));
             }
         }
+        let mut model_keys = Some(Vec::new());
         for key in &self.models {
-            if let Err(e) = self.compose_key(key) {
-                push("spec-model", format!("model key `{key}`: {e}"), Some(e));
+            match self.compose_key(key) {
+                Ok(composed) => {
+                    if let Some(keys) = &mut model_keys {
+                        keys.extend(composed);
+                    }
+                }
+                Err(e) => {
+                    model_keys = None;
+                    push("spec-model", format!("model key `{key}`: {e}"), Some(e));
+                }
             }
         }
         for &bytes in &self.cache_bytes {
@@ -659,7 +662,7 @@ impl StudySpec {
                 push("spec-workload", message, None);
             }
         }
-        out
+        (out, model_keys)
     }
 
     /// Expands the axes into the cartesian scenario grid.
@@ -681,11 +684,30 @@ impl StudySpec {
     /// mismatches are all rejected up front, so a run can only fail on
     /// model-level errors.
     pub fn expand(&self) -> Result<ScenarioGrid, CoreError> {
-        if let Some(problem) = self.problems().into_iter().next() {
+        let (problems, model_keys) = self.problems();
+        if let Some(problem) = problems.into_iter().next() {
             return Err(problem.error);
         }
-        let model_keys = self.composed_model_keys()?;
-        let mut scenarios = Vec::new();
+        // Every key composed: a key that did not is a problem.
+        let model_keys = model_keys.unwrap_or_default();
+        let l2_points: usize = (self.l2_cache_bytes.iter())
+            .map(|&b| if b == 0 { 1 } else { self.l2_ways.len() })
+            .sum();
+        let len = [
+            self.cache_bytes.len(),
+            self.line_bytes.len(),
+            self.banks.len(),
+            self.ways.len(),
+            self.replacements.len(),
+            l2_points,
+            model_keys.len(),
+            self.update_days.len(),
+            self.policies.len(),
+            self.workloads.len(),
+        ]
+        .iter()
+        .product();
+        let mut scenarios = Vec::with_capacity(len);
         for &bytes in &self.cache_bytes {
             for &line in &self.line_bytes {
                 for &banks in &self.banks {

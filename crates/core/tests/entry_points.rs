@@ -158,12 +158,18 @@ fn every_entry_point_returns_the_same_bytes() {
         let keys = draw(g, &csv);
         let case = g.case();
 
-        // A fresh session on one worker: the reference bytes.
-        let reference = session().run(&spec(&keys, 1)).unwrap().to_json();
+        // A fresh session on one worker: the reference bytes, and the
+        // counters the grid predicts.
+        let grid = spec(&keys, 1).expand().unwrap();
+        let sequential = session();
+        let reference = sequential.run_grid(&grid).unwrap().to_json();
+        assert_eq!(sequential.stats(), grid.cold_stats(1), "{keys:?}");
 
         // A fresh session on two workers.
-        let threaded = session().run(&spec(&keys, 2)).unwrap().to_json();
-        assert_eq!(threaded, reference, "two workers: {keys:?}");
+        let threaded = session();
+        let report = threaded.run(&spec(&keys, 2)).unwrap().to_json();
+        assert_eq!(report, reference, "two workers: {keys:?}");
+        assert_eq!(threaded.stats(), grid.cold_stats(2), "{keys:?}");
 
         // A warm in-memory cache replays without simulating.
         let memory = session().cache(MemoryCache::new());

@@ -136,10 +136,12 @@ fn check_flags_exactly_what_expand_rejects() {
         ("matching profile", profile(2), None),
     ];
     for (what, spec, code) in rows {
-        let report = check_spec(&spec, &models);
         let expanded = spec.expand();
+        let report = check_spec(&spec, expanded.as_ref().ok(), &models);
         assert_eq!(expanded.is_err(), report.errors() >= 1, "{what}: {report}");
         assert_eq!(code.is_some(), expanded.is_err(), "{what}: {report}");
+        let grid_line = report.findings().iter().any(|f| f.code == "spec-grid");
+        assert_eq!(grid_line, expanded.is_ok(), "{what}: {report}");
         for finding in report.findings() {
             if finding.level == CheckLevel::Error {
                 assert_eq!(Some(finding.code), code, "{what}: {report}");

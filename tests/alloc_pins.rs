@@ -28,10 +28,11 @@ use std::path::Path;
 /// read (the path, the file's bytes and the index).
 const OPEN: u64 = 4 * 54 + 3;
 /// Allocator calls of a warm `StudySession::run` over the open journal:
-/// the spec expansion (four names per scenario), and per cell its key
-/// and the cache's copy of its measurement (three vectors), plus the
-/// per-run bookkeeping.
-const WARM_RUN: u64 = 530;
+/// the spec expansion (one validating pass that composes each model key
+/// once, a scenario vector reserved at the grid's size, four names per
+/// scenario), and per cell its key and the cache's copy of its
+/// measurement (three vectors), plus the per-run bookkeeping.
+const WARM_RUN: u64 = 520;
 /// Allocator calls of `summary_table` plus the Markdown render: the
 /// table's headers, cell buffer and cell ends, and the output.
 const SUMMARY_MD: u64 = 32;

@@ -37,9 +37,11 @@ fn within_bound<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 's
 fn table2_opens_each_trace_once_and_simulates_every_geometry() {
     let spec = presets::table2(&ExperimentConfig::paper_reference()).trace_cycles(40_000);
 
+    let grid = spec.expand().unwrap();
     let sequential = StudySession::new();
     let reference = sequential.run(&spec.clone().threads(1)).unwrap().to_json();
     let stats = sequential.stats();
+    assert_eq!(grid.cold_stats(1), stats, "predicted on 1 worker");
     assert_eq!(stats.scenarios, 54);
     assert_eq!(stats.trace_opens, 18, "one stream per suite workload");
     assert_eq!(stats.simulations, 54, "three cache sizes per stream");
@@ -51,6 +53,7 @@ fn table2_opens_each_trace_once_and_simulates_every_geometry() {
     let threaded = StudySession::new();
     assert_eq!(threaded.run(&spec.threads(2)).unwrap().to_json(), reference);
     let stats = threaded.stats();
+    assert_eq!(grid.cold_stats(2), stats, "predicted on 2 workers");
     assert_eq!(stats.trace_opens, 18);
     assert_eq!(stats.simulations, 54);
 }
@@ -74,6 +77,8 @@ fn one_trace_many_geometries_splits_across_workers() {
     let sequential = StudySession::new();
     let reference = sequential.run(&geometry_grid(1)).unwrap().to_json();
     let stats = sequential.stats();
+    let grid = geometry_grid(1).expand().unwrap();
+    assert_eq!(grid.cold_stats(1), stats, "predicted on 1 worker");
     assert_eq!(stats.simulations, 6);
     assert_eq!(stats.trace_opens, 1, "one worker, one group");
 
@@ -81,6 +86,7 @@ fn one_trace_many_geometries_splits_across_workers() {
     let report = threaded.run(&geometry_grid(2)).unwrap().to_json();
     assert_eq!(report, reference);
     let stats = threaded.stats();
+    assert_eq!(grid.cold_stats(2), stats, "predicted on 2 workers");
     assert_eq!(stats.simulations, 6);
     assert_eq!(stats.trace_opens, 2, "two groups of three, one per worker");
 }
