@@ -580,6 +580,7 @@ fn check_main(args: &[String]) {
     }
     // One expansion feeds the grid line and the coverage report.
     let grid = spec.expand().ok();
+    let models = ModelRegistry::global();
     match objective {
         // `check_search` re-runs `check_spec` over every leaf of the
         // space (here: the one grid), so the plain spec check would
@@ -595,13 +596,9 @@ fn check_main(args: &[String]) {
             if let Some(b) = budget {
                 search = search.budget(b);
             }
-            report.merge(check::check_search(&search, ModelRegistry::global()));
+            report.merge(check::check_search(&search, models));
         }
-        None => report.merge(check::check_spec(
-            &spec,
-            grid.as_ref(),
-            ModelRegistry::global(),
-        )),
+        None => report.merge(check::check_spec(&spec, grid.as_ref(), models)),
     }
     if let Some(path) = &journal {
         let journal_check = check::check_journal(path);

@@ -361,16 +361,12 @@ fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
     }
 }
 
-/// Folds `right` into `left`: `right`'s workload axis merges into
-/// `left`'s by name, and each `right` scenario not already in `left`
-/// (by [`scenario_key`]) is appended. Answers where each `right`
-/// scenario landed in `left`, in `right`'s order. `left` keeps its
-/// registries and worker cap, or else takes `right`'s cap.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Report`] when a `right` scenario's policy or
-/// replacement is unknown to `left`'s registries.
+/// Folds `right` into `left` and answers where each `right` scenario
+/// landed: `right`'s workload axis merges into `left`'s by name, and
+/// each `right` scenario not already in `left` (by [`scenario_key`])
+/// is appended. `left` keeps its registries and worker cap, or else
+/// takes `right`'s cap; a `right` policy or replacement unknown to
+/// them is an error.
 pub(crate) fn union_into(
     left: &mut ScenarioGrid,
     right: &ScenarioGrid,

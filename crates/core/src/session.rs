@@ -779,10 +779,11 @@ fn run_one(
 /// it.
 type TraceMembers = BTreeMap<TraceKey, Vec<(GeomKey, Vec<usize>)>>;
 
-/// The trace membership of `grid`: every scenario that simulates,
-/// under its trace and geometry. Pinned-profile scenarios simulate
-/// nothing and belong to no trace.
-fn trace_members(grid: &ScenarioGrid) -> TraceMembers {
+/// The trace groups of `grid` on `workers` workers: every simulating
+/// scenario under its trace and geometry (pinned profiles simulate
+/// nothing), and the most geometries one group holds,
+/// `ceil(pairs / workers)` over every (geometry, trace) pair.
+fn trace_groups(grid: &ScenarioGrid, workers: usize) -> (TraceMembers, usize) {
     let mut traces = TraceMembers::new();
     for (id, scenario) in grid.scenarios().iter().enumerate() {
         let workload = grid.workloads[scenario.workload_index].as_ref();
@@ -796,27 +797,20 @@ fn trace_members(grid: &ScenarioGrid) -> TraceMembers {
             None => members.push((geom, vec![id])),
         }
     }
-    traces
-}
-
-/// The most geometries one trace group holds on `workers` workers:
-/// `ceil(pairs / workers)` over every (geometry, trace) pair.
-fn group_cap(traces: &TraceMembers, workers: usize) -> usize {
     let pairs: usize = traces.values().map(Vec::len).sum();
-    pairs.div_ceil(workers.max(1)).max(1)
+    let cap = pairs.div_ceil(workers.max(1)).max(1);
+    (traces, cap)
 }
 
 impl ScenarioGrid {
     /// The counters a run of this grid ends with on a fresh session
-    /// without a result cache, on `workers` workers: one evaluation
-    /// per scenario, one simulation per (geometry, trace) pair, one
-    /// trace open per group, and a memo hit for every other simulating
-    /// scenario. Groups are fixed by the grid and the worker count
-    /// (see [`StudySession`]), so the prediction is exact however the
-    /// workers interleave.
+    /// without a result cache, on `workers` workers: an evaluation per
+    /// scenario, a simulation per (geometry, trace) pair, a trace open
+    /// per group and a memo hit for every other simulating scenario.
+    /// The grid and the worker count fix the groups, so this holds
+    /// however the workers interleave.
     pub fn cold_stats(&self, workers: usize) -> SessionStats {
-        let traces = trace_members(self);
-        let cap = group_cap(&traces, workers);
+        let (traces, cap) = trace_groups(self, workers);
         let mut stats = SessionStats {
             scenarios: self.len(),
             evaluations: self.len(),
@@ -853,11 +847,7 @@ impl<'a> TracePlan<'a> {
     }
 
     fn traces(&self, grid: &ScenarioGrid) -> &(TraceMembers, usize) {
-        self.traces.get_or_init(|| {
-            let traces = trace_members(grid);
-            let cap = group_cap(&traces, self.workers);
-            (traces, cap)
-        })
+        self.traces.get_or_init(|| trace_groups(grid, self.workers))
     }
 
     /// The other geometries of `key`'s trace in its group that the run

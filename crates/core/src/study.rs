@@ -690,77 +690,62 @@ impl StudySpec {
         }
         // Every key composed: a key that did not is a problem.
         let model_keys = model_keys.unwrap_or_default();
-        let l2_points: usize = (self.l2_cache_bytes.iter())
-            .map(|&b| if b == 0 { 1 } else { self.l2_ways.len() })
-            .sum();
-        let len = [
-            self.cache_bytes.len(),
-            self.line_bytes.len(),
-            self.banks.len(),
-            self.ways.len(),
-            self.replacements.len(),
-            l2_points,
-            model_keys.len(),
-            self.update_days.len(),
-            self.policies.len(),
-            self.workloads.len(),
-        ]
-        .iter()
-        .product();
-        let mut scenarios = Vec::with_capacity(len);
+        let mut geometries = Vec::new();
         for &bytes in &self.cache_bytes {
             for &line in &self.line_bytes {
                 for &banks in &self.banks {
                     for &ways in &self.ways {
                         for replacement in &self.replacements {
                             for &l2_bytes in &self.l2_cache_bytes {
-                                for (l2wi, &l2_ways_raw) in self.l2_ways.iter().enumerate() {
-                                    // Without an L2 there is no L2 geometry to
-                                    // sweep: collapse the l2_ways axis to a
-                                    // single scenario instead of emitting
-                                    // duplicate grid points.
-                                    if l2_bytes == 0 && l2wi > 0 {
-                                        continue;
-                                    }
-                                    let l2_ways = if l2_bytes == 0 { 1 } else { l2_ways_raw };
-                                    for model in &model_keys {
-                                        for &days in &self.update_days {
-                                            for policy in &self.policies {
-                                                for (wi, w) in self.workloads.iter().enumerate() {
-                                                    let id = scenarios.len();
-                                                    scenarios.push(Scenario {
-                                                        id,
-                                                        cache_bytes: bytes,
-                                                        line_bytes: line,
-                                                        banks,
-                                                        ways,
-                                                        replacement: replacement.clone(),
-                                                        l2_cache_bytes: l2_bytes,
-                                                        l2_ways,
-                                                        update_days: days,
-                                                        policy: policy.clone(),
-                                                        workload: w.name().to_string(),
-                                                        workload_index: wi,
-                                                        workload_source: w.source_info(),
-                                                        model: model.clone(),
-                                                        trace_cycles: self.trace_cycles,
-                                                        trace_seed: self.base_seed + wi as u64,
-                                                        policy_seed: self
-                                                            .policy_seed
-                                                            .unwrap_or_else(|| {
-                                                                derive_policy_seed(
-                                                                    self.base_seed,
-                                                                    id as u64,
-                                                                    policy,
-                                                                )
-                                                            }),
-                                                    });
-                                                }
-                                            }
-                                        }
-                                    }
+                                // Without an L2 there is no L2 geometry to
+                                // sweep: the l2_ways axis collapses to one
+                                // point instead of duplicate grid points.
+                                let l2_ways: &[u32] =
+                                    if l2_bytes == 0 { &[1] } else { &self.l2_ways };
+                                for &l2_ways in l2_ways {
+                                    let l1 = (bytes, line, banks, ways, replacement);
+                                    geometries.push((l1, l2_bytes, l2_ways));
                                 }
                             }
+                        }
+                    }
+                }
+            }
+        }
+        let mut scenarios = Vec::with_capacity(
+            geometries.len()
+                * model_keys.len()
+                * self.update_days.len()
+                * self.policies.len()
+                * self.workloads.len(),
+        );
+        for ((bytes, line, banks, ways, replacement), l2_bytes, l2_ways) in geometries {
+            for model in &model_keys {
+                for &days in &self.update_days {
+                    for policy in &self.policies {
+                        for (wi, w) in self.workloads.iter().enumerate() {
+                            let id = scenarios.len();
+                            scenarios.push(Scenario {
+                                id,
+                                cache_bytes: bytes,
+                                line_bytes: line,
+                                banks,
+                                ways,
+                                replacement: replacement.clone(),
+                                l2_cache_bytes: l2_bytes,
+                                l2_ways,
+                                update_days: days,
+                                policy: policy.clone(),
+                                workload: w.name().to_string(),
+                                workload_index: wi,
+                                workload_source: w.source_info(),
+                                model: model.clone(),
+                                trace_cycles: self.trace_cycles,
+                                trace_seed: self.base_seed + wi as u64,
+                                policy_seed: self.policy_seed.unwrap_or_else(|| {
+                                    derive_policy_seed(self.base_seed, id as u64, policy)
+                                }),
+                            });
                         }
                     }
                 }

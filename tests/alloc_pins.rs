@@ -29,10 +29,11 @@ use std::path::Path;
 const OPEN: u64 = 4 * 54 + 3;
 /// Allocator calls of a warm `StudySession::run` over the open journal:
 /// the spec expansion (one validating pass that composes each model key
-/// once, a scenario vector reserved at the grid's size, four names per
-/// scenario), and per cell its key and the cache's copy of its
-/// measurement (three vectors), plus the per-run bookkeeping.
-const WARM_RUN: u64 = 520;
+/// once, the geometry list, a scenario vector reserved at the grid's
+/// size, four names per scenario), and per cell its key and the cache's
+/// copy of its measurement (three vectors), plus the per-run
+/// bookkeeping.
+const WARM_RUN: u64 = 521;
 /// Allocator calls of `summary_table` plus the Markdown render: the
 /// table's headers, cell buffer and cell ends, and the output.
 const SUMMARY_MD: u64 = 32;
