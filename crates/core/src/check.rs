@@ -615,16 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn a_spec_that_cannot_expand_prints_no_grid_line() {
-        let l2_below_l1 = small_spec().cache_kb([8]).l2_cache_kb([4]);
-        for spec in [small_spec().policies(["warp"]), l2_below_l1] {
-            let report = check(&spec);
-            assert_eq!(report.errors(), 1, "{report}");
-            assert!(!report.to_string().contains("spec-grid"), "{report}");
-        }
-    }
-
-    #[test]
     fn unresolvable_model_key_is_an_error_not_a_panic() {
         let spec = small_spec().models(["warp-drive", "nbti:temp=oops"]);
         let report = check(&spec);
@@ -659,13 +649,18 @@ mod tests {
         let spec = small_spec()
             .policies(["identity", "no-such-policy"])
             .banks([3]) // not a power of two
-            .update_days([-1.0]);
+            .update_days([-1.0])
+            .cache_kb([8])
+            .l2_cache_kb([4]); // an L2 below the L1
         let report = check(&spec);
-        assert!(report.errors() >= 3, "{report}");
+        assert!(report.errors() >= 4, "{report}");
         let text = report.to_string();
         assert!(text.contains("spec-policy"), "{text}");
         assert!(text.contains("spec-geometry"), "{text}");
+        assert!(text.contains("l2_cache_bytes=4096B is smaller"), "{text}");
         assert!(text.contains("spec-param"), "{text}");
+        // A spec that does not expand has no grid to count.
+        assert!(!text.contains("spec-grid"), "{text}");
         // expand() reports exactly one of these: the first on the list.
         assert!(matches!(
             spec.expand(),

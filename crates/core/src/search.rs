@@ -361,12 +361,9 @@ fn expand_node(node: &SpaceNode) -> Result<ScenarioGrid, CoreError> {
     }
 }
 
-/// Folds `right` into `left` and answers where each `right` scenario
-/// landed: `right`'s workload axis merges into `left`'s by name, and
-/// each `right` scenario not already in `left` (by [`scenario_key`])
-/// is appended. `left` keeps its registries and worker cap, or else
-/// takes `right`'s cap; a `right` policy or replacement unknown to
-/// them is an error.
+/// The step [`ScenarioSpace::union`] expands with: folds `right` into
+/// `left` and answers where each `right` scenario landed. `left` keeps
+/// its registries and worker cap, or else takes `right`'s cap.
 pub(crate) fn union_into(
     left: &mut ScenarioGrid,
     right: &ScenarioGrid,
