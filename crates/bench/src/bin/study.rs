@@ -52,8 +52,8 @@
 //!   statically validates the study before anything runs: every
 //!   model/policy/workload key resolves against its registry,
 //!   geometry and parameter ranges are sane, aliased model spellings
-//!   (`nbti:vlow=0.75` ≡ `nbti-45nm`) are reported, the grid
-//!   cardinality and estimated cold cost print, and a journal's
+//!   (`nbti:vlow=0.75` ≡ `nbti-45nm`) are reported, the grid size and
+//!   the counters a cold run of it ends with print, and a journal's
 //!   content digests re-verify line by line. Zero simulation. Exits 0
 //!   on a clean check, 1 when any error fired.
 //!
@@ -491,9 +491,9 @@ fn compare_main(args: &[String]) {
 /// pre-flight validation of a study and (optionally) a result-cache
 /// journal, with **zero simulation** — no model calibrates, no trace
 /// synthesizes. Every finding prints (unlike `run`, which stops at the
-/// first); the grid cardinality and estimated cold cost print as info
-/// lines. Exits 0 on a clean check, 1 when any error finding fired,
-/// 2 on usage errors.
+/// first); the grid size and the counters a cold run of it ends with
+/// on `--threads` workers print as info lines. Exits 0 on a clean
+/// check, 1 when any error finding fired, 2 on usage errors.
 fn check_main(args: &[String]) {
     use aging_cache::check;
 
