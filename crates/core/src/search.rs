@@ -402,7 +402,11 @@ pub(crate) fn union_into(
             ));
         }
         let mut s = s.clone();
-        s.workload_index = remap[s.workload_index];
+        s.workload_index = remap.get(s.workload_index).copied().unwrap_or_else(|| {
+            // A scenario pointing past its own workload axis cannot
+            // come out of expand(); keep it harmless.
+            left.workloads.len().saturating_sub(1)
+        });
         let next = left.scenarios.len();
         let at = *seen.entry(scenario_key(&s)).or_insert(next);
         if at == next {
