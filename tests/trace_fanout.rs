@@ -8,12 +8,12 @@ use nbti_cache_repro::arch::experiment::ExperimentConfig;
 use nbti_cache_repro::arch::presets;
 use nbti_cache_repro::arch::session::StudySession;
 use nbti_cache_repro::arch::study::StudySpec;
-use nbti_cache_repro::arch::workload::{Workload, WorkloadRegistry};
+use nbti_cache_repro::arch::workload::{SyntheticWorkload, Workload, WorkloadRegistry};
 use nbti_cache_repro::arch::CoreError;
 use nbti_cache_repro::sim::Access;
 use nbti_cache_repro::traces::{suite, TraceError, TraceSource};
 use std::sync::mpsc;
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// Generous: a hang is the failure mode, not slowness.
@@ -120,6 +120,121 @@ impl Workload for FusedWorkload {
             batches: 3,
         }))
     }
+}
+
+/// How many streams of a [`RendezvousWorkload`] are open at once.
+#[derive(Default)]
+struct OpenStreams {
+    count: Mutex<usize>,
+    changed: Condvar,
+}
+
+/// One open stream's place in [`OpenStreams`], given back on drop.
+struct Ticket(Arc<OpenStreams>);
+
+impl Ticket {
+    fn take(streams: &Arc<OpenStreams>) -> Self {
+        *streams.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        streams.changed.notify_all();
+        Self(Arc::clone(streams))
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        *self.0.count.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.changed.notify_all();
+    }
+}
+
+/// A stream that holds its [`Ticket`] while it is open.
+struct Ticketed {
+    inner: Box<dyn TraceSource>,
+    _ticket: Ticket,
+}
+
+impl TraceSource for Ticketed {
+    fn next_batch(&mut self, buf: &mut Vec<Access>, max: usize) -> Result<usize, TraceError> {
+        self.inner.next_batch(buf, max)
+    }
+}
+
+/// A suite workload under its own name whose `open` waits until a
+/// second stream of it is open at the same time, so a run that streams
+/// its trace groups one after another fails instead of passing slowly.
+struct RendezvousWorkload {
+    inner: SyntheticWorkload,
+    streams: Arc<OpenStreams>,
+}
+
+impl Workload for RendezvousWorkload {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn p0(&self) -> f64 {
+        self.inner.p0()
+    }
+
+    fn open(&self, seed: u64) -> Result<Box<dyn TraceSource>, CoreError> {
+        let ticket = Ticket::take(&self.streams);
+        let count = self
+            .streams
+            .count
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (count, wait) = self
+            .streams
+            .changed
+            .wait_timeout_while(count, Duration::from_secs(10), |open| *open < 2)
+            .unwrap_or_else(PoisonError::into_inner);
+        drop(count);
+        assert!(!wait.timed_out(), "groups ran serially");
+        Ok(Box::new(Ticketed {
+            inner: self.inner.open(seed)?,
+            _ticket: ticket,
+        }))
+    }
+}
+
+#[test]
+fn two_trace_groups_of_one_trace_stream_at_once() {
+    // One trace, six geometries and two policies on two workers: the
+    // plan cuts two groups of three geometries, and each worker
+    // streams one of them while the other does too.
+    let spec = |registry: WorkloadRegistry, threads: usize| {
+        StudySpec::new("rendezvous")
+            .workload_registry(registry)
+            .threads(threads)
+            .cache_kb([8, 16, 32])
+            .ways([1, 2])
+            .policies(["probing", "gray"])
+            .workload_names(["dijkstra"])
+            .unwrap()
+            .trace_cycles(40_000)
+    };
+    let mut registry = WorkloadRegistry::empty();
+    registry
+        .register(Arc::new(RendezvousWorkload {
+            inner: SyntheticWorkload::new(suite::by_name("dijkstra").unwrap()),
+            streams: Arc::default(),
+        }))
+        .unwrap();
+    let rendezvous = spec(registry, 2);
+    let grid = rendezvous.expand().unwrap();
+    let session = Arc::new(StudySession::new());
+    let runner = Arc::clone(&session);
+    let report = within_bound("a run over two rendezvousing groups", move || {
+        runner.run(&rendezvous).unwrap().to_json()
+    });
+    let stats = session.stats();
+    assert_eq!(grid.cold_stats(2), stats, "predicted on 2 workers");
+    assert_eq!(stats.simulations, 6);
+    assert_eq!(stats.trace_opens, 2);
+
+    let plain = StudySession::new();
+    let reference = plain.run(&spec(WorkloadRegistry::builtin(), 1)).unwrap();
+    assert_eq!(report, reference.to_json());
 }
 
 fn fused_spec(registry: &WorkloadRegistry, workloads: &[&str]) -> StudySpec {
