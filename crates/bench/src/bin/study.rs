@@ -578,8 +578,9 @@ fn check_main(args: &[String]) {
         report.merge(r);
         spec = spec.workload_objects(resolved);
     }
-    // One expansion feeds the grid line and the coverage report.
-    let grid = spec.expand().ok();
+    // One expansion feeds the grid line, the search and the coverage.
+    let expanded = spec.expand();
+    let grid = expanded.as_ref().ok();
     let models = ModelRegistry::global();
     match objective {
         // `check_search` re-runs `check_spec` over every leaf of the
@@ -596,14 +597,14 @@ fn check_main(args: &[String]) {
             if let Some(b) = budget {
                 search = search.budget(b);
             }
-            report.merge(check::check_search(&search, models));
+            report.merge(check::check_search(&search, expanded.as_ref(), models));
         }
-        None => report.merge(check::check_spec(&spec, grid.as_ref(), models)),
+        None => report.merge(check::check_spec(&spec, grid, models)),
     }
     if let Some(path) = &journal {
         let journal_check = check::check_journal(path);
         report.merge(journal_check.report);
-        if let Some(grid) = &grid {
+        if let Some(grid) = grid {
             report.merge(check::check_coverage(grid, &journal_check.keys));
         }
     }

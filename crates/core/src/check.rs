@@ -451,13 +451,28 @@ pub fn check_coverage(grid: &ScenarioGrid, journal_keys: &[String]) -> CheckRepo
 /// (policy and workload are categorical, so bisecting them is an
 /// error, not a wish).
 ///
+/// `expanded` is the space's expansion; a single-grid space also
+/// checks its leaf against it, other spaces expand each leaf.
+///
 /// Like every check this is **zero-simulation**: the space is
 /// expanded (pure arithmetic over the axes) but nothing is
 /// calibrated, synthesized or simulated.
-pub fn check_search(search: &Search, models: &ModelRegistry) -> CheckReport {
+pub fn check_search(
+    search: &Search,
+    expanded: Result<&ScenarioGrid, &crate::CoreError>,
+    models: &ModelRegistry,
+) -> CheckReport {
     let mut report = CheckReport::default();
-    for spec in search.space().specs() {
-        report.merge(check_spec(spec, spec.expand().ok().as_ref(), models));
+    let space = search.space();
+    for spec in space.specs() {
+        let leaf;
+        let grid = if space.is_grid() {
+            expanded.ok()
+        } else {
+            leaf = spec.expand().ok();
+            leaf.as_ref()
+        };
+        report.merge(check_spec(spec, grid, models));
     }
 
     let mut metrics: Vec<(&'static str, &'static str, &str)> = vec![(
@@ -488,7 +503,7 @@ pub fn check_search(search: &Search, models: &ModelRegistry) -> CheckReport {
         );
     }
 
-    let grid = match search.space().expand() {
+    let grid = match expanded {
         Ok(grid) => grid,
         Err(e) => {
             // Leaf-spec findings above usually explain why; a
@@ -500,7 +515,7 @@ pub fn check_search(search: &Search, models: &ModelRegistry) -> CheckReport {
             return report;
         }
     };
-    let varying = search::varying_axes(&grid);
+    let varying = search::varying_axes(grid);
     if search.driver_kind() == Driver::Bisect {
         match varying.as_slice() {
             [axis] if matches!(axis, Axis::Policy | Axis::Workload) => {

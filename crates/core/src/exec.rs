@@ -4,12 +4,13 @@
 //! public [`ExecObserver`] progress callbacks.
 //!
 //! The runner is a scoped pool of workers that self-schedule over a
-//! shared atomic index: an idle worker claims the next unstarted
-//! scenario, so long scenarios never leave the others idle behind a
-//! static partition. [`StudySpec::threads`](crate::study::StudySpec::threads)
-//! is the one worker cap (default: available parallelism), and
-//! `threads(1)` is the reference loop: every task on the calling
-//! thread, in index order.
+//! shared atomic index: an idle worker claims the next unstarted task,
+//! so long tasks never leave the others idle behind a static
+//! partition. A run calls it twice, with one task per trace group and
+//! then one per missed cell; no task waits on another of its run.
+//! [`StudySpec::threads`](crate::study::StudySpec::threads) is the one
+//! worker cap (default: available parallelism), and `threads(1)` is the
+//! reference loop: every task on the calling thread, in index order.
 //!
 //! An [`ExecObserver`] streams progress — `on_start` once per grid,
 //! `on_record` as each scenario completes (cache replays first, on
@@ -42,11 +43,12 @@ pub(crate) fn workers(threads: Option<usize>, count: usize) -> usize {
     threads.unwrap_or(hw).clamp(1, count.max(1))
 }
 
-/// Runs `task(i)` exactly once for every `i` in `0..count` on
+/// Runs `task(i)` exactly once for every `i` in `0..count` on at most
 /// `workers` threads. One worker runs every task on the calling
 /// thread, in index order. `task` stores its own result; the runner
 /// never sees scenario outcomes.
 pub(crate) fn run_tasks(count: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
+    let workers = workers.min(count);
     if workers <= 1 {
         return (0..count).for_each(task);
     }

@@ -322,6 +322,11 @@ impl ScenarioSpace {
         out
     }
 
+    /// Whether the space is a single grid, with no union or filter.
+    pub(crate) fn is_grid(&self) -> bool {
+        matches!(self.node, SpaceNode::Grid(_))
+    }
+
     /// Expands the composition to a flat [`ScenarioGrid`] in
     /// canonical order.
     ///

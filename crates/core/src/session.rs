@@ -12,18 +12,17 @@
 //!   `(geometry, workload, seed, horizon)` points — `study preset all`'s
 //!   Tables I–IV, a preset re-run with one widened axis — simulate
 //!   each distinct (geometry, trace) pair exactly once per session;
-//! * **trace groups** synthesize each trace once per run: the first
-//!   scenario to miss the memo marks every geometry of the run that
-//!   streams the same trace — and is neither memoized, in flight, nor
-//!   fully cached — as in flight, then streams the trace once through
-//!   all of them ([`simulate_fanout`]). A group carries at most
-//!   `ceil(pairs / workers)` geometries, so a grid with fewer traces
-//!   than workers still keeps every worker busy.
-//!   Scenarios whose key is in flight wait for it; a group that fails
-//!   clears its in-flight entries, so they recompute instead of
-//!   hanging. No task waits on the memo while it holds an in-flight
-//!   group, and a group computation never waits, so waiting cannot
-//!   deadlock;
+//! * **trace groups** synthesize each trace once per run. The run plans
+//!   them from the cells its lookup pass missed (`trace_groups`, the
+//!   list [`ScenarioGrid::cold_stats`] counts): one trace and at most
+//!   `ceil(pairs / workers)` of its geometries each. Pass 1 runs a task
+//!   per group, which streams the trace once through the geometries
+//!   the memo lacks ([`simulate_fanout`]) and publishes them; pass 2
+//!   runs a task per missed cell, which evaluates its model. No task
+//!   waits on its own run: a group waits only for a geometry another
+//!   run holds in flight, after publishing its own, and computes it if
+//!   that run abandons it. A group computation never waits, so waiting
+//!   cannot deadlock;
 //! * the **[`ResultCache`]** (in-memory or on-disk JSONL) skips
 //!   simulation *and* model evaluation for any scenario measured
 //!   before, in this process or a previous one: a warm re-run
@@ -32,7 +31,7 @@
 //!   run probes the cache once per scenario on the calling thread,
 //!   replays the hits inline and dispatches only the misses, so a
 //!   fully cached grid starts no worker threads; the trace groups
-//!   plan from that same snapshot instead of probing again. The probe
+//!   plan from those same misses instead of probing again. The probe
 //!   claims each miss until the run stores it, so concurrent runs of
 //!   one session (the study server's requests) compute a shared cell
 //!   once: the others wait for the store and replay it;
@@ -98,7 +97,6 @@ use crate::rescache::{
     grid_fingerprints, relock, workload_identity, CachedMeasurement, Fingerprint, ResultCache,
 };
 use crate::study::{Scenario, ScenarioGrid, ScenarioRecord, StudyReport, StudySpec};
-use crate::workload::Workload;
 use cache_sim::CacheGeometry;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -143,8 +141,8 @@ enum MemoEntry {
 
 /// The session-scoped simulation memo, shared across workers and runs.
 /// Every (geometry, trace) pair is simulated at most once per session:
-/// a task that finds its key in flight waits on `resolved` instead of
-/// recomputing.
+/// a task that finds a key in flight for another run waits on
+/// `resolved` instead of recomputing.
 #[derive(Default)]
 struct SimMemo {
     // aging-lint: allow(no-unordered-iter) keyed memo, only ever probed by key; never iterated
@@ -222,9 +220,9 @@ pub struct SessionStats {
     /// Trace streams actually opened: one per trace group, however
     /// many geometries the group fans the stream out to.
     pub trace_opens: usize,
-    /// Scenarios whose simulation was replayed from the session memo,
-    /// including scenarios whose geometry a peer's trace group
-    /// simulated.
+    /// Scenarios whose simulation was replayed from the session memo:
+    /// every scenario of a geometry the memo already held, and every
+    /// scenario a trace group's simulations served but the first.
     pub sim_memo_hits: usize,
     /// Device-model evaluations actually executed.
     pub evaluations: usize,
@@ -425,18 +423,12 @@ impl StudySession {
             lookups.outcomes[i] = match previous {
                 Some(p) if fingerprints[p] == fingerprints[i] => lookups.outcomes[p].clone(),
                 _ => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    let outcome = catch_panic(i, || {
                         if claim {
                             self.claims.lookup(cache, &fingerprints[i])
                         } else {
                             cache.lookup(&fingerprints[i])
                         }
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(CoreError::ScenarioPanicked {
-                            scenario: i,
-                            message: panic_message(payload),
-                        })
                     });
                     *lookups.held[i].get_mut() = claim && matches!(outcome, Ok(None));
                     outcome
@@ -456,6 +448,18 @@ impl StudySession {
     pub fn stats(&self) -> SessionStats {
         self.counters.snapshot()
     }
+}
+
+/// Runs `f`, turning a panic into a first-class error that carries
+/// scenario `id` and the panic's message, instead of tearing down the
+/// whole process at scope join.
+fn catch_panic<T>(id: usize, f: impl FnOnce() -> Result<T, CoreError>) -> Result<T, CoreError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
+        Err(CoreError::ScenarioPanicked {
+            scenario: id,
+            message: panic_message(payload),
+        })
+    })
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -563,38 +567,36 @@ fn replay_or_compute(
         obs.on_start(grid.name(), grid.len());
     }
     let n = grid.len();
-    // One slot per scenario, each behind its own lock: workers write
-    // their own slot independently (no shared results mutex), and the
-    // id-indexed layout keeps the report order deterministic.
-    let slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
+    // One slot per scenario, each set once: workers write their own
+    // slot independently (no shared results mutex), and the id-indexed
+    // layout keeps the report order deterministic.
+    let slots: Vec<OnceLock<Result<ScenarioRecord, CoreError>>> =
+        (0..n).map(|_| OnceLock::new()).collect();
     let done = AtomicUsize::new(0);
-    let finish = |i: usize, outcome: Result<(ScenarioRecord, RecordOrigin), CoreError>| {
-        if let (Some(obs), Ok((record, origin))) = (session.observer.as_deref(), &outcome) {
+    let finish = |i: usize, origin, outcome: Result<ScenarioRecord, CoreError>| {
+        if let (Some(obs), Ok(record)) = (session.observer.as_deref(), &outcome) {
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-            obs.on_record(record, *origin, finished, n);
+            obs.on_record(record, origin, finished, n);
         }
-        *relock(slots[i].lock()) = Some(outcome.map(|(record, _)| record));
+        let _ = slots[i].set(outcome);
     };
 
     let mut outcomes = std::mem::take(&mut lookups.outcomes).into_iter();
-    // Which scenarios replayed: the snapshot trace groups plan from.
-    let mut replayed = vec![false; n];
     let mut misses = Vec::with_capacity(n);
     for (i, scenario) in grid.scenarios().iter().enumerate() {
         match outcomes.next() {
             Some(Ok(Some(hit))) => {
                 session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
                 session.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-                replayed[i] = true;
                 finish(
                     i,
-                    Ok((hit.into_record(scenario.clone()), RecordOrigin::Cached)),
+                    RecordOrigin::Cached,
+                    Ok(hit.into_record(scenario.clone())),
                 );
             }
             Some(Err(e)) => {
                 session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
-                finish(i, Err(e));
+                finish(i, RecordOrigin::Cached, Err(e));
             }
             Some(Ok(None)) | None => misses.push(i),
         }
@@ -602,27 +604,33 @@ fn replay_or_compute(
 
     if !misses.is_empty() {
         let workers = exec::workers(grid.threads, misses.len());
-        let plan = TracePlan::new(workers, &replayed);
-        let task = |j: usize| {
+        // Pass 1: one task per trace group streams its trace once and
+        // fills its members' measurement slots.
+        let groups = trace_groups(grid, misses.iter().copied(), workers);
+        let measured: Vec<OnceLock<Measured>> = (0..n).map(|_| OnceLock::new()).collect();
+        let measure_task = |g: usize| {
+            let group = &groups[g];
+            let first = group[0].1[0];
+            if let Err(e) = catch_panic(first, || measure_group(grid, group, &measured, session)) {
+                group
+                    .iter()
+                    .for_each(|(_, ids)| fill(&measured, ids, Err(e.clone())));
+            }
+        };
+        exec::run_tasks(groups.len(), workers, &measure_task);
+        // Pass 2: one task per missed cell evaluates its model.
+        let evaluate_task = |j: usize| {
             let i = misses[j];
-            // Catch panics so one bad scenario surfaces as a first-class
-            // error — with its id and message — instead of tearing down
-            // the whole process at scope join.
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_one(grid, i, lookups.fingerprints.get(i), models, &plan, session)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(CoreError::ScenarioPanicked {
-                    scenario: i,
-                    message: panic_message(payload),
-                })
+            let outcome = catch_panic(i, || {
+                let fingerprint = lookups.fingerprints.get(i);
+                run_one(grid, i, fingerprint, models, measured[i].get(), session)
             });
             // `run_one` stored first, so a run waiting on the claim
             // hits when it looks again.
             lookups.release(i);
-            finish(i, outcome);
+            finish(i, RecordOrigin::Computed, outcome);
         };
-        exec::run_tasks(misses.len(), workers, &task);
+        exec::run_tasks(misses.len(), workers, &evaluate_task);
     }
     assemble(grid, slots, session)
 }
@@ -670,12 +678,12 @@ fn replay_all(
 /// fires the observer's finish callback.
 fn assemble(
     grid: &ScenarioGrid,
-    slots: Vec<Mutex<Option<Result<ScenarioRecord, CoreError>>>>,
+    slots: Vec<OnceLock<Result<ScenarioRecord, CoreError>>>,
     session: &StudySession,
 ) -> Result<StudyReport, CoreError> {
     let mut records = Vec::with_capacity(slots.len());
     for slot in slots {
-        match relock(slot.into_inner()) {
+        match slot.into_inner() {
             Some(Ok(record)) => records.push(record),
             Some(Err(e)) => return Err(e),
             None => return Err(CoreError::WorkerPanicked),
@@ -689,8 +697,8 @@ fn assemble(
 }
 
 /// Computes scenario `index`, which missed the result cache (or runs
-/// without one): measure it (from the session memo, or by leading its
-/// trace group), hand the measured sleep fractions to the scenario's
+/// without one): hand its measured sleep fractions — pass 1's
+/// `measured` slot, or its pinned profile — to the scenario's
 /// calibrated device model, and journal the record under
 /// `fingerprint`, the one [`StudySession::lookup_pass`] looked up.
 fn run_one(
@@ -698,13 +706,27 @@ fn run_one(
     index: usize,
     fingerprint: Option<&Fingerprint>,
     models: &Models<'_>,
-    plan: &TracePlan<'_>,
+    measured: Option<&Measured>,
     session: &StudySession,
-) -> Result<(ScenarioRecord, RecordOrigin), CoreError> {
+) -> Result<ScenarioRecord, CoreError> {
     session.counters.scenarios.fetch_add(1, Ordering::Relaxed);
     let scenario = &grid.scenarios()[index];
     let workload = &grid.workloads[scenario.workload_index];
-    let measured = measure(grid, index, plan, session)?;
+    // Pinned-profile workloads skip simulation entirely: their sleep
+    // fractions *are* the measurement, and the trace-derived metrics
+    // are honestly absent (`NaN` / zero cycles).
+    let measured = match (workload.pinned_profile(), measured) {
+        (Some(profile), _) => Arc::new(SimMeasurement {
+            cycles: 0,
+            esav: f64::NAN,
+            miss_rate: f64::NAN,
+            useful_idleness: profile.to_vec(),
+            sleep_fractions: profile.to_vec(),
+            l2_sleep_fractions: None,
+        }),
+        (None, Some(measured)) => measured.clone()?,
+        (None, None) => return Err(CoreError::WorkerPanicked),
+    };
     let model = &models[scenario.model.as_str()];
     let policy_builder = || {
         grid.registry
@@ -771,26 +793,53 @@ fn run_one(
             .cache_stores
             .fetch_add(1, Ordering::Relaxed);
     }
-    Ok((record, RecordOrigin::Computed))
+    Ok(record)
 }
 
-/// For each trace, the distinct geometries that stream it in
-/// first-seen grid order, each with the ids of the scenarios that need
-/// it.
-type TraceMembers = BTreeMap<TraceKey, Vec<(GeomKey, Vec<usize>)>>;
+/// A pass-1 outcome: one geometry's measurement of one trace, shared
+/// by every scenario it serves.
+type Measured = Result<Arc<SimMeasurement>, CoreError>;
 
-/// The trace groups of `grid` on `workers` workers: every simulating
-/// scenario under its trace and geometry (pinned profiles simulate
-/// nothing), and the most geometries one group holds,
-/// `ceil(pairs / workers)` over every (geometry, trace) pair.
-fn trace_groups(grid: &ScenarioGrid, workers: usize) -> (TraceMembers, usize) {
-    let mut traces = TraceMembers::new();
-    for (id, scenario) in grid.scenarios().iter().enumerate() {
+/// One trace group: geometries that stream the same trace, each as its
+/// memo key with the ids of the scenarios it serves, in first-seen
+/// grid order.
+type TraceGroup = Vec<(SimKey, Vec<usize>)>;
+
+/// The trace groups of `cells` (scenario ids, ascending) on `workers`
+/// workers, ordered by their lowest scenario id, so one worker streams
+/// them in grid order. Pinned profiles simulate nothing and join no
+/// group.
+///
+/// A trace's geometries split into strided classes of at most
+/// `ceil(pairs / workers)` each, where `pairs` counts every (geometry,
+/// trace) pair of `cells`. A grid with fewer traces than workers thus
+/// still has a group for every worker, and the stride sends
+/// neighbouring geometries in grid order to different groups. Table II
+/// on two workers keeps one group, and one stream, per trace.
+fn trace_groups(
+    grid: &ScenarioGrid,
+    cells: impl IntoIterator<Item = usize>,
+    workers: usize,
+) -> Vec<TraceGroup> {
+    let mut traces = BTreeMap::<TraceKey, Vec<(GeomKey, Vec<usize>)>>::new();
+    for id in cells {
+        let scenario = &grid.scenarios()[id];
         let workload = grid.workloads[scenario.workload_index].as_ref();
         if workload.pinned_profile().is_some() {
             continue;
         }
-        let (geom, trace) = sim_key(scenario, workload);
+        let geom = (
+            scenario.cache_bytes,
+            scenario.line_bytes,
+            scenario.banks,
+            scenario.ways,
+            scenario.replacement.clone(),
+            scenario.l2_cache_bytes,
+            scenario.l2_ways,
+        );
+        let (identity, seeded) = workload_identity(workload);
+        let seed = if seeded { scenario.trace_seed } else { 0 };
+        let trace = (identity, seed, scenario.trace_cycles);
         let members = traces.entry(trace).or_default();
         match members.iter_mut().find(|(g, _)| *g == geom) {
             Some((_, ids)) => ids.push(id),
@@ -799,170 +848,95 @@ fn trace_groups(grid: &ScenarioGrid, workers: usize) -> (TraceMembers, usize) {
     }
     let pairs: usize = traces.values().map(Vec::len).sum();
     let cap = pairs.div_ceil(workers.max(1)).max(1);
-    (traces, cap)
+    let mut groups = Vec::new();
+    for (trace, members) in traces {
+        let classes = members.len().div_ceil(cap);
+        let first = groups.len();
+        groups.resize_with(first + classes, Vec::new);
+        for (i, (geom, ids)) in members.into_iter().enumerate() {
+            groups[first + i % classes].push(((geom, trace.clone()), ids));
+        }
+    }
+    groups.sort_unstable_by_key(|group: &TraceGroup| group[0].1[0]);
+    groups
 }
 
 impl ScenarioGrid {
     /// The counters a run of this grid ends with on a fresh session
-    /// without a result cache, on `workers` workers: an evaluation per
-    /// scenario, a simulation per (geometry, trace) pair, a trace open
-    /// per group and a memo hit for every other simulating scenario.
-    /// The grid and the worker count fix the groups, so this holds
-    /// however the workers interleave.
+    /// without a result cache, on `workers` workers, read off the trace
+    /// groups such a run executes: an evaluation per scenario, a
+    /// simulation per (geometry, trace) pair, a trace open per group
+    /// and a memo hit for every other simulating scenario. The grid and
+    /// the worker count fix the groups, so this holds however the
+    /// workers interleave.
     pub fn cold_stats(&self, workers: usize) -> SessionStats {
-        let (traces, cap) = trace_groups(self, workers);
-        let mut stats = SessionStats {
+        let groups = trace_groups(self, 0..self.len(), workers);
+        let pairs = groups.iter().flatten();
+        SessionStats {
             scenarios: self.len(),
+            simulations: pairs.clone().count(),
+            trace_opens: groups.len(),
+            sim_memo_hits: pairs.map(|(_, ids)| ids.len()).sum::<usize>() - groups.len(),
             evaluations: self.len(),
             ..SessionStats::default()
-        };
-        for members in traces.values() {
-            stats.simulations += members.len();
-            stats.trace_opens += members.len().div_ceil(cap);
-            stats.sim_memo_hits += members.iter().map(|(_, ids)| ids.len()).sum::<usize>();
-        }
-        stats.sim_memo_hits -= stats.trace_opens;
-        stats
-    }
-}
-
-/// A run's trace groups.
-struct TracePlan<'a> {
-    /// The run's worker count, which bounds a group's size.
-    workers: usize,
-    /// Which scenarios the run replayed from the result cache.
-    replayed: &'a [bool],
-    /// Every trace's members and the group size cap, built on the
-    /// run's first memo miss, so a memo-warm run never pays for it.
-    traces: OnceLock<(TraceMembers, usize)>,
-}
-
-impl<'a> TracePlan<'a> {
-    fn new(workers: usize, replayed: &'a [bool]) -> Self {
-        Self {
-            workers,
-            replayed,
-            traces: OnceLock::new(),
         }
     }
-
-    fn traces(&self, grid: &ScenarioGrid) -> &(TraceMembers, usize) {
-        self.traces.get_or_init(|| trace_groups(grid, self.workers))
-    }
-
-    /// The other geometries of `key`'s trace in its group that the run
-    /// still needs: those with a scenario that did not replay from the
-    /// result cache (without a cache, every one).
-    ///
-    /// A trace's geometries split into strided classes of at most
-    /// `ceil(pairs / workers)` each, where `pairs` counts every
-    /// (geometry, trace) pair of the run. A grid with fewer traces
-    /// than workers thus still spreads its simulations over every
-    /// worker, and the stride sends neighbouring geometries in grid
-    /// order to different groups, so consecutive scenarios lead
-    /// separate groups on separate workers. Table II on two workers
-    /// keeps one group, and one stream, per trace.
-    fn needed_peers<'p>(
-        &'p self,
-        grid: &ScenarioGrid,
-        key: &SimKey,
-    ) -> impl Iterator<Item = &'p (GeomKey, Vec<usize>)> {
-        let (traces, cap) = self.traces(grid);
-        let members = traces.get(&key.1).map_or(&[][..], Vec::as_slice);
-        let classes = members.len().div_ceil(*cap).max(1);
-        let own = members.iter().position(|(g, _)| *g == key.0);
-        members
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| own.is_some_and(|own| *i != own && i % classes == own % classes))
-            .map(|(_, member)| member)
-            .filter(|(_, ids)| ids.iter().any(|&id| self.replayed.get(id) != Some(&true)))
-    }
 }
 
-fn sim_key(scenario: &Scenario, workload: &dyn Workload) -> SimKey {
-    let (identity, seeded) = workload_identity(workload);
-    (
-        (
-            scenario.cache_bytes,
-            scenario.line_bytes,
-            scenario.banks,
-            scenario.ways,
-            scenario.replacement.clone(),
-            scenario.l2_cache_bytes,
-            scenario.l2_ways,
-        ),
-        (
-            identity,
-            if seeded { scenario.trace_seed } else { 0 },
-            scenario.trace_cycles,
-        ),
-    )
-}
-
-/// Measures scenario `index`'s trace under its geometry: the simulation
-/// executes under the identity mapping with no mid-trace updates, so
-/// its outcome depends only on the geometry and trace keys — not on
-/// the policy, model or update-period axes. Pinned-profile workloads
-/// skip simulation entirely: their sleep fractions *are* the
-/// measurement, and the trace-derived metrics are honestly absent
-/// (`NaN` / zero cycles).
-///
-/// A memo hit replays; a key in flight waits for its group. A miss
-/// makes this task the leader of a trace group: in one memo critical
-/// section it claims its own key plus every peer geometry from
-/// [`TracePlan::needed_peers`] that nobody holds, then streams the trace
-/// once through all of them ([`simulate_group`]). Deadlock freedom: a
-/// task only waits here before it claims anything, and a group
-/// computation never waits.
-fn measure(
+/// Pass 1 for one trace group: measures each geometry under the
+/// identity mapping with no mid-trace updates — so not the policy,
+/// model or update-period axes — into the slot of every scenario it
+/// serves. In one memo critical section the task replays what the memo
+/// holds and claims what it lacks, then streams the claimed geometries
+/// ([`simulate_group`]). Only then, holding nothing, does it wait for
+/// geometries another run holds in flight, computing any that run
+/// abandons.
+fn measure_group(
     grid: &ScenarioGrid,
-    index: usize,
-    plan: &TracePlan<'_>,
+    group: &TraceGroup,
+    measured: &[OnceLock<Measured>],
     session: &StudySession,
-) -> Result<Arc<SimMeasurement>, CoreError> {
-    let scenario = &grid.scenarios()[index];
-    let workload = grid.workloads[scenario.workload_index].as_ref();
-    if let Some(profile) = workload.pinned_profile() {
-        return Ok(Arc::new(SimMeasurement {
-            cycles: 0,
-            esav: f64::NAN,
-            miss_rate: f64::NAN,
-            useful_idleness: profile.to_vec(),
-            sleep_fractions: profile.to_vec(),
-            l2_sleep_fractions: None,
-        }));
-    }
-    let key = sim_key(scenario, workload);
+) -> Result<(), CoreError> {
+    let hits = &session.counters.sim_memo_hits;
+    let mut pending: Vec<&(SimKey, Vec<usize>)> = group.iter().collect();
     let mut entries = relock(session.memo.entries.lock());
     loop {
-        match entries.get(&key) {
+        let mut claimed = Vec::new();
+        pending.retain(|&member| match entries.get(&member.0) {
             Some(MemoEntry::Ready(hit)) => {
-                session
-                    .counters
-                    .sim_memo_hits
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(Arc::clone(hit));
+                hits.fetch_add(member.1.len(), Ordering::Relaxed);
+                fill(measured, &member.1, Ok(Arc::clone(hit)));
+                false
             }
-            Some(MemoEntry::InFlight) => entries = relock(session.memo.resolved.wait(entries)),
-            None => break,
+            Some(MemoEntry::InFlight) => true,
+            None => {
+                entries.insert(member.0.clone(), MemoEntry::InFlight);
+                claimed.push(member);
+                false
+            }
+        });
+        drop(entries);
+        if !claimed.is_empty() {
+            simulate_group(grid, &claimed, measured, session)?;
+        }
+        if pending.is_empty() {
+            return Ok(());
+        }
+        entries = relock(session.memo.entries.lock());
+        while pending
+            .iter()
+            .all(|member| matches!(entries.get(&member.0), Some(MemoEntry::InFlight)))
+        {
+            entries = relock(session.memo.resolved.wait(entries));
         }
     }
-    entries.insert(key.clone(), MemoEntry::InFlight);
-    let mut claimed = vec![(key.clone(), index)];
-    for (geom, ids) in plan.needed_peers(grid, &key) {
-        let peer = (geom.clone(), key.1.clone());
-        if !entries.contains_key(&peer) {
-            entries.insert(peer.clone(), MemoEntry::InFlight);
-            claimed.push((peer, ids[0]));
-        }
+}
+
+/// Writes `outcome` to the slot of every scenario in `ids`.
+fn fill(measured: &[OnceLock<Measured>], ids: &[usize], outcome: Measured) {
+    for &id in ids {
+        let _ = measured[id].set(outcome.clone());
     }
-    drop(entries);
-    let guard = InFlightGuard {
-        memo: &session.memo,
-        keys: claimed.iter().map(|(key, _)| key.clone()).collect(),
-    };
-    simulate_group(grid, &claimed, guard, session)
 }
 
 /// The memo entries a group computation holds in flight. Dropping the
@@ -1038,34 +1012,29 @@ impl SimMeasurement {
     }
 }
 
-/// Computes a trace group: opens the trace once and streams it, chunk
-/// by chunk, through the cache of every claimed `(key, representative
-/// scenario)` pair — the leader's own first — then publishes every
-/// measurement to the memo and returns the leader's. A peer whose
-/// cache fails to build is left out; its own task will report the
-/// error when it leads.
+/// Computes the `claimed` geometries of a trace group, which the
+/// caller marked in flight: opens the trace once and streams it, chunk
+/// by chunk, through each geometry's cache, then writes every
+/// measurement to its scenarios' slots and publishes it to the memo.
 fn simulate_group(
     grid: &ScenarioGrid,
-    claimed: &[(SimKey, usize)],
-    mut guard: InFlightGuard<'_>,
+    claimed: &[&(SimKey, Vec<usize>)],
+    measured: &[OnceLock<Measured>],
     session: &StudySession,
-) -> Result<Arc<SimMeasurement>, CoreError> {
-    let leader = &grid.scenarios()[claimed[0].1];
-    let mut keys = Vec::with_capacity(claimed.len());
-    let mut targets = Vec::with_capacity(claimed.len());
-    for (i, (key, id)) in claimed.iter().enumerate() {
-        match build_target(&grid.scenarios()[*id], &grid.replacement_registry) {
-            Ok(target) => {
-                keys.push(key);
-                targets.push(target);
-            }
-            Err(e) if i == 0 => return Err(e),
-            Err(_) => {}
-        }
-    }
+) -> Result<(), CoreError> {
+    let mut guard = InFlightGuard {
+        memo: &session.memo,
+        keys: claimed.iter().map(|(key, _)| key.clone()).collect(),
+    };
+    let scenario = |ids: &[usize]| &grid.scenarios()[ids[0]];
+    let mut targets = claimed
+        .iter()
+        .map(|(_, ids)| build_target(scenario(ids), &grid.replacement_registry))
+        .collect::<Result<Vec<_>, _>>()?;
     // Stream the workload through the batched fast path: synthetic
     // generators and multi-GB trace files both run in constant memory,
     // with bitwise-identical outcomes to the scalar loop.
+    let leader = scenario(&claimed[0].1);
     let mut source = grid.workloads[leader.workload_index].open(leader.trace_seed)?;
     session.counters.trace_opens.fetch_add(1, Ordering::Relaxed);
     simulate_fanout(
@@ -1076,18 +1045,21 @@ fn simulate_group(
     )?;
     drop(source);
     let mut results = Vec::with_capacity(targets.len());
-    for (key, target) in keys.into_iter().zip(targets) {
-        results.push((
-            key.clone(),
-            Arc::new(SimMeasurement::of(target, &leader.workload)?),
-        ));
+    for (&(key, ids), target) in claimed.iter().zip(targets) {
+        let measurement = Arc::new(SimMeasurement::of(target, &leader.workload)?);
+        fill(measured, ids, Ok(Arc::clone(&measurement)));
+        results.push((key.clone(), measurement));
     }
-    session
-        .counters
+    let cells: usize = claimed.iter().map(|(_, ids)| ids.len()).sum();
+    let counters = &session.counters;
+    counters
         .simulations
         .fetch_add(results.len(), Ordering::Relaxed);
+    counters
+        .sim_memo_hits
+        .fetch_add(cells - 1, Ordering::Relaxed);
     guard.resolve(&results);
-    Ok(Arc::clone(&results[0].1))
+    Ok(())
 }
 
 #[cfg(test)]

@@ -286,15 +286,21 @@ fn check_search_rejects_bad_metrics_and_categorical_bisection() {
     use aging_cache::check::check_search;
     use aging_cache::model::ModelRegistry;
 
-    let models = ModelRegistry::global();
+    let check = |search: &Search| {
+        check_search(
+            search,
+            search.space().expand().as_ref(),
+            ModelRegistry::global(),
+        )
+    };
     let good = Search::new(update_space(&[1.0, 2.0]), Objective::maximize("lt_years"));
-    assert!(check_search(&good, models).is_clean());
+    assert!(check(&good).is_clean());
 
     let bad_metric = Search::new(
         update_space(&[1.0, 2.0]),
         Objective::maximize("warp_factor"),
     );
-    let report = check_search(&bad_metric, models);
+    let report = check(&bad_metric);
     assert!(!report.is_clean());
     assert!(
         report
@@ -311,10 +317,8 @@ fn check_search_rejects_bad_metrics_and_categorical_bisection() {
             .trace_cycles(20_000)
             .policies(["identity", "probing", "scrambling"]),
     );
-    let report = check_search(
-        &Search::new(categorical, Objective::maximize("lt_years")).driver(Driver::Bisect),
-        models,
-    );
+    let report =
+        check(&Search::new(categorical, Objective::maximize("lt_years")).driver(Driver::Bisect));
     assert!(
         report
             .findings()
@@ -324,9 +328,7 @@ fn check_search_rejects_bad_metrics_and_categorical_bisection() {
     );
 
     // Zero budget is an error before anything expands.
-    let report = check_search(
-        &Search::new(update_space(&[1.0, 2.0]), Objective::maximize("lt_years")).budget(0),
-        models,
-    );
+    let report =
+        check(&Search::new(update_space(&[1.0, 2.0]), Objective::maximize("lt_years")).budget(0));
     assert!(report.findings().iter().any(|f| f.code == "search-budget"));
 }
